@@ -1,0 +1,635 @@
+"""CNF encoding of bounded almost-sure reachability for partially observed
+models: does a completion of the observation function with at most nu fresh
+symbols admit an almost-sure winning policy with at most mu memory elements?
+
+Variable families (in fixed numbering order, auxiliaries last):
+  A(m,a)        action a has positive probability in memory m
+  M(m,z,a,m')   memory update m -z,a-> m' has positive probability, z in Z'
+  O(s,z)        completed observation function puts mass on z at state s
+  C(s,m)        state-memory pair reachable under the chosen supports
+  P(s,m,j)      goal reachable from (s,m) within j steps, 0 <= j <= k
+Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
+sensor-variable mode).
+"""
+
+from __future__ import annotations
+
+from array import array
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .model import BOT, ModelSemanticError, PartialObsFn, Pomdp
+
+
+class Cnf:
+    """Clause store over positive variable ids; negative literal = negation.
+
+    Clauses live in one flat int arena (zero-terminated), which keeps
+    multi-million-clause encodings affordable.  Construction rejects empty
+    and tautological clauses and drops duplicate literals.
+    """
+
+    def __init__(self):
+        self._lits = array("i")
+        self._n = 0
+        self.max_var = 0
+        self.nvars = 0
+
+    def __len__(self):
+        return self._n
+
+    def add(self, lits):
+        seen = set()
+        clause = []
+        for l in lits:
+            if l == 0:
+                raise ValueError("literal 0 in clause")
+            if -l in seen:
+                raise ValueError(f"tautological clause {list(lits)}")
+            if l not in seen:
+                seen.add(l)
+                clause.append(l)
+        if not clause:
+            raise ValueError("empty clause")
+        for l in clause:
+            v = l if l > 0 else -l
+            if v > self.max_var:
+                self.max_var = v
+        self._lits.extend(clause)
+        self._lits.append(0)
+        self._n += 1
+
+    def __iter__(self):
+        cur = []
+        for l in self._lits:
+            if l == 0:
+                yield cur
+                cur = []
+            else:
+                cur.append(l)
+
+    def clauses(self):
+        return list(self)
+
+    def literal_array(self):
+        """The raw zero-terminated literal arena (read-only use)."""
+        return self._lits
+
+    def finalize(self, nvars):
+        if nvars < self.max_var:
+            raise ValueError(f"literal {self.max_var} exceeds declared variable count {nvars}")
+        self.nvars = nvars
+        return self
+
+
+class VarMap:
+    """Deterministic numbering of the semantic variable families.
+
+    Semantic ids occupy 1..n_semantic in block order A, M, O, C, P;
+    auxiliaries are handed out past that.
+    """
+
+    def __init__(self, p, mu, nu, k, zprime_names=None):
+        if mu < 1:
+            raise ValueError(f"mu must be >= 1, got {mu}")
+        if nu < 0:
+            raise ValueError(f"nu must be >= 0, got {nu}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.mu = mu
+        self.nu = nu
+        self.k = k
+        self.ns = p.n_states
+        self.na = p.n_actions
+        if zprime_names is None:
+            zprime_names = tuple(p.observations) + tuple(f"@{t}" for t in range(nu))
+        self.znames = tuple(zprime_names)
+        self.nzp = len(self.znames)
+        self.state_names = p.states
+        self.action_names = p.actions
+        ns, na, mu_, nzp = self.ns, self.na, mu, self.nzp
+        self._off_a = 0
+        self._off_m = self._off_a + mu_ * na
+        self._off_o = self._off_m + mu_ * nzp * na * mu_
+        self._off_c = self._off_o + ns * nzp
+        self._off_p = self._off_c + ns * mu_
+        self.n_semantic = self._off_p + ns * mu_ * (k + 1)
+        if self.n_semantic >= 2**31:
+            raise OverflowError(f"variable count {self.n_semantic} overflows the 31-bit literal space")
+        self._next_aux = self.n_semantic + 1
+
+    # semantic ids are 1-based
+    def var_a(self, m, a):
+        return 1 + self._off_a + m * self.na + a
+
+    def var_m(self, m, z, a, m2):
+        return 1 + self._off_m + ((m * self.nzp + z) * self.na + a) * self.mu + m2
+
+    def var_o(self, s, z):
+        return 1 + self._off_o + s * self.nzp + z
+
+    def var_c(self, s, m):
+        return 1 + self._off_c + s * self.mu + m
+
+    def var_p(self, s, m, j):
+        return 1 + self._off_p + (s * self.mu + m) * (self.k + 1) + j
+
+    def fresh_aux(self):
+        v = self._next_aux
+        if v >= 2**31:
+            raise OverflowError("variable count overflows the 31-bit literal space")
+        self._next_aux = v + 1
+        return v
+
+    @property
+    def nvars(self):
+        return self._next_aux - 1
+
+    @property
+    def n_aux(self):
+        return self.nvars - self.n_semantic
+
+    def var_name(self, v):
+        """Readable name of a semantic id (auxiliaries are just aux<id>)."""
+        if v > self.n_semantic:
+            return f"aux{v}"
+        i = v - 1
+        if i < self._off_m:
+            m, a = divmod(i - self._off_a, self.na)
+            return f"A(m{m},{self.action_names[a]})"
+        if i < self._off_o:
+            rest, m2 = divmod(i - self._off_m, self.mu)
+            rest, a = divmod(rest, self.na)
+            m, z = divmod(rest, self.nzp)
+            return f"M(m{m},{self.znames[z]},{self.action_names[a]},m{m2})"
+        if i < self._off_c:
+            s, z = divmod(i - self._off_o, self.nzp)
+            return f"O({self.state_names[s]},{self.znames[z]})"
+        if i < self._off_p:
+            s, m = divmod(i - self._off_c, self.mu)
+            return f"C({self.state_names[s]},m{m})"
+        sm, j = divmod(i - self._off_p, self.k + 1)
+        s, m = divmod(sm, self.mu)
+        return f"P({self.state_names[s]},m{m},{j})"
+
+
+def alloc_vars(p, mu, nu, k):
+    """Allocate the semantic variable blocks for (p, mu, nu, k)."""
+    return VarMap(p, mu, nu, k)
+
+
+@dataclass(frozen=True)
+class SideConstraints:
+    """Optional constraint extensions and encoding mode flags.
+
+    same/diff hold state-index pairs (states forced to share / never share an
+    observation); implies holds (state, z, z') dependency triples over the
+    declared alphabet.  sensor_values switches to sensor-variable mode, where
+    Z' becomes Z x Val(C); sensor_base then carries the per-state base
+    supports the paired alphabet refines (filled by sensor_model).
+    """
+
+    same: tuple = ()
+    diff: tuple = ()
+    implies: tuple = ()
+    sensor_name: str = ""
+    sensor_values: tuple = None
+    sensor_base: tuple = None
+    deterministic: bool = False
+    strict: bool = False
+
+
+def parse_constraints(text, p):
+    """Parse a constraints file (`same s s'`, `diff s s'`, `implies s z z'`,
+    `sensor C c1 c2 ...`) against a model's state/observation names."""
+    sidx = {n: i for i, n in enumerate(p.states)}
+    zidx = {n: i for i, n in enumerate(p.observations)}
+    same, diff, implies = [], [], []
+    sensor_name, sensor_values = "", None
+
+    def state(tok, ln):
+        if tok not in sidx:
+            raise ModelSemanticError(tok, f"unknown state (constraints line {ln})")
+        return sidx[tok]
+
+    def obs(tok, ln):
+        if tok not in zidx:
+            raise ModelSemanticError(tok, f"unknown observation (constraints line {ln})")
+        return zidx[tok]
+
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        stmt = raw.split("#", 1)[0].strip()
+        if not stmt:
+            continue
+        toks = stmt.split()
+        kind = toks[0]
+        if kind in ("same", "diff") and len(toks) == 3:
+            a, b = state(toks[1], ln), state(toks[2], ln)
+            if a == b:
+                raise ModelSemanticError(toks[1], f"{kind} pair needs two distinct states (line {ln})")
+            (same if kind == "same" else diff).append((a, b))
+        elif kind == "implies" and len(toks) == 4:
+            z, z2 = obs(toks[2], ln), obs(toks[3], ln)
+            if z == z2:
+                raise ModelSemanticError(toks[2], f"dependency needs two distinct observations (line {ln})")
+            implies.append((state(toks[1], ln), z, z2))
+        elif kind == "sensor" and len(toks) >= 3:
+            if sensor_values is not None:
+                raise ModelSemanticError(toks[1], f"second sensor line (line {ln})")
+            if len(set(toks[2:])) != len(toks[2:]):
+                raise ModelSemanticError(toks[1], f"duplicate sensor value (line {ln})")
+            sensor_name, sensor_values = toks[1], tuple(toks[2:])
+        else:
+            raise ModelSemanticError("constraints", f"unrecognized line {ln}: {stmt!r}")
+    return SideConstraints(
+        same=tuple(same),
+        diff=tuple(diff),
+        implies=tuple(implies),
+        sensor_name=sensor_name,
+        sensor_values=sensor_values,
+    )
+
+
+def sensor_model(p, sc):
+    """Rewrite a model for sensor-variable mode.
+
+    The observation alphabet becomes Z x Val(C) (named "z:c"), every state is
+    set fully undefined, and the original per-state supports are recorded in
+    the returned SideConstraints so the encoder can emit the refinement
+    clauses: a state that produced z must produce some (z, c), and never any
+    (z', c) for unproduced z'.
+    """
+    vals = sc.sensor_values
+    if not vals:
+        raise ValueError("sensor mode requires a nonempty value set")
+    names = tuple(f"{z}:{c}" for z in p.observations for c in vals)
+    base = tuple(p.obs.support(s) for s in range(p.n_states))
+    for s, supp in enumerate(base):
+        if not supp:
+            # a state that never produces a base symbol would produce no
+            # pair either, leaving the refined function non-total
+            raise ModelSemanticError(
+                p.states[s], "sensor mode needs a base observation in every state")
+    bot_row = ((BOT, Fraction(1)),)
+    p2 = Pomdp(
+        states=p.states,
+        actions=p.actions,
+        observations=names,
+        initial=p.initial,
+        goal=p.goal,
+        delta=p.delta,
+        obs=PartialObsFn(tuple(bot_row for _ in range(p.n_states))),
+    )
+    sc2 = SideConstraints(
+        same=sc.same,
+        diff=sc.diff,
+        implies=(),
+        sensor_name=sc.sensor_name,
+        sensor_values=vals,
+        sensor_base=base,
+        deterministic=sc.deterministic,
+        strict=False,
+    )
+    if sc.implies:
+        raise ModelSemanticError(
+            sc.sensor_name, "dependency constraints reference the original alphabet; not available in sensor mode")
+    if sc.strict:
+        raise ModelSemanticError(
+            sc.sensor_name, "strict completion is meaningless in sensor mode (all states are reset to undefined)")
+    return p2, sc2
+
+
+def encode_action_selection(vm, out=None):
+    """Every memory element chooses at least one action: mu clauses."""
+    out = out if out is not None else Cnf()
+    for m in range(vm.mu):
+        out.add([vm.var_a(m, a) for a in range(vm.na)])
+    return out
+
+
+def encode_memory_update(vm, out=None):
+    """sigma_u is well-defined: one clause per (m, z in Z', a)."""
+    out = out if out is not None else Cnf()
+    for m in range(vm.mu):
+        for z in range(vm.nzp):
+            for a in range(vm.na):
+                out.add([vm.var_m(m, z, a, m2) for m2 in range(vm.mu)])
+    return out
+
+
+def exactly_one(lits, vm, out=None, pairwise_limit=8):
+    """Constrain exactly one of lits to hold.
+
+    Pairwise encoding up to pairwise_limit literals; above that, a sequential
+    encoding whose prefix auxiliaries are fully defined (so the model count
+    stays exactly len(lits), enumeration-checkable).
+    """
+    out = out if out is not None else Cnf()
+    n = len(lits)
+    if n == 0:
+        raise ValueError("exactly_one of no literals")
+    if n == 1:
+        out.add((lits[0],))
+        return out
+    if n <= pairwise_limit:
+        out.add(lits)
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.add((-lits[i], -lits[j]))
+        return out
+    # sequential: s_i <-> (lits[0] | ... | lits[i]), reusing lits[0] as s_0
+    prev = lits[0]
+    for i in range(1, n):
+        x = lits[i]
+        out.add((-x, -prev))  # at most one
+        s = vm.fresh_aux()
+        out.add((-prev, s))
+        out.add((-x, s))
+        out.add((-s, prev, x))
+        prev = s
+    out.add((prev,))  # at least one
+    return out
+
+
+def encode_observation_fn(p, vm, sc, out=None):
+    """Per-state clauses pinning the completed observation function.
+
+    Permissive mode lets any bot-mass state take any symbol of Z'; strict
+    mode confines new mass to the fresh symbols (the literal completion
+    definition).  States without bot mass are pinned to their given support
+    either way.  A strict-mode state with empty bot-support and no fresh
+    symbols admits no completion; that is surfaced as a canonical
+    contradiction pair on its first O variable.
+    """
+    out = out if out is not None else Cnf()
+    ns, nzp = vm.ns, vm.nzp
+    if sc.sensor_values is not None:
+        if sc.sensor_base is None:
+            raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
+        nvals = len(sc.sensor_values)
+        n_base = nzp // nvals
+        for i in range(ns):
+            bset = set(sc.sensor_base[i])
+            for z in range(n_base):
+                pair_vars = [vm.var_o(i, z * nvals + c) for c in range(nvals)]
+                if z in bset:
+                    out.add(pair_vars)
+                else:
+                    for v in pair_vars:
+                        out.add((-v,))
+            if sc.deterministic:
+                exactly_one([vm.var_o(i, z) for z in range(nzp)], vm, out)
+        return out
+
+    n_obs = nzp - vm.nu
+    fresh = range(n_obs, nzp)
+    for i in range(ns):
+        supp = p.obs.support(i)
+        cov = list(range(nzp)) if not sc.strict else sorted(set(supp)) + list(fresh)
+        if cov:
+            out.add([vm.var_o(i, z) for z in cov])
+        else:
+            v = vm.var_o(i, 0) if nzp else vm.var_a(0, 0)
+            out.add((v,))
+            out.add((-v,))
+        for z in supp:
+            out.add((vm.var_o(i, z),))
+        if p.obs.fully_defined(i):
+            # no bot mass, no freedom: the row is pinned to its support
+            for z in set(range(nzp)) - set(supp):
+                out.add((-vm.var_o(i, z),))
+        elif sc.strict:
+            for z in set(range(n_obs)) - set(supp):
+                out.add((-vm.var_o(i, z),))
+        if sc.deterministic:
+            exactly_one([vm.var_o(i, z) for z in range(nzp)], vm, out)
+    return out
+
+
+def encode_reach_closure(p, vm, out=None):
+    """Reachability closure of state-memory pairs under the chosen supports.
+
+    Anchor unit C(I,m0), then propagation along every positive-probability
+    transition, observation symbol, and memory update.  Clauses that would be
+    tautological (self-loop propagating a pair to itself) are vacuous and
+    skipped.
+    """
+    out = out if out is not None else Cnf()
+    mu, nzp = vm.mu, vm.nzp
+    out.add((vm.var_c(p.initial, 0),))
+    for i in range(vm.ns):
+        for a in range(vm.na):
+            av = [vm.var_a(m, a) for m in range(mu)]
+            for j in p.succ(i, a):
+                for z in range(nzp):
+                    ov = vm.var_o(j, z)
+                    for m in range(mu):
+                        ci = vm.var_c(i, m)
+                        for m2 in range(mu):
+                            if i == j and m == m2:
+                                continue
+                            out.add((-ci, -av[m], -ov, -vm.var_m(m, z, a, m2), vm.var_c(j, m2)))
+    return out
+
+
+def encode_path_predicate(p, vm, out=None):
+    """Bounded goal-reachability predicate P and its linkage to C.
+
+    P(G,m,j) holds everywhere, nothing else is reachable in 0 steps, every
+    reachable pair must reach the goal within k, and for i != G, j >= 1 the
+    predicate is fixed both ways to the one-step unrolling
+
+        P(i,m,j) <-> OR_a [ A(m,a) & OR_{z,m',i' in succ(i,a)}
+                            (O(i',z) & M(m,z,a,m') & P(i',m',j-1)) ]
+
+    via Tseitin auxiliaries, one per distinct inner and per distinct
+    action-level conjunct (structurally shared across occurrences, which is
+    sound because both directions are emitted).
+    """
+    out = out if out is not None else Cnf()
+    mu, nzp, k, g = vm.mu, vm.nzp, vm.k, p.goal
+    for m in range(mu):
+        for j in range(k + 1):
+            out.add((vm.var_p(g, m, j),))
+    for i in range(vm.ns):
+        if i == g:
+            continue
+        for m in range(mu):
+            out.add((-vm.var_p(i, m, 0),))
+    for i in range(vm.ns):
+        for m in range(mu):
+            out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
+
+    succs = [[p.succ(i, a) for a in range(vm.na)] for i in range(vm.ns)]
+    cons = {}
+    for i in range(vm.ns):
+        if i == g:
+            continue
+        row = succs[i]
+        for m in range(mu):
+            for j in range(1, k + 1):
+                disj = []
+                for a in range(vm.na):
+                    succ = row[a]
+                    if not succ or nzp == 0:
+                        continue
+                    dkey = (m, a, j, succ)
+                    u = cons.get(dkey)
+                    if u is None:
+                        inner = []
+                        for i2 in succ:
+                            for z in range(nzp):
+                                for m2 in range(mu):
+                                    tkey = (m, a, z, i2, m2, j)
+                                    t = cons.get(tkey)
+                                    if t is None:
+                                        t = vm.fresh_aux()
+                                        cons[tkey] = t
+                                        ov = vm.var_o(i2, z)
+                                        mv = vm.var_m(m, z, a, m2)
+                                        pv = vm.var_p(i2, m2, j - 1)
+                                        out.add((-t, ov))
+                                        out.add((-t, mv))
+                                        out.add((-t, pv))
+                                        out.add((-ov, -mv, -pv, t))
+                                    inner.append(t)
+                        u = vm.fresh_aux()
+                        cons[dkey] = u
+                        av = vm.var_a(m, a)
+                        out.add((-u, av))
+                        out.add([-u] + inner)
+                        for t in inner:
+                            out.add((-av, -t, u))
+                    disj.append(u)
+                pv = vm.var_p(i, m, j)
+                if not disj:
+                    out.add((-pv,))
+                else:
+                    out.add([-pv] + disj)
+                    for u in disj:
+                        out.add((-u, pv))
+    return out
+
+
+def encode_side_constraints(sc, vm, out=None):
+    """Distinguishability and dependency clauses over the O family."""
+    out = out if out is not None else Cnf()
+    nzp = vm.nzp
+
+    def check_state(s):
+        if not (0 <= s < vm.ns):
+            raise ModelSemanticError(str(s), "constraint references unknown state")
+
+    for i, j in sc.same:
+        check_state(i)
+        check_state(j)
+        if i == j:
+            raise ModelSemanticError(vm.state_names[i], "same pair needs two distinct states")
+        for z in range(nzp):
+            out.add((-vm.var_o(i, z), vm.var_o(j, z)))
+            out.add((vm.var_o(i, z), -vm.var_o(j, z)))
+    for i, j in sc.diff:
+        check_state(i)
+        check_state(j)
+        if i == j:
+            raise ModelSemanticError(vm.state_names[i], "diff pair needs two distinct states")
+        for z in range(nzp):
+            out.add((vm.var_o(i, z), vm.var_o(j, z)))
+            out.add((-vm.var_o(i, z), -vm.var_o(j, z)))
+    for i, z, z2 in sc.implies:
+        check_state(i)
+        if not (0 <= z < nzp and 0 <= z2 < nzp):
+            raise ModelSemanticError(str((z, z2)), "constraint references unknown observation")
+        if z == z2:
+            raise ModelSemanticError(vm.znames[z], "dependency needs two distinct observations")
+        out.add((-vm.var_o(i, z), vm.var_o(i, z2)))
+    return out
+
+
+def encode_symmetry(p, vm, out=None):
+    """Optional symmetry breaking; preserves satisfiability up to renaming.
+
+    Fresh observation symbols are interchangeable, so the t-th may first be
+    used only at a state strictly after the first use of the (t-1)-th
+    (value precedence via a prefix-use chain).  Memory elements other than m0
+    are interchangeable, so action-selection rows of m1.. are ordered
+    lexicographically nonincreasing.
+    """
+    out = out if out is not None else Cnf()
+    ns, mu, na = vm.ns, vm.mu, vm.na
+    n_obs = vm.nzp - vm.nu
+    fresh = list(range(n_obs, vm.nzp))
+    if len(fresh) >= 2:
+        used = []  # used[t][i] <-> some state <= i produces fresh symbol t
+        for t in range(len(fresh) - 1):
+            z = fresh[t]
+            chain = []
+            prev = None
+            for i in range(ns):
+                u = vm.fresh_aux()
+                ov = vm.var_o(i, z)
+                if prev is None:
+                    out.add((-u, ov))
+                    out.add((u, -ov))
+                else:
+                    out.add((-prev, u))
+                    out.add((-ov, u))
+                    out.add((-u, prev, ov))
+                chain.append(u)
+                prev = u
+            used.append(chain)
+        for t in range(1, len(fresh)):
+            z = fresh[t]
+            out.add((-vm.var_o(0, z),))
+            for i in range(1, ns):
+                out.add((-vm.var_o(i, z), used[t - 1][i - 1]))
+    if mu >= 3:
+        for m in range(1, mu - 1):
+            g = None
+            for a in range(na):
+                x, y = vm.var_a(m, a), vm.var_a(m + 1, a)
+                if g is None:
+                    out.add((x, -y))
+                else:
+                    out.add((-g, x, -y))
+                if a == na - 1:
+                    break
+                e = vm.fresh_aux()
+                out.add((-e, -x, y))
+                out.add((-e, x, -y))
+                out.add((e, x, y))
+                out.add((e, -x, -y))
+                if g is None:
+                    g = e
+                else:
+                    ng = vm.fresh_aux()
+                    out.add((-ng, g))
+                    out.add((-ng, e))
+                    out.add((ng, -g, -e))
+                    g = ng
+    return out
+
+
+def encode(p, mu, nu, k, sc=None, sym_break=True):
+    """Assemble the full formula; returns (Cnf, VarMap).
+
+    Expects a model with an absorbing goal (parse_pomdp guarantees this; for
+    programmatic models apply model.reduce_targets first).  In sensor mode
+    pass the transformed model from sensor_model() and nu = 0.
+    """
+    sc = sc if sc is not None else SideConstraints()
+    if not p.absorbing(p.goal):
+        raise ValueError("goal must be absorbing; apply reduce_targets first")
+    if sc.sensor_values is not None and nu != 0:
+        raise ValueError("sensor mode replaces the fresh symbols; nu must be 0")
+    vm = VarMap(p, mu, nu, k)
+    out = Cnf()
+    encode_action_selection(vm, out)
+    encode_memory_update(vm, out)
+    encode_observation_fn(p, vm, sc, out)
+    encode_reach_closure(p, vm, out)
+    encode_path_predicate(p, vm, out)
+    encode_side_constraints(sc, vm, out)
+    if sym_break:
+        encode_symmetry(p, vm, out)
+    return out.finalize(vm.nvars), vm

@@ -1,0 +1,409 @@
+"""POMDP data model: core types, text format, validation, target reduction.
+
+Probabilities are exact rationals throughout.  Qualitative (almost-sure)
+analysis depends only on distribution supports, so exact arithmetic costs
+nothing and removes float-tolerance questions from validation entirely.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+
+# Index used for the undefined-observation symbol in PartialObsFn rows.
+BOT = -1
+
+
+class ModelError(ValueError):
+    """Base for everything the parser/validator can reject."""
+
+
+class ModelSyntaxError(ModelError):
+    def __init__(self, line, col, msg):
+        super().__init__(f"line {line}, col {col}: {msg}")
+        self.line = line
+        self.col = col
+
+
+class ModelSemanticError(ModelError):
+    def __init__(self, entity, msg):
+        super().__init__(f"{entity}: {msg}")
+        self.entity = entity
+
+
+@dataclass(frozen=True)
+class PartialObsFn:
+    """Per-state distribution over observations plus the undefined symbol.
+
+    rows[s] is a tuple of (z, weight) pairs, z an observation index or BOT.
+    """
+
+    rows: tuple
+
+    def support(self, s):
+        """Observation indices with positive weight at state s (BOT excluded)."""
+        return tuple(z for z, w in self.rows[s] if z != BOT and w > 0)
+
+    def bot_mass(self, s):
+        return sum((w for z, w in self.rows[s] if z == BOT), Fraction(0))
+
+    def fully_defined(self, s):
+        return self.bot_mass(s) == 0
+
+
+@dataclass(frozen=True)
+class Pomdp:
+    states: tuple
+    actions: tuple
+    observations: tuple
+    initial: int
+    goal: int
+    delta: tuple  # delta[s][a] = tuple of (successor, weight)
+    obs: PartialObsFn
+
+    @property
+    def n_states(self):
+        return len(self.states)
+
+    @property
+    def n_actions(self):
+        return len(self.actions)
+
+    @property
+    def n_obs(self):
+        return len(self.observations)
+
+    def succ(self, s, a):
+        """Successor state indices with positive probability under (s, a)."""
+        return tuple(t for t, w in self.delta[s][a] if w > 0)
+
+    def absorbing(self, s):
+        return all(self.succ(s, a) == (s,) for a in range(self.n_actions))
+
+
+@dataclass(frozen=True)
+class Completion:
+    """Fully defined observation function over Z' = Z + n_new fresh symbols.
+
+    rows[s] is a tuple of (z', weight) pairs; indices >= |Z| are the fresh
+    observations, canonically numbered by first state of use.
+    """
+
+    n_new: int
+    rows: tuple
+
+    def support(self, s):
+        return tuple(z for z, w in self.rows[s] if w > 0)
+
+    def symbol_name(self, p, z):
+        return p.observations[z] if z < p.n_obs else f"@{z - p.n_obs}"
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Finite-memory policy given by supports (uniform weights implied).
+
+    act[m] is a tuple of action indices; update[m][z][a] a tuple of memory
+    indices, with z ranging over the completed alphabet Z'.  Initial memory
+    is element 0.
+    """
+
+    n_mem: int
+    act: tuple
+    update: tuple
+
+    @property
+    def init_mem(self):
+        return 0
+
+
+# parser
+
+_NAME_RE = re.compile(r"[A-Za-z0-9_.+\-]+$")
+_HEADERS = ("states", "actions", "observations", "initial", "goal", "targets")
+
+
+def _check_name(name, line, col, kind):
+    if not _NAME_RE.match(name):
+        raise ModelSyntaxError(line, col, f"bad {kind} name {name!r}")
+
+
+def _parse_weight(tok, line, col):
+    try:
+        w = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ModelSyntaxError(line, col, f"bad weight {tok!r}") from None
+    if w <= 0:
+        raise ModelSyntaxError(line, col, f"weight must be positive, got {tok}")
+    return w
+
+
+def _parse_dist(rest, line, base_col):
+    """Parse 'name w, name w, ...' into a list of (name, Fraction)."""
+    out = []
+    for part in rest.split(","):
+        toks = part.split()
+        if len(toks) != 2:
+            raise ModelSyntaxError(line, base_col, f"expected 'name weight', got {part.strip()!r}")
+        out.append((toks[0], _parse_weight(toks[1], line, base_col)))
+    return out
+
+
+def parse_pomdp(text):
+    """Parse the line-oriented model format into a validated Pomdp.
+
+    Declared targets (or a non-absorbing goal) are reduced to a single
+    absorbing goal state on the way in, so parsed models always satisfy the
+    shape the encoder assumes.
+    """
+    heads = {}
+    delta_lines = []
+    obs_lines = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        stmt = raw.split("#", 1)[0].strip()
+        if not stmt:
+            continue
+        m = re.match(r"(\w+):\s*(.*)$", stmt)
+        if m:
+            key, rest = m.group(1), m.group(2)
+            if key not in _HEADERS:
+                raise ModelSyntaxError(ln, 1, f"unknown section {key!r}")
+            if key in heads:
+                raise ModelSyntaxError(ln, 1, f"duplicate section {key!r}")
+            heads[key] = (ln, rest.split())
+            continue
+        m = re.match(r"delta\s+(\S+)\s+(\S+)\s*->\s*(.+)$", stmt)
+        if m:
+            delta_lines.append((ln, m.group(1), m.group(2), m.group(3)))
+            continue
+        m = re.match(r"obs\s+(\S+)\s*->\s*(.+)$", stmt)
+        if m:
+            obs_lines.append((ln, m.group(1), m.group(2)))
+            continue
+        raise ModelSyntaxError(ln, 1, f"unrecognized line {stmt!r}")
+
+    for key in ("states", "actions", "initial"):
+        if key not in heads:
+            raise ModelSemanticError(key, "missing required section")
+    if ("goal" in heads) == ("targets" in heads):
+        raise ModelSemanticError("goal", "exactly one of 'goal:'/'targets:' required")
+
+    def names_of(key, kind, allow_empty=False):
+        if key not in heads:
+            return []
+        ln, names = heads[key]
+        if not names and not allow_empty:
+            raise ModelSyntaxError(ln, 1, f"empty {key!r} section")
+        seen = {}
+        for n in names:
+            _check_name(n, ln, 1, kind)
+            if n in seen:
+                raise ModelSemanticError(n, f"duplicate {kind} name")
+            seen[n] = True
+        return names
+
+    state_names = names_of("states", "state")
+    action_names = names_of("actions", "action")
+    obs_names = names_of("observations", "observation", allow_empty=True)
+    if "bot" in obs_names:
+        raise ModelSemanticError("bot", "reserved, cannot be an observation name")
+    sidx = {n: i for i, n in enumerate(state_names)}
+    aidx = {n: i for i, n in enumerate(action_names)}
+    zidx = {n: i for i, n in enumerate(obs_names)}
+
+    def state_of(name, ln):
+        if name not in sidx:
+            raise ModelSemanticError(name, f"unknown state (line {ln})")
+        return sidx[name]
+
+    ln, toks = heads["initial"]
+    if len(toks) != 1:
+        raise ModelSyntaxError(ln, 1, "initial: wants exactly one state")
+    initial = state_of(toks[0], ln)
+
+    tkey = "goal" if "goal" in heads else "targets"
+    ln, toks = heads[tkey]
+    if not toks:
+        raise ModelSyntaxError(ln, 1, f"empty {tkey!r} section")
+    targets = [state_of(t, ln) for t in toks]
+    if len(set(targets)) != len(targets):
+        raise ModelSemanticError(tkey, "duplicate target state")
+
+    delta = [[None] * len(action_names) for _ in state_names]
+    for ln, sname, aname, rest in delta_lines:
+        s = state_of(sname, ln)
+        if aname not in aidx:
+            raise ModelSemanticError(aname, f"unknown action (line {ln})")
+        a = aidx[aname]
+        if delta[s][a] is not None:
+            raise ModelSemanticError(f"{sname}/{aname}", f"duplicate delta line (line {ln})")
+        row = []
+        seen = set()
+        for name, w in _parse_dist(rest, ln, 1):
+            t = state_of(name, ln)
+            if t in seen:
+                raise ModelSemanticError(f"{sname}/{aname}", f"duplicate successor {name} (line {ln})")
+            seen.add(t)
+            row.append((t, w))
+        if sum(w for _, w in row) != 1:
+            raise ModelSemanticError(f"{sname}/{aname}", "distribution does not sum to 1")
+        delta[s][a] = tuple(row)
+    for s, sname in enumerate(state_names):
+        for a, aname in enumerate(action_names):
+            if delta[s][a] is None:
+                raise ModelSemanticError(f"{sname}/{aname}", "delta not total: missing entry")
+
+    obs_rows = [None] * len(state_names)
+    for ln, sname, rest in obs_lines:
+        s = state_of(sname, ln)
+        if obs_rows[s] is not None:
+            raise ModelSemanticError(sname, f"duplicate obs line (line {ln})")
+        row = []
+        seen = set()
+        for name, w in _parse_dist(rest, ln, 1):
+            if name == "bot":
+                z = BOT
+            elif name in zidx:
+                z = zidx[name]
+            else:
+                raise ModelSemanticError(name, f"unknown observation (line {ln})")
+            if z in seen:
+                raise ModelSemanticError(sname, f"duplicate observation {name} (line {ln})")
+            seen.add(z)
+            row.append((z, w))
+        if sum(w for _, w in row) != 1:
+            raise ModelSemanticError(sname, "observation distribution does not sum to 1")
+        obs_rows[s] = tuple(row)
+    for s in range(len(state_names)):
+        if obs_rows[s] is None:
+            obs_rows[s] = ((BOT, Fraction(1)),)
+
+    p = Pomdp(
+        states=tuple(state_names),
+        actions=tuple(action_names),
+        observations=tuple(obs_names),
+        initial=initial,
+        goal=targets[0],
+        delta=tuple(tuple(row) for row in delta),
+        obs=PartialObsFn(tuple(obs_rows)),
+    )
+    p = reduce_targets(p, targets)
+    problems = validate(p)
+    if problems:
+        raise ModelSemanticError("model", "; ".join(problems))
+    return p
+
+
+def print_pomdp(p):
+    """Serialize deterministically in the input format (exact weights)."""
+    out = [
+        "states: " + " ".join(p.states),
+        "actions: " + " ".join(p.actions),
+        "observations: " + " ".join(p.observations),
+        f"initial: {p.states[p.initial]}",
+        f"goal: {p.states[p.goal]}",
+    ]
+    for s in range(p.n_states):
+        for a in range(p.n_actions):
+            terms = ", ".join(f"{p.states[t]} {w}" for t, w in p.delta[s][a])
+            out.append(f"delta {p.states[s]} {p.actions[a]} -> {terms}")
+    for s in range(p.n_states):
+        row = p.obs.rows[s]
+        if row == ((BOT, Fraction(1)),):
+            continue
+        terms = ", ".join(f"{'bot' if z == BOT else p.observations[z]} {w}" for z, w in row)
+        out.append(f"obs {p.states[s]} -> {terms}")
+    return "\n".join(out) + "\n"
+
+
+def validate(p):
+    """Return a list of invariant violations (empty = valid)."""
+    problems = []
+    ns, na = p.n_states, p.n_actions
+    if not (0 <= p.initial < ns):
+        problems.append(f"initial state index {p.initial} out of range")
+    if not (0 <= p.goal < ns):
+        problems.append(f"goal state index {p.goal} out of range")
+    if len(p.delta) != ns:
+        problems.append("delta not total: wrong number of state rows")
+        return problems
+    for s in range(ns):
+        if len(p.delta[s]) != na:
+            problems.append(f"delta not total: state {p.states[s]} missing action rows")
+            continue
+        for a in range(na):
+            row = p.delta[s][a]
+            if not row:
+                problems.append(f"delta({p.states[s]},{p.actions[a]}): empty support")
+                continue
+            if any(w < 0 for _, w in row):
+                problems.append(f"delta({p.states[s]},{p.actions[a]}): negative weight")
+            if any(not (0 <= t < ns) for t, _ in row):
+                problems.append(f"delta({p.states[s]},{p.actions[a]}): successor out of range")
+            elif sum(w for _, w in row) != 1:
+                problems.append(f"delta({p.states[s]},{p.actions[a]}): weights do not sum to 1")
+    if len(p.obs.rows) != ns:
+        problems.append("obs not total over states")
+        return problems
+    for s in range(ns):
+        row = p.obs.rows[s]
+        if not row:
+            problems.append(f"obs({p.states[s]}): empty support")
+            continue
+        if any(w < 0 for _, w in row):
+            problems.append(f"obs({p.states[s]}): negative weight")
+        if any(z != BOT and not (0 <= z < p.n_obs) for z, _ in row):
+            problems.append(f"obs({p.states[s]}): observation index out of range")
+        elif sum(w for _, w in row) != 1:
+            problems.append(f"obs({p.states[s]}): weights do not sum to 1")
+    return problems
+
+
+def _fresh_name(base, taken):
+    if base not in taken:
+        return base
+    i = 0
+    while f"{base}{i}" in taken:
+        i += 1
+    return f"{base}{i}"
+
+
+def reduce_targets(p, targets=None):
+    """Reduce a target set to a single absorbing goal state.
+
+    Identity when the goal is already a singleton absorbing state; otherwise
+    a fresh state G is appended, every target's outgoing transitions are
+    redirected to G under every action (a play that enters a target has won,
+    its further behavior is irrelevant), and G self-loops.  Reaching the
+    target set in the original model and reaching G here coincide
+    play-by-play.
+    """
+    if targets is None:
+        targets = (p.goal,)
+    targets = tuple(dict.fromkeys(targets))
+    if not targets:
+        raise ModelSemanticError("targets", "empty target set")
+    for t in targets:
+        if not (0 <= t < p.n_states):
+            raise ModelSemanticError("targets", f"state index {t} out of range")
+    if len(targets) == 1 and p.absorbing(targets[0]):
+        if p.goal == targets[0]:
+            return p
+        return Pomdp(p.states, p.actions, p.observations, p.initial, targets[0], p.delta, p.obs)
+
+    g = p.n_states
+    gname = _fresh_name("G", set(p.states))
+    tset = set(targets)
+    to_g = tuple(((g, Fraction(1)),) for _ in range(p.n_actions))
+    delta = tuple(to_g if s in tset else p.delta[s] for s in range(p.n_states)) + (to_g,)
+    obs_rows = p.obs.rows + (((BOT, Fraction(1)),),)
+    return Pomdp(
+        states=p.states + (gname,),
+        actions=p.actions,
+        observations=p.observations,
+        initial=p.initial,
+        goal=g,
+        delta=delta,
+        obs=PartialObsFn(obs_rows),
+    )

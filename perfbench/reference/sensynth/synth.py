@@ -1,0 +1,394 @@
+"""End-to-end synthesis: encode, solve, decode, verify, and (mu, nu) sweeps.
+
+Every satisfying assignment is decoded into a (completion, policy) pair and
+re-checked by the independent product-graph analysis before being reported;
+a decode that fails verification is an internal fault, never a result.
+Unrealizable is only claimed when the path bound k reached the completeness
+bound |S|*mu; below that an unsatisfiable formula proves nothing and the
+outcome is Unknown.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from . import sat
+from .encode import SideConstraints, encode, sensor_model
+from .model import Completion, Policy, Pomdp
+from .verify import VerifyCertificate, build_product, check_almost_sure
+
+
+class EncoderFault(RuntimeError):
+    """A satisfying assignment decoded into an artifact failing its contract.
+
+    Always a bug in the encoder or decoder, never a property of the input.
+    """
+
+
+@dataclass(frozen=True)
+class SynthStats:
+    vars: int = 0
+    clauses: int = 0
+    time_ms: int = 0
+    conflicts: int = None  # None when an external solver ran
+
+
+@dataclass(frozen=True)
+class Realizable:
+    completion: Completion
+    policy: Policy
+    certificate: VerifyCertificate
+    mu: int
+    nu: int
+    k: int
+    stats: SynthStats
+    model: Pomdp  # the model actually encoded (sensor mode rewrites the alphabet)
+    verdict = "Realizable"
+
+
+@dataclass(frozen=True)
+class Unrealizable:
+    k: int  # met the completeness bound |S|*mu
+    mu: int
+    nu: int
+    stats: SynthStats
+    verdict = "Unrealizable"
+
+
+@dataclass(frozen=True)
+class Unknown:
+    reason: str
+    mu: int
+    nu: int
+    k: int
+    stats: SynthStats
+    verdict = "Unknown"
+
+
+def _fresh_first_use(assignment, vm):
+    """Fresh symbols with a true O variable, ordered by first state of use."""
+    n_obs = vm.nzp - vm.nu
+    order = []
+    seen = set()
+    for s in range(vm.ns):
+        for z in range(n_obs, vm.nzp):
+            if z not in seen and assignment[vm.var_o(s, z)]:
+                seen.add(z)
+                order.append(z)
+    return order
+
+
+def decode_completion(assignment, vm, p, strict=False):
+    """Read the completed observation function off a satisfying assignment.
+
+    Support of state s is {z : O(s,z) true}.  Weights are uniform over the
+    support, except in strict mode where pre-assigned weights are kept and
+    only the bot mass is spread over the chosen fresh symbols (over the whole
+    support if the solver picked none).  Unused fresh symbols are dropped and
+    the kept ones renumbered by first state of use, so partitions are
+    comparable across runs.
+    """
+    n_obs = vm.nzp - vm.nu
+    order = _fresh_first_use(assignment, vm)
+    rename = {old: n_obs + i for i, old in enumerate(order)}
+    rows = []
+    for s in range(vm.ns):
+        supp = [z for z in range(vm.nzp) if assignment[vm.var_o(s, z)]]
+        if not supp:
+            raise EncoderFault(f"state {p.states[s]} decoded with empty observation support")
+        supp = sorted(rename.get(z, z) for z in supp)
+        if strict:
+            old_w = {z: w for z, w in p.obs.rows[s] if z >= 0}
+            bot = p.obs.bot_mass(s)
+            fresh = [z for z in supp if z >= n_obs]
+            if fresh:
+                share = bot / len(fresh)
+                row = [(z, old_w[z] if z < n_obs else share) for z in supp]
+            else:
+                share = bot / len(supp)
+                row = [(z, old_w.get(z, Fraction(0)) + share) for z in supp]
+        else:
+            u = Fraction(1, len(supp))
+            row = [(z, u) for z in supp]
+        if sum(w for _, w in row) != 1:
+            raise EncoderFault(f"decoded weights at state {p.states[s]} do not sum to 1")
+        rows.append(tuple(row))
+    return Completion(n_new=len(order), rows=tuple(rows))
+
+
+def decode_policy(assignment, vm):
+    """Read the policy supports off a satisfying assignment.
+
+    sigma_n(m) = {a : A(m,a)}, sigma_u(m,z,a) = {m' : M(m,z,a,m')}.  Columns
+    for dropped fresh symbols are discarded and the rest follow the same
+    first-use renumbering as the completion.
+    """
+    act = []
+    for m in range(vm.mu):
+        row = tuple(a for a in range(vm.na) if assignment[vm.var_a(m, a)])
+        if not row:
+            raise EncoderFault(f"memory element {m} decoded with empty action support")
+        act.append(row)
+    n_obs = vm.nzp - vm.nu
+    cols = list(range(n_obs)) + _fresh_first_use(assignment, vm)
+    update = []
+    for m in range(vm.mu):
+        zrows = []
+        for z in cols:
+            arow = []
+            for a in range(vm.na):
+                dest = tuple(m2 for m2 in range(vm.mu) if assignment[vm.var_m(m, z, a, m2)])
+                if not dest:
+                    raise EncoderFault(f"update ({m},{z},{a}) decoded with empty memory support")
+                arow.append(dest)
+            zrows.append(tuple(arow))
+        update.append(tuple(zrows))
+    return Policy(n_mem=vm.mu, act=tuple(act), update=tuple(update))
+
+
+def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
+               constraints=None, budget=None, solver=None, seed=0, sym_break=True):
+    """Decide realizability of (p, mu, nu) and return a checked outcome.
+
+    k defaults to the completeness bound |S|*mu; a smaller k is allowed and
+    can only downgrade Unrealizable to Unknown.  solver is None for the
+    embedded one or an external command template with an {input} placeholder.
+    """
+    if mu < 1 or nu < 0:
+        raise ValueError("mu must be >= 1 and nu >= 0")
+    sc = constraints if constraints is not None else SideConstraints()
+    sc = replace(sc, deterministic=sc.deterministic or deterministic,
+                 strict=sc.strict or strict)
+    if sc.sensor_values:
+        p_enc, sc_enc = sensor_model(p, sc)
+    else:
+        p_enc, sc_enc = p, sc
+    bound = p_enc.n_states * mu
+    k_used = bound if k is None else k
+    if k_used < 1:
+        raise ValueError("k must be >= 1")
+    if p_enc.n_obs + nu == 0:
+        # an empty completed alphabet admits no observation distribution at all
+        return Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats())
+
+    cnf, vm = encode(p_enc, mu, nu, k_used, sc_enc, sym_break=sym_break)
+    t0 = time.perf_counter()
+    if solver in (None, "", "embedded"):
+        res = sat.solve(cnf, budget=budget, seed=seed)
+        conflicts = res.conflicts
+    else:
+        limit = budget.max_seconds if budget is not None else None
+        res = sat.solve_external(cnf, solver, time_limit=limit)
+        conflicts = None
+    elapsed = int(round((time.perf_counter() - t0) * 1000))
+    stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed,
+                       conflicts=conflicts)
+
+    if res.status == sat.BUDGET:
+        return Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
+    if res.status == sat.UNSAT:
+        if k_used >= bound:
+            return Unrealizable(k=k_used, mu=mu, nu=nu, stats=stats)
+        return Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
+                       mu=mu, nu=nu, k=k_used, stats=stats)
+
+    comp = decode_completion(res.assignment, vm, p_enc, strict=sc_enc.strict)
+    pol = decode_policy(res.assignment, vm)
+    if comp.n_new > nu:
+        raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
+    cert = check_almost_sure(build_product(p_enc, comp, pol))
+    if not cert.ok:
+        raise EncoderFault("decoded pair fails almost-sure verification")
+    return Realizable(completion=comp, policy=pol, certificate=cert,
+                      mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
+
+
+# (mu, nu) frontiers
+
+@dataclass(frozen=True)
+class FrontierRow:
+    mu: int
+    nu: int
+    verdict: str
+    stats: SynthStats
+
+
+def sweep(p, mu_range, nu_range, **opts):
+    """One synthesize call per (mu, nu), ascending; failures become Unknown
+    rows and the sweep continues."""
+    rows = []
+    for mu in sorted(set(mu_range)):
+        for nu in sorted(set(nu_range)):
+            try:
+                out = synthesize(p, mu, nu, **opts)
+                rows.append(FrontierRow(mu, nu, out.verdict, out.stats))
+            except Exception:
+                rows.append(FrontierRow(mu, nu, "Unknown", SynthStats()))
+    return rows
+
+
+def format_frontier_csv(rows):
+    lines = ["mu,nu,verdict,vars,clauses,time_ms,conflicts"]
+    for r in rows:
+        c = "" if r.stats.conflicts is None else str(r.stats.conflicts)
+        lines.append(f"{r.mu},{r.nu},{r.verdict},{r.stats.vars},"
+                     f"{r.stats.clauses},{r.stats.time_ms},{c}")
+    return "\n".join(lines) + "\n"
+
+
+# result documents
+
+def format_result(out):
+    """Render an outcome as a line-oriented key/value document.
+
+    Realizable documents are self-contained: they carry the completed
+    alphabet, all policy tables, and the per-state observation rows, so they
+    can be re-verified against the model file alone.
+    """
+    lines = [f"verdict: {out.verdict}", f"mu: {out.mu}", f"nu: {out.nu}"]
+    if out.verdict == "Unknown":
+        lines.append(f"reason: {out.reason}")
+    lines.append(f"k: {out.k}")
+    if out.verdict == "Realizable":
+        p, comp, pol = out.model, out.completion, out.policy
+        names = [comp.symbol_name(p, z) for z in range(p.n_obs + comp.n_new)]
+        lines.append(f"memory: {pol.n_mem}")
+        lines.append("observations: " + " ".join(names))
+        lines.append(f"new: {comp.n_new}")
+        for m in range(pol.n_mem):
+            acts = " ".join(p.actions[a] for a in pol.act[m])
+            lines.append(f"action m{m} -> {acts}")
+        for m in range(pol.n_mem):
+            for z, zrow in enumerate(pol.update[m]):
+                for a in pol.act[m]:
+                    dest = " ".join(f"m{m2}" for m2 in zrow[a])
+                    lines.append(f"update m{m} {names[z]} {p.actions[a]} -> {dest}")
+        for s in range(p.n_states):
+            row = ", ".join(f"{names[z]} {w}" for z, w in comp.rows[s])
+            lines.append(f"obs {p.states[s]} -> {row}")
+    st = out.stats
+    c = "-" if st.conflicts is None else st.conflicts
+    lines.append(f"stats: vars={st.vars} clauses={st.clauses} "
+                 f"time_ms={st.time_ms} conflicts={c}")
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class ResultDoc:
+    verdict: str
+    mu: int
+    nu: int
+    k: int
+    reason: str
+    observations: tuple
+    completion: Completion
+    policy: Policy
+    stats: SynthStats
+
+
+class ResultParseError(ValueError):
+    pass
+
+
+def parse_result(text, p):
+    """Parse a result document against the model it was produced from."""
+    kv = {}
+    act_lines, upd_lines, obs_lines = [], [], []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("action "):
+            act_lines.append((ln, line))
+        elif line.startswith("update "):
+            upd_lines.append((ln, line))
+        elif line.startswith("obs "):
+            obs_lines.append((ln, line))
+        elif ":" in line:
+            key, _, val = line.partition(":")
+            kv[key.strip()] = val.strip()
+        else:
+            raise ResultParseError(f"line {ln}: unrecognized line {line!r}")
+    try:
+        verdict = kv["verdict"]
+        mu, nu, k = int(kv["mu"]), int(kv["nu"]), int(kv["k"])
+    except KeyError as e:
+        raise ResultParseError(f"missing header {e.args[0]!r}") from None
+    stats = SynthStats()
+    if "stats" in kv:
+        f = dict(tok.split("=", 1) for tok in kv["stats"].split())
+        conf = None if f.get("conflicts", "-") == "-" else int(f["conflicts"])
+        stats = SynthStats(int(f.get("vars", 0)), int(f.get("clauses", 0)),
+                           int(f.get("time_ms", 0)), conf)
+    if verdict != "Realizable":
+        return ResultDoc(verdict, mu, nu, k, kv.get("reason", ""), (), None, None, stats)
+
+    names = tuple(kv.get("observations", "").split())
+    zidx = {z: i for i, z in enumerate(names)}
+    n_mem = int(kv["memory"])
+    aidx = {a: i for i, a in enumerate(p.actions)}
+    sidx = {s: i for i, s in enumerate(p.states)}
+    midx = {f"m{m}": m for m in range(n_mem)}
+
+    def lookup(table, tok, ln, kind):
+        if tok not in table:
+            raise ResultParseError(f"line {ln}: unknown {kind} {tok!r}")
+        return table[tok]
+
+    act = [None] * n_mem
+    for ln, line in act_lines:
+        head, _, rest = line.partition("->")
+        toks = head.split()
+        if len(toks) != 2:
+            raise ResultParseError(f"line {ln}: malformed action line")
+        m = lookup(midx, toks[1], ln, "memory element")
+        acts = tuple(lookup(aidx, t, ln, "action") for t in rest.split())
+        if not acts:
+            raise ResultParseError(f"line {ln}: empty action support")
+        act[m] = acts
+    if any(a is None for a in act):
+        raise ResultParseError("missing action line for some memory element")
+
+    upd = [[[None] * p.n_actions for _ in names] for _ in range(n_mem)]
+    for ln, line in upd_lines:
+        head, _, rest = line.partition("->")
+        toks = head.split()
+        if len(toks) != 4:
+            raise ResultParseError(f"line {ln}: malformed update line")
+        m = lookup(midx, toks[1], ln, "memory element")
+        z = lookup(zidx, toks[2], ln, "observation")
+        a = lookup(aidx, toks[3], ln, "action")
+        dest = tuple(lookup(midx, t, ln, "memory element") for t in rest.split())
+        if not dest:
+            raise ResultParseError(f"line {ln}: empty memory support")
+        upd[m][z][a] = dest
+    for m in range(n_mem):
+        for z in range(len(names)):
+            for a in range(p.n_actions):
+                if upd[m][z][a] is None:
+                    # unlisted cells never fire (actions outside sigma_n); any value works
+                    upd[m][z][a] = (0,)
+    policy = Policy(n_mem=n_mem,
+                    act=tuple(act),
+                    update=tuple(tuple(tuple(zr) for zr in mr) for mr in upd))
+
+    rows = [None] * p.n_states
+    for ln, line in obs_lines:
+        head, _, rest = line.partition("->")
+        toks = head.split()
+        if len(toks) != 2:
+            raise ResultParseError(f"line {ln}: malformed obs line")
+        s = lookup(sidx, toks[1], ln, "state")
+        row = []
+        for part in rest.split(","):
+            ztok, *wtok = part.split()
+            if len(wtok) != 1:
+                raise ResultParseError(f"line {ln}: malformed obs entry {part.strip()!r}")
+            row.append((lookup(zidx, ztok, ln, "observation"), Fraction(wtok[0])))
+        rows[s] = tuple(row)
+    if any(r is None for r in rows):
+        raise ResultParseError("missing obs line for some state")
+    completion = Completion(n_new=int(kv.get("new", 0)), rows=tuple(rows))
+    return ResultDoc(verdict, mu, nu, k, "", names, completion, policy, stats)

@@ -1,0 +1,329 @@
+"""Independent verification of synthesized (completion, policy) pairs.
+
+Almost-sure reachability of the goal in the induced product chain depends
+only on supports, so the product graph is built from supports alone and
+checked with two linear passes: forward reachability from the initial pair,
+backward reachability from the goal pairs.  The certificate carries the
+reachable pairs and their goal distances (bounded by |S|*|M|).
+
+Also here: a seeded Monte Carlo simulator over the exact model weights and a
+brute-force synthesis oracle used by the tests to cross-examine the encoder.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from itertools import product as iproduct
+
+
+@dataclass(frozen=True)
+class ProductGraph:
+    """Support-level product of model state and policy memory."""
+
+    n_states: int
+    n_mem: int
+    adj: tuple  # adj[v] = sorted tuple of successor vertex ids, v = s * n_mem + m
+    initial: int
+    goals: tuple
+
+    def vertex(self, s, m):
+        return s * self.n_mem + m
+
+    def pair(self, v):
+        return divmod(v, self.n_mem)
+
+
+@dataclass(frozen=True)
+class VerifyCertificate:
+    ok: bool
+    reachable: tuple  # vertex ids reachable from the initial pair
+    dist: dict  # vertex id -> BFS distance to the nearest goal pair
+    witness: int  # reachable vertex with no goal path (-1 when ok)
+    bound: int  # |S| * |M|
+
+
+def build_product(p, c, pol):
+    """Product graph of model p under completion c and policy pol."""
+    mu = pol.n_mem
+    # the policy table fixes the completed alphabet width it can react to
+    nzp = len(pol.update[0]) if pol.update else 0
+    supports = [c.support(s) for s in range(p.n_states)]
+    adj = []
+    for s in range(p.n_states):
+        for m in range(mu):
+            row = set()
+            for a in pol.act[m]:
+                urow = pol.update[m]
+                for s2 in p.succ(s, a):
+                    for z in supports[s2]:
+                        if z >= nzp:
+                            raise ValueError(
+                                f"completion emits symbol {z} but the policy update "
+                                f"table only covers {nzp} symbols"
+                            )
+                        for m2 in urow[z][a]:
+                            row.add(s2 * mu + m2)
+            adj.append(tuple(sorted(row)))
+    goals = tuple(p.goal * mu + m for m in range(mu))
+    return ProductGraph(p.n_states, mu, tuple(adj), p.initial * mu, goals)
+
+
+def check_almost_sure(g):
+    """Verdict true iff every pair reachable from the initial pair can still
+    reach a goal pair; witness pair returned otherwise."""
+    n = len(g.adj)
+    seen = [False] * n
+    seen[g.initial] = True
+    stack = [g.initial]
+    while stack:
+        v = stack.pop()
+        for w in g.adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    reachable = tuple(v for v in range(n) if seen[v])
+
+    radj = [[] for _ in range(n)]
+    for v in range(n):
+        for w in g.adj[v]:
+            radj[w].append(v)
+    dist = {}
+    frontier = list(g.goals)
+    for v in frontier:
+        dist[v] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for u in radj[v]:
+                if u not in dist:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+
+    witness = -1
+    for v in reachable:
+        if v not in dist:
+            witness = v
+            break
+    bound = n
+    cert_dist = {v: dist[v] for v in reachable if v in dist}
+    return VerifyCertificate(
+        ok=(witness == -1),
+        reachable=reachable,
+        dist=cert_dist,
+        witness=witness,
+        bound=bound,
+    )
+
+
+def format_certificate(cert, p, pol):
+    """Text rendering of a certificate (reachable pairs with distances)."""
+    lines = [f"almost-sure: {'yes' if cert.ok else 'no'}"]
+    if not cert.ok:
+        s, m = divmod(cert.witness, pol.n_mem)
+        lines.append(f"witness: ({p.states[s]}, m{m}) reachable but cannot reach the goal")
+    for v in cert.reachable:
+        s, m = divmod(v, pol.n_mem)
+        d = cert.dist.get(v)
+        lines.append(f"pair ({p.states[s]}, m{m}) dist {'-' if d is None else d}")
+    return "\n".join(lines) + "\n"
+
+
+def simulate(p, c, pol, episodes, horizon, seed=0):
+    """Fraction of episodes that reach the goal within the horizon.
+
+    Actions and memory updates are drawn uniformly over the policy supports
+    (uniform supports preserve the qualitative verdict); transitions and
+    observations follow the exact model/completion weights.  Per-episode
+    seeds derive from the base seed, so runs are reproducible episode by
+    episode.
+    """
+    if episodes < 1 or horizon < 1:
+        raise ValueError("episodes and horizon must be >= 1")
+    mu = pol.n_mem
+    cum_delta = []
+    for s in range(p.n_states):
+        row = []
+        for a in range(p.n_actions):
+            states, weights = zip(*p.delta[s][a])
+            acc, cum = 0.0, []
+            for w in weights:
+                acc += float(w)
+                cum.append(acc)
+            row.append((states, cum))
+        cum_delta.append(row)
+    cum_obs = []
+    for s in range(p.n_states):
+        symbols, weights = zip(*c.rows[s])
+        acc, cum = 0.0, []
+        for w in weights:
+            acc += float(w)
+            cum.append(acc)
+        cum_obs.append((symbols, cum))
+    absorbing = [p.absorbing(s) for s in range(p.n_states)]
+
+    hits = 0
+    goal = p.goal
+    for ep in range(episodes):
+        # per-episode stream, stable under episode-count changes
+        rng = random.Random(seed * 1000003 + ep)
+        s, m = p.initial, 0
+        for _ in range(horizon):
+            if s == goal:
+                break
+            if absorbing[s]:
+                break
+            acts = pol.act[m]
+            a = acts[rng.randrange(len(acts))] if len(acts) > 1 else acts[0]
+            states, cum = cum_delta[s][a]
+            r = rng.random() * cum[-1]
+            for idx, bound in enumerate(cum):
+                if r < bound:
+                    s = states[idx]
+                    break
+            else:
+                s = states[-1]
+            symbols, cum = cum_obs[s]
+            r = rng.random() * cum[-1]
+            for idx, bound in enumerate(cum):
+                if r < bound:
+                    z = symbols[idx]
+                    break
+            else:
+                z = symbols[-1]
+            mems = pol.update[m][z][a]
+            m = mems[rng.randrange(len(mems))] if len(mems) > 1 else mems[0]
+        if s == goal:
+            hits += 1
+    return hits / episodes
+
+
+class BruteForceGuardError(ValueError):
+    """Enumeration space exceeds the brute-force guard."""
+
+
+def _nonempty_subsets(items):
+    items = tuple(items)
+    out = []
+    for mask in range(1, 1 << len(items)):
+        out.append(tuple(items[i] for i in range(len(items)) if mask >> i & 1))
+    return out
+
+
+def brute_force_decide(p, mu, nu, deterministic=True, guard=1 << 24):
+    """Exhaustively decide realizability for tiny instances.
+
+    Enumerates per-state completion supports (singletons when deterministic,
+    every consistent support otherwise) crossed with all support-based
+    policies, and checks each pair with an independent bitmask reachability
+    routine.  Policy memory-update cells that the current action selection
+    can never exercise are projected out; they cannot affect the verdict.
+
+    Candidates are tried smallest supports first and the guard counts the
+    candidates actually examined, so a realizable instance can still succeed
+    by early exit even when its full space is above the guard.
+    """
+    ns, na, nz = p.n_states, p.n_actions, p.n_obs
+    nzp = nz + nu
+    if nzp == 0:
+        return False
+
+    state_choices = []
+    for s in range(ns):
+        supp = p.obs.support(s)
+        if p.obs.fully_defined(s):
+            choices = [tuple(sorted(set(supp)))]
+            if deterministic and len(choices[0]) != 1:
+                choices = []
+        elif deterministic:
+            # a singleton support must still contain the pre-assigned symbols
+            base = sorted(set(supp))
+            if len(base) > 1:
+                choices = []
+            elif base:
+                choices = [tuple(base)]
+            else:
+                choices = [(z,) for z in range(nzp)]
+        else:
+            base = set(supp)
+            free = [z for z in range(nzp) if z not in base]
+            choices = []
+            for extra in _nonempty_subsets(free) + [()]:
+                cand = tuple(sorted(base | set(extra)))
+                if cand:
+                    choices.append(cand)
+            choices.sort()
+        if not choices:
+            return False
+        state_choices.append(choices)
+
+    act_choices = sorted(_nonempty_subsets(range(na)), key=lambda t: (len(t), t))
+    mem_choices = sorted(_nonempty_subsets(range(mu)), key=lambda t: (len(t), t))
+
+    succ = [[p.succ(s, a) for a in range(na)] for s in range(ns)]
+    goal_mask = 0
+    for m in range(mu):
+        goal_mask |= 1 << (p.goal * mu + m)
+    nv = ns * mu
+    v0 = p.initial * mu
+
+    def winning(rows):
+        reach = 1 << v0
+        while True:
+            new = reach
+            rem = reach
+            while rem:
+                b = rem & -rem
+                new |= rows[b.bit_length() - 1]
+                rem ^= b
+            if new == reach:
+                break
+            reach = new
+        can = goal_mask
+        while True:
+            new = can
+            for v in range(nv):
+                if rows[v] & can:
+                    new |= 1 << v
+            if new == can:
+                break
+            can = new
+        return reach & ~can == 0
+
+    n_comps = 1
+    for ch in state_choices:
+        n_comps *= len(ch)
+    if n_comps > guard or len(act_choices) ** mu > guard:
+        raise BruteForceGuardError("completion or action-selection space alone exceeds the guard")
+    comps = list(iproduct(*state_choices))
+    sels = sorted(iproduct(act_choices, repeat=mu),
+                  key=lambda sel: (sum(map(len, sel)), sel))
+    tested = 0
+    for sel in sels:
+        cells = [(m, z, a) for m in range(mu) for a in sel[m] for z in range(nzp)]
+        for comp in comps:
+            for fill in iproduct(mem_choices, repeat=len(cells)):
+                tested += 1
+                if tested > guard:
+                    raise BruteForceGuardError(
+                        f"more than {guard} candidates examined without an answer"
+                    )
+                table = dict(zip(cells, fill))
+                rows = []
+                for s in range(ns):
+                    for m in range(mu):
+                        row = 0
+                        for a in sel[m]:
+                            for s2 in succ[s][a]:
+                                mm = 0
+                                for z in comp[s2]:
+                                    for m2 in table[(m, z, a)]:
+                                        mm |= 1 << m2
+                                row |= mm << (s2 * mu)
+                        rows.append(row)
+                if winning(rows):
+                    return True
+    return False
