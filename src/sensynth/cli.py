@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 Realizable, 1 Unrealizable, 2 Unknown, 3 runtime error
-(I/O, parse, invalid model), 4 usage error.  Human-readable reports go to
+(I/O, parse, invalid model, internal fault), 4 usage error.  Human-readable reports go to
 stdout; machine-readable documents (result, CSV, DIMACS, models) go to the
 given output files so golden tests stay stable.
 """
@@ -12,15 +12,15 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bench
-from .encode import SideConstraints, encode, parse_constraints
+from .encode import encode, parse_constraints
 from .model import ModelError, parse_pomdp, print_pomdp
 from .sat import Budget, ExternalSolverError, write_dimacs
-from .synth import (ResultParseError, format_frontier_csv, format_result,
-                    parse_result, sweep, synthesize)
+from .synth import (EncoderFault, ResultParseError, format_frontier_csv,
+                    format_result, parse_result, prepare, sweep, synthesize)
 from .verify import build_product, check_almost_sure, format_certificate
 
 EXIT_REALIZABLE = 0
@@ -56,7 +56,6 @@ class RunConfig:
     strict: bool = False
     constraints: str | None = None
     solver: str | None = None
-    seed: int = 0
     result: str | None = None
     out: str | None = None
     quiet: bool = False
@@ -72,6 +71,7 @@ class RunConfig:
             raise UsageError("--nu must be >= 0")
 
     def check_k(self, p):
+        # |S|*mu is at least the completeness bound that prepare() computes
         bound = p.n_states * self.mu
         if self.k is not None and not 1 <= self.k <= bound:
             raise UsageError(f"--k must be in 1..{bound} for this model")
@@ -104,7 +104,7 @@ def _load_model(cfg):
 def _synth_call(cfg, p, sc):
     return synthesize(p, cfg.mu, cfg.nu, k=cfg.k, deterministic=cfg.deterministic,
                       strict=cfg.strict, constraints=sc, budget=cfg.budget(),
-                      solver=cfg.solver, seed=cfg.seed, sym_break=cfg.sym_break)
+                      solver=cfg.solver, sym_break=cfg.sym_break)
 
 
 _CELL_RE = re.compile(r"^c(\d+)_(\d+)(?:_[NESW])?$")
@@ -194,7 +194,7 @@ def cmd_sweep(cfg, mu_range, nu_range):
     p, sc = _load_model(cfg)
     rows = sweep(p, mu_range, nu_range, k=cfg.k, deterministic=cfg.deterministic,
                  strict=cfg.strict, constraints=sc, budget=cfg.budget(),
-                 solver=cfg.solver, seed=cfg.seed, sym_break=cfg.sym_break)
+                 solver=cfg.solver, sym_break=cfg.sym_break)
     csv = format_frontier_csv(rows)
     if cfg.out:
         _write(cfg.out, csv)
@@ -237,8 +237,15 @@ def cmd_gen(family, args):
 
 def cmd_export_dimacs(cfg):
     p, sc = _load_model(cfg)
-    cnf, vm = encode(p, cfg.mu, cfg.nu, cfg.k if cfg.k else p.n_states * cfg.mu,
-                     sc=_merged_sc(cfg, sc), sym_break=cfg.sym_break)
+    prep = prepare(p, cfg.mu, cfg.nu, k=cfg.k, deterministic=cfg.deterministic,
+                   strict=cfg.strict, constraints=sc)
+    if prep.refuted:
+        if not cfg.quiet:
+            print("no formula: the initial state is outside the MDP's almost-sure "
+                  "winning region, so the instance is Unrealizable")
+        return EXIT_UNREALIZABLE
+    cnf, vm = encode(prep.model, cfg.mu, cfg.nu, prep.k, sc=prep.constraints,
+                     sym_break=cfg.sym_break, prepass=prep.prepass)
     out = cfg.out or os.path.splitext(os.path.basename(cfg.input))[0] + ".cnf"
     write_dimacs(cnf, out)
     with open(out + ".map", "w", encoding="utf-8") as fh:
@@ -249,19 +256,14 @@ def cmd_export_dimacs(cfg):
     return EXIT_REALIZABLE
 
 
-def _merged_sc(cfg, sc):
-    if sc is None:
-        sc = SideConstraints()
-    return replace(sc, deterministic=sc.deterministic or cfg.deterministic,
-                   strict=sc.strict or cfg.strict)
-
-
 def _add_common(sp, model_arg=True):
     if model_arg:
         sp.add_argument("input", help="model file")
     sp.add_argument("--mu", type=int, default=1, help="memory elements (>= 1)")
     sp.add_argument("--nu", type=int, default=0, help="fresh observations allowed (>= 0)")
-    sp.add_argument("--k", type=int, default=None, help="path bound (default |S|*mu)")
+    sp.add_argument("--k", type=int, default=None,
+                    help="path bound (default: the completeness bound mu*|W-{goal}|, "
+                         "W the MDP's almost-sure winning region)")
     sp.add_argument("--deterministic", action="store_true",
                     help="require a deterministic completion")
     sp.add_argument("--strict", action="store_true",
@@ -270,7 +272,6 @@ def _add_common(sp, model_arg=True):
     sp.add_argument("--solver", default=os.environ.get("SENSYNTH_SOLVER"),
                     help="'embedded' or an external command template with {input} "
                          "(default: SENSYNTH_SOLVER or embedded)")
-    sp.add_argument("--seed", type=int, default=0, help="solver tie-breaking seed")
     sp.add_argument("--max-conflicts", type=int, default=None)
     sp.add_argument("--max-seconds", type=float, default=None)
     sp.add_argument("--no-symmetry", action="store_true",
@@ -282,7 +283,7 @@ def _cfg(ns, subcommand, **extra):
     return RunConfig(subcommand=subcommand, input=getattr(ns, "input", ""),
                      mu=ns.mu, nu=ns.nu, k=ns.k, deterministic=ns.deterministic,
                      strict=ns.strict, constraints=ns.constraints, solver=ns.solver,
-                     seed=ns.seed, quiet=ns.quiet, sym_break=not ns.no_symmetry,
+                     quiet=ns.quiet, sym_break=not ns.no_symmetry,
                      max_conflicts=ns.max_conflicts, max_seconds=ns.max_seconds,
                      **extra)
 
@@ -351,6 +352,9 @@ def main(argv=None):
         return EXIT_USAGE
     except (ModelError, ResultParseError, ExternalSolverError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except (EncoderFault, AssertionError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_ERROR
 
 

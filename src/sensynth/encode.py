@@ -10,6 +10,10 @@ Variable families (in fixed numbering order, auxiliaries last):
   P(s,m,j)      goal reachable from (s,m) within j steps, 0 <= j <= k
 Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
 sensor-variable mode).
+
+encode() first runs mdp_prepass() on the fully observable model and fixes
+the variables that the pre-pass decides: C outside the MDP's almost-sure
+winning region and P below each state's goal distance.
 """
 
 from __future__ import annotations
@@ -299,6 +303,59 @@ def sensor_model(p, sc):
     return p2, sc2
 
 
+def mdp_prepass(p):
+    """Almost-sure winning region and goal distances of the underlying MDP.
+
+    Returns (win, dist).  win is the frozenset of states from which some
+    strategy of the fully observable MDP reaches the goal with probability 1:
+    the attractor fixpoint that repeatedly keeps only the states that can
+    reach the goal using actions whose successors all stay in the set
+    (Baier & Katoen, Principles of Model Checking, ch. 10).  dist[s] is the
+    length of a shortest path from s to the goal over any actions, or None
+    if the goal is unreachable from s.
+
+    A finite-memory policy under any completion is one strategy of this MDP,
+    so both are sound facts about every (completion, policy) pair: every
+    pair it reaches from a winning start lies in win, and no pair reaches
+    the goal in fewer than dist steps.
+    """
+    ns, na, g = p.n_states, p.n_actions, p.goal
+    succ = [[p.succ(s, a) for a in range(na)] for s in range(ns)]
+    pred = [[] for _ in range(ns)]  # pred[t]: the (s, a) with t in succ(s, a)
+    for s in range(ns):
+        for a in range(na):
+            for t in succ[s][a]:
+                pred[t].append((s, a))
+
+    dist = [None] * ns
+    dist[g] = 0
+    layer = [g]
+    while layer:
+        nxt = []
+        for t in layer:
+            for s, _ in pred[t]:
+                if dist[s] is None:
+                    dist[s] = dist[t] + 1
+                    nxt.append(s)
+        layer = nxt
+
+    win = set(range(ns))
+    while True:
+        safe = {(s, a) for s in win for a in range(na)
+                if all(t in win for t in succ[s][a])}
+        reach = {g}
+        todo = [g]
+        while todo:
+            t = todo.pop()
+            for s, a in pred[t]:
+                if s not in reach and (s, a) in safe:
+                    reach.add(s)
+                    todo.append(s)
+        if reach == win:
+            return frozenset(win), tuple(dist)
+        win = reach
+
+
 def encode_action_selection(vm, out=None):
     """Every memory element chooses at least one action: mu clauses."""
     out = out if out is not None else Cnf()
@@ -406,18 +463,28 @@ def encode_observation_fn(p, vm, sc, out=None):
     return out
 
 
-def encode_reach_closure(p, vm, out=None):
+def encode_reach_closure(p, vm, out=None, win=None):
     """Reachability closure of state-memory pairs under the chosen supports.
 
     Anchor unit C(I,m0), then propagation along every positive-probability
     transition, observation symbol, and memory update.  Clauses that would be
     tautological (self-loop propagating a pair to itself) are vacuous and
     skipped.
+
+    win, when given, is the MDP's almost-sure winning region (mdp_prepass).
+    C(s,m) is fixed false for every s outside it, and propagation clauses
+    from such a source pair are skipped, since they are satisfied.  Sound
+    because every pair a winning policy reaches lies in win: from each one
+    the policy itself is an MDP strategy winning almost surely.
     """
     out = out if out is not None else Cnf()
     mu, nzp = vm.mu, vm.nzp
     out.add((vm.var_c(p.initial, 0),))
     for i in range(vm.ns):
+        if win is not None and i not in win:
+            for m in range(mu):
+                out.add((-vm.var_c(i, m),))
+            continue
         for a in range(vm.na):
             av = [vm.var_a(m, a) for m in range(mu)]
             for j in p.succ(i, a):
@@ -432,7 +499,7 @@ def encode_reach_closure(p, vm, out=None):
     return out
 
 
-def encode_path_predicate(p, vm, out=None):
+def encode_path_predicate(p, vm, out=None, dist=None):
     """Bounded goal-reachability predicate P and its linkage to C.
 
     P(G,m,j) holds everywhere, nothing else is reachable in 0 steps, every
@@ -445,9 +512,21 @@ def encode_path_predicate(p, vm, out=None):
     via Tseitin auxiliaries, one per distinct inner and per distinct
     action-level conjunct (structurally shared across occurrences, which is
     sound because both directions are emitted).
+
+    dist, when given, holds the MDP goal distances (mdp_prepass).  An exact
+    P(i,m,j) implies a graph path of at most j steps from i to the goal, so
+    P(i,m,j) is fixed false for j < dist[i] (for every j if dist[i] is None).
+    Inner conjuncts over such a fixed-false P(i',m',j-1) are dropped, and so
+    are action-level disjuncts left with no conjunct: the remaining clauses
+    define the same predicate over fewer variables and clauses.
     """
     out = out if out is not None else Cnf()
     mu, nzp, k, g = vm.mu, vm.nzp, vm.k, p.goal
+    if dist is None:
+        dist = [0] * vm.ns  # no pre-pass: nothing pruned
+    # P(i,.,j) is fixed false for j < low[i]
+    low = [k + 1 if d is None else d for d in dist]
+    first = [max(d, 1) for d in low]  # first unrolled layer of a non-goal state
     for m in range(mu):
         for j in range(k + 1):
             out.add((vm.var_p(g, m, j),))
@@ -455,7 +534,8 @@ def encode_path_predicate(p, vm, out=None):
         if i == g:
             continue
         for m in range(mu):
-            out.add((-vm.var_p(i, m, 0),))
+            for j in range(min(first[i], k + 1)):
+                out.add((-vm.var_p(i, m, j),))
     for i in range(vm.ns):
         for m in range(mu):
             out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
@@ -467,17 +547,20 @@ def encode_path_predicate(p, vm, out=None):
             continue
         row = succs[i]
         for m in range(mu):
-            for j in range(1, k + 1):
+            for j in range(first[i], k + 1):
                 disj = []
                 for a in range(vm.na):
                     succ = row[a]
                     if not succ or nzp == 0:
                         continue
                     dkey = (m, a, j, succ)
-                    u = cons.get(dkey)
-                    if u is None:
+                    if dkey in cons:
+                        u = cons[dkey]
+                    else:
                         inner = []
                         for i2 in succ:
+                            if low[i2] > j - 1:
+                                continue
                             for z in range(nzp):
                                 for m2 in range(mu):
                                     tkey = (m, a, z, i2, m2, j)
@@ -493,14 +576,17 @@ def encode_path_predicate(p, vm, out=None):
                                         out.add((-t, pv))
                                         out.add((-ov, -mv, -pv, t))
                                     inner.append(t)
-                        u = vm.fresh_aux()
+                        u = None
+                        if inner:
+                            u = vm.fresh_aux()
+                            av = vm.var_a(m, a)
+                            out.add((-u, av))
+                            out.add([-u] + inner)
+                            for t in inner:
+                                out.add((-av, -t, u))
                         cons[dkey] = u
-                        av = vm.var_a(m, a)
-                        out.add((-u, av))
-                        out.add([-u] + inner)
-                        for t in inner:
-                            out.add((-av, -t, u))
-                    disj.append(u)
+                    if u is not None:
+                        disj.append(u)
                 pv = vm.var_p(i, m, j)
                 if not disj:
                     out.add((-pv,))
@@ -610,25 +696,28 @@ def encode_symmetry(p, vm, out=None):
     return out
 
 
-def encode(p, mu, nu, k, sc=None, sym_break=True):
+def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None):
     """Assemble the full formula; returns (Cnf, VarMap).
 
     Expects a model with an absorbing goal (parse_pomdp guarantees this; for
     programmatic models apply model.reduce_targets first).  In sensor mode
-    pass the transformed model from sensor_model() and nu = 0.
+    pass the transformed model from sensor_model() and nu = 0.  prepass is
+    mdp_prepass(p), computed here when not given; its facts are fixed in the
+    C and P families.
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
         raise ValueError("goal must be absorbing; apply reduce_targets first")
     if sc.sensor_values is not None and nu != 0:
         raise ValueError("sensor mode replaces the fresh symbols; nu must be 0")
+    win, dist = prepass if prepass is not None else mdp_prepass(p)
     vm = VarMap(p, mu, nu, k)
     out = Cnf()
     encode_action_selection(vm, out)
     encode_memory_update(vm, out)
     encode_observation_fn(p, vm, sc, out)
-    encode_reach_closure(p, vm, out)
-    encode_path_predicate(p, vm, out)
+    encode_reach_closure(p, vm, out, win=win)
+    encode_path_predicate(p, vm, out, dist=dist)
     encode_side_constraints(sc, vm, out)
     if sym_break:
         encode_symmetry(p, vm, out)

@@ -75,7 +75,7 @@ def _luby(i):
 class Solver:
     """One-shot CDCL search over a fixed clause set."""
 
-    def __init__(self, cnf, seed=0):
+    def __init__(self, cnf):
         self.nvars = n = cnf.nvars
         self.ok = True
         self.clauses = []
@@ -96,7 +96,6 @@ class Solver:
         self.n_decisions = 0
         self.n_props = 0
         self.n_restarts = 0
-        self.seed = seed
         for v in range(1, n + 1):
             heappush(self.heap, (0.0, v))
         for lits in cnf:
@@ -408,9 +407,9 @@ class Solver:
                 self._enqueue(v if self.phase[v] else -v, -1)
 
 
-def solve(cnf, budget=None, seed=0):
+def solve(cnf, budget=None):
     """Decide cnf; Sat answers are self-checked against the formula."""
-    res = Solver(cnf, seed=seed).solve(budget)
+    res = Solver(cnf).solve(budget)
     if res.status == SAT and not evaluate(cnf, res.assignment):
         raise AssertionError("solver returned a non-model; this is a solver bug")
     return res

@@ -3,9 +3,14 @@
 Every satisfying assignment is decoded into a (completion, policy) pair and
 re-checked by the independent product-graph analysis before being reported;
 a decode that fails verification is an internal fault, never a result.
-Unrealizable is only claimed when the path bound k reached the completeness
-bound |S|*mu; below that an unsatisfiable formula proves nothing and the
-outcome is Unknown.
+
+prepare() runs the MDP pre-pass (encode.mdp_prepass) on the model to encode.
+An initial state outside the MDP's almost-sure winning region W is
+Unrealizable without any formula.  Otherwise the completeness bound is
+mu * max(1, |W - {goal}|): a shortest path from a pair that a winning policy
+reaches visits only reached non-goal pairs, all in (W - {goal}) x memory.
+Unrealizable is only claimed when the path bound k reached that bound; below
+it an unsatisfiable formula proves nothing and the outcome is Unknown.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import sat
-from .encode import SideConstraints, encode, sensor_model
-from .model import Completion, Policy, Pomdp
+from .encode import SideConstraints, encode, mdp_prepass, sensor_model
+from .model import Completion, ModelSemanticError, Policy, Pomdp
 from .verify import VerifyCertificate, build_product, check_almost_sure
 
 
@@ -50,7 +55,7 @@ class Realizable:
 
 @dataclass(frozen=True)
 class Unrealizable:
-    k: int  # met the completeness bound |S|*mu
+    k: int  # met the completeness bound mu * max(1, |W - {goal}|)
     mu: int
     nu: int
     stats: SynthStats
@@ -148,35 +153,63 @@ def decode_policy(assignment, vm):
     return Policy(n_mem=vm.mu, act=tuple(act), update=tuple(update))
 
 
-def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
-               constraints=None, budget=None, solver=None, seed=0, sym_break=True):
-    """Decide realizability of (p, mu, nu) and return a checked outcome.
+@dataclass(frozen=True)
+class Prepared:
+    """What one request encodes, shared by synthesize and export-dimacs."""
 
-    k defaults to the completeness bound |S|*mu; a smaller k is allowed and
-    can only downgrade Unrealizable to Unknown.  solver is None for the
-    embedded one or an external command template with an {input} placeholder.
-    """
+    model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
+    constraints: SideConstraints  # with the deterministic/strict flags merged in
+    prepass: tuple  # mdp_prepass(model): (win, dist)
+    bound: int  # completeness bound mu * max(1, |win - {goal}|)
+    k: int  # the path bound to encode: the given k, else the bound
+
+    @property
+    def refuted(self):
+        """True when the fully observable MDP cannot win from the initial
+        state, so no policy under any completion can."""
+        return self.model.initial not in self.prepass[0]
+
+
+def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=None):
+    """Check a request and compute what it encodes: the merged constraints,
+    the sensor-mode model rewrite, the MDP pre-pass and the path bound."""
     if mu < 1 or nu < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
     sc = constraints if constraints is not None else SideConstraints()
     sc = replace(sc, deterministic=sc.deterministic or deterministic,
                  strict=sc.strict or strict)
     if sc.sensor_values:
-        p_enc, sc_enc = sensor_model(p, sc)
-    else:
-        p_enc, sc_enc = p, sc
-    bound = p_enc.n_states * mu
-    k_used = bound if k is None else k
-    if k_used < 1:
-        raise ValueError("k must be >= 1")
-    if p_enc.n_obs + nu == 0:
-        # an empty completed alphabet admits no observation distribution at all
+        if nu != 0:
+            raise ModelSemanticError(sc.sensor_name, "sensor mode replaces the fresh symbols; nu must be 0")
+        p, sc = sensor_model(p, sc)
+    win, dist = mdp_prepass(p)
+    bound = mu * max(1, len(win - {p.goal}))
+    return Prepared(model=p, constraints=sc, prepass=(win, dist), bound=bound,
+                    k=bound if k is None else k)
+
+
+def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
+               constraints=None, budget=None, solver=None, sym_break=True):
+    """Decide realizability of (p, mu, nu) and return a checked outcome.
+
+    k defaults to the completeness bound of prepare(); a smaller k is allowed
+    and can only downgrade Unrealizable to Unknown.  solver is None for the
+    embedded one or an external command template with an {input} placeholder.
+    """
+    prep = prepare(p, mu, nu, k, deterministic, strict, constraints)
+    p_enc, sc_enc, bound, k_used = prep.model, prep.constraints, prep.bound, prep.k
+    if prep.refuted or p_enc.n_obs + nu == 0:
+        # no formula needed: the MDP already loses, or an empty completed
+        # alphabet admits no observation distribution at all
         return Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats())
 
-    cnf, vm = encode(p_enc, mu, nu, k_used, sc_enc, sym_break=sym_break)
+    cnf, vm = encode(p_enc, mu, nu, k_used, sc_enc, sym_break=sym_break,
+                     prepass=prep.prepass)
     t0 = time.perf_counter()
     if solver in (None, "", "embedded"):
-        res = sat.solve(cnf, budget=budget, seed=seed)
+        res = sat.solve(cnf, budget=budget)
         conflicts = res.conflicts
     else:
         limit = budget.max_seconds if budget is not None else None
@@ -216,16 +249,20 @@ class FrontierRow:
 
 
 def sweep(p, mu_range, nu_range, **opts):
-    """One synthesize call per (mu, nu), ascending; failures become Unknown
-    rows and the sweep continues."""
+    """One synthesize call per (mu, nu), ascending.
+
+    A failing external solver makes its cell an Unknown row and the sweep
+    continues; every other exception, such as an EncoderFault or the
+    solver's non-model AssertionError, is a fault and propagates."""
     rows = []
     for mu in sorted(set(mu_range)):
         for nu in sorted(set(nu_range)):
             try:
                 out = synthesize(p, mu, nu, **opts)
-                rows.append(FrontierRow(mu, nu, out.verdict, out.stats))
-            except Exception:
+            except sat.ExternalSolverError:
                 rows.append(FrontierRow(mu, nu, "Unknown", SynthStats()))
+                continue
+            rows.append(FrontierRow(mu, nu, out.verdict, out.stats))
     return rows
 
 

@@ -2,9 +2,11 @@
 
 import pytest
 
-from sensynth import cli
-from sensynth.bench import GridSpec, gen_det_hallway, gen_fig1, gen_hallway
+from sensynth import cli, synth
+from sensynth.bench import (GridSpec, gen_det_hallway, gen_fig1, gen_hallway,
+                            gen_rocksample)
 from sensynth.model import parse_pomdp, print_pomdp
+from sensynth.synth import EncoderFault
 
 
 @pytest.fixture
@@ -36,7 +38,7 @@ class TestSynthExitCodes:
     def test_report_lines(self, fig1_file, capsys):
         cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1"])
         out = capsys.readouterr().out
-        assert "verdict: Realizable (mu=3 nu=1 k=15)" in out
+        assert "verdict: Realizable (mu=3 nu=1 k=9)" in out
         assert "stats: vars=" in out
         assert "action m0" in out  # document printed when no --result
 
@@ -177,6 +179,18 @@ class TestSweepCommand:
         assert "mu=2 nu=1 Unrealizable" in out
         assert "mu=3 nu=1 Realizable" in out
 
+    @pytest.mark.parametrize("fault", [EncoderFault("decoded pair fails almost-sure verification"),
+                                       AssertionError("solver returned a non-model")])
+    def test_fault_exits_3(self, fig1_file, monkeypatch, capsys, fault):
+        def raise_fault(*args, **kwargs):
+            raise fault
+        monkeypatch.setattr(synth, "synthesize", raise_fault)
+        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal error: {type(fault).__name__}")
+        assert len(captured.err.splitlines()) == 1
+
     def test_single_cell_defaults(self, fig1_file, capsys):
         code = cli.main(["sweep", fig1_file, "--mu", "3", "--nu", "1"])
         assert code == 0
@@ -233,8 +247,41 @@ class TestExportDimacs:
                   "--out", out, "--quiet"])
         mapping = (tmp_path / "phi.cnf.map").read_text().splitlines()
         from sensynth.encode import alloc_vars
-        vm = alloc_vars(gen_fig1(), 2, 1, 10)
+        vm = alloc_vars(gen_fig1(), 2, 1, 6)
         assert len(mapping) == vm.n_semantic
         for line in mapping[:40]:
             v, name = line.split(" ", 1)
             assert vm.var_name(int(v)) == name
+
+    def test_sensor_mode_exports_refined_formula(self, tmp_path):
+        model = tmp_path / "chain.pomdp"
+        model.write_text("states: s0 g\nactions: a\nobservations: z0\n"
+                         "initial: s0\ngoal: g\ndelta s0 a -> g 1\n"
+                         "delta g a -> g 1\nobs s0 -> z0 1\nobs g -> z0 1\n")
+        con = tmp_path / "con.txt"
+        con.write_text("sensor C lo hi\n")
+        out = tmp_path / "phi.cnf"
+        assert cli.main(["export-dimacs", str(model), "--constraints", str(con),
+                         "--out", str(out), "--quiet"]) == 0
+        names = [line.split(" ", 1)[1] for line in
+                 (tmp_path / "phi.cnf.map").read_text().splitlines()]
+        assert "O(s0,z0:lo)" in names and "O(g,z0:hi)" in names
+
+    def test_sensor_mode_rejected_model(self, fig1_file, tmp_path, capsys):
+        # fig1 declares no observations, so no state has a base symbol
+        con = tmp_path / "con.txt"
+        con.write_text("sensor C on off\n")
+        out = tmp_path / "phi.cnf"
+        assert cli.main(["export-dimacs", fig1_file, "--constraints", str(con),
+                         "--out", str(out)]) == 3
+        assert "sensor mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prepass_refutation_writes_nothing(self, tmp_path, capsys):
+        model = tmp_path / "rock1.pomdp"
+        model.write_text(print_pomdp(gen_rocksample(1)))
+        out = tmp_path / "phi.cnf"
+        assert cli.main(["export-dimacs", str(model), "--nu", "1",
+                         "--out", str(out)]) == 1
+        assert "no formula" in capsys.readouterr().out
+        assert not out.exists() and not (tmp_path / "phi.cnf.map").exists()

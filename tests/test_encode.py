@@ -12,8 +12,10 @@ from sensynth.encode import (Cnf, SideConstraints, VarMap, alloc_vars, encode,
                              encode_action_selection, encode_memory_update,
                              encode_observation_fn, encode_path_predicate,
                              encode_reach_closure, encode_side_constraints,
-                             exactly_one, parse_constraints, sensor_model)
+                             exactly_one, mdp_prepass, parse_constraints,
+                             sensor_model)
 from sensynth.model import BOT, PartialObsFn, Pomdp, parse_pomdp
+from test_acceptance import SPLIT
 
 FIG1_VARIANT = """
 states: cell0 cell1 cell2 win lose
@@ -259,7 +261,27 @@ obs s1 -> z0 1/2, bot 1/2
 """
 
 
+# s0 can step to the goal or into an absorbing sink the MDP cannot leave
+SINK = """
+states: s0 sink g
+actions: go fall
+observations: z0
+initial: s0
+goal: g
+delta s0 go -> g 1
+delta s0 fall -> sink 1
+delta sink go -> sink 1
+delta sink fall -> sink 1
+delta g go -> g 1
+delta g fall -> g 1
+"""
+
+
 class TestTseitinProjection:
+    def test_state_outside_winning_region(self):
+        # C(sink,.) is fixed false and P(sink,.,.) has no goal distance
+        choices_match_formula(parse_pomdp(SINK), 1, 0, 2, SideConstraints())
+
     def test_chain_permissive(self):
         choices_match_formula(chain_model(), 1, 0, 2, SideConstraints())
 
@@ -374,6 +396,80 @@ class TestPathPredicate:
         out = encode_path_predicate(p, vm)
         assert [-vm.var_p(0, 0, 1)] in out.clauses()
         assert [-vm.var_p(0, 0, 2)] in out.clauses()
+
+
+class TestMdpPrepass:
+    def test_split(self):
+        p = parse_pomdp(SPLIT)
+        win, dist = mdp_prepass(p)
+        idx = p.states.index
+        assert win == {idx("i"), idx("s1"), idx("s2"), idx("g")}
+        assert dist[idx("i")] == 2
+        assert dist[idx("s1")] == dist[idx("s2")] == 1
+        assert dist[idx("g")] == 0 and dist[idx("dead")] is None
+
+    def test_fig1(self, fig1):
+        win, dist = mdp_prepass(fig1)
+        assert {fig1.states[s] for s in win} == {"cell0", "cell1", "cell2", "win"}
+        assert dist[fig1.states.index("cell0")] == 3
+
+    def test_one_risky_action_is_enough_to_lose(self):
+        # s0 reaches the goal only through a coin flip into the sink
+        p = parse_pomdp(SINK.replace("delta s0 go -> g 1", "delta s0 go -> g 1/2, sink 1/2")
+                        .replace("delta s0 fall -> sink 1", "delta s0 fall -> s0 1"))
+        win, dist = mdp_prepass(p)
+        assert win == {p.goal}
+        assert dist[p.initial] == 1
+
+    def test_encode_fixes_closure_outside_win(self, fig1):
+        cnf, vm = encode(fig1, 2, 1, 6)
+        lose = fig1.states.index("lose")
+        clauses = list(cnf)
+        for m in range(2):
+            assert [-vm.var_c(lose, m)] in clauses
+            # no propagation clause starts from a fixed-false pair
+            assert not any(len(c) == 5 and c[0] == -vm.var_c(lose, m) for c in clauses)
+
+    def test_encode_fixes_path_below_distance(self, fig1):
+        cnf, vm = encode(fig1, 2, 1, 6)
+        clauses = list(cnf)
+        cell0 = fig1.states.index("cell0")
+        for m in range(2):
+            for j in range(3):
+                assert [-vm.var_p(cell0, m, j)] in clauses
+            assert [-vm.var_p(cell0, m, 3)] not in clauses
+
+    def test_pruned_path_family_is_smaller(self, fig1):
+        win, dist = mdp_prepass(fig1)
+        full = encode_path_predicate(fig1, alloc_vars(fig1, 2, 1, 6))
+        vm = alloc_vars(fig1, 2, 1, 6)
+        pruned = encode_path_predicate(fig1, vm, dist=dist)
+        assert len(pruned) < len(full)
+        fixed = {vm.var_p(s, m, j) for s in range(vm.ns) for m in range(2)
+                 for j in range(7) if dist[s] is None or j < dist[s]}
+
+        def conjunct_over_fixed(c):  # (-t, P) with t a Tseitin auxiliary
+            return len(c) == 2 and -c[0] > vm.n_semantic and c[1] in fixed
+
+        assert any(conjunct_over_fixed(c) for c in full)
+        assert not any(conjunct_over_fixed(c) for c in pruned)
+
+    def test_same_verdicts_as_unpruned(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            p = random_pomdp(rng)
+            mu, nu = rng.randint(1, 2), rng.randint(0, 1)
+            k = p.n_states * mu
+            vm = alloc_vars(p, mu, nu, k)
+            plain = Cnf()
+            encode_action_selection(vm, plain)
+            encode_memory_update(vm, plain)
+            encode_observation_fn(p, vm, SideConstraints(), plain)
+            encode_reach_closure(p, vm, plain)
+            encode_path_predicate(p, vm, plain)
+            plain.finalize(vm.nvars)
+            pruned = encode(p, mu, nu, k, sym_break=False)[0]
+            assert sat.solve(plain).status == sat.solve(pruned).status, (p, mu, nu)
 
 
 class TestSideConstraintFamily:

@@ -49,7 +49,7 @@ class TestSolve:
                 lits = rng.sample(range(1, nvars + 1), min(3, nvars))
                 clauses.append(tuple(l if rng.random() < 0.5 else -l for l in lits))
             cnf = cnf_of(clauses, nvars)
-            res = solve(cnf, seed=round_)
+            res = solve(cnf)
             assert (res.status == SAT) == brute_sat(clauses, nvars)
             if res.status == SAT:
                 assert evaluate(cnf, res.assignment)
@@ -64,8 +64,8 @@ class TestSolve:
     def test_deterministic_under_seed(self):
         cnf1 = cnf_of([(1, 2, 3), (-1, -2), (-2, -3), (-1, -3)], 3)
         cnf2 = cnf_of([(1, 2, 3), (-1, -2), (-2, -3), (-1, -3)], 3)
-        a = solve(cnf1, seed=42)
-        b = solve(cnf2, seed=42)
+        a = solve(cnf1)
+        b = solve(cnf2)
         assert a.assignment == b.assignment and a.conflicts == b.conflicts
 
     def test_stats_populated(self):

@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import external_solver, random_pomdp
-from sensynth.encode import alloc_vars, parse_constraints
+from sensynth import synth
+from sensynth.bench import gen_rocksample
+from sensynth.encode import alloc_vars, mdp_prepass, parse_constraints
 from sensynth.model import ModelSemanticError, parse_pomdp
-from sensynth.sat import Budget
+from sensynth.sat import Budget, ExternalSolverError
 from sensynth.synth import (EncoderFault, ResultParseError, decode_completion,
                             decode_policy, format_frontier_csv, format_result,
-                            parse_result, sweep, synthesize)
-from sensynth.verify import build_product, check_almost_sure
+                            parse_result, prepare, sweep, synthesize)
+from sensynth.verify import brute_force_decide, build_product, check_almost_sure
 
 SPLIT = """
 states: i s1 s2 g dead
@@ -43,7 +45,7 @@ class TestSynthesizeFig1:
         assert synthesize(fig1, 2, 2).verdict == "Realizable"
         out = synthesize(fig1, 2, 1)
         assert out.verdict == "Unrealizable"
-        assert out.k == fig1.n_states * 2
+        assert out.k == 6  # mu * |win - {goal}|: win leaves out `lose`
 
     def test_realizable_payload(self, fig1):
         out = synthesize(fig1, 3, 1)
@@ -75,6 +77,39 @@ class TestSynthesizeFig1:
         out = synthesize(det_hallway, 3, 2, budget=Budget(max_conflicts=2))
         assert out.verdict == "Unknown"
         assert "budget" in out.reason
+
+
+class TestPrepass:
+    def test_refuted_without_formula(self):
+        out = synthesize(gen_rocksample(1), 1, 1)
+        assert out.verdict == "Unrealizable"
+        assert out.stats.vars == 0 and out.stats.clauses == 0
+
+    def test_oracle_agreement_at_new_bound(self):
+        rng = random.Random(31)
+        outside = 0
+        for _ in range(100):
+            p = random_pomdp(rng)
+            outside += p.initial not in mdp_prepass(p)[0]
+            for mu in (1, 2):
+                for nu in (0, 1):
+                    out = synthesize(p, mu, nu, deterministic=True)
+                    want = brute_force_decide(p, mu, nu, deterministic=True)
+                    assert out.verdict == ("Realizable" if want else "Unrealizable"), \
+                        (p, mu, nu)
+        assert outside >= 10  # the refutation path is exercised too
+
+    def test_monotone_in_k_up_to_old_bound(self):
+        rng = random.Random(32)
+        order = {"Unknown": 0, "Unrealizable": 1, "Realizable": 2}
+        for _ in range(25):
+            p = random_pomdp(rng)
+            mu, nu = rng.randint(1, 2), rng.randint(0, 1)
+            bound = prepare(p, mu, nu).bound
+            seq = [synthesize(p, mu, nu, k=k).verdict
+                   for k in range(1, p.n_states * mu + 1)]
+            assert seq == sorted(seq, key=order.get), (p, mu, nu)
+            assert len(set(seq[bound - 1:])) == 1 and seq[-1] != "Unknown"
 
 
 class TestDecode:
@@ -229,6 +264,20 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[1].startswith("2,1,Unrealizable,")
 
+    def test_faults_propagate(self, fig1, monkeypatch):
+        def fault(*args, **kwargs):
+            raise EncoderFault("decoded pair fails almost-sure verification")
+        monkeypatch.setattr(synth, "synthesize", fault)
+        with pytest.raises(EncoderFault):
+            sweep(fig1, range(2, 4), range(1, 3))
+
+    def test_external_solver_failure_is_unknown(self, fig1, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ExternalSolverError("solver exited with status 139")
+        monkeypatch.setattr(synth, "synthesize", broken)
+        rows = sweep(fig1, range(2, 4), [1])
+        assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
+
     def test_monotone_rows(self):
         rng = random.Random(23)
         order = {"Unknown": 0, "Unrealizable": 1, "Realizable": 2}
@@ -255,6 +304,12 @@ class TestSensorMode:
         assert not set(out.completion.support(s1)) & set(out.completion.support(s2))
         assert check_almost_sure(build_product(out.model, out.completion,
                                                out.policy)).ok
+
+    def test_rejects_fresh_symbols(self):
+        p = parse_pomdp(self.SENSE)
+        sc = parse_constraints("sensor C lo hi", p)
+        with pytest.raises(ModelSemanticError):
+            synthesize(p, 3, 1, constraints=sc)
 
     def test_rejects_state_without_base_symbol(self):
         p = parse_pomdp(SPLIT)  # s2 never produces a base observation
