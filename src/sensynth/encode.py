@@ -30,7 +30,10 @@ class Cnf:
 
     Clauses live in one flat int arena (zero-terminated), which keeps
     multi-million-clause encodings affordable.  Construction rejects empty
-    and tautological clauses and drops duplicate literals.
+    and tautological clauses and drops duplicate literals, so every clause in
+    the arena is non-empty, non-tautological and free of repeated literals.
+    sat.Solver loads the arena as it is and relies on that invariant; whole
+    clauses may repeat.
     """
 
     def __init__(self):

@@ -5,6 +5,16 @@ The embedded solver is a conflict-driven clause learner with two-watched-
 literal propagation, activity-based branching with decay, phase saving, Luby
 restarts, and learned-clause deletion.  Every satisfiable answer is
 re-checked against the original formula before it is returned.
+
+It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
+literal arena, with learnt clauses appended to it.  A clause is named by the
+offset of its first literal in that arena, and each literal's watch list is a
+flat int list of (clause offset, blocker literal) pairs (see Solver).  Load
+relies on the Cnf invariant that no clause is empty, tautological or repeats
+a literal, so it copies the arena once and re-checks nothing.
+
+`python -m sensynth.sat FILE` runs the embedded solver on a DIMACS file and
+answers with SAT-competition `s`/`v` lines and exit codes (see main).
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import re
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -73,14 +84,42 @@ def _luby(i):
 
 
 class Solver:
-    """One-shot CDCL search over a fixed clause set."""
+    """One-shot CDCL search over a fixed clause set.
+
+    Storage follows MiniSat (Een & Sorensson, SAT 2003):
+
+    - `lits` is one flat list of literals in which every clause is followed
+      by a 0.  It starts as a copy of the Cnf arena, and learnt clauses are
+      appended to it.  A clause is named by the offset of its first literal,
+      and that offset is the clause reference everywhere: in `reasonv`, as
+      the conflict `_propagate` returns, in `learnts` and in `lbd`.  The
+      arena is never compacted: a dropped learnt clause leaves its literals
+      behind as dead space.  Propagation reorders the literals inside a
+      clause so that its first two are the watched ones.
+    - `watches[lit]` is a flat int list of (clause offset, blocker) pairs,
+      one pair per clause that watches `lit`.  The blocker is some other
+      literal of the clause; while it is true the clause is satisfied and
+      propagation skips it without reading the arena.
+    - `vals[lit]` is 1 if lit is true, 2 if false and 0 if unassigned.
+      `vals` and `watches` are indexed by the literal itself, so a negative
+      literal -v uses Python's negative index, slot 2n+1-v.  Slot 0, the
+      terminator's, is never assigned, which ends every scan of a clause
+      tail for free.
+
+    Load trusts the invariant that Cnf.add enforces: no clause is empty,
+    none is tautological and none repeats a literal.  It neither
+    de-duplicates nor re-checks a clause; unit clauses are assigned at once.
+    """
 
     def __init__(self, cnf):
+        if cnf.max_var > cnf.nvars:
+            raise ValueError(f"Cnf uses variable {cnf.max_var} but declares {cnf.nvars} "
+                             "variables; call finalize() before solving")
         self.nvars = n = cnf.nvars
         self.ok = True
-        self.clauses = []
-        self.watches = [[] for _ in range(2 * n + 1)]
-        self.vals = bytearray(2 * n + 1)  # index lit+n: 0 unassigned, 1 true, 2 false
+        self.lits = lits = cnf.literal_array().tolist()
+        self.watches = watches = [[] for _ in range(2 * n + 1)]
+        self.vals = bytearray(2 * n + 1)
         self.levelv = [0] * (n + 1)
         self.reasonv = [-1] * (n + 1)
         self.trail = []
@@ -89,56 +128,58 @@ class Solver:
         self.phase = bytearray(n + 1)
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
-        self.heap = []
+        self.heap = [(0.0, v) for v in range(1, n + 1)]  # already a heap
+        self.seen = bytearray(n + 1)
         self.learnts = []
         self.lbd = {}
         self.n_conflicts = 0
         self.n_decisions = 0
         self.n_props = 0
         self.n_restarts = 0
-        for v in range(1, n + 1):
-            heappush(self.heap, (0.0, v))
-        for lits in cnf:
-            self._add_clause(lits, learnt=False)
-            if not self.ok:
-                break
+        find = lits.index
+        size = len(lits)
+        start = 0
+        while start < size:
+            end = find(0, start)
+            a = lits[start]
+            if end - start == 1:
+                if not self._enqueue(a, -1):
+                    self.ok = False
+                    break
+            else:
+                b = lits[start + 1]
+                wl = watches[a]
+                wl.append(start)
+                wl.append(b)
+                wl = watches[b]
+                wl.append(start)
+                wl.append(a)
+            start = end + 1
 
-    def _add_clause(self, lits, learnt):
-        uniq = []
-        seen = set()
-        taut = False
-        for l in lits:
-            if -l in seen:
-                taut = True
-                break
-            if l not in seen:
-                seen.add(l)
-                uniq.append(l)
-        if taut:
-            return -1
-        if not uniq:
-            self.ok = False
-            return -1
-        if len(uniq) == 1:
-            if not self._enqueue(uniq[0], -1):
-                self.ok = False
-            return -1
-        ci = len(self.clauses)
-        self.clauses.append(uniq)
-        n = self.nvars
-        self.watches[n + uniq[0]].append([ci, uniq[1]])
-        self.watches[n + uniq[1]].append([ci, uniq[0]])
-        if learnt:
-            self.learnts.append(ci)
+    def _learn(self, clause, lbd):
+        """Append a learnt clause of length >= 2 to the arena and watch it."""
+        lits = self.lits
+        ci = len(lits)
+        lits.extend(clause)
+        lits.append(0)
+        a, b = clause[0], clause[1]
+        wl = self.watches[a]
+        wl.append(ci)
+        wl.append(b)
+        wl = self.watches[b]
+        wl.append(ci)
+        wl.append(a)
+        self.learnts.append(ci)
+        self.lbd[ci] = lbd
         return ci
 
     def _enqueue(self, lit, reason):
-        n = self.nvars
-        w = self.vals[n + lit]
+        vals = self.vals
+        w = vals[lit]
         if w:
             return w == 1
-        self.vals[n + lit] = 1
-        self.vals[n - lit] = 2
+        vals[lit] = 1
+        vals[-lit] = 2
         v = lit if lit > 0 else -lit
         self.levelv[v] = len(self.trail_lim)
         self.reasonv[v] = reason
@@ -147,59 +188,74 @@ class Solver:
         return True
 
     def _propagate(self):
-        n = self.nvars
+        """Propagate the trail from qhead; the conflict clause's offset, or -1."""
         vals = self.vals
-        clauses = self.clauses
+        lits = self.lits
         watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            flit = -lit
-            wl = watches[n + flit]
+        trail = self.trail
+        levelv = self.levelv
+        reasonv = self.reasonv
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        props = 0
+        confl = -1
+        while qhead < len(trail):
+            flit = -trail[qhead]
+            qhead += 1
+            wl = watches[flit]
             i = j = 0
             ln = len(wl)
             while i < ln:
-                w = wl[i]
-                if vals[n + w[1]] == 1:
-                    wl[j] = w
-                    j += 1
-                    i += 1
+                ci = wl[i]
+                blk = wl[i + 1]
+                if vals[blk] == 1:
+                    wl[j] = ci
+                    wl[j + 1] = blk
+                    i += 2
+                    j += 2
                     continue
-                ci = w[0]
-                c = clauses[ci]
-                if c[0] == flit:
-                    c[0] = c[1]
-                    c[1] = flit
-                first = c[0]
-                if first != w[1] and vals[n + first] == 1:
-                    w[1] = first
-                    wl[j] = w
-                    j += 1
-                    i += 1
+                first = lits[ci]
+                if first == flit:
+                    first = lits[ci + 1]
+                    lits[ci] = first
+                    lits[ci + 1] = flit
+                i += 2
+                if first != blk and vals[first] == 1:
+                    wl[j] = ci
+                    wl[j + 1] = first
+                    j += 2
                     continue
-                for t in range(2, len(c)):
-                    lt = c[t]
-                    if vals[n + lt] != 2:
-                        c[1] = lt
-                        c[t] = flit
-                        watches[n + lt].append([ci, first])
-                        i += 1
-                        break
-                else:
-                    w[1] = first
-                    wl[j] = w
-                    j += 1
-                    i += 1
-                    if vals[n + first] == 2:
-                        while i < ln:
-                            wl[j] = wl[i]
-                            j += 1
-                            i += 1
-                        del wl[j:]
-                        return ci
-                    self._enqueue(first, ci)
-            del wl[j:]
-        return -1
+                t = ci + 2
+                lt = lits[t]
+                while vals[lt] == 2:
+                    t += 1
+                    lt = lits[t]
+                if lt:
+                    lits[ci + 1] = lt
+                    lits[t] = flit
+                    wt = watches[lt]
+                    wt.append(ci)
+                    wt.append(first)
+                    continue
+                wl[j] = ci
+                wl[j + 1] = first
+                j += 2
+                if vals[first] == 2:
+                    confl = ci
+                    break
+                vals[first] = 1
+                vals[-first] = 2
+                v = first if first > 0 else -first
+                levelv[v] = level
+                reasonv[v] = ci
+                trail.append(first)
+                props += 1
+            del wl[j:i]  # the pairs that moved to other lists; unvisited ones stay
+            if confl != -1:
+                break
+        self.qhead = qhead
+        self.n_props += props
+        return confl
 
     def _bump(self, v):
         a = self.activity[v] + self.var_inc
@@ -207,38 +263,44 @@ class Solver:
         if a > 1e100:
             self.activity = [x * 1e-100 for x in self.activity]
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1) if self.vals[self.nvars + u] == 0]
+            self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1) if self.vals[u] == 0]
             heapify(self.heap)
         else:
             heappush(self.heap, (-a, v))
 
     def _analyze(self, confl):
-        n = self.nvars
+        lits = self.lits
+        levelv = self.levelv
+        reasonv = self.reasonv
+        trail = self.trail
+        seen = self.seen
         level = len(self.trail_lim)
         learnt = [0]
-        seen = bytearray(n + 1)
         path = 0
         p = 0
-        index = len(self.trail) - 1
+        index = len(trail) - 1
         cleanup = []
         while True:
-            c = self.clauses[confl]
-            for q in c if p == 0 else c[1:]:
+            t = confl if p == 0 else confl + 1
+            q = lits[t]
+            while q:
                 v = q if q > 0 else -q
-                if not seen[v] and self.levelv[v] > 0:
+                if not seen[v] and levelv[v] > 0:
                     seen[v] = 1
                     cleanup.append(v)
                     self._bump(v)
-                    if self.levelv[v] >= level:
+                    if levelv[v] >= level:
                         path += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[index] if self.trail[index] > 0 else -self.trail[index]]:
+                t += 1
+                q = lits[t]
+            while not seen[trail[index] if trail[index] > 0 else -trail[index]]:
                 index -= 1
-            p = self.trail[index]
+            p = trail[index]
             index -= 1
             v = p if p > 0 else -p
-            confl = self.reasonv[v]
+            confl = reasonv[v]
             seen[v] = 0
             path -= 1
             if path == 0:
@@ -249,84 +311,104 @@ class Solver:
         keep = [learnt[0]]
         for q in learnt[1:]:
             v = q if q > 0 else -q
-            ci = self.reasonv[v]
-            if ci < 0:
+            t = reasonv[v]
+            if t < 0:
                 keep.append(q)
                 continue
-            for r in self.clauses[ci]:
+            r = lits[t]
+            while r:
                 u = r if r > 0 else -r
-                if u != v and not seen[u] and self.levelv[u] > 0:
+                if u != v and not seen[u] and levelv[u] > 0:
                     keep.append(q)
                     break
+                t += 1
+                r = lits[t]
         for v in cleanup:
             seen[v] = 0
 
         if len(keep) == 1:
             blevel = 0
         else:
-            mi, mv = 1, self.levelv[keep[1] if keep[1] > 0 else -keep[1]]
+            mi, mv = 1, levelv[keep[1] if keep[1] > 0 else -keep[1]]
             for t in range(2, len(keep)):
-                lv = self.levelv[keep[t] if keep[t] > 0 else -keep[t]]
+                lv = levelv[keep[t] if keep[t] > 0 else -keep[t]]
                 if lv > mv:
                     mi, mv = t, lv
             keep[1], keep[mi] = keep[mi], keep[1]
             blevel = mv
-        lbd = len({self.levelv[q if q > 0 else -q] for q in keep})
+        lbd = len({levelv[q if q > 0 else -q] for q in keep})
         return keep, blevel, lbd
 
     def _backtrack(self, level):
-        n = self.nvars
-        if len(self.trail_lim) <= level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self.trail_lim[level]
-        for t in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[t]
-            v = lit if lit > 0 else -lit
-            self.vals[n + lit] = 0
-            self.vals[n - lit] = 0
-            self.phase[v] = 1 if lit > 0 else 0
-            self.reasonv[v] = -1
-            heappush(self.heap, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[level:]
+        bound = trail_lim[level]
+        trail = self.trail
+        vals = self.vals
+        phase = self.phase
+        reasonv = self.reasonv
+        activity = self.activity
+        heap = self.heap
+        for t in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[t]
+            vals[lit] = 0
+            vals[-lit] = 0
+            if lit > 0:
+                phase[lit] = 1
+                v = lit
+            else:
+                v = -lit
+                phase[v] = 0
+            reasonv[v] = -1
+            heappush(heap, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[level:]
         self.qhead = bound
 
     def _decide(self):
-        n = self.nvars
-        while self.heap:
-            _, v = heappop(self.heap)
-            if self.vals[n + v] == 0:
+        vals = self.vals
+        heap = self.heap
+        while heap:
+            _, v = heappop(heap)
+            if vals[v] == 0:
                 return v
-        for v in range(1, n + 1):
-            if self.vals[n + v] == 0:
+        for v in range(1, self.nvars + 1):
+            if vals[v] == 0:
                 return v
         return 0
 
     def _locked(self, ci):
-        c = self.clauses[ci]
-        lit = c[0]
+        lit = self.lits[ci]
         v = lit if lit > 0 else -lit
-        return self.vals[self.nvars + lit] == 1 and self.reasonv[v] == ci
+        return self.vals[lit] == 1 and self.reasonv[v] == ci
 
     def _reduce_db(self):
-        cand = [ci for ci in self.learnts if self.lbd.get(ci, 9) > 2 and not self._locked(ci)]
-        cand.sort(key=lambda ci: (-self.lbd.get(ci, 9), -len(self.clauses[ci])))
-        drop = set(cand[: len(cand) // 2])
+        lits = self.lits
+        lbd = self.lbd
+        end = lits.index
+        cand = [ci for ci in self.learnts if lbd[ci] > 2 and not self._locked(ci)]
+        cand.sort(key=lambda ci: (-lbd[ci], ci - end(0, ci)))
+        drop = sorted(cand[: len(cand) // 2])
         if not drop:
             return
-        n = self.nvars
+        watches = self.watches
         for ci in drop:
-            c = self.clauses[ci]
-            for lit in (c[0], c[1]):
-                wl = self.watches[n + lit]
-                for t in range(len(wl)):
-                    if wl[t][0] == ci:
-                        wl[t] = wl[-1]
-                        wl.pop()
-                        break
-            self.clauses[ci] = None
-            self.lbd.pop(ci, None)
-        self.learnts = [ci for ci in self.learnts if ci not in drop]
+            for lit in (lits[ci], lits[ci + 1]):
+                wl = watches[lit]
+                t = wl.index(ci)
+                while t & 1:  # a blocker literal can equal the offset
+                    t = wl.index(ci, t + 1)
+                wl[t] = wl[-2]
+                wl[t + 1] = wl[-1]
+                del wl[-2:]
+            del lbd[ci]
+        dropped = set(drop)
+        self.learnts = [ci for ci in self.learnts if ci not in dropped]
+
+    def _model(self):
+        vals = self.vals
+        return [False] + [vals[v] == 1 for v in range(1, self.nvars + 1)]
 
     def solve(self, budget=None):
         t0 = time.monotonic()
@@ -368,10 +450,7 @@ class Solver:
                     if not self._enqueue(keep[0], -1):
                         return result(UNSAT)
                 else:
-                    ci = self._add_clause(keep, learnt=True)
-                    if ci >= 0:
-                        self.lbd[ci] = lbd
-                        self._enqueue(keep[0], ci)
+                    self._enqueue(keep[0], self._learn(keep, lbd))
                 self.var_inc /= 0.95
                 if limit_c is not None and self.n_conflicts >= limit_c:
                     return result(BUDGET)
@@ -382,7 +461,7 @@ class Solver:
                     n_reductions += 1
                     next_reduce += 2000 + 500 * n_reductions
                 if len(self.heap) > 4 * n + 16:
-                    self.heap = [(-self.activity[v], v) for v in range(1, n + 1) if self.vals[n + v] == 0]
+                    self.heap = [(-self.activity[v], v) for v in range(1, n + 1) if self.vals[v] == 0]
                     heapify(self.heap)
             else:
                 if conflicts_at_restart >= restart_budget:
@@ -392,16 +471,10 @@ class Solver:
                     self._backtrack(0)
                     continue
                 if len(self.trail) == n:
-                    assignment = [False] * (n + 1)
-                    for v in range(1, n + 1):
-                        assignment[v] = self.vals[n + v] == 1
-                    return result(SAT, assignment)
+                    return result(SAT, self._model())
                 v = self._decide()
                 if v == 0:
-                    assignment = [False] * (n + 1)
-                    for u in range(1, n + 1):
-                        assignment[u] = self.vals[n + u] == 1
-                    return result(SAT, assignment)
+                    return result(SAT, self._model())
                 self.n_decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(v if self.phase[v] else -v, -1)
@@ -554,3 +627,39 @@ def solve_external(cnf, command, time_limit=None):
         if not evaluate(cnf, res.assignment):
             raise ExternalSolverError("external model fails the formula self-check")
     return res
+
+
+def main(argv=None):
+    """`python -m sensynth.sat FILE`: decide a DIMACS CNF file with the
+    embedded solver.
+
+    Prints `s SATISFIABLE` and the model as `v ... 0` lines and exits 10,
+    prints `s UNSATISFIABLE` and exits 20, or prints `s UNKNOWN` and exits 0,
+    the exit codes of SAT-competition solvers.  An unreadable or malformed
+    file exits 1.
+    """
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python -m sensynth.sat FILE", file=sys.stderr)
+        return 1
+    try:
+        cnf = parse_dimacs(Path(args[0]).read_text())
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    res = solve(cnf)
+    if res.status == SAT:
+        print("s SATISFIABLE")
+        lits = [v if res.assignment[v] else -v for v in range(1, cnf.nvars + 1)] + [0]
+        for i in range(0, len(lits), 10):
+            print("v " + " ".join(map(str, lits[i:i + 10])))
+        return 10
+    if res.status == UNSAT:
+        print("s UNSATISFIABLE")
+        return 20
+    print("s UNKNOWN")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

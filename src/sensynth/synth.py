@@ -37,7 +37,9 @@ class SynthStats:
     vars: int = 0
     clauses: int = 0
     time_ms: int = 0
-    conflicts: int = None  # None when an external solver ran
+    conflicts: int = None  # the solver counters are None when an external solver ran
+    decisions: int = None
+    propagations: int = None
 
 
 @dataclass(frozen=True)
@@ -210,14 +212,14 @@ def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
     t0 = time.perf_counter()
     if solver in (None, "", "embedded"):
         res = sat.solve(cnf, budget=budget)
-        conflicts = res.conflicts
+        counters = dict(conflicts=res.conflicts, decisions=res.decisions,
+                        propagations=res.propagations)
     else:
         limit = budget.max_seconds if budget is not None else None
         res = sat.solve_external(cnf, solver, time_limit=limit)
-        conflicts = None
+        counters = {}
     elapsed = int(round((time.perf_counter() - t0) * 1000))
-    stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed,
-                       conflicts=conflicts)
+    stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed, **counters)
 
     if res.status == sat.BUDGET:
         return Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
@@ -306,9 +308,9 @@ def format_result(out):
             row = ", ".join(f"{names[z]} {w}" for z, w in comp.rows[s])
             lines.append(f"obs {p.states[s]} -> {row}")
     st = out.stats
-    c = "-" if st.conflicts is None else st.conflicts
+    c, d, pr = ("-" if x is None else x for x in (st.conflicts, st.decisions, st.propagations))
     lines.append(f"stats: vars={st.vars} clauses={st.clauses} "
-                 f"time_ms={st.time_ms} conflicts={c}")
+                 f"time_ms={st.time_ms} conflicts={c} decisions={d} propagations={pr}")
     return "\n".join(lines) + "\n"
 
 
@@ -356,9 +358,10 @@ def parse_result(text, p):
     stats = SynthStats()
     if "stats" in kv:
         f = dict(tok.split("=", 1) for tok in kv["stats"].split())
-        conf = None if f.get("conflicts", "-") == "-" else int(f["conflicts"])
+        conf, dec, props = (None if f.get(key, "-") == "-" else int(f[key])
+                            for key in ("conflicts", "decisions", "propagations"))
         stats = SynthStats(int(f.get("vars", 0)), int(f.get("clauses", 0)),
-                           int(f.get("time_ms", 0)), conf)
+                           int(f.get("time_ms", 0)), conf, dec, props)
     if verdict != "Realizable":
         return ResultDoc(verdict, mu, nu, k, kv.get("reason", ""), (), None, None, stats)
 

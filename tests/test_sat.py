@@ -2,8 +2,14 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import sensynth
 
 from conftest import external_solver
 from sensynth import sat
@@ -68,6 +74,22 @@ class TestSolve:
         b = solve(cnf2)
         assert a.assignment == b.assignment and a.conflicts == b.conflicts
 
+    def test_random_mixed_widths_vs_enumeration(self):
+        # widths 1..6, so unit, binary and long clauses and repeated whole
+        # clauses all meet at load
+        rng = random.Random(11)
+        for round_ in range(150):
+            nvars = rng.randint(1, 9)
+            clauses = []
+            for _ in range(rng.randint(1, 5 * nvars)):
+                lits = rng.sample(range(1, nvars + 1), rng.randint(1, min(6, nvars)))
+                clauses.append(tuple(l if rng.random() < 0.5 else -l for l in lits))
+            cnf = cnf_of(clauses, nvars)
+            res = solve(cnf)
+            assert (res.status == SAT) == brute_sat(clauses, nvars), clauses
+            if res.status == SAT:
+                assert evaluate(cnf, res.assignment)
+
     def test_stats_populated(self):
         fig = encode_php(4, 3)
         res = solve(fig)
@@ -87,6 +109,93 @@ def encode_php(pigeons, holes):
             for p2 in range(p1 + 1, pigeons):
                 out.add((-var(p1, h), -var(p2, h)))
     return out.finalize(pigeons * holes)
+
+
+def live_clauses(solver, cnf):
+    """Offsets of the clauses of length >= 2 the solver holds: every loaded
+    one, then the learnt ones it kept."""
+    lits = solver.lits
+    out = []
+    start = 0
+    while start < len(cnf.literal_array()):
+        end = lits.index(0, start)
+        if end - start >= 2:
+            out.append(start)
+        start = end + 1
+    return out + list(solver.learnts)
+
+
+def assert_watch_invariant(solver, cnf):
+    """Each live clause is watched exactly once by each of its first two
+    literals, with a blocker from the clause, and nothing else is watched."""
+    lits = solver.lits
+    want = Counter()
+    for ci in live_clauses(solver, cnf):
+        want[lits[ci], ci] += 1
+        want[lits[ci + 1], ci] += 1
+    got = Counter()
+    n = solver.nvars
+    assert solver.watches[0] == []
+    for lit in itertools.chain(range(-n, 0), range(1, n + 1)):
+        wl = solver.watches[lit]
+        assert len(wl) % 2 == 0
+        for t in range(0, len(wl), 2):
+            ci, blocker = wl[t], wl[t + 1]
+            got[lit, ci] += 1
+            clause = lits[ci:lits.index(0, ci)]
+            assert blocker in clause and blocker != lit
+    assert got == want
+    return got
+
+
+class TestArena:
+    def test_rejects_unfinalized_cnf(self):
+        c = Cnf()
+        c.add([1, 2])
+        c.add([-1])
+        with pytest.raises(ValueError, match="variable 2 .* declares 0"):
+            sat.Solver(c)
+
+    def test_watch_invariant_after_solve(self):
+        for cnf in (encode_php(5, 4), encode_php(4, 4),
+                    cnf_of([(1, 2, 3), (-1, 2), (-2, 3), (-3, -1, 4), (4,), (1, 2, 3)], 4)):
+            solver = sat.Solver(cnf)
+            solver.solve()
+            assert_watch_invariant(solver, cnf)
+
+    def test_watch_invariant_after_reduce_db(self):
+        cnf = encode_php(7, 6)
+        solver = sat.Solver(cnf)
+        assert solver.solve(Budget(max_conflicts=300)).status == BUDGET
+        assert sum(solver.lbd[ci] > 2 for ci in solver.learnts) >= 2
+        before = list(solver.learnts)
+        solver._reduce_db()
+        dropped = set(before) - set(solver.learnts)
+        assert dropped and all(solver.lbd.get(ci) is None for ci in dropped)
+        got = assert_watch_invariant(solver, cnf)
+        assert not {ci for _, ci in got} & dropped
+        assert solver.solve().status == UNSAT
+
+    def test_caller_arena_unchanged(self):
+        for cnf in (encode_php(5, 4), encode_php(4, 4)):
+            before = cnf.literal_array().tolist()
+            solve(cnf)
+            sat.Solver(cnf).solve()
+            assert cnf.literal_array().tolist() == before
+
+    @pytest.mark.parametrize("clauses,nvars,status", [
+        ([(1,), (-1,)], 1, UNSAT),  # contradictory units
+        ([(1,), (2, 3), (-1,)], 3, UNSAT),  # a later unit falsifies an earlier one
+        ([(1, 2), (-1,), (-2,)], 2, UNSAT),  # units falsify a whole clause
+        ([(1,), (1,), (2, -1), (2, -1)], 2, SAT),  # repeated units and clauses
+        ([(1, 2), (1, 2), (-1, 2), (-1, 2), (1, -2), (-1, -2)], 2, UNSAT),
+    ])
+    def test_load_conflicts_and_duplicates(self, clauses, nvars, status):
+        cnf = cnf_of(clauses, nvars)
+        res = solve(cnf)
+        assert res.status == status == (SAT if brute_sat(clauses, nvars) else UNSAT)
+        if status == SAT:
+            assert_watch_invariant(sat.Solver(cnf), cnf)
 
 
 class TestBudget:
@@ -126,6 +235,46 @@ class TestDimacs:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_dimacs("p cnf x y\n")
+
+
+SRC = str(Path(sensynth.__file__).resolve().parent.parent)
+FRONT_END = f"{sys.executable} -m sensynth.sat {{input}}"
+
+
+class TestFrontEnd:
+    """`python -m sensynth.sat FILE`, driven as an external solver."""
+
+    def test_agrees_with_solve(self, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", SRC)  # solve_external runs in a temp dir
+        rng = random.Random(17)
+        cases = [encode_php(4, 3), encode_php(3, 3), encode_php(5, 4)]
+        for _ in range(6):
+            nvars = rng.randint(3, 8)
+            clauses = [tuple(l if rng.random() < 0.5 else -l
+                             for l in rng.sample(range(1, nvars + 1), rng.randint(1, 3)))
+                       for _ in range(rng.randint(2, 4 * nvars))]
+            cases.append(cnf_of(clauses, nvars))
+        statuses = set()
+        for cnf in cases:
+            want = solve(cnf).status
+            assert solve_external(cnf, FRONT_END).status == want
+            statuses.add(want)
+        assert statuses == {SAT, UNSAT}
+
+    def test_exit_codes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        sat_file, unsat_file = tmp_path / "sat.cnf", tmp_path / "unsat.cnf"
+        sat_file.write_text(to_dimacs(cnf_of([(1, -2), (2,)], 2)))
+        unsat_file.write_text(to_dimacs(encode_php(3, 2)))
+        run = lambda *args: subprocess.run([sys.executable, "-m", "sensynth.sat", *args],
+                                           capture_output=True, text=True, timeout=60)
+        done = run(str(sat_file))
+        assert done.returncode == 10
+        assert done.stdout.splitlines() == ["s SATISFIABLE", "v 1 2 0"]
+        done = run(str(unsat_file))
+        assert (done.returncode, done.stdout) == (20, "s UNSATISFIABLE\n")
+        assert run().returncode == 1
+        assert run(str(tmp_path / "missing.cnf")).returncode == 1
 
 
 class TestExternalResult:

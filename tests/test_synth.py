@@ -1,14 +1,17 @@
 """Synthesis pipeline: decode, verdict logic, documents, sweeps."""
 
 import random
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import external_solver, random_pomdp
-from sensynth import synth
+from sensynth import sat, synth
 from sensynth.bench import gen_rocksample
-from sensynth.encode import alloc_vars, mdp_prepass, parse_constraints
+from sensynth.encode import alloc_vars, encode, mdp_prepass, parse_constraints
 from sensynth.model import ModelSemanticError, parse_pomdp
 from sensynth.sat import Budget, ExternalSolverError
 from sensynth.synth import (EncoderFault, ResultParseError, decode_completion,
@@ -247,6 +250,40 @@ class TestResultDocuments:
                  if not l.startswith("action m0")]
         with pytest.raises(ResultParseError):
             parse_result("\n".join(lines), fig1)
+
+
+class TestSolverCounters:
+    def test_match_the_solver(self, fig1):
+        out = synthesize(fig1, 3, 1)
+        prep = prepare(fig1, 3, 1)
+        cnf, _ = encode(prep.model, 3, 1, prep.k, prep.constraints, prepass=prep.prepass)
+        res = sat.solve(cnf)
+        st = out.stats
+        assert (st.conflicts, st.decisions, st.propagations) == \
+            (res.conflicts, res.decisions, res.propagations)
+        assert st.decisions > 0 and st.propagations > 0
+
+    def test_result_document_round_trip(self, fig1):
+        for out in (synthesize(fig1, 3, 1), synthesize(fig1, 2, 1)):
+            text = format_result(out)
+            assert f"decisions={out.stats.decisions} " in text
+            assert parse_result(text, fig1).stats == out.stats
+
+    def test_document_without_counters(self, fig1):
+        out = synthesize(fig1, 2, 1)
+        text = re.sub(r" decisions=\S+ propagations=\S+", "", format_result(out))
+        st = parse_result(text, fig1).stats
+        assert st.conflicts == out.stats.conflicts
+        assert st.decisions is None and st.propagations is None
+
+    def test_none_for_an_external_solver(self, fig1, monkeypatch):
+        src = str(Path(sat.__file__).resolve().parent.parent)
+        monkeypatch.setenv("PYTHONPATH", src)  # the solver runs in a temp dir
+        out = synthesize(fig1, 2, 1, solver=f"{sys.executable} -m sensynth.sat {{input}}")
+        assert out.verdict == "Unrealizable"
+        assert (out.stats.conflicts, out.stats.decisions, out.stats.propagations) == \
+            (None, None, None)
+        assert "conflicts=- decisions=- propagations=-" in format_result(out)
 
 
 class TestSweep:
