@@ -1,124 +1,2 @@
 """Sensor and finite-memory controller synthesis for qualitative POMDP
 reachability, by reduction to SAT."""
-
-from .model import (
-    BOT,
-    Completion,
-    ModelError,
-    ModelSemanticError,
-    ModelSyntaxError,
-    PartialObsFn,
-    Policy,
-    Pomdp,
-    parse_pomdp,
-    print_pomdp,
-    reduce_targets,
-    validate,
-)
-from .encode import (
-    Cnf,
-    SideConstraints,
-    VarMap,
-    alloc_vars,
-    encode,
-    parse_constraints,
-    sensor_model,
-)
-from .sat import (
-    BUDGET,
-    SAT,
-    UNSAT,
-    Budget,
-    ExternalSolverError,
-    SolveResult,
-    evaluate,
-    parse_dimacs,
-    solve,
-    solve_external,
-    to_dimacs,
-    write_dimacs,
-)
-from .verify import (
-    ProductGraph,
-    VerifyCertificate,
-    brute_force_decide,
-    build_product,
-    check_almost_sure,
-    format_certificate,
-    simulate,
-)
-from .synth import (
-    EncoderFault,
-    FrontierRow,
-    Realizable,
-    ResultDoc,
-    ResultParseError,
-    SynthStats,
-    Unknown,
-    Unrealizable,
-    decode_completion,
-    decode_policy,
-    format_frontier_csv,
-    format_result,
-    parse_result,
-    sweep,
-    synthesize,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BOT",
-    "BUDGET",
-    "Budget",
-    "Cnf",
-    "Completion",
-    "EncoderFault",
-    "ExternalSolverError",
-    "FrontierRow",
-    "ModelError",
-    "ModelSemanticError",
-    "ModelSyntaxError",
-    "PartialObsFn",
-    "Policy",
-    "Pomdp",
-    "ProductGraph",
-    "Realizable",
-    "ResultDoc",
-    "ResultParseError",
-    "SAT",
-    "SideConstraints",
-    "SolveResult",
-    "SynthStats",
-    "UNSAT",
-    "Unknown",
-    "Unrealizable",
-    "VarMap",
-    "VerifyCertificate",
-    "alloc_vars",
-    "brute_force_decide",
-    "build_product",
-    "check_almost_sure",
-    "decode_completion",
-    "decode_policy",
-    "encode",
-    "evaluate",
-    "format_certificate",
-    "format_frontier_csv",
-    "format_result",
-    "parse_constraints",
-    "parse_dimacs",
-    "parse_pomdp",
-    "parse_result",
-    "print_pomdp",
-    "reduce_targets",
-    "sensor_model",
-    "simulate",
-    "solve",
-    "solve_external",
-    "sweep",
-    "synthesize",
-    "to_dimacs",
-    "validate",
-    "write_dimacs",
-]

@@ -106,16 +106,15 @@ def _merge(pairs):
     return tuple(sorted(acc.items()))
 
 
-def _finish(states, actions, observations, initial, targets, delta, check=True):
+def _finish(states, actions, observations, initial, targets, delta):
     p = Pomdp(states=tuple(states), actions=tuple(actions),
               observations=tuple(observations), initial=initial,
               goal=targets[0] if len(targets) == 1 else 0,
               delta=tuple(delta), obs=_obs_rows(len(states), len(observations)))
     p = reduce_targets(p, targets)
-    if check:
-        problems = validate(p)
-        if problems:
-            raise AssertionError(f"generator produced an invalid model: {problems}")
+    problems = validate(p)
+    if problems:
+        raise AssertionError(f"generator produced an invalid model: {problems}")
     return p
 
 
@@ -227,10 +226,7 @@ def gen_fig1():
     }
     idx = {s: i for i, s in enumerate(states)}
     delta = tuple(tuple(((idx[t], one),) for t in d[s]) for s in states)
-    p = Pomdp(states=states, actions=actions, observations=(), initial=0,
-              goal=idx["win"], delta=delta, obs=_obs_rows(len(states), 0))
-    assert not validate(p)
-    return p
+    return _finish(states, actions, (), 0, [idx["win"]], delta)
 
 
 _DET_HALLWAY = """
@@ -355,10 +351,4 @@ def gen_rocksample(n):
             delta.append(tuple(rows))
     for sink in (lose, gstate):
         delta.append(tuple(((sink, Fraction(1)),) for _ in actions))
-    p = Pomdp(states=tuple(states), actions=actions, observations=(),
-              initial=sidx[(4, 0)], goal=gstate, delta=tuple(delta),
-              obs=_obs_rows(len(states), 0))
-    problems = validate(p)
-    if problems:
-        raise AssertionError(f"generator produced an invalid model: {problems}")
-    return p
+    return _finish(states, actions, (), sidx[(4, 0)], [gstate], delta)

@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bench
@@ -43,43 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """One command invocation: which model, which parameters, where output goes."""
+def check_k(ns, p):
+    # |S|*mu is at least the completeness bound that prepare() computes
+    bound = p.n_states * ns.mu
+    if ns.k is not None and not 1 <= ns.k <= bound:
+        raise UsageError(f"--k must be in 1..{bound} for this model")
 
-    subcommand: str
-    input: str = ""
-    mu: int = 1
-    nu: int = 0
-    k: int | None = None
-    deterministic: bool = False
-    strict: bool = False
-    constraints: str | None = None
-    solver: str | None = None
-    result: str | None = None
-    out: str | None = None
-    quiet: bool = False
-    sym_break: bool = True
-    render_grid: bool = False
-    max_conflicts: int | None = None
-    max_seconds: float | None = None
 
-    def __post_init__(self):
-        if self.mu < 1:
-            raise UsageError("--mu must be >= 1")
-        if self.nu < 0:
-            raise UsageError("--nu must be >= 0")
-
-    def check_k(self, p):
-        # |S|*mu is at least the completeness bound that prepare() computes
-        bound = p.n_states * self.mu
-        if self.k is not None and not 1 <= self.k <= bound:
-            raise UsageError(f"--k must be in 1..{bound} for this model")
-
-    def budget(self):
-        if self.max_conflicts is None and self.max_seconds is None:
-            return None
-        return Budget(max_conflicts=self.max_conflicts, max_seconds=self.max_seconds)
+def budget(ns):
+    if ns.max_conflicts is None and ns.max_seconds is None:
+        return None
+    return Budget(max_conflicts=ns.max_conflicts, max_seconds=ns.max_seconds)
 
 
 def _read(path):
@@ -92,19 +65,13 @@ def _write(path, text):
         fh.write(text)
 
 
-def _load_model(cfg):
-    p = parse_pomdp(_read(cfg.input))
-    cfg.check_k(p)
+def _load_model(ns):
+    p = parse_pomdp(_read(ns.input))
+    check_k(ns, p)
     sc = None
-    if cfg.constraints:
-        sc = parse_constraints(_read(cfg.constraints), p)
+    if ns.constraints:
+        sc = parse_constraints(_read(ns.constraints), p)
     return p, sc
-
-
-def _synth_call(cfg, p, sc):
-    return synthesize(p, cfg.mu, cfg.nu, k=cfg.k, deterministic=cfg.deterministic,
-                      strict=cfg.strict, constraints=sc, budget=cfg.budget(),
-                      solver=cfg.solver, sym_break=cfg.sym_break)
 
 
 _CELL_RE = re.compile(r"^c(\d+)_(\d+)(?:_[NESW])?$")
@@ -146,34 +113,36 @@ def render_grid(out):
     return "\n".join(lines)
 
 
-def cmd_synth(cfg):
-    p, sc = _load_model(cfg)
-    out = _synth_call(cfg, p, sc)
+def cmd_synth(ns):
+    p, sc = _load_model(ns)
+    out = synthesize(p, ns.mu, ns.nu, k=ns.k, deterministic=ns.deterministic,
+                     strict=ns.strict, constraints=sc, budget=budget(ns),
+                     solver=ns.solver, sym_break=ns.sym_break)
     doc = format_result(out)
-    if cfg.result:
-        _write(cfg.result, doc)
-    if not cfg.quiet:
+    if ns.result:
+        _write(ns.result, doc)
+    if not ns.quiet:
         st = out.stats
         print(f"verdict: {out.verdict} (mu={out.mu} nu={out.nu} k={out.k})")
         print(f"stats: vars={st.vars} clauses={st.clauses} time_ms={st.time_ms}")
         if out.verdict == "Unknown":
             print(f"reason: {out.reason}")
         if out.verdict == "Realizable":
-            if not cfg.result:
+            if not ns.result:
                 print(doc, end="")
-            if cfg.render_grid:
+            if ns.render_grid:
                 print(render_grid(out))
     return _VERDICT_EXIT[out.verdict]
 
 
-def cmd_verify(cfg, document):
-    p = parse_pomdp(_read(cfg.input))
-    doc = parse_result(_read(document), p)
+def cmd_verify(ns):
+    p = parse_pomdp(_read(ns.input))
+    doc = parse_result(_read(ns.document), p)
     if doc.completion is None or doc.policy is None:
         raise ResultParseError(f"document has verdict {doc.verdict}, nothing to verify")
     prod = build_product(p, doc.completion, doc.policy)
     cert = check_almost_sure(prod)
-    if not cfg.quiet:
+    if not ns.quiet:
         print(format_certificate(cert, p, doc.policy))
     return EXIT_REALIZABLE if cert.ok else EXIT_UNREALIZABLE
 
@@ -190,15 +159,17 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
-def cmd_sweep(cfg, mu_range, nu_range):
-    p, sc = _load_model(cfg)
-    rows = sweep(p, mu_range, nu_range, k=cfg.k, deterministic=cfg.deterministic,
-                 strict=cfg.strict, constraints=sc, budget=cfg.budget(),
-                 solver=cfg.solver, sym_break=cfg.sym_break)
+def cmd_sweep(ns):
+    mu_range = _parse_range(ns.mu_range) if ns.mu_range else [ns.mu]
+    nu_range = _parse_range(ns.nu_range) if ns.nu_range else [ns.nu]
+    p, sc = _load_model(ns)
+    rows = sweep(p, mu_range, nu_range, k=ns.k, deterministic=ns.deterministic,
+                 strict=ns.strict, constraints=sc, budget=budget(ns),
+                 solver=ns.solver, sym_break=ns.sym_break)
     csv = format_frontier_csv(rows)
-    if cfg.out:
-        _write(cfg.out, csv)
-        if not cfg.quiet:
+    if ns.out:
+        _write(ns.out, csv)
+        if not ns.quiet:
             for r in rows:
                 print(f"mu={r.mu} nu={r.nu} {r.verdict}")
     else:
@@ -209,7 +180,10 @@ def cmd_sweep(cfg, mu_range, nu_range):
 _FAMILIES = ("fig1", "det-hallway", "escape", "rocksample", "hallway")
 
 
-def cmd_gen(family, args):
+def cmd_gen(args):
+    family = args.family
+    if family == "hallway" and not args.layout:
+        raise UsageError("hallway needs --layout FILE")
     try:
         if family == "fig1":
             p = bench.gen_fig1()
@@ -235,23 +209,23 @@ def cmd_gen(family, args):
     return EXIT_REALIZABLE
 
 
-def cmd_export_dimacs(cfg):
-    p, sc = _load_model(cfg)
-    prep = prepare(p, cfg.mu, cfg.nu, k=cfg.k, deterministic=cfg.deterministic,
-                   strict=cfg.strict, constraints=sc)
+def cmd_export_dimacs(ns):
+    p, sc = _load_model(ns)
+    prep = prepare(p, ns.mu, ns.nu, k=ns.k, deterministic=ns.deterministic,
+                   strict=ns.strict, constraints=sc)
     if prep.refuted:
-        if not cfg.quiet:
+        if not ns.quiet:
             print("no formula: the initial state is outside the MDP's almost-sure "
                   "winning region, so the instance is Unrealizable")
         return EXIT_UNREALIZABLE
-    cnf, vm = encode(prep.model, cfg.mu, cfg.nu, prep.k, sc=prep.constraints,
-                     sym_break=cfg.sym_break, prepass=prep.prepass)
-    out = cfg.out or os.path.splitext(os.path.basename(cfg.input))[0] + ".cnf"
+    cnf, vm = encode(prep.model, ns.mu, ns.nu, prep.k, sc=prep.constraints,
+                     sym_break=ns.sym_break, prepass=prep.prepass)
+    out = ns.out or os.path.splitext(os.path.basename(ns.input))[0] + ".cnf"
     write_dimacs(cnf, out)
     with open(out + ".map", "w", encoding="utf-8") as fh:
         for v in range(1, vm.n_semantic + 1):
             fh.write(f"{v} {vm.var_name(v)}\n")
-    if not cfg.quiet:
+    if not ns.quiet:
         print(f"{cnf.nvars} vars ({vm.n_semantic} semantic), {len(cnf)} clauses -> {out}")
     return EXIT_REALIZABLE
 
@@ -274,18 +248,9 @@ def _add_common(sp, model_arg=True):
                          "(default: SENSYNTH_SOLVER or embedded)")
     sp.add_argument("--max-conflicts", type=int, default=None)
     sp.add_argument("--max-seconds", type=float, default=None)
-    sp.add_argument("--no-symmetry", action="store_true",
+    sp.add_argument("--no-symmetry", action="store_false", dest="sym_break",
                     help="disable memory symmetry breaking")
     sp.add_argument("--quiet", action="store_true", help="suppress the report")
-
-
-def _cfg(ns, subcommand, **extra):
-    return RunConfig(subcommand=subcommand, input=getattr(ns, "input", ""),
-                     mu=ns.mu, nu=ns.nu, k=ns.k, deterministic=ns.deterministic,
-                     strict=ns.strict, constraints=ns.constraints, solver=ns.solver,
-                     quiet=ns.quiet, sym_break=not ns.no_symmetry,
-                     max_conflicts=ns.max_conflicts, max_seconds=ns.max_seconds,
-                     **extra)
 
 
 def build_parser():
@@ -309,7 +274,8 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--mu-range", metavar="N..M", help="overrides --mu")
     sp.add_argument("--nu-range", metavar="N..M", help="overrides --nu")
-    sp.add_argument("--csv", metavar="FILE", help="write the CSV here (else stdout)")
+    sp.add_argument("--csv", metavar="FILE", dest="out",
+                    help="write the CSV here (else stdout)")
 
     sp = sub.add_parser("gen", help="write a benchmark model")
     sp.add_argument("family", choices=_FAMILIES)
@@ -326,27 +292,20 @@ def build_parser():
     return ap
 
 
+_COMMANDS = {"synth": cmd_synth, "verify": cmd_verify, "sweep": cmd_sweep,
+             "gen": cmd_gen, "export-dimacs": cmd_export_dimacs}
+
+
 def main(argv=None):
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
-        if ns.cmd == "synth":
-            cfg = _cfg(ns, "synth", result=ns.result, render_grid=ns.render_grid)
-            return cmd_synth(cfg)
-        if ns.cmd == "verify":
-            cfg = RunConfig(subcommand="verify", input=ns.input, quiet=ns.quiet)
-            return cmd_verify(cfg, ns.document)
-        if ns.cmd == "sweep":
-            cfg = _cfg(ns, "sweep", out=ns.csv)
-            mu_range = _parse_range(ns.mu_range) if ns.mu_range else [ns.mu]
-            nu_range = _parse_range(ns.nu_range) if ns.nu_range else [ns.nu]
-            return cmd_sweep(cfg, mu_range, nu_range)
-        if ns.cmd == "gen":
-            if ns.family == "hallway" and not ns.layout:
-                raise UsageError("hallway needs --layout FILE")
-            return cmd_gen(ns.family, ns)
-        cfg = _cfg(ns, "export-dimacs", out=ns.out)
-        return cmd_export_dimacs(cfg)
+        if "mu" in ns:
+            if ns.mu < 1:
+                raise UsageError("--mu must be >= 1")
+            if ns.nu < 0:
+                raise UsageError("--nu must be >= 0")
+        return _COMMANDS[ns.cmd](ns)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -75,9 +75,6 @@ class Cnf:
             else:
                 cur.append(l)
 
-    def clauses(self):
-        return list(self)
-
     def literal_array(self):
         """The raw zero-terminated literal arena (read-only use)."""
         return self._lits
@@ -96,7 +93,7 @@ class VarMap:
     auxiliaries are handed out past that.
     """
 
-    def __init__(self, p, mu, nu, k, zprime_names=None):
+    def __init__(self, p, mu, nu, k):
         if mu < 1:
             raise ValueError(f"mu must be >= 1, got {mu}")
         if nu < 0:
@@ -108,9 +105,7 @@ class VarMap:
         self.k = k
         self.ns = p.n_states
         self.na = p.n_actions
-        if zprime_names is None:
-            zprime_names = tuple(p.observations) + tuple(f"@{t}" for t in range(nu))
-        self.znames = tuple(zprime_names)
+        self.znames = tuple(p.observations) + tuple(f"@{t}" for t in range(nu))
         self.nzp = len(self.znames)
         self.state_names = p.states
         self.action_names = p.actions
@@ -178,11 +173,6 @@ class VarMap:
         sm, j = divmod(i - self._off_p, self.k + 1)
         s, m = divmod(sm, self.mu)
         return f"P({self.state_names[s]},m{m},{j})"
-
-
-def alloc_vars(p, mu, nu, k):
-    """Allocate the semantic variable blocks for (p, mu, nu, k)."""
-    return VarMap(p, mu, nu, k)
 
 
 @dataclass(frozen=True)
@@ -377,10 +367,13 @@ def encode_memory_update(vm, out=None):
     return out
 
 
-def exactly_one(lits, vm, out=None, pairwise_limit=8):
+PAIRWISE_LIMIT = 8
+
+
+def exactly_one(lits, vm, out=None):
     """Constrain exactly one of lits to hold.
 
-    Pairwise encoding up to pairwise_limit literals; above that, a sequential
+    Pairwise encoding up to PAIRWISE_LIMIT literals; above that, a sequential
     encoding whose prefix auxiliaries are fully defined (so the model count
     stays exactly len(lits), enumeration-checkable).
     """
@@ -391,7 +384,7 @@ def exactly_one(lits, vm, out=None, pairwise_limit=8):
     if n == 1:
         out.add((lits[0],))
         return out
-    if n <= pairwise_limit:
+    if n <= PAIRWISE_LIMIT:
         out.add(lits)
         for i in range(n):
             for j in range(i + 1, n):

@@ -113,10 +113,6 @@ class Policy:
     act: tuple
     update: tuple
 
-    @property
-    def init_mem(self):
-        return 0
-
 
 # parser
 

@@ -490,21 +490,6 @@ def solve(cnf, budget=None):
 
 # DIMACS and external solvers
 
-def to_dimacs(cnf, comments=()):
-    """Serialize to DIMACS CNF text."""
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p cnf {cnf.nvars} {len(cnf)}")
-    cur = []
-    for l in cnf.literal_array():
-        if l == 0:
-            cur.append("0")
-            lines.append(" ".join(cur))
-            cur = []
-        else:
-            cur.append(str(l))
-    return "\n".join(lines) + "\n"
-
-
 def write_dimacs(cnf, path, comments=()):
     """Stream DIMACS to a file without building the whole text in memory."""
     with open(path, "w") as fh:
@@ -574,9 +559,9 @@ def parse_external_result(text, nvars=0):
         raise ExternalSolverError(f"no recognizable 's' line in solver output:\n{text[:500]}")
     if status != SAT:
         return SolveResult(status=status)
-    if not lits:
+    if not lits and nvars > 0:
         raise ExternalSolverError("external solver reported SATISFIABLE without a model")
-    n = max(nvars, max(abs(l) for l in lits))
+    n = max(nvars, max((abs(l) for l in lits), default=0))
     assignment = [False] * (n + 1)
     for l in lits:
         if l > 0:

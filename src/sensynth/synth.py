@@ -350,24 +350,37 @@ def parse_result(text, p):
             kv[key.strip()] = val.strip()
         else:
             raise ResultParseError(f"line {ln}: unrecognized line {line!r}")
-    try:
-        verdict = kv["verdict"]
-        mu, nu, k = int(kv["mu"]), int(kv["nu"]), int(kv["k"])
-    except KeyError as e:
-        raise ResultParseError(f"missing header {e.args[0]!r}") from None
+
+    def header(key):
+        if key not in kv:
+            raise ResultParseError(f"missing header {key!r}")
+        return kv[key]
+
+    def header_int(key):
+        val = header(key)
+        try:
+            return int(val)
+        except ValueError:
+            raise ResultParseError(f"header {key!r} is not an integer: {val!r}") from None
+
+    verdict = header("verdict")
+    mu, nu, k = header_int("mu"), header_int("nu"), header_int("k")
     stats = SynthStats()
     if "stats" in kv:
-        f = dict(tok.split("=", 1) for tok in kv["stats"].split())
-        conf, dec, props = (None if f.get(key, "-") == "-" else int(f[key])
-                            for key in ("conflicts", "decisions", "propagations"))
-        stats = SynthStats(int(f.get("vars", 0)), int(f.get("clauses", 0)),
-                           int(f.get("time_ms", 0)), conf, dec, props)
+        try:
+            f = dict(tok.split("=", 1) for tok in kv["stats"].split())
+            conf, dec, props = (None if f.get(key, "-") == "-" else int(f[key])
+                                for key in ("conflicts", "decisions", "propagations"))
+            stats = SynthStats(int(f.get("vars", 0)), int(f.get("clauses", 0)),
+                               int(f.get("time_ms", 0)), conf, dec, props)
+        except ValueError:
+            raise ResultParseError(f"malformed stats line {kv['stats']!r}") from None
     if verdict != "Realizable":
         return ResultDoc(verdict, mu, nu, k, kv.get("reason", ""), (), None, None, stats)
 
-    names = tuple(kv.get("observations", "").split())
+    names = tuple(header("observations").split())
     zidx = {z: i for i, z in enumerate(names)}
-    n_mem = int(kv["memory"])
+    n_mem = header_int("memory")
     aidx = {a: i for i, a in enumerate(p.actions)}
     sidx = {s: i for i, s in enumerate(p.states)}
     midx = {f"m{m}": m for m in range(n_mem)}
@@ -430,5 +443,5 @@ def parse_result(text, p):
         rows[s] = tuple(row)
     if any(r is None for r in rows):
         raise ResultParseError("missing obs line for some state")
-    completion = Completion(n_new=int(kv.get("new", 0)), rows=tuple(rows))
+    completion = Completion(n_new=header_int("new") if "new" in kv else 0, rows=tuple(rows))
     return ResultDoc(verdict, mu, nu, k, "", names, completion, policy, stats)

@@ -100,6 +100,21 @@ class TestVerifyCommand:
         res = self._result(tmp_path, fig1_file, mu="2")  # Unrealizable
         assert cli.main(["verify", fig1_file, res]) == 3
 
+    @pytest.mark.parametrize("old, new", [
+        ("\nmemory: 3\n", "\n"),
+        ("\nmu: 3\n", "\nmu: x\n"),
+        ("\nstats: ", "\nstats: vars\n# "),
+    ], ids=["no-memory", "mu-not-integer", "stats-malformed"])
+    def test_malformed_document(self, tmp_path, fig1_file, capsys, old, new):
+        res = self._result(tmp_path, fig1_file)
+        doc = (tmp_path / "doc.result").read_text()
+        assert old in doc
+        (tmp_path / "doc.result").write_text(doc.replace(old, new))
+        capsys.readouterr()
+        assert cli.main(["verify", fig1_file, res]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestUsageErrors:
     def test_bad_mu(self, fig1_file):
@@ -246,8 +261,8 @@ class TestExportDimacs:
         cli.main(["export-dimacs", fig1_file, "--mu", "2", "--nu", "1",
                   "--out", out, "--quiet"])
         mapping = (tmp_path / "phi.cnf.map").read_text().splitlines()
-        from sensynth.encode import alloc_vars
-        vm = alloc_vars(gen_fig1(), 2, 1, 6)
+        from sensynth.encode import VarMap
+        vm = VarMap(gen_fig1(), 2, 1, 6)
         assert len(mapping) == vm.n_semantic
         for line in mapping[:40]:
             v, name = line.split(" ", 1)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_pomdp
 from sensynth import sat
-from sensynth.encode import (Cnf, SideConstraints, VarMap, alloc_vars, encode,
+from sensynth.encode import (Cnf, SideConstraints, VarMap, encode,
                              encode_action_selection, encode_memory_update,
                              encode_observation_fn, encode_path_predicate,
                              encode_reach_closure, encode_side_constraints,
@@ -59,23 +59,23 @@ def chain_model():
 class TestAllocVars:
     def test_fig1_variant_count(self):
         # 2*3 + 4*2*3 + 5*2 + 5*2 + 5*2*11 = 160
-        vm = alloc_vars(parse_pomdp(FIG1_VARIANT), 2, 1, 10)
+        vm = VarMap(parse_pomdp(FIG1_VARIANT), 2, 1, 10)
         assert vm.n_semantic == 160
 
     def test_minimal_count(self):
         # 1 + 1 + 1 + 1 + 2 = 6
         one = parse_pomdp("states: g\nactions: a\nobservations: z\n"
                           "initial: g\ngoal: g\ndelta g a -> g 1\nobs g -> z 1")
-        vm = alloc_vars(one, 1, 0, 1)
+        vm = VarMap(one, 1, 0, 1)
         assert vm.n_semantic == 6
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            alloc_vars(chain_model(), 1, 0, 0)
+            VarMap(chain_model(), 1, 0, 0)
 
     def test_block_order(self):
         # A block, then M, O, C, P
-        vm = alloc_vars(chain_model(), 2, 1, 3)
+        vm = VarMap(chain_model(), 2, 1, 3)
         assert vm.var_a(0, 0) == 1
         assert vm.var_m(0, 0, 0, 0) == vm.var_a(vm.mu - 1, vm.na - 1) + 1
         assert vm.var_o(0, 0) > vm.var_m(vm.mu - 1, vm.nzp - 1, vm.na - 1, vm.mu - 1)
@@ -83,47 +83,48 @@ class TestAllocVars:
         assert vm.var_p(0, 0, 0) > vm.var_c(vm.ns - 1, vm.mu - 1)
         assert vm.var_p(vm.ns - 1, vm.mu - 1, vm.k) == vm.n_semantic
 
-    def test_numbering_stable(self):
+    def test_numbering_stable(self, tmp_path):
         p = chain_model()
-        a = sat.to_dimacs(encode(p, 2, 1, 3)[0])
-        b = sat.to_dimacs(encode(p, 2, 1, 3)[0])
-        assert a == b
+        a, b = tmp_path / "a.cnf", tmp_path / "b.cnf"
+        sat.write_dimacs(encode(p, 2, 1, 3)[0], a)
+        sat.write_dimacs(encode(p, 2, 1, 3)[0], b)
+        assert a.read_text() == b.read_text()
 
 
 class TestActionAndMemoryFamilies:
     def test_action_selection_counts(self):
-        vm = alloc_vars(parse_pomdp(FIG1_VARIANT), 2, 1, 2)
+        vm = VarMap(parse_pomdp(FIG1_VARIANT), 2, 1, 2)
         out = encode_action_selection(vm)
         assert len(out) == 2
         assert all(len(c) == 3 for c in out)
 
     def test_action_selection_single(self):
-        vm = alloc_vars(chain_model(), 1, 0, 1)
+        vm = VarMap(chain_model(), 1, 0, 1)
         out = encode_action_selection(vm)
-        assert out.clauses() == [[vm.var_a(0, 0)]]
+        assert list(out) == [[vm.var_a(0, 0)]]
 
     def test_memory_update_counts(self):
         # mu * |Z'| * |A| = 2*2*3 = 12 clauses of width mu = 2
-        vm = alloc_vars(parse_pomdp(FIG1_VARIANT), 2, 1, 2)
+        vm = VarMap(parse_pomdp(FIG1_VARIANT), 2, 1, 2)
         out = encode_memory_update(vm)
         assert len(out) == 12
         assert all(len(c) == 2 for c in out)
 
     def test_memory_update_units_at_mu_one(self):
-        vm = alloc_vars(chain_model(), 1, 0, 1)
+        vm = VarMap(chain_model(), 1, 0, 1)
         out = encode_memory_update(vm)
-        assert out.clauses() == [[vm.var_m(0, 0, 0, 0)]]
+        assert list(out) == [[vm.var_m(0, 0, 0, 0)]]
 
 
 class TestExactlyOne:
     def _vm(self):
-        return alloc_vars(parse_pomdp(FIG1_VARIANT), 2, 1, 3)
+        return VarMap(parse_pomdp(FIG1_VARIANT), 2, 1, 3)
 
     def test_single_literal(self):
         vm = self._vm()
         out = Cnf()
         exactly_one([5], vm, out)
-        assert out.clauses() == [[5]]
+        assert list(out) == [[5]]
 
     def test_three_literals_pairwise(self):
         # C(3,2) negatives + 1 coverage
@@ -308,7 +309,7 @@ class TestObservationFamily:
         # coverage clause of width nu only, no units
         p = parse_pomdp(CHAIN.replace("obs s0 -> z0 1\n", "")
                         .replace("observations: z0", "observations:"))
-        vm = alloc_vars(p, 1, 2, 1)
+        vm = VarMap(p, 1, 2, 1)
         out = encode_observation_fn(p, vm, SideConstraints())
         assert sorted(len(c) for c in out) == [2, 2]
 
@@ -316,7 +317,7 @@ class TestObservationFamily:
         # s0 sees exactly z0: unit O(s0,z0) plus negatives on z1 and the fresh
         text = CHAIN.replace("observations: z0", "observations: z0 z1")
         p = parse_pomdp(text)
-        vm = alloc_vars(p, 1, 1, 1)
+        vm = VarMap(p, 1, 1, 1)
         out = encode_observation_fn(p, vm, SideConstraints())
         s0 = [c for c in out if len(c) == 1 and abs(c[0]) in
               {vm.var_o(0, z) for z in range(3)}]
@@ -325,7 +326,7 @@ class TestObservationFamily:
 
     def test_strict_restricts_coverage(self):
         p = parse_pomdp(PARTIAL)
-        vm = alloc_vars(p, 1, 1, 1)
+        vm = VarMap(p, 1, 1, 1)
         out = encode_observation_fn(p, vm, SideConstraints(strict=True))
         # s1 coverage over {z0, fresh}; s0/g pinned or covered; no z-out-of-support
         cov = [c for c in out if set(map(abs, c)) ==
@@ -334,9 +335,9 @@ class TestObservationFamily:
 
     def test_deterministic_adds_exactly_one(self):
         p = parse_pomdp(PARTIAL)
-        vm = alloc_vars(p, 1, 1, 1)
+        vm = VarMap(p, 1, 1, 1)
         base = len(encode_observation_fn(p, vm, SideConstraints()))
-        det = len(encode_observation_fn(p, alloc_vars(p, 1, 1, 1),
+        det = len(encode_observation_fn(p, VarMap(p, 1, 1, 1),
                                         SideConstraints(deterministic=True)))
         # pairwise at |Z'|=2: C(2,2)+1 = 2 clauses per state, 3 states
         assert det == base + 6
@@ -351,21 +352,21 @@ class TestObservationFamily:
 class TestReachClosure:
     def test_unit_anchor(self):
         p = chain_model()
-        vm = alloc_vars(p, 1, 0, 1)
+        vm = VarMap(p, 1, 0, 1)
         out = encode_reach_closure(p, vm)
-        assert [vm.var_c(p.initial, 0)] in out.clauses()
+        assert [vm.var_c(p.initial, 0)] in list(out)
 
     def test_count_with_self_loop_skip(self):
         # fig1 variant, mu=2 nu=1: 15 transitions, 6 of them self-loops.
         # full count 15*2*4 = 120 minus 6*2*2 tautologies = 96, plus the anchor
         p = parse_pomdp(FIG1_VARIANT)
-        vm = alloc_vars(p, 2, 1, 2)
+        vm = VarMap(p, 2, 1, 2)
         out = encode_reach_closure(p, vm)
         assert len(out) == 97
 
     def test_propagation_width(self):
         p = chain_model()
-        vm = alloc_vars(p, 2, 0, 2)
+        vm = VarMap(p, 2, 0, 2)
         out = encode_reach_closure(p, vm)
         widths = sorted(len(c) for c in out)
         assert widths[0] == 1 and set(widths[1:]) == {5}
@@ -375,10 +376,10 @@ class TestPathPredicate:
     def test_goal_only_units(self):
         one = parse_pomdp("states: g\nactions: a\nobservations: z\n"
                           "initial: g\ngoal: g\ndelta g a -> g 1\nobs g -> z 1")
-        vm = alloc_vars(one, 1, 0, 1)
+        vm = VarMap(one, 1, 0, 1)
         out = encode_path_predicate(one, vm)
         # P(g,m0,0), P(g,m0,1), and the C linkage; nothing else
-        assert sorted(out.clauses()) == sorted(
+        assert sorted(list(out)) == sorted(
             [[vm.var_p(0, 0, 0)], [vm.var_p(0, 0, 1)],
              [-vm.var_c(0, 0), vm.var_p(0, 0, 1)]])
 
@@ -392,10 +393,10 @@ class TestPathPredicate:
     def test_forced_false_without_alphabet(self):
         p = parse_pomdp(CHAIN.replace("obs s0 -> z0 1\n", "")
                         .replace("observations: z0", "observations:"))
-        vm = alloc_vars(p, 1, 0, 2)
+        vm = VarMap(p, 1, 0, 2)
         out = encode_path_predicate(p, vm)
-        assert [-vm.var_p(0, 0, 1)] in out.clauses()
-        assert [-vm.var_p(0, 0, 2)] in out.clauses()
+        assert [-vm.var_p(0, 0, 1)] in list(out)
+        assert [-vm.var_p(0, 0, 2)] in list(out)
 
 
 class TestMdpPrepass:
@@ -441,8 +442,8 @@ class TestMdpPrepass:
 
     def test_pruned_path_family_is_smaller(self, fig1):
         win, dist = mdp_prepass(fig1)
-        full = encode_path_predicate(fig1, alloc_vars(fig1, 2, 1, 6))
-        vm = alloc_vars(fig1, 2, 1, 6)
+        full = encode_path_predicate(fig1, VarMap(fig1, 2, 1, 6))
+        vm = VarMap(fig1, 2, 1, 6)
         pruned = encode_path_predicate(fig1, vm, dist=dist)
         assert len(pruned) < len(full)
         fixed = {vm.var_p(s, m, j) for s in range(vm.ns) for m in range(2)
@@ -460,7 +461,7 @@ class TestMdpPrepass:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
             k = p.n_states * mu
-            vm = alloc_vars(p, mu, nu, k)
+            vm = VarMap(p, mu, nu, k)
             plain = Cnf()
             encode_action_selection(vm, plain)
             encode_memory_update(vm, plain)
@@ -476,21 +477,21 @@ class TestSideConstraintFamily:
     def test_same_pair_counts(self):
         # one pair, |Z'|=2: O(j,z) <-> O(j',z) is 2 clauses per z
         p = parse_pomdp(PARTIAL)
-        vm = alloc_vars(p, 1, 1, 1)
+        vm = VarMap(p, 1, 1, 1)
         out = encode_side_constraints(SideConstraints(same=((0, 1),)), vm)
         assert len(out) == 4
 
     def test_diff_pair_counts(self):
         p = parse_pomdp(PARTIAL)
-        vm = alloc_vars(p, 1, 1, 1)
+        vm = VarMap(p, 1, 1, 1)
         out = encode_side_constraints(SideConstraints(diff=((0, 1),)), vm)
         assert len(out) == 4
 
     def test_implies_single_clause(self):
         p = parse_pomdp(PARTIAL)
-        vm = alloc_vars(p, 1, 1, 1)
+        vm = VarMap(p, 1, 1, 1)
         out = encode_side_constraints(SideConstraints(implies=((1, 0, 1),)), vm)
-        assert out.clauses() == [[-vm.var_o(1, 0), vm.var_o(1, 1)]]
+        assert list(out) == [[-vm.var_o(1, 0), vm.var_o(1, 1)]]
 
     def test_parse_constraints(self):
         text = PARTIAL.replace("observations: z0", "observations: z0 z1")
@@ -512,7 +513,7 @@ class TestSideConstraintFamily:
         sc = parse_constraints("sensor C on off", p)
         p2, sc2 = sensor_model(p, sc)
         assert p2.observations == ("z0:on", "z0:off", "z1:on", "z1:off")
-        vm = alloc_vars(p2, 1, 0, 1)
+        vm = VarMap(p2, 1, 0, 1)
         out = encode_observation_fn(p2, vm, sc2)
         s0 = [c for c in out if {abs(l) for l in c} <=
               {vm.var_o(0, z) for z in range(4)}]

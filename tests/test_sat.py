@@ -16,7 +16,7 @@ from sensynth import sat
 from sensynth.encode import Cnf, encode
 from sensynth.sat import (BUDGET, SAT, UNSAT, Budget, ExternalSolverError,
                           evaluate, parse_dimacs, parse_external_result, solve,
-                          solve_external, to_dimacs)
+                          solve_external, write_dimacs)
 
 
 def cnf_of(clauses, nvars):
@@ -213,14 +213,15 @@ class TestBudget:
 
 
 class TestDimacs:
-    def test_exact_format(self):
-        assert to_dimacs(cnf_of([(1, -2)], 2)) == "p cnf 2 1\n1 -2 0\n"
+    def test_exact_format(self, tmp_path):
+        write_dimacs(cnf_of([(1, -2)], 2), tmp_path / "f.cnf")
+        assert (tmp_path / "f.cnf").read_text() == "p cnf 2 1\n1 -2 0\n"
 
-    def test_comments(self):
-        text = to_dimacs(cnf_of([(1,)], 1), comments=("hello",))
-        assert text.startswith("c hello\np cnf 1 1\n")
+    def test_comments(self, tmp_path):
+        write_dimacs(cnf_of([(1,)], 1), tmp_path / "f.cnf", comments=("hello",))
+        assert (tmp_path / "f.cnf").read_text().startswith("c hello\np cnf 1 1\n")
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rng = random.Random(9)
         for _ in range(20):
             nvars = rng.randint(1, 8)
@@ -228,7 +229,8 @@ class TestDimacs:
                              rng.sample(range(1, nvars + 1), rng.randint(1, nvars)))
                        for _ in range(rng.randint(1, 12))]
             cnf = cnf_of(clauses, nvars)
-            parsed = parse_dimacs(to_dimacs(cnf))
+            write_dimacs(cnf, tmp_path / "f.cnf")
+            parsed = parse_dimacs((tmp_path / "f.cnf").read_text())
             assert parsed.nvars == nvars
             assert [list(c) for c in cnf] == [list(c) for c in parsed]
 
@@ -264,17 +266,26 @@ class TestFrontEnd:
     def test_exit_codes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PYTHONPATH", SRC)
         sat_file, unsat_file = tmp_path / "sat.cnf", tmp_path / "unsat.cnf"
-        sat_file.write_text(to_dimacs(cnf_of([(1, -2), (2,)], 2)))
-        unsat_file.write_text(to_dimacs(encode_php(3, 2)))
+        write_dimacs(cnf_of([(1, -2), (2,)], 2), sat_file)
+        write_dimacs(encode_php(3, 2), unsat_file)
         run = lambda *args: subprocess.run([sys.executable, "-m", "sensynth.sat", *args],
                                            capture_output=True, text=True, timeout=60)
         done = run(str(sat_file))
         assert done.returncode == 10
         assert done.stdout.splitlines() == ["s SATISFIABLE", "v 1 2 0"]
+        assert done.stderr == ""
         done = run(str(unsat_file))
         assert (done.returncode, done.stdout) == (20, "s UNSATISFIABLE\n")
+        assert done.stderr == ""
         assert run().returncode == 1
         assert run(str(tmp_path / "missing.cnf")).returncode == 1
+
+    def test_zero_variable_formula(self, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        res = solve_external(Cnf().finalize(0), FRONT_END)  # answers `v 0`
+        assert res.status == SAT and res.assignment == [False]
+        with pytest.raises(ExternalSolverError):
+            parse_external_result("s SATISFIABLE\nv 0\n", nvars=1)
 
 
 class TestExternalResult:

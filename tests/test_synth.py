@@ -11,7 +11,7 @@ import pytest
 from conftest import external_solver, random_pomdp
 from sensynth import sat, synth
 from sensynth.bench import gen_rocksample
-from sensynth.encode import alloc_vars, encode, mdp_prepass, parse_constraints
+from sensynth.encode import VarMap, encode, mdp_prepass, parse_constraints
 from sensynth.model import ModelSemanticError, parse_pomdp
 from sensynth.sat import Budget, ExternalSolverError
 from sensynth.synth import (EncoderFault, ResultParseError, decode_completion,
@@ -128,7 +128,7 @@ delta s1 a -> g 1
 delta g a -> g 1
 obs s1 -> z0 1/3, bot 2/3
 """)
-        return p, alloc_vars(p, 1, 2, 1)
+        return p, VarMap(p, 1, 2, 1)
 
     def _blank(self, vm):
         return [False] * (vm.nvars + 1)
