@@ -42,9 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def check_k(ns, p):
+def check_k(ns, p, mu):
     # |S|*mu is at least the completeness bound that prepare() computes
-    bound = p.n_states * ns.mu
+    bound = p.n_states * mu
     if ns.k is not None and not 1 <= ns.k <= bound:
         raise UsageError(f"--k must be in 1..{bound} for this model")
 
@@ -65,9 +65,11 @@ def _write(path, text):
         fh.write(text)
 
 
-def _load_model(ns):
+def _load_model(ns, mu=None):
+    """The model and its constraints; --k is checked against mu (default
+    --mu), the largest memory it is encoded with."""
     p = parse_pomdp(_read(ns.input))
-    check_k(ns, p)
+    check_k(ns, p, ns.mu if mu is None else mu)
     sc = None
     if ns.constraints:
         sc = parse_constraints(_read(ns.constraints), p)
@@ -147,7 +149,7 @@ def cmd_verify(ns):
     return EXIT_REALIZABLE if cert.ok else EXIT_UNREALIZABLE
 
 
-def _parse_range(text):
+def _parse_range(text, flag, least):
     lo, _, hi = text.partition("..")
     try:
         lo = int(lo)
@@ -156,13 +158,15 @@ def _parse_range(text):
         raise UsageError(f"bad range {text!r}, expected N or N..M")
     if hi < lo:
         raise UsageError(f"empty range {text!r}")
+    if lo < least:
+        raise UsageError(f"{flag} must start at {least} or above, got {text!r}")
     return range(lo, hi + 1)
 
 
 def cmd_sweep(ns):
-    mu_range = _parse_range(ns.mu_range) if ns.mu_range else [ns.mu]
-    nu_range = _parse_range(ns.nu_range) if ns.nu_range else [ns.nu]
-    p, sc = _load_model(ns)
+    mu_range = _parse_range(ns.mu_range, "--mu-range", 1) if ns.mu_range else [ns.mu]
+    nu_range = _parse_range(ns.nu_range, "--nu-range", 0) if ns.nu_range else [ns.nu]
+    p, sc = _load_model(ns, max(mu_range))
     rows = sweep(p, mu_range, nu_range, k=ns.k, deterministic=ns.deterministic,
                  strict=ns.strict, constraints=sc, budget=budget(ns),
                  solver=ns.solver, sym_break=ns.sym_break)

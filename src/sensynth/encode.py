@@ -9,7 +9,9 @@ Variable families (in fixed numbering order, auxiliaries last):
   C(s,m)        state-memory pair reachable under the chosen supports
   P(s,m,j)      goal reachable from (s,m) within j steps, 0 <= j <= k
 Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
-sensor-variable mode).
+sensor-variable mode).  A formula for a whole (mu, nu) grid adds selector
+auxiliaries E(m) and F(t) that switch memory elements and fresh symbols off
+(encode_selectors).
 
 encode() first runs mdp_prepass() on the fully observable model and fixes
 the variables that the pre-pass decides: C outside the MDP's almost-sure
@@ -119,6 +121,16 @@ class VarMap:
         if self.n_semantic >= 2**31:
             raise OverflowError(f"variable count {self.n_semantic} overflows the 31-bit literal space")
         self._next_aux = self.n_semantic + 1
+        self.mem_sel = {}  # memory element m -> its selector E(m)
+        self.fresh_sel = {}  # fresh symbol index z in Z' -> its selector F(t)
+
+    def assumptions(self, mu, nu):
+        """Selector literals that restrict the formula to the cell (mu, nu):
+        memory elements below mu and fresh symbols below nu are on, the rest
+        off."""
+        n_obs = self.nzp - self.nu
+        return ([v if m < mu else -v for m, v in self.mem_sel.items()]
+                + [v if z - n_obs < nu else -v for z, v in self.fresh_sel.items()])
 
     # semantic ids are 1-based
     def var_a(self, m, a):
@@ -593,6 +605,49 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     return out
 
 
+def encode_selectors(vm, mu_lo, nu_lo, out=None):
+    """Selectors that let one formula answer every cell of a (mu, nu) grid.
+
+    One auxiliary E(m) per memory element m in [mu_lo, vm.mu), with
+    M(m',z,a,m) -> E(m) for every update into m, and one F(t) per fresh
+    symbol t in [nu_lo, vm.nu), with O(s,@t) -> F(t) for every state s.  The cell (mu, nu) assumes every E(m) with m >= mu
+    and every F(t) with t >= nu false and the other selectors true
+    (VarMap.assumptions); the formula under those assumptions is satisfiable
+    iff the formula encoded at (mu, nu) is:
+
+    - An element that no update enters is never reached from m0, so its A, M,
+      C and P variables constrain nothing that matters; a fresh symbol no
+      state emits only adds update columns that never fire.
+    - The switched-off elements and symbols are the highest indices, so the
+      symmetry breaking (encode_symmetry) stays satisfiable: a switched-off
+      memory row copies the last switched-on row, which keeps the
+      lexicographic chain, and value precedence on fresh symbols only
+      restricts the use of higher indices, which are unused.
+    - diff wants every symbol of Z' at exactly one state of its pair; for a
+      switched-off symbol encode_side_constraints relaxes that with F(t),
+      which is why a switched-on F(t) is assumed true, not left free.
+
+    Call it before encode_side_constraints.  mu_lo >= 1, since m0 is always
+    on; an empty range adds nothing, so a one-cell formula is unchanged.
+    """
+    if mu_lo < 1:
+        raise ValueError(f"memory element m0 cannot be switched off (mu_lo={mu_lo})")
+    out = out if out is not None else Cnf()
+    n_obs = vm.nzp - vm.nu
+    for m2 in range(mu_lo, vm.mu):
+        e = vm.mem_sel[m2] = vm.fresh_aux()
+        for m in range(vm.mu):
+            for z in range(vm.nzp):
+                for a in range(vm.na):
+                    out.add((-vm.var_m(m, z, a, m2), e))
+    for t in range(nu_lo, vm.nu):
+        z = n_obs + t
+        f = vm.fresh_sel[z] = vm.fresh_aux()
+        for s in range(vm.ns):
+            out.add((-vm.var_o(s, z), f))
+    return out
+
+
 def encode_side_constraints(sc, vm, out=None):
     """Distinguishability and dependency clauses over the O family."""
     out = out if out is not None else Cnf()
@@ -616,7 +671,8 @@ def encode_side_constraints(sc, vm, out=None):
         if i == j:
             raise ModelSemanticError(vm.state_names[i], "diff pair needs two distinct states")
         for z in range(nzp):
-            out.add((vm.var_o(i, z), vm.var_o(j, z)))
+            off = (-vm.fresh_sel[z],) if z in vm.fresh_sel else ()
+            out.add((vm.var_o(i, z), vm.var_o(j, z)) + off)
             out.add((-vm.var_o(i, z), -vm.var_o(j, z)))
     for i, z, z2 in sc.implies:
         check_state(i)
@@ -692,14 +748,16 @@ def encode_symmetry(p, vm, out=None):
     return out
 
 
-def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None):
+def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None, mu_lo=None, nu_lo=None):
     """Assemble the full formula; returns (Cnf, VarMap).
 
     Expects a model with an absorbing goal (parse_pomdp guarantees this; for
     programmatic models apply model.reduce_targets first).  In sensor mode
     pass the transformed model from sensor_model() and nu = 0.  prepass is
     mdp_prepass(p), computed here when not given; its facts are fixed in the
-    C and P families.
+    C and P families.  mu_lo and nu_lo (default mu and nu: none) add
+    selectors for every cell from (mu_lo, nu_lo) up to (mu, nu); see
+    encode_selectors.
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
@@ -714,6 +772,7 @@ def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None):
     encode_observation_fn(p, vm, sc, out)
     encode_reach_closure(p, vm, out, win=win)
     encode_path_predicate(p, vm, out, dist=dist)
+    encode_selectors(vm, mu if mu_lo is None else mu_lo, nu if nu_lo is None else nu_lo, out)
     encode_side_constraints(sc, vm, out)
     if sym_break:
         encode_symmetry(p, vm, out)

@@ -6,6 +6,16 @@ literal propagation, activity-based branching with decay, phase saving, Luby
 restarts, and learned-clause deletion.  Every satisfiable answer is
 re-checked against the original formula before it is returned.
 
+One Solver answers any number of solve() calls, each under its own list of
+assumption literals (MiniSat style; Een & Sorensson, SAT 2003).  A call
+backtracks to level 0 and takes the assumptions as its first decisions, one
+decision level each.  An assumption found false answers UNSAT for that call
+only; a conflict at level 0 refutes the formula itself and every later call.
+Learnt clauses are implied by the formula alone, never by the assumptions,
+so they, the activities, the saved phases and the restart and reduce
+schedules carry from one call to the next.  The external-solver driver
+passes assumptions as unit clauses instead.
+
 It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
 literal arena, with learnt clauses appended to it.  A clause is named by the
 offset of its first literal in that arena, and each literal's watch list is a
@@ -50,7 +60,7 @@ class Budget:
 class SolveResult:
     status: str
     assignment: list = None  # index 0 unused; total over 1..nvars when sat
-    conflicts: int = None
+    conflicts: int = None  # the counters cover one solve() call, load included in the first
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
@@ -76,6 +86,9 @@ def evaluate(cnf, assignment):
     return not seen_any
 
 
+RESTART_UNIT = 100  # conflicts per unit of the Luby restart sequence
+
+
 def _luby(i):
     k = i.bit_length()
     if i == (1 << k) - 1:
@@ -84,7 +97,7 @@ def _luby(i):
 
 
 class Solver:
-    """One-shot CDCL search over a fixed clause set.
+    """Incremental CDCL search over a fixed clause set (see solve()).
 
     Storage follows MiniSat (Een & Sorensson, SAT 2003):
 
@@ -136,6 +149,11 @@ class Solver:
         self.n_decisions = 0
         self.n_props = 0
         self.n_restarts = 0
+        self.reported = (0, 0, 0, 0)  # the counters when the last call answered
+        self.next_reduce = 4000
+        self.n_reductions = 0
+        self.conflicts_at_restart = 0
+        self.restart_budget = _luby(1) * RESTART_UNIT
         find = lits.index
         size = len(lits)
         start = 0
@@ -263,10 +281,16 @@ class Solver:
         if a > 1e100:
             self.activity = [x * 1e-100 for x in self.activity]
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1) if self.vals[u] == 0]
-            heapify(self.heap)
+            self._rebuild_heap()
         else:
             heappush(self.heap, (-a, v))
+
+    def _rebuild_heap(self):
+        """The branching heap with one entry per unassigned variable: the
+        stale entries that backtracking and bumping leave behind are gone."""
+        act, vals = self.activity, self.vals
+        self.heap = [(-act[v], v) for v in range(1, self.nvars + 1) if vals[v] == 0]
+        heapify(self.heap)
 
     def _analyze(self, confl):
         lits = self.lits
@@ -410,65 +434,78 @@ class Solver:
         vals = self.vals
         return [False] + [vals[v] == 1 for v in range(1, self.nvars + 1)]
 
-    def solve(self, budget=None):
+    def solve(self, budget=None, assumptions=()):
+        """Decide the formula with every literal of assumptions true.
+
+        UNSAT means no model extends the assumptions; once `ok` is False the
+        formula itself is refuted.  The budget's conflicts and seconds count
+        from the start of this call.
+        """
         t0 = time.monotonic()
+        c0 = self.n_conflicts
         limit_c = budget.max_conflicts if budget else None
         limit_t = budget.max_seconds if budget else None
         n = self.nvars
 
         def result(status, assignment=None):
-            return SolveResult(
-                status=status,
-                assignment=assignment,
-                conflicts=self.n_conflicts,
-                decisions=self.n_decisions,
-                propagations=self.n_props,
-                restarts=self.n_restarts,
-                time_ms=int((time.monotonic() - t0) * 1000),
-            )
+            now = (self.n_conflicts, self.n_decisions, self.n_props, self.n_restarts)
+            c, d, p, r = (x - y for x, y in zip(now, self.reported))
+            self.reported = now
+            return SolveResult(status=status, assignment=assignment, conflicts=c,
+                               decisions=d, propagations=p, restarts=r,
+                               time_ms=int((time.monotonic() - t0) * 1000))
 
         if not self.ok:
             return result(UNSAT)
+        self._backtrack(0)
+        if len(self.heap) > 4 * n + 16:  # each earlier model re-pushed every variable
+            self._rebuild_heap()
         if self._propagate() != -1:
+            self.ok = False
             return result(UNSAT)
 
-        next_reduce = 4000
-        n_reductions = 0
-        restart_unit = 100
-        conflicts_at_restart = 0
-        restart_budget = _luby(1) * restart_unit
+        vals = self.vals
+        trail_lim = self.trail_lim
         while True:
             confl = self._propagate()
             if confl != -1:
                 self.n_conflicts += 1
-                conflicts_at_restart += 1
-                if not self.trail_lim:
+                self.conflicts_at_restart += 1
+                if not trail_lim:
+                    self.ok = False
                     return result(UNSAT)
                 keep, blevel, lbd = self._analyze(confl)
                 self._backtrack(blevel)
                 if len(keep) == 1:
-                    if not self._enqueue(keep[0], -1):
-                        return result(UNSAT)
+                    self._enqueue(keep[0], -1)  # unassigned after the backtrack to level 0
                 else:
                     self._enqueue(keep[0], self._learn(keep, lbd))
                 self.var_inc /= 0.95
-                if limit_c is not None and self.n_conflicts >= limit_c:
+                if limit_c is not None and self.n_conflicts - c0 >= limit_c:
                     return result(BUDGET)
                 if limit_t is not None and time.monotonic() - t0 > limit_t:
                     return result(BUDGET)
-                if self.n_conflicts >= next_reduce:
+                if self.n_conflicts >= self.next_reduce:
                     self._reduce_db()
-                    n_reductions += 1
-                    next_reduce += 2000 + 500 * n_reductions
+                    self.n_reductions += 1
+                    self.next_reduce += 2000 + 500 * self.n_reductions
                 if len(self.heap) > 4 * n + 16:
-                    self.heap = [(-self.activity[v], v) for v in range(1, n + 1) if self.vals[v] == 0]
-                    heapify(self.heap)
+                    self._rebuild_heap()
             else:
-                if conflicts_at_restart >= restart_budget:
+                if self.conflicts_at_restart >= self.restart_budget:
                     self.n_restarts += 1
-                    conflicts_at_restart = 0
-                    restart_budget = _luby(self.n_restarts + 1) * restart_unit
+                    self.conflicts_at_restart = 0
+                    self.restart_budget = _luby(self.n_restarts + 1) * RESTART_UNIT
                     self._backtrack(0)
+                    continue
+                level = len(trail_lim)
+                if level < len(assumptions):
+                    lit = assumptions[level]
+                    if vals[lit] == 2:
+                        return result(UNSAT)
+                    trail_lim.append(len(self.trail))  # an empty level if lit already holds
+                    if not vals[lit]:
+                        self._enqueue(lit, -1)
                     continue
                 if len(self.trail) == n:
                     return result(SAT, self._model())
@@ -476,26 +513,38 @@ class Solver:
                 if v == 0:
                     return result(SAT, self._model())
                 self.n_decisions += 1
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(self.trail))
                 self._enqueue(v if self.phase[v] else -v, -1)
 
 
-def solve(cnf, budget=None):
-    """Decide cnf; Sat answers are self-checked against the formula."""
-    res = Solver(cnf).solve(budget)
-    if res.status == SAT and not evaluate(cnf, res.assignment):
+def holds(assignment, lits):
+    """True iff the assignment makes every literal of lits true."""
+    return all(assignment[l] if l > 0 else not assignment[-l] for l in lits)
+
+
+def solve(cnf, budget=None, assumptions=(), solver=None):
+    """Decide cnf under assumptions; Sat answers are self-checked against the
+    formula and the assumptions.
+
+    solver is a Solver already loaded with cnf, to keep what it learnt across
+    calls; by default a fresh one is built for this call.
+    """
+    res = (solver if solver is not None else Solver(cnf)).solve(budget, assumptions)
+    if res.status == SAT and not (evaluate(cnf, res.assignment)
+                                  and holds(res.assignment, assumptions)):
         raise AssertionError("solver returned a non-model; this is a solver bug")
     return res
 
 
 # DIMACS and external solvers
 
-def write_dimacs(cnf, path, comments=()):
-    """Stream DIMACS to a file without building the whole text in memory."""
+def write_dimacs(cnf, path, comments=(), units=()):
+    """Stream DIMACS to a file without building the whole text in memory;
+    units are extra one-literal clauses written after the formula."""
     with open(path, "w") as fh:
         for c in comments:
             fh.write(f"c {c}\n")
-        fh.write(f"p cnf {cnf.nvars} {len(cnf)}\n")
+        fh.write(f"p cnf {cnf.nvars} {len(cnf) + len(units)}\n")
         cur = []
         for l in cnf.literal_array():
             if l == 0:
@@ -504,6 +553,8 @@ def write_dimacs(cnf, path, comments=()):
                 cur = []
             else:
                 cur.append(str(l))
+        for l in units:
+            fh.write(f"{l} 0\n")
 
 
 def parse_dimacs(text):
@@ -569,19 +620,21 @@ def parse_external_result(text, nvars=0):
     return SolveResult(status=SAT, assignment=assignment)
 
 
-def solve_external(cnf, command, time_limit=None):
+def solve_external(cnf, command, time_limit=None, assumptions=()):
     """Run an external DIMACS solver given as a command template.
 
     The template must contain `{input}`, e.g. `splr -q -r - {input}` or
-    `minisat {input} /dev/stdout`.  Verdict is read from stdout (`s` line,
-    exit codes 10/20 as fallback); Sat models are self-checked.
+    `minisat {input} /dev/stdout`.  The assumptions are added to the file as
+    unit clauses.  Verdict is read from stdout (`s` line, exit codes 10/20 as
+    fallback); Sat models are self-checked against the formula and the
+    assumptions.
     """
     if "{input}" not in command:
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="sensynth-cnf-") as td:
         path = Path(td) / "problem.cnf"
-        write_dimacs(cnf, path)
+        write_dimacs(cnf, path, units=assumptions)
         argv = shlex.split(command.replace("{input}", str(path)))
         try:
             proc = subprocess.run(
@@ -609,7 +662,7 @@ def solve_external(cnf, command, time_limit=None):
     if res.status == SAT:
         if len(res.assignment) < cnf.nvars + 1:
             res.assignment.extend([False] * (cnf.nvars + 1 - len(res.assignment)))
-        if not evaluate(cnf, res.assignment):
+        if not (evaluate(cnf, res.assignment) and holds(res.assignment, assumptions)):
             raise ExternalSolverError("external model fails the formula self-check")
     return res
 

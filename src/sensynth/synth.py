@@ -11,6 +11,10 @@ mu * max(1, |W - {goal}|): a shortest path from a pair that a winning policy
 reaches visits only reached non-goal pairs, all in (W - {goal}) x memory.
 Unrealizable is only claimed when the path bound k reached that bound; below
 it an unsatisfiable formula proves nothing and the outcome is Unknown.
+
+synthesize and sweep are both solve_grid: one formula and one solver answer
+every (mu, nu) cell, each cell being one solve call under selector
+assumptions (see solve_grid and encode.encode_selectors).
 """
 
 from __future__ import annotations
@@ -125,15 +129,18 @@ def decode_completion(assignment, vm, p, strict=False):
     return Completion(n_new=len(order), rows=tuple(rows))
 
 
-def decode_policy(assignment, vm):
+def decode_policy(assignment, vm, mu=None):
     """Read the policy supports off a satisfying assignment.
 
-    sigma_n(m) = {a : A(m,a)}, sigma_u(m,z,a) = {m' : M(m,z,a,m')}.  Columns
-    for dropped fresh symbols are discarded and the rest follow the same
-    first-use renumbering as the completion.
+    sigma_n(m) = {a : A(m,a)}, sigma_u(m,z,a) = {m' : M(m,z,a,m')}, over the
+    memory elements m, m' < mu (default vm.mu; a grid formula's cell reads
+    only the elements it switched on).  Columns for dropped fresh symbols are
+    discarded and the rest follow the same first-use renumbering as the
+    completion.
     """
+    mu = vm.mu if mu is None else mu
     act = []
-    for m in range(vm.mu):
+    for m in range(mu):
         row = tuple(a for a in range(vm.na) if assignment[vm.var_a(m, a)])
         if not row:
             raise EncoderFault(f"memory element {m} decoded with empty action support")
@@ -141,23 +148,23 @@ def decode_policy(assignment, vm):
     n_obs = vm.nzp - vm.nu
     cols = list(range(n_obs)) + _fresh_first_use(assignment, vm)
     update = []
-    for m in range(vm.mu):
+    for m in range(mu):
         zrows = []
         for z in cols:
             arow = []
             for a in range(vm.na):
-                dest = tuple(m2 for m2 in range(vm.mu) if assignment[vm.var_m(m, z, a, m2)])
+                dest = tuple(m2 for m2 in range(mu) if assignment[vm.var_m(m, z, a, m2)])
                 if not dest:
                     raise EncoderFault(f"update ({m},{z},{a}) decoded with empty memory support")
                 arow.append(dest)
             zrows.append(tuple(arow))
         update.append(tuple(zrows))
-    return Policy(n_mem=vm.mu, act=tuple(act), update=tuple(update))
+    return Policy(n_mem=mu, act=tuple(act), update=tuple(update))
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """What one request encodes, shared by synthesize and export-dimacs."""
+    """What one request encodes, shared by solve_grid and export-dimacs."""
 
     model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
     constraints: SideConstraints  # with the deterministic/strict flags merged in
@@ -170,6 +177,11 @@ class Prepared:
         """True when the fully observable MDP cannot win from the initial
         state, so no policy under any completion can."""
         return self.model.initial not in self.prepass[0]
+
+
+def _completeness_bound(win, goal, mu):
+    """mu * max(1, |win - {goal}|): at this path bound UNSAT is Unrealizable."""
+    return mu * max(1, len(win - {goal}))
 
 
 def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=None):
@@ -187,57 +199,117 @@ def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=No
             raise ModelSemanticError(sc.sensor_name, "sensor mode replaces the fresh symbols; nu must be 0")
         p, sc = sensor_model(p, sc)
     win, dist = mdp_prepass(p)
-    bound = mu * max(1, len(win - {p.goal}))
+    bound = _completeness_bound(win, p.goal, mu)
     return Prepared(model=p, constraints=sc, prepass=(win, dist), bound=bound,
                     k=bound if k is None else k)
+
+
+def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
+               constraints=None, budget=None, solver=None, sym_break=True):
+    """Decide every cell (mu, nu) of mus x nus; returns [((mu, nu), outcome)]
+    in ascending order.
+
+    One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
+    pre-pass depends on neither mu nor nu.  If it refutes the model every cell
+    is Unrealizable, and so is every cell with an empty completed alphabet;
+    neither needs a formula.  Otherwise one formula is encoded at
+    (mu_hi, nu_hi) with path bound k (default the completeness bound of
+    mu_hi), plus selectors for the memory elements and fresh symbols that
+    some cell switches off (encode.encode_selectors, whose docstring has the
+    soundness argument).  A one-cell grid has no selectors, so its formula is
+    exactly the (mu, nu) formula.
+
+    Each cell is one solve under the assumptions VarMap.assumptions(mu, nu):
+    with the embedded solver, one Solver answers them all and what it learns
+    in one cell carries to the next; an external solver gets one DIMACS file
+    per cell, the assumptions written as unit clauses.  The budget holds per
+    cell.  UNSAT means Unrealizable iff k >= mu * max(1, |W - {goal}|), the
+    cell's completeness bound, and Unknown otherwise.  A model is decoded
+    with the cell's mu and checked by the product-graph analysis.
+
+    A failing external solver makes its cell's outcome the
+    ExternalSolverError; every other exception propagates.
+    """
+    mus, nus = sorted(set(mus)), sorted(set(nus))
+    if not mus or not nus:
+        return []
+    if mus[0] < 1 or nus[0] < 0:
+        raise ValueError("mu must be >= 1 and nu >= 0")
+    prep = prepare(p, mus[-1], nus[-1], k, deterministic, strict, constraints)
+    p_enc, sc_enc, k_used = prep.model, prep.constraints, prep.k
+    cells = [(mu, nu) for mu in mus for nu in nus]
+    bounds = {mu: _completeness_bound(prep.prepass[0], p_enc.goal, mu) for mu in mus}
+    # no formula for a refuted MDP, nor for an empty completed alphabet,
+    # which admits no observation distribution at all
+    live = [] if prep.refuted else [nu for nu in nus if p_enc.n_obs + nu > 0]
+    if not live:
+        return [((mu, nu), Unrealizable(k=bounds[mu], mu=mu, nu=nu, stats=SynthStats()))
+                for mu, nu in cells]
+
+    cnf, vm = encode(p_enc, mus[-1], nus[-1], k_used, sc_enc, sym_break=sym_break,
+                     prepass=prep.prepass, mu_lo=mus[0], nu_lo=live[0])
+    embedded = solver in (None, "", "embedded")
+    engine = sat.Solver(cnf) if embedded else None
+    out = []
+    for mu, nu in cells:
+        bound = bounds[mu]
+        if nu not in live:
+            out.append(((mu, nu), Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats())))
+            continue
+        assumptions = vm.assumptions(mu, nu)
+        t0 = time.perf_counter()
+        if embedded:
+            res = sat.solve(cnf, budget, assumptions, solver=engine)
+            if (mu, nu) == cells[-1]:
+                engine = None  # free the solver before the last decode and verify
+            counters = dict(conflicts=res.conflicts, decisions=res.decisions,
+                            propagations=res.propagations)
+        else:
+            limit = budget.max_seconds if budget is not None else None
+            try:
+                res = sat.solve_external(cnf, solver, time_limit=limit, assumptions=assumptions)
+            except sat.ExternalSolverError as e:
+                out.append(((mu, nu), e))
+                continue
+            counters = {}
+        elapsed = int(round((time.perf_counter() - t0) * 1000))
+        stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed, **counters)
+
+        if res.status == sat.BUDGET:
+            outcome = Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
+        elif res.status == sat.UNSAT and k_used >= bound:
+            outcome = Unrealizable(k=k_used, mu=mu, nu=nu, stats=stats)
+        elif res.status == sat.UNSAT:
+            outcome = Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
+                              mu=mu, nu=nu, k=k_used, stats=stats)
+        else:
+            comp = decode_completion(res.assignment, vm, p_enc, strict=sc_enc.strict)
+            pol = decode_policy(res.assignment, vm, mu)
+            if comp.n_new > nu:
+                raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
+            cert = check_almost_sure(build_product(p_enc, comp, pol))
+            if not cert.ok:
+                raise EncoderFault("decoded pair fails almost-sure verification")
+            outcome = Realizable(completion=comp, policy=pol, certificate=cert,
+                                 mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
+        out.append(((mu, nu), outcome))
+    return out
 
 
 def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
                constraints=None, budget=None, solver=None, sym_break=True):
     """Decide realizability of (p, mu, nu) and return a checked outcome.
 
-    k defaults to the completeness bound of prepare(); a smaller k is allowed
-    and can only downgrade Unrealizable to Unknown.  solver is None for the
-    embedded one or an external command template with an {input} placeholder.
+    The one-cell case of solve_grid.  k defaults to the completeness bound of
+    prepare(); a smaller k is allowed and can only downgrade Unrealizable to
+    Unknown.  solver is None for the embedded one or an external command
+    template with an {input} placeholder.
     """
-    prep = prepare(p, mu, nu, k, deterministic, strict, constraints)
-    p_enc, sc_enc, bound, k_used = prep.model, prep.constraints, prep.bound, prep.k
-    if prep.refuted or p_enc.n_obs + nu == 0:
-        # no formula needed: the MDP already loses, or an empty completed
-        # alphabet admits no observation distribution at all
-        return Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats())
-
-    cnf, vm = encode(p_enc, mu, nu, k_used, sc_enc, sym_break=sym_break,
-                     prepass=prep.prepass)
-    t0 = time.perf_counter()
-    if solver in (None, "", "embedded"):
-        res = sat.solve(cnf, budget=budget)
-        counters = dict(conflicts=res.conflicts, decisions=res.decisions,
-                        propagations=res.propagations)
-    else:
-        limit = budget.max_seconds if budget is not None else None
-        res = sat.solve_external(cnf, solver, time_limit=limit)
-        counters = {}
-    elapsed = int(round((time.perf_counter() - t0) * 1000))
-    stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed, **counters)
-
-    if res.status == sat.BUDGET:
-        return Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
-    if res.status == sat.UNSAT:
-        if k_used >= bound:
-            return Unrealizable(k=k_used, mu=mu, nu=nu, stats=stats)
-        return Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
-                       mu=mu, nu=nu, k=k_used, stats=stats)
-
-    comp = decode_completion(res.assignment, vm, p_enc, strict=sc_enc.strict)
-    pol = decode_policy(res.assignment, vm)
-    if comp.n_new > nu:
-        raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
-    cert = check_almost_sure(build_product(p_enc, comp, pol))
-    if not cert.ok:
-        raise EncoderFault("decoded pair fails almost-sure verification")
-    return Realizable(completion=comp, policy=pol, certificate=cert,
-                      mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
+    ((_, out),) = solve_grid(p, [mu], [nu], k, deterministic, strict, constraints,
+                             budget, solver, sym_break)
+    if isinstance(out, sat.ExternalSolverError):
+        raise out
+    return out
 
 
 # (mu, nu) frontiers
@@ -251,19 +323,19 @@ class FrontierRow:
 
 
 def sweep(p, mu_range, nu_range, **opts):
-    """One synthesize call per (mu, nu), ascending.
+    """Verdicts of every (mu, nu), ascending, from one solve_grid call: one
+    formula and, with the embedded solver, one solver for the whole sweep.
 
-    A failing external solver makes its cell an Unknown row and the sweep
-    continues; every other exception, such as an EncoderFault or the
-    solver's non-model AssertionError, is a fault and propagates."""
+    Every row's vars and clauses are those of the shared formula; time_ms,
+    the solver counters and the budget are the cell's own.  A failing
+    external solver makes its cell an Unknown row and the sweep continues;
+    every other exception, such as an EncoderFault or the solver's
+    non-model AssertionError, is a fault and propagates."""
     rows = []
-    for mu in sorted(set(mu_range)):
-        for nu in sorted(set(nu_range)):
-            try:
-                out = synthesize(p, mu, nu, **opts)
-            except sat.ExternalSolverError:
-                rows.append(FrontierRow(mu, nu, "Unknown", SynthStats()))
-                continue
+    for (mu, nu), out in solve_grid(p, mu_range, nu_range, **opts):
+        if isinstance(out, sat.ExternalSolverError):
+            rows.append(FrontierRow(mu, nu, "Unknown", SynthStats()))
+        else:
             rows.append(FrontierRow(mu, nu, out.verdict, out.stats))
     return rows
 

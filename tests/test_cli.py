@@ -2,7 +2,7 @@
 
 import pytest
 
-from sensynth import cli, synth
+from sensynth import cli, sat
 from sensynth.bench import (GridSpec, gen_det_hallway, gen_fig1, gen_hallway,
                             gen_rocksample)
 from sensynth.model import parse_pomdp, print_pomdp
@@ -129,6 +129,21 @@ class TestUsageErrors:
     def test_garbage_range(self, fig1_file):
         assert cli.main(["sweep", fig1_file, "--mu-range", "x..y"]) == 4
 
+    @pytest.mark.parametrize("flag, value", [("--mu-range", "0..1"), ("--nu-range", "-1..0")])
+    def test_sweep_range_below_minimum(self, fig1_file, capsys, flag, value):
+        assert cli.main(["sweep", fig1_file, f"{flag}={value}"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {flag}") and len(err.splitlines()) == 1
+
+    def test_sweep_k_bounded_by_top_of_mu_range(self, fig1_file, capsys):
+        # fig1 has 5 states: --k up to 5 * 3 with --mu-range 2..3
+        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1",
+                         "--k", "8"]) == 0
+        assert capsys.readouterr().out.startswith("mu,nu,verdict,")
+        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1",
+                         "--k", "16"]) == 4
+        assert "--k must be in 1..15" in capsys.readouterr().err
+
     def test_hallway_needs_layout(self):
         assert cli.main(["gen", "hallway"]) == 4
 
@@ -199,8 +214,8 @@ class TestSweepCommand:
     def test_fault_exits_3(self, fig1_file, monkeypatch, capsys, fault):
         def raise_fault(*args, **kwargs):
             raise fault
-        monkeypatch.setattr(synth, "synthesize", raise_fault)
-        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3"]) == 3
+        monkeypatch.setattr(sat, "evaluate", raise_fault)
+        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"internal error: {type(fault).__name__}")

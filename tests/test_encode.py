@@ -11,8 +11,8 @@ from sensynth import sat
 from sensynth.encode import (Cnf, SideConstraints, VarMap, encode,
                              encode_action_selection, encode_memory_update,
                              encode_observation_fn, encode_path_predicate,
-                             encode_reach_closure, encode_side_constraints,
-                             exactly_one, mdp_prepass, parse_constraints,
+                             encode_reach_closure, encode_selectors,
+                             encode_side_constraints, exactly_one, mdp_prepass, parse_constraints,
                              sensor_model)
 from sensynth.model import BOT, PartialObsFn, Pomdp, parse_pomdp
 from test_acceptance import SPLIT
@@ -581,3 +581,46 @@ class TestEncodeWhole:
             a = sat.solve(encode(p, mu, nu, k, sym_break=True)[0]).status
             b = sat.solve(encode(p, mu, nu, k, sym_break=False)[0]).status
             assert a == b
+
+
+class TestSelectorFamily:
+    def test_one_cell_formula_unchanged(self, fig1):
+        plain, _ = encode(fig1, 3, 1, 9)
+        same, vm = encode(fig1, 3, 1, 9, mu_lo=3, nu_lo=1)
+        assert same.literal_array() == plain.literal_array()
+        assert vm.mem_sel == {} and vm.fresh_sel == {} and vm.assumptions(3, 1) == []
+
+    def test_layout_and_assumptions(self, fig1):
+        plain, _ = encode(fig1, 3, 2, 9)
+        cnf, vm = encode(fig1, 3, 2, 9, mu_lo=1, nu_lo=0)
+        e1, e2 = vm.mem_sel[1], vm.mem_sel[2]
+        f0, f1 = vm.fresh_sel[fig1.n_obs], vm.fresh_sel[fig1.n_obs + 1]
+        assert cnf.nvars == plain.nvars + 4
+        # one clause per (m, z, a) into each switchable element, one per state
+        # for each switchable symbol
+        per_m2 = vm.mu * vm.nzp * vm.na
+        assert len(cnf) == len(plain) + 2 * per_m2 + 2 * vm.ns
+        assert vm.assumptions(2, 1) == [e1, -e2, f0, -f1]
+        assert vm.assumptions(1, 0) == [-e1, -e2, -f0, -f1]
+        assert vm.assumptions(3, 2) == [e1, e2, f0, f1]
+
+    def test_each_cell_equisatisfiable_with_its_own_formula(self):
+        rng = random.Random(19)
+        for _ in range(8):
+            p = random_pomdp(rng)
+            k = 3 * p.n_states
+            for sc in (SideConstraints(), SideConstraints(deterministic=True)):
+                grid, vm = encode(p, 3, 2, k, sc=sc, mu_lo=1, nu_lo=0)
+                solver = sat.Solver(grid)
+                for mu in (1, 2, 3):
+                    for nu in (0, 1, 2):
+                        if p.n_obs + nu == 0:
+                            continue
+                        got = sat.solve(grid, assumptions=vm.assumptions(mu, nu),
+                                        solver=solver).status
+                        want = sat.solve(encode(p, mu, nu, k, sc=sc)[0]).status
+                        assert got == want, (p, sc, mu, nu)
+
+    def test_element_zero_stays_on(self, fig1):
+        with pytest.raises(ValueError):
+            encode_selectors(VarMap(fig1, 2, 1, 3), 0, 1)

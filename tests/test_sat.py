@@ -212,6 +212,92 @@ class TestBudget:
         assert res.status == SAT
 
 
+class TestAssumptions:
+    """One Solver answering repeated solve(assumptions=...) calls."""
+
+    def test_random_cnfs_vs_enumeration(self):
+        rng = random.Random(31)
+        statuses = Counter()
+        for _ in range(60):
+            nvars = rng.randint(2, 9)
+            clauses = []
+            for _ in range(rng.randint(1, 4 * nvars)):
+                lits = rng.sample(range(1, nvars + 1), rng.randint(1, min(4, nvars)))
+                clauses.append(tuple(l if rng.random() < 0.5 else -l for l in lits))
+            cnf = cnf_of(clauses, nvars)
+            solver = sat.Solver(cnf)
+            loaded = solver.ok  # load stops watching at a conflict among the units
+            for _ in range(8):
+                assumed = [v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, nvars + 1), rng.randint(0, nvars))]
+                res = solve(cnf, assumptions=assumed, solver=solver)
+                want = brute_sat(clauses + [(l,) for l in assumed], nvars)
+                assert (res.status == SAT) == want, (clauses, assumed)
+                if res.status == SAT:
+                    assert all(res.assignment[abs(l)] == (l > 0) for l in assumed)
+                statuses[res.status] += 1
+            if loaded:
+                assert_watch_invariant(solver, cnf)
+        assert statuses[SAT] > 50 and statuses[UNSAT] > 50
+
+    def test_assumption_conflict_is_not_permanent(self):
+        cnf = cnf_of([(1, 2), (-1, 3), (-2, 3)], 3)
+        solver = sat.Solver(cnf)
+        assert solver.solve(assumptions=[-3]).status == UNSAT
+        assert solver.solve(assumptions=[-1, -2]).status == UNSAT
+        assert solver.ok
+        res = solver.solve(assumptions=[-1])
+        assert res.status == SAT and res.assignment[2] and res.assignment[3]
+
+    def test_root_unsat_is_permanent(self):
+        cnf = encode_php(4, 3)
+        solver = sat.Solver(cnf)
+        assert solver.solve(assumptions=[1]).status == UNSAT
+        assert solver.solve().status == UNSAT
+        assert not solver.ok
+        for assumed in ([], [1], [-1, -2], [2, 5]):
+            res = solver.solve(assumptions=assumed)
+            assert res.status == UNSAT and res.conflicts == 0
+
+    def test_max_conflicts_counts_per_call(self):
+        solver = sat.Solver(encode_php(7, 6))
+        first = solver.solve(Budget(max_conflicts=5))
+        second = solver.solve(Budget(max_conflicts=5))
+        assert first.status == second.status == BUDGET
+        assert first.conflicts == second.conflicts == 5
+        assert solver.n_conflicts == 10
+
+    def test_counters_cover_one_call(self):
+        cnf = encode_php(5, 4)
+        solver = sat.Solver(cnf)
+        a = solver.solve(assumptions=[1])
+        b = solver.solve(assumptions=[2])
+        assert (a.conflicts + b.conflicts, a.decisions + b.decisions,
+                a.propagations + b.propagations) == \
+            (solver.n_conflicts, solver.n_decisions, solver.n_props)
+
+    def test_self_check_covers_assumptions(self):
+        cnf = cnf_of([(1, 2)], 2)
+
+        class Liar:
+            def solve(self, budget=None, assumptions=()):
+                return sat.SolveResult(status=SAT, assignment=[False, True, True])
+
+        assert solve(cnf, solver=Liar()).status == SAT
+        assert solve(cnf, assumptions=[2], solver=Liar()).status == SAT
+        with pytest.raises(AssertionError, match="non-model"):
+            solve(cnf, assumptions=[-2], solver=Liar())
+
+    def test_external_assumptions_as_units(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        cnf = cnf_of([(1, 2), (-1, 3)], 3)
+        write_dimacs(cnf, tmp_path / "f.cnf", units=(-3, 2))
+        assert (tmp_path / "f.cnf").read_text() == "p cnf 3 4\n1 2 0\n-1 3 0\n-3 0\n2 0\n"
+        res = solve_external(cnf, FRONT_END, assumptions=[-3])
+        assert res.status == SAT and not res.assignment[3] and res.assignment[2]
+        assert solve_external(cnf, FRONT_END, assumptions=[-3, -2]).status == UNSAT
+
+
 class TestDimacs:
     def test_exact_format(self, tmp_path):
         write_dimacs(cnf_of([(1, -2)], 2), tmp_path / "f.cnf")

@@ -11,7 +11,7 @@ import pytest
 from conftest import external_solver, random_pomdp
 from sensynth import sat, synth
 from sensynth.bench import gen_rocksample
-from sensynth.encode import VarMap, encode, mdp_prepass, parse_constraints
+from sensynth.encode import SideConstraints, VarMap, encode, mdp_prepass, parse_constraints
 from sensynth.model import ModelSemanticError, parse_pomdp
 from sensynth.sat import Budget, ExternalSolverError
 from sensynth.synth import (EncoderFault, ResultParseError, decode_completion,
@@ -304,15 +304,15 @@ class TestSweep:
     def test_faults_propagate(self, fig1, monkeypatch):
         def fault(*args, **kwargs):
             raise EncoderFault("decoded pair fails almost-sure verification")
-        monkeypatch.setattr(synth, "synthesize", fault)
+        monkeypatch.setattr(synth, "check_almost_sure", fault)
         with pytest.raises(EncoderFault):
             sweep(fig1, range(2, 4), range(1, 3))
 
     def test_external_solver_failure_is_unknown(self, fig1, monkeypatch):
         def broken(*args, **kwargs):
             raise ExternalSolverError("solver exited with status 139")
-        monkeypatch.setattr(synth, "synthesize", broken)
-        rows = sweep(fig1, range(2, 4), [1])
+        monkeypatch.setattr(sat, "solve_external", broken)
+        rows = sweep(fig1, range(2, 4), [1], solver="external-solver {input}")
         assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
 
     def test_monotone_rows(self):
@@ -324,6 +324,76 @@ class TestSweep:
             cells = {(r.mu, r.nu): order[r.verdict] for r in rows}
             assert cells[1, 0] <= cells[2, 0] and cells[1, 1] <= cells[2, 1]
             assert cells[1, 0] <= cells[1, 1] and cells[2, 0] <= cells[2, 1]
+
+
+class TestGrid:
+    """sweep answers every cell from one formula and one solver; its verdicts
+    must be those of one synthesize call per cell."""
+
+    @staticmethod
+    def per_cell(p, mus, nus, **opts):
+        return {(mu, nu): synthesize(p, mu, nu, **opts).verdict for mu in mus for nu in nus}
+
+    @pytest.mark.parametrize("mode", [{}, {"deterministic": True}, {"strict": True}],
+                             ids=["default", "deterministic", "strict"])
+    def test_random_models_match_per_cell(self, mode):
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(10):
+            p = random_pomdp(rng, max_states=5)
+            rows = sweep(p, range(1, 4), range(0, 3), **mode)
+            got = {(r.mu, r.nu): r.verdict for r in rows}
+            assert got == self.per_cell(p, range(1, 4), range(0, 3), **mode), p
+            seen |= set(got.values())
+        assert seen == {"Realizable", "Unrealizable"}
+
+    def test_diff_constraints_match_per_cell(self):
+        # diff needs every symbol of the cell's alphabet at exactly one of the
+        # two states, so a fresh symbol's selector must be on, not left free
+        rng = random.Random(3)
+        for _ in range(12):
+            p = random_pomdp(rng, max_states=5)
+            a, b = rng.sample(range(p.n_states), 2)
+            sc = SideConstraints(diff=((a, b),))
+            got = {(r.mu, r.nu): r.verdict
+                   for r in sweep(p, range(1, 3), range(0, 3), constraints=sc)}
+            assert got == self.per_cell(p, range(1, 3), range(0, 3), constraints=sc), p
+
+    def test_shared_formula(self, fig1):
+        rows = [r for r in sweep(fig1, range(1, 4), range(0, 3)) if r.stats.vars]
+        assert len(rows) == 6  # nu = 0 leaves fig1 no alphabet: no formula
+        assert len({(r.stats.vars, r.stats.clauses) for r in rows}) == 1
+        assert all(r.stats.conflicts is not None for r in rows)
+
+    def test_sensor_mode(self):
+        p = parse_pomdp(TestSensorMode.SENSE)
+        sc = parse_constraints("sensor C lo hi", p)
+        rows = sweep(p, range(1, 4), [0], constraints=sc)
+        got = {(r.mu, r.nu): r.verdict for r in rows}
+        assert got == self.per_cell(p, range(1, 4), [0], constraints=sc)
+        assert got[3, 0] == "Realizable"
+        with pytest.raises(ModelSemanticError):
+            sweep(p, range(1, 4), range(0, 2), constraints=sc)
+
+    def test_front_end_solver_agrees(self, fig1, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", str(Path(sat.__file__).resolve().parent.parent))
+        external = sweep(fig1, range(2, 4), range(1, 3),
+                         solver=f"{sys.executable} -m sensynth.sat {{input}}")
+        embedded = sweep(fig1, range(2, 4), range(1, 3))
+        assert [(r.mu, r.nu, r.verdict) for r in external] == \
+            [(r.mu, r.nu, r.verdict) for r in embedded]
+        assert all(r.stats.conflicts is None for r in external)
+
+    def test_budget_per_cell(self, fig1):
+        free = sweep(fig1, range(1, 4), range(1, 3))
+        most = max(r.stats.conflicts for r in free)
+        assert sum(r.stats.conflicts for r in free) > most + 1
+        budgeted = sweep(fig1, range(1, 4), range(1, 3),
+                         budget=Budget(max_conflicts=most + 1))
+        assert [r.verdict for r in budgeted] == [r.verdict for r in free]
+        tight = sweep(fig1, range(1, 4), range(1, 3), budget=Budget(max_conflicts=1))
+        assert "Unknown" in {r.verdict for r in tight}
+        assert all(r.stats.conflicts <= 1 for r in tight)
 
 
 class TestSensorMode:
