@@ -118,91 +118,58 @@ def _finish(states, actions, observations, initial, targets, delta):
     return p
 
 
-def _grid_nsew(spec, wall_fatal, observations):
-    """Compass-move grid.  Walking into a wall or off the grid is fatal when
-    wall_fatal is set, otherwise a no-op; traps are always fatal."""
+def _grid(spec, observations, wall_fatal=False):
+    """Grid over (cell, heading) states, heading None unless spec.oriented.
+
+    Compass grids move in the action's direction.  Oriented grids move
+    forward along the heading or turn in place, and start with spec.heading.
+    Walking into a trap is fatal; into a wall or off the grid it is fatal
+    when wall_fatal is set, otherwise a no-op.  Any action fails silently
+    with probability p_fail.  Several starts get an "init" state that enters
+    one of them uniformly.
+    """
+    if spec.oriented:
+        heads, h0, actions = tuple(_DIRS), spec.heading, ("forward", "turn-left", "turn-right")
+
+        def step(h, a):  # (direction to move or None, heading afterwards)
+            if a == "forward":
+                return h, h
+            return None, (_LEFT if a == "turn-left" else _RIGHT)[h]
+    else:
+        heads, h0, actions = (None,), None, tuple(_DIRS)
+
+        def step(h, a):
+            return a, None
     cells = sorted((x, y) for x in range(spec.width) for y in range(spec.height)
                    if spec.free((x, y)))
-    multi = len(spec.starts) > 1
-    states = (["init"] if multi else []) + [f"c{x}_{y}" for x, y in cells] + ["lose"]
-    sidx = {c: states.index(f"c{c[0]}_{c[1]}") for c in cells}
-    lose = states.index("lose")
-    actions = ("N", "E", "S", "W")
-    delta = []
-    share = Fraction(1, len(spec.starts))
-    for name in states:
-        if name == "init":
-            row = _merge((sidx[c], share) for c in spec.starts)
-            delta.append(tuple(row for _ in actions))
-        elif name == "lose":
-            delta.append(tuple(((lose, Fraction(1)),) for _ in actions))
-        else:
-            delta.append(None)
-    for c in cells:
-        x, y = c
-        rows = []
-        for a in actions:
-            dx, dy = _DIRS[a]
-            dest = (x + dx, y + dy)
-            if dest in spec.traps:
-                tgt = lose
-            elif not spec.free(dest):
-                tgt = lose if wall_fatal else sidx[c]
-            else:
-                tgt = sidx[dest]
-            move = [(tgt, Fraction(1) - spec.p_fail)]
-            if spec.p_fail:
-                move.append((sidx[c], spec.p_fail))
-            rows.append(_merge(move))
-        delta[sidx[c]] = tuple(rows)
-    initial = 0 if multi else sidx[spec.starts[0]]
-    targets = [sidx[g] for g in spec.goals]
-    return _finish(states, actions, observations, initial, targets, delta)
-
-
-def _grid_oriented(spec, observations):
-    """Heading-carrying grid: forward moves along the heading (wall bumps are
-    no-ops, traps fatal), turns rotate in place; any action fails silently
-    with probability p_fail."""
-    cells = sorted((x, y) for x in range(spec.width) for y in range(spec.height)
-                   if spec.free((x, y)))
-    heads = ("N", "E", "S", "W")
+    keys = [(c, h) for c in cells for h in heads]
     multi = len(spec.starts) > 1
     states = (["init"] if multi else []) \
-        + [f"c{x}_{y}_{h}" for x, y in cells for h in heads] + ["lose"]
-    sidx = {(c, h): states.index(f"c{c[0]}_{c[1]}_{h}") for c in cells for h in heads}
-    lose = states.index("lose")
-    actions = ("forward", "turn-left", "turn-right")
+        + [f"c{x}_{y}" + (f"_{h}" if h else "") for (x, y), h in keys] + ["lose"]
+    sidx = {key: i for i, key in enumerate(keys, int(multi))}
+    lose = len(states) - 1
     delta = [None] * len(states)
-    share = Fraction(1, len(spec.starts))
     if multi:
-        row = _merge((sidx[(c, spec.heading)], share) for c in spec.starts)
+        share = Fraction(1, len(spec.starts))
+        row = _merge((sidx[(c, h0)], share) for c in spec.starts)
         delta[0] = tuple(row for _ in actions)
     delta[lose] = tuple(((lose, Fraction(1)),) for _ in actions)
-    for c in cells:
-        x, y = c
-        for h in heads:
-            me = sidx[(c, h)]
-            rows = []
-            for a in actions:
-                if a == "forward":
-                    dx, dy = _DIRS[h]
-                    dest = (x + dx, y + dy)
-                    if dest in spec.traps:
-                        tgt = lose
-                    elif not spec.free(dest):
-                        tgt = me
-                    else:
-                        tgt = sidx[(dest, h)]
-                else:
-                    turn = _LEFT if a == "turn-left" else _RIGHT
-                    tgt = sidx[(c, turn[h])]
-                move = [(tgt, Fraction(1) - spec.p_fail)]
-                if spec.p_fail:
-                    move.append((me, spec.p_fail))
-                rows.append(_merge(move))
-            delta[me] = tuple(rows)
-    initial = 0 if multi else sidx[(spec.starts[0], spec.heading)]
+    for (x, y), h in keys:
+        me = sidx[((x, y), h)]
+        rows = []
+        for a in actions:
+            d, h2 = step(h, a)
+            dest = (x, y) if d is None else (x + _DIRS[d][0], y + _DIRS[d][1])
+            if dest in spec.traps or (wall_fatal and not spec.free(dest)):
+                tgt = lose
+            else:
+                tgt = sidx[(dest if spec.free(dest) else (x, y), h2)]
+            move = [(tgt, Fraction(1) - spec.p_fail)]
+            if spec.p_fail:
+                move.append((me, spec.p_fail))
+            rows.append(_merge(move))
+        delta[me] = tuple(rows)
+    initial = 0 if multi else sidx[(spec.starts[0], h0)]
     targets = sorted(sidx[(g, h)] for g in spec.goals for h in heads)
     return _finish(states, actions, observations, initial, targets, delta)
 
@@ -243,7 +210,7 @@ def gen_det_hallway():
     hitting a wall is fatal; no observation is defined anywhere.  13 states
     (10 cells + uniform-start initial + lose + goal sink)."""
     spec = GridSpec.from_ascii(_DET_HALLWAY)
-    return _grid_nsew(spec, wall_fatal=True, observations=())
+    return _grid(spec, (), wall_fatal=True)
 
 
 def gen_hallway(spec):
@@ -254,10 +221,7 @@ def gen_hallway(spec):
     half-defined observation z0 (every state emits z0 or undefined, 1/2
     each) keeps nu=0 instances meaningful.
     """
-    observations = ("z0",)
-    if spec.oriented:
-        return _grid_oriented(spec, observations)
-    return _grid_nsew(spec, wall_fatal=False, observations=observations)
+    return _grid(spec, ("z0",))
 
 
 def gen_escape(n):

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bench
-from .encode import encode, parse_constraints
+from .encode import parse_constraints
 from .model import ModelError, parse_pomdp, print_pomdp
 from .sat import Budget, ExternalSolverError, write_dimacs
 from .synth import (EncoderFault, ResultParseError, format_frontier_csv,
@@ -119,7 +119,7 @@ def cmd_synth(ns):
     p, sc = _load_model(ns)
     out = synthesize(p, ns.mu, ns.nu, k=ns.k, deterministic=ns.deterministic,
                      strict=ns.strict, constraints=sc, budget=budget(ns),
-                     solver=ns.solver, sym_break=ns.sym_break)
+                     solver=ns.solver)
     doc = format_result(out)
     if ns.result:
         _write(ns.result, doc)
@@ -168,8 +168,7 @@ def cmd_sweep(ns):
     nu_range = _parse_range(ns.nu_range, "--nu-range", 0) if ns.nu_range else [ns.nu]
     p, sc = _load_model(ns, max(mu_range))
     rows = sweep(p, mu_range, nu_range, k=ns.k, deterministic=ns.deterministic,
-                 strict=ns.strict, constraints=sc, budget=budget(ns),
-                 solver=ns.solver, sym_break=ns.sym_break)
+                 strict=ns.strict, constraints=sc, budget=budget(ns), solver=ns.solver)
     csv = format_frontier_csv(rows)
     if ns.out:
         _write(ns.out, csv)
@@ -217,13 +216,12 @@ def cmd_export_dimacs(ns):
     p, sc = _load_model(ns)
     prep = prepare(p, ns.mu, ns.nu, k=ns.k, deterministic=ns.deterministic,
                    strict=ns.strict, constraints=sc)
-    if prep.refuted:
+    if not prep.needs_formula(ns.nu):
         if not ns.quiet:
-            print("no formula: the initial state is outside the MDP's almost-sure "
-                  "winning region, so the instance is Unrealizable")
+            print("no formula: the initial state is outside the MDP's almost-sure winning "
+                  "region or the completed alphabet is empty, so the instance is Unrealizable")
         return EXIT_UNREALIZABLE
-    cnf, vm = encode(prep.model, ns.mu, ns.nu, prep.k, sc=prep.constraints,
-                     sym_break=ns.sym_break, prepass=prep.prepass)
+    cnf, vm = prep.encode(ns.mu, ns.nu)
     out = ns.out or os.path.splitext(os.path.basename(ns.input))[0] + ".cnf"
     write_dimacs(cnf, out)
     with open(out + ".map", "w", encoding="utf-8") as fh:
@@ -252,8 +250,6 @@ def _add_common(sp, model_arg=True):
                          "(default: SENSYNTH_SOLVER or embedded)")
     sp.add_argument("--max-conflicts", type=int, default=None)
     sp.add_argument("--max-seconds", type=float, default=None)
-    sp.add_argument("--no-symmetry", action="store_false", dest="sym_break",
-                    help="disable memory symmetry breaking")
     sp.add_argument("--quiet", action="store_true", help="suppress the report")
 
 

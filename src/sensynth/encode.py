@@ -610,10 +610,11 @@ def encode_selectors(vm, mu_lo, nu_lo, out=None):
 
     One auxiliary E(m) per memory element m in [mu_lo, vm.mu), with
     M(m',z,a,m) -> E(m) for every update into m, and one F(t) per fresh
-    symbol t in [nu_lo, vm.nu), with O(s,@t) -> F(t) for every state s.  The cell (mu, nu) assumes every E(m) with m >= mu
-    and every F(t) with t >= nu false and the other selectors true
-    (VarMap.assumptions); the formula under those assumptions is satisfiable
-    iff the formula encoded at (mu, nu) is:
+    symbol t in [nu_lo, vm.nu), with O(s,@t) -> F(t) for every state s.  The
+    cell (mu, nu) assumes every E(m) with m >= mu and every F(t) with t >= nu
+    false and the other selectors true (VarMap.assumptions); the formula
+    under those assumptions is satisfiable iff the formula encoded at
+    (mu, nu) is:
 
     - An element that no update enters is never reached from m0, so its A, M,
       C and P variables constrain nothing that matters; a fresh symbol no
@@ -623,12 +624,9 @@ def encode_selectors(vm, mu_lo, nu_lo, out=None):
       memory row copies the last switched-on row, which keeps the
       lexicographic chain, and value precedence on fresh symbols only
       restricts the use of higher indices, which are unused.
-    - diff wants every symbol of Z' at exactly one state of its pair; for a
-      switched-off symbol encode_side_constraints relaxes that with F(t),
-      which is why a switched-on F(t) is assumed true, not left free.
 
-    Call it before encode_side_constraints.  mu_lo >= 1, since m0 is always
-    on; an empty range adds nothing, so a one-cell formula is unchanged.
+    mu_lo >= 1, since m0 is always on; an empty range adds nothing, so a
+    one-cell formula is unchanged.
     """
     if mu_lo < 1:
         raise ValueError(f"memory element m0 cannot be switched off (mu_lo={mu_lo})")
@@ -671,8 +669,6 @@ def encode_side_constraints(sc, vm, out=None):
         if i == j:
             raise ModelSemanticError(vm.state_names[i], "diff pair needs two distinct states")
         for z in range(nzp):
-            off = (-vm.fresh_sel[z],) if z in vm.fresh_sel else ()
-            out.add((vm.var_o(i, z), vm.var_o(j, z)) + off)
             out.add((-vm.var_o(i, z), -vm.var_o(j, z)))
     for i, z, z2 in sc.implies:
         check_state(i)

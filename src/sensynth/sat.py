@@ -60,11 +60,10 @@ class Budget:
 class SolveResult:
     status: str
     assignment: list = None  # index 0 unused; total over 1..nvars when sat
-    conflicts: int = None  # the counters cover one solve() call, load included in the first
-    decisions: int = 0
-    propagations: int = 0
-    restarts: int = 0
-    time_ms: int = 0
+    conflicts: int = None  # the counters cover one Solver.solve() call, load included
+    decisions: int = None  # in the first; None when an external solver answered
+    propagations: int = None
+    restarts: int = None
 
 
 def evaluate(cnf, assignment):
@@ -452,8 +451,7 @@ class Solver:
             c, d, p, r = (x - y for x, y in zip(now, self.reported))
             self.reported = now
             return SolveResult(status=status, assignment=assignment, conflicts=c,
-                               decisions=d, propagations=p, restarts=r,
-                               time_ms=int((time.monotonic() - t0) * 1000))
+                               decisions=d, propagations=p, restarts=r)
 
         if not self.ok:
             return result(UNSAT)
@@ -631,7 +629,6 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
     """
     if "{input}" not in command:
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
-    t0 = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="sensynth-cnf-") as td:
         path = Path(td) / "problem.cnf"
         write_dimacs(cnf, path, units=assumptions)
@@ -647,7 +644,7 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
         except FileNotFoundError as e:
             raise ExternalSolverError(f"external solver not found: {argv[0]}") from e
         except subprocess.TimeoutExpired:
-            return SolveResult(status=BUDGET, time_ms=int((time.monotonic() - t0) * 1000))
+            return SolveResult(status=BUDGET)
         out = proc.stdout + "\n" + proc.stderr
         try:
             res = parse_external_result(out, nvars=cnf.nvars)
@@ -658,7 +655,6 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
                 res = SolveResult(status=UNSAT)
             else:
                 raise
-    res.time_ms = int((time.monotonic() - t0) * 1000)
     if res.status == SAT:
         if len(res.assignment) < cnf.nvars + 1:
             res.assignment.extend([False] * (cnf.nvars + 1 - len(res.assignment)))

@@ -172,11 +172,18 @@ class Prepared:
     bound: int  # completeness bound mu * max(1, |win - {goal}|)
     k: int  # the path bound to encode: the given k, else the bound
 
-    @property
-    def refuted(self):
-        """True when the fully observable MDP cannot win from the initial
-        state, so no policy under any completion can."""
-        return self.model.initial not in self.prepass[0]
+    def needs_formula(self, nu):
+        """False when every cell (mu, nu) is Unrealizable without a formula:
+        the fully observable MDP cannot win from the initial state, so no
+        policy under any completion can, or the completed alphabet is empty
+        and admits no observation distribution at all."""
+        return self.model.initial in self.prepass[0] and self.model.n_obs + nu > 0
+
+    def encode(self, mu, nu, mu_lo=None, nu_lo=None):
+        """The formula at (mu, nu) with path bound k, plus selectors for every
+        cell from (mu_lo, nu_lo) up (encode.encode); returns (Cnf, VarMap)."""
+        return encode(self.model, mu, nu, self.k, self.constraints, prepass=self.prepass,
+                      mu_lo=mu_lo, nu_lo=nu_lo)
 
 
 def _completeness_bound(win, goal, mu):
@@ -205,19 +212,20 @@ def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=No
 
 
 def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
-               constraints=None, budget=None, solver=None, sym_break=True):
-    """Decide every cell (mu, nu) of mus x nus; returns [((mu, nu), outcome)]
-    in ascending order.
+               constraints=None, budget=None, solver=None):
+    """Decide every cell (mu, nu) of mus x nus; returns (outcomes, error):
+    the outcomes in ascending (mu, nu) order and the first ExternalSolverError
+    raised, or None.
 
     One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
-    pre-pass depends on neither mu nor nu.  If it refutes the model every cell
-    is Unrealizable, and so is every cell with an empty completed alphabet;
-    neither needs a formula.  Otherwise one formula is encoded at
-    (mu_hi, nu_hi) with path bound k (default the completeness bound of
-    mu_hi), plus selectors for the memory elements and fresh symbols that
-    some cell switches off (encode.encode_selectors, whose docstring has the
-    soundness argument).  A one-cell grid has no selectors, so its formula is
-    exactly the (mu, nu) formula.
+    pre-pass depends on neither mu nor nu.  A cell whose nu fails
+    Prepared.needs_formula is Unrealizable without a formula.  The other
+    cells share one formula, encoded at (mu_hi, nu_hi) with path bound k
+    (default the completeness bound of mu_hi), plus selectors for the memory
+    elements and fresh symbols that some cell switches off
+    (encode.encode_selectors, whose docstring has the soundness argument).
+    A one-cell grid has no selectors, so its formula is exactly the (mu, nu)
+    formula.
 
     Each cell is one solve under the assumptions VarMap.assumptions(mu, nu):
     with the embedded solver, one Solver answers them all and what it learns
@@ -227,34 +235,31 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     cell's completeness bound, and Unknown otherwise.  A model is decoded
     with the cell's mu and checked by the product-graph analysis.
 
-    A failing external solver makes its cell's outcome the
-    ExternalSolverError; every other exception propagates.
+    A failing external solver makes its cell Unknown, with the error as the
+    reason; every other exception propagates.
     """
     mus, nus = sorted(set(mus)), sorted(set(nus))
     if not mus or not nus:
-        return []
+        return [], None
     if mus[0] < 1 or nus[0] < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
     prep = prepare(p, mus[-1], nus[-1], k, deterministic, strict, constraints)
-    p_enc, sc_enc, k_used = prep.model, prep.constraints, prep.k
+    p_enc, k_used = prep.model, prep.k
     cells = [(mu, nu) for mu in mus for nu in nus]
     bounds = {mu: _completeness_bound(prep.prepass[0], p_enc.goal, mu) for mu in mus}
-    # no formula for a refuted MDP, nor for an empty completed alphabet,
-    # which admits no observation distribution at all
-    live = [] if prep.refuted else [nu for nu in nus if p_enc.n_obs + nu > 0]
+    live = [nu for nu in nus if prep.needs_formula(nu)]
     if not live:
-        return [((mu, nu), Unrealizable(k=bounds[mu], mu=mu, nu=nu, stats=SynthStats()))
-                for mu, nu in cells]
+        return [Unrealizable(k=bounds[mu], mu=mu, nu=nu, stats=SynthStats())
+                for mu, nu in cells], None
 
-    cnf, vm = encode(p_enc, mus[-1], nus[-1], k_used, sc_enc, sym_break=sym_break,
-                     prepass=prep.prepass, mu_lo=mus[0], nu_lo=live[0])
+    cnf, vm = prep.encode(mus[-1], nus[-1], mu_lo=mus[0], nu_lo=live[0])
     embedded = solver in (None, "", "embedded")
     engine = sat.Solver(cnf) if embedded else None
-    out = []
+    out, error = [], None
     for mu, nu in cells:
         bound = bounds[mu]
         if nu not in live:
-            out.append(((mu, nu), Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats())))
+            out.append(Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats()))
             continue
         assumptions = vm.assumptions(mu, nu)
         t0 = time.perf_counter()
@@ -262,18 +267,19 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
             res = sat.solve(cnf, budget, assumptions, solver=engine)
             if (mu, nu) == cells[-1]:
                 engine = None  # free the solver before the last decode and verify
-            counters = dict(conflicts=res.conflicts, decisions=res.decisions,
-                            propagations=res.propagations)
         else:
             limit = budget.max_seconds if budget is not None else None
             try:
                 res = sat.solve_external(cnf, solver, time_limit=limit, assumptions=assumptions)
             except sat.ExternalSolverError as e:
-                out.append(((mu, nu), e))
+                error = error or e
+                out.append(Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
+                                   k=k_used, stats=SynthStats()))
                 continue
-            counters = {}
         elapsed = int(round((time.perf_counter() - t0) * 1000))
-        stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed, **counters)
+        stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed,
+                           conflicts=res.conflicts, decisions=res.decisions,
+                           propagations=res.propagations)
 
         if res.status == sat.BUDGET:
             outcome = Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
@@ -283,7 +289,7 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
             outcome = Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
                               mu=mu, nu=nu, k=k_used, stats=stats)
         else:
-            comp = decode_completion(res.assignment, vm, p_enc, strict=sc_enc.strict)
+            comp = decode_completion(res.assignment, vm, p_enc, strict=prep.constraints.strict)
             pol = decode_policy(res.assignment, vm, mu)
             if comp.n_new > nu:
                 raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
@@ -292,52 +298,39 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
                 raise EncoderFault("decoded pair fails almost-sure verification")
             outcome = Realizable(completion=comp, policy=pol, certificate=cert,
                                  mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
-        out.append(((mu, nu), outcome))
-    return out
+        out.append(outcome)
+    return out, error
 
 
 def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
-               constraints=None, budget=None, solver=None, sym_break=True):
+               constraints=None, budget=None, solver=None):
     """Decide realizability of (p, mu, nu) and return a checked outcome.
 
     The one-cell case of solve_grid.  k defaults to the completeness bound of
     prepare(); a smaller k is allowed and can only downgrade Unrealizable to
     Unknown.  solver is None for the embedded one or an external command
-    template with an {input} placeholder.
+    template with an {input} placeholder; a failing external solver raises
+    its ExternalSolverError.
     """
-    ((_, out),) = solve_grid(p, [mu], [nu], k, deterministic, strict, constraints,
-                             budget, solver, sym_break)
-    if isinstance(out, sat.ExternalSolverError):
-        raise out
+    (out,), error = solve_grid(p, [mu], [nu], k, deterministic, strict, constraints,
+                               budget, solver)
+    if error is not None:
+        raise error
     return out
 
 
 # (mu, nu) frontiers
 
-@dataclass(frozen=True)
-class FrontierRow:
-    mu: int
-    nu: int
-    verdict: str
-    stats: SynthStats
-
-
 def sweep(p, mu_range, nu_range, **opts):
-    """Verdicts of every (mu, nu), ascending, from one solve_grid call: one
+    """Outcomes of every (mu, nu), ascending, from one solve_grid call: one
     formula and, with the embedded solver, one solver for the whole sweep.
 
-    Every row's vars and clauses are those of the shared formula; time_ms,
-    the solver counters and the budget are the cell's own.  A failing
-    external solver makes its cell an Unknown row and the sweep continues;
-    every other exception, such as an EncoderFault or the solver's
-    non-model AssertionError, is a fault and propagates."""
-    rows = []
-    for (mu, nu), out in solve_grid(p, mu_range, nu_range, **opts):
-        if isinstance(out, sat.ExternalSolverError):
-            rows.append(FrontierRow(mu, nu, "Unknown", SynthStats()))
-        else:
-            rows.append(FrontierRow(mu, nu, out.verdict, out.stats))
-    return rows
+    Every outcome's vars and clauses are those of the shared formula;
+    time_ms, the solver counters and the budget are the cell's own.  A
+    failing external solver makes its cell Unknown, naming the error, and the
+    sweep continues; every other exception, such as an EncoderFault or the
+    solver's non-model AssertionError, is a fault and propagates."""
+    return solve_grid(p, mu_range, nu_range, **opts)[0]
 
 
 def format_frontier_csv(rows):

@@ -1,12 +1,13 @@
 """Benchmark generators: layouts, dynamics, sizes, determinism."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from sensynth.bench import (GridSpec, gen_det_hallway, gen_escape, gen_fig1,
                             gen_hallway, gen_rocksample)
-from sensynth.model import BOT, validate
+from sensynth.model import BOT, print_pomdp, validate
 from sensynth.synth import synthesize
 from sensynth.verify import brute_force_decide
 
@@ -133,6 +134,27 @@ class TestHallwayFamily:
         p = gen_hallway(spec)
         i = p.states.index
         assert p.delta[i("c1_0")][1] == ((i("lose"), F(1)),)  # E into trap
+
+
+class TestGoldenModels:
+    """SHA-256 of print_pomdp for the grid models the benchmark suite uses,
+    so a generator change cannot silently change the benchmark's models."""
+
+    @pytest.mark.parametrize("gen, digest", [
+        (gen_det_hallway,
+         "0ad2fbd8ae8e4d74679057183001586fdb1d43b009513f2aa3b93e7b91a3edb5"),
+        (lambda: gen_hallway(GridSpec.from_ascii("+.#g\n..#.\n#...\n....")),  # maze
+         "6ae65d7a57164ebb9872d0c49c34610e4e531c10affa3c82b14ab02ff3e357e5"),
+        (lambda: gen_hallway(GridSpec.from_ascii("+..x\n.#..\n...g", p_fail=F(1, 3))),  # trap
+         "e06b8de15149b23cf713e86a7aa8c68f5c94ef2856c9c0227728293e98dc2a09"),
+        (lambda: gen_hallway(GridSpec.from_ascii("+..\n...\n..g", p_fail=F(1, 2))),  # open3
+         "6087764dd80354d7a536ed6b610a2ef36319ccac039f34df452c7a58bd5c4496"),
+        (lambda: gen_hallway(GridSpec.from_ascii("+.g\nx.+\n+.#", p_fail=F(1, 3),
+                                                 oriented=True, heading="E")),
+         "9cd8a71c69336b08de8480b64991b68c9bce62b7e4b58ed1b90a200bb4edb730"),
+    ], ids=["det-hallway", "maze", "trap", "open3", "oriented-multi-start"])
+    def test_digest(self, gen, digest):
+        assert hashlib.sha256(print_pomdp(gen()).encode()).hexdigest() == digest
 
 
 class TestEscape:

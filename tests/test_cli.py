@@ -261,13 +261,13 @@ class TestGenCommand:
 class TestExportDimacs:
     def test_default_paths(self, fig1_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = cli.main(["export-dimacs", fig1_file, "--mu", "1", "--nu", "0",
+        code = cli.main(["export-dimacs", fig1_file, "--mu", "1", "--nu", "1",
                          "--k", "1"])
         assert code == 0
         cnf = (tmp_path / "fig1.cnf").read_text()
         assert cnf.startswith("p cnf ")
         mapping = (tmp_path / "fig1.cnf.map").read_text().splitlines()
-        assert len(mapping) == 18  # 3 A + 5 C + 10 P, no M or O blocks
+        assert len(mapping) == 26  # 3 A + 3 M + 5 O + 5 C + 10 P
         assert mapping[0] == "1 A(m0,move-left)"
         assert "-> fig1.cnf" in capsys.readouterr().out
 
@@ -315,3 +315,12 @@ class TestExportDimacs:
                          "--out", str(out)]) == 1
         assert "no formula" in capsys.readouterr().out
         assert not out.exists() and not (tmp_path / "phi.cnf.map").exists()
+
+    def test_empty_alphabet_writes_nothing(self, fig1_file, tmp_path, monkeypatch, capsys):
+        # fig1 declares no observations, so nu = 0 leaves no symbol to emit
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["synth", fig1_file, "--mu", "1", "--nu", "0"]) == 1
+        capsys.readouterr()
+        assert cli.main(["export-dimacs", fig1_file, "--mu", "1", "--nu", "0"]) == 1
+        assert "no formula" in capsys.readouterr().out
+        assert [f.name for f in tmp_path.iterdir()] == ["fig1.pomdp"]

@@ -185,7 +185,7 @@ def semantic_ok(p, vm, sc, choice):
         if any(O[j, z] != O[j2, z] for z in range(vm.nzp)):
             return False
     for j, j2 in sc.diff:
-        if any(O[j, z] == O[j2, z] for z in range(vm.nzp)):
+        if any(O[j, z] and O[j2, z] for z in range(vm.nzp)):
             return False
     for i, z, z2 in sc.implies:
         if O[i, z] and not O[i, z2]:
@@ -299,6 +299,12 @@ class TestTseitinProjection:
         p = parse_pomdp(text)
         sc = SideConstraints(same=((0, 1),), implies=((1, 1, 0),))
         choices_match_formula(p, 1, 0, 2, sc)
+
+    def test_diff_leaves_symbols_unused(self):
+        # three symbols for two states: some symbol is at neither, which diff allows
+        p = parse_pomdp("states: s0 g\nactions: a\nobservations: z0\ninitial: s0\n"
+                        "goal: g\ndelta s0 a -> g 1\ndelta g a -> g 1\n")
+        choices_match_formula(p, 1, 2, 2, SideConstraints(diff=((0, 1),)))
 
     def test_two_memory(self):
         choices_match_formula(chain_model(), 2, 0, 2, SideConstraints())
@@ -485,7 +491,7 @@ class TestSideConstraintFamily:
         p = parse_pomdp(PARTIAL)
         vm = VarMap(p, 1, 1, 1)
         out = encode_side_constraints(SideConstraints(diff=((0, 1),)), vm)
-        assert len(out) == 4
+        assert len(out) == 2  # -O(j,z) | -O(j',z) per z
 
     def test_implies_single_clause(self):
         p = parse_pomdp(PARTIAL)

@@ -314,6 +314,8 @@ class TestSweep:
         monkeypatch.setattr(sat, "solve_external", broken)
         rows = sweep(fig1, range(2, 4), [1], solver="external-solver {input}")
         assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
+        assert all(r.reason == "external solver failed: solver exited with status 139"
+                   for r in rows)
 
     def test_monotone_rows(self):
         rng = random.Random(23)
@@ -348,8 +350,8 @@ class TestGrid:
         assert seen == {"Realizable", "Unrealizable"}
 
     def test_diff_constraints_match_per_cell(self):
-        # diff needs every symbol of the cell's alphabet at exactly one of the
-        # two states, so a fresh symbol's selector must be on, not left free
+        # diff forbids a shared symbol; a switched-off fresh symbol is emitted
+        # by neither state, so it never conflicts
         rng = random.Random(3)
         for _ in range(12):
             p = random_pomdp(rng, max_states=5)
@@ -358,6 +360,17 @@ class TestGrid:
             got = {(r.mu, r.nu): r.verdict
                    for r in sweep(p, range(1, 3), range(0, 3), constraints=sc)}
             assert got == self.per_cell(p, range(1, 3), range(0, 3), constraints=sc), p
+
+    def test_diff_monotone_in_nu(self):
+        # the goal s1 has no symbol and must not share z0 or z1 with s0; a
+        # second fresh symbol must not turn the verdict back to Unrealizable
+        p = parse_pomdp("states: s0 s1\nactions: a0\nobservations: z0 z1\n"
+                        "initial: s0\ngoal: s1\ndelta s0 a0 -> s0 1/2, s1 1/2\n"
+                        "delta s1 a0 -> s1 1\nobs s0 -> z0 1/6, z1 5/6\n")
+        sc = parse_constraints("diff s1 s0", p)
+        want = ["Unrealizable", "Realizable", "Realizable"]
+        assert [synthesize(p, 2, nu, constraints=sc).verdict for nu in range(3)] == want
+        assert [r.verdict for r in sweep(p, [2], range(3), constraints=sc)] == want
 
     def test_shared_formula(self, fig1):
         rows = [r for r in sweep(fig1, range(1, 4), range(0, 3)) if r.stats.vars]
