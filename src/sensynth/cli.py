@@ -50,6 +50,9 @@ def check_k(ns, p, mu):
 
 
 def budget(ns):
+    for flag, value in (("--max-conflicts", ns.max_conflicts), ("--max-seconds", ns.max_seconds)):
+        if value is not None and not value >= 0:  # NaN fails too
+            raise UsageError(f"{flag} must be >= 0")
     if ns.max_conflicts is None and ns.max_seconds is None:
         return None
     return Budget(max_conflicts=ns.max_conflicts, max_seconds=ns.max_seconds)
@@ -232,9 +235,9 @@ def cmd_export_dimacs(ns):
     return EXIT_REALIZABLE
 
 
-def _add_common(sp, model_arg=True):
-    if model_arg:
-        sp.add_argument("input", help="model file")
+def _add_common(sp, solver_flags=True):
+    """The model and formula flags; solver_flags adds --solver and the budget."""
+    sp.add_argument("input", help="model file")
     sp.add_argument("--mu", type=int, default=1, help="memory elements (>= 1)")
     sp.add_argument("--nu", type=int, default=0, help="fresh observations allowed (>= 0)")
     sp.add_argument("--k", type=int, default=None,
@@ -245,11 +248,12 @@ def _add_common(sp, model_arg=True):
     sp.add_argument("--strict", action="store_true",
                     help="forbid dropping given observation mass")
     sp.add_argument("--constraints", metavar="FILE", help="side constraint file")
-    sp.add_argument("--solver", default=os.environ.get("SENSYNTH_SOLVER"),
-                    help="'embedded' or an external command template with {input} "
-                         "(default: SENSYNTH_SOLVER or embedded)")
-    sp.add_argument("--max-conflicts", type=int, default=None)
-    sp.add_argument("--max-seconds", type=float, default=None)
+    if solver_flags:
+        sp.add_argument("--solver", default=os.environ.get("SENSYNTH_SOLVER"),
+                        help="'embedded' or an external command template with {input} "
+                             "(default: SENSYNTH_SOLVER or embedded)")
+        sp.add_argument("--max-conflicts", type=int, default=None)
+        sp.add_argument("--max-seconds", type=float, default=None)
     sp.add_argument("--quiet", action="store_true", help="suppress the report")
 
 
@@ -287,7 +291,7 @@ def build_parser():
     sp.add_argument("--out", metavar="FILE", help="output path (else stdout)")
 
     sp = sub.add_parser("export-dimacs", help="write the CNF and a variable map")
-    _add_common(sp)
+    _add_common(sp, solver_flags=False)
     sp.add_argument("--out", metavar="FILE", help="output path (default <model>.cnf)")
     return ap
 

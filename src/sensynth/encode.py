@@ -24,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import BOT, ModelSemanticError, PartialObsFn, Pomdp
+from .model import BOT, ModelSemanticError, PartialObsFn, Pomdp, lookup, statements
 
 
 class Cnf:
@@ -215,33 +215,19 @@ def parse_constraints(text, p):
     zidx = {n: i for i, n in enumerate(p.observations)}
     same, diff, implies = [], [], []
     sensor_name, sensor_values = "", None
-
-    def state(tok, ln):
-        if tok not in sidx:
-            raise ModelSemanticError(tok, f"unknown state (constraints line {ln})")
-        return sidx[tok]
-
-    def obs(tok, ln):
-        if tok not in zidx:
-            raise ModelSemanticError(tok, f"unknown observation (constraints line {ln})")
-        return zidx[tok]
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
+    for ln, stmt in statements(text):
         toks = stmt.split()
         kind = toks[0]
         if kind in ("same", "diff") and len(toks) == 3:
-            a, b = state(toks[1], ln), state(toks[2], ln)
+            a, b = (lookup(sidx, t, "state", ln) for t in toks[1:])
             if a == b:
                 raise ModelSemanticError(toks[1], f"{kind} pair needs two distinct states (line {ln})")
             (same if kind == "same" else diff).append((a, b))
         elif kind == "implies" and len(toks) == 4:
-            z, z2 = obs(toks[2], ln), obs(toks[3], ln)
+            z, z2 = (lookup(zidx, t, "observation", ln) for t in toks[2:])
             if z == z2:
                 raise ModelSemanticError(toks[2], f"dependency needs two distinct observations (line {ln})")
-            implies.append((state(toks[1], ln), z, z2))
+            implies.append((lookup(sidx, toks[1], "state", ln), z, z2))
         elif kind == "sensor" and len(toks) >= 3:
             if sensor_values is not None:
                 raise ModelSemanticError(toks[1], f"second sensor line (line {ln})")

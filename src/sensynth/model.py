@@ -1,4 +1,5 @@
-"""POMDP data model: core types, text format, validation, target reduction.
+"""POMDP data model: core types, text format, validation, target reduction,
+and the line reader that constraint files and result documents share.
 
 Probabilities are exact rationals throughout.  Qualitative (almost-sure)
 analysis depends only on distribution supports, so exact arithmetic costs
@@ -114,71 +115,97 @@ class Policy:
     update: tuple
 
 
-# parser
+# reading sensynth's line formats: models, constraints and result documents
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.+\-]+$")
+_HEADER_RE = re.compile(r"(\w+):\s*(.*)$")
 _HEADERS = ("states", "actions", "observations", "initial", "goal", "targets")
 
 
-def _check_name(name, line, col, kind):
-    if not _NAME_RE.match(name):
-        raise ModelSyntaxError(line, col, f"bad {kind} name {name!r}")
-
-
-def _parse_weight(tok, line, col):
-    try:
-        w = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ModelSyntaxError(line, col, f"bad weight {tok!r}") from None
-    if w <= 0:
-        raise ModelSyntaxError(line, col, f"weight must be positive, got {tok}")
-    return w
-
-
-def _parse_dist(rest, line, base_col):
-    """Parse 'name w, name w, ...' into a list of (name, Fraction)."""
-    out = []
-    for part in rest.split(","):
-        toks = part.split()
-        if len(toks) != 2:
-            raise ModelSyntaxError(line, base_col, f"expected 'name weight', got {part.strip()!r}")
-        out.append((toks[0], _parse_weight(toks[1], line, base_col)))
-    return out
-
-
-def parse_pomdp(text):
-    """Parse the line-oriented model format into a validated Pomdp.
-
-    Declared targets (or a non-absorbing goal) are reduced to a single
-    absorbing goal state on the way in, so parsed models always satisfy the
-    shape the encoder assumes.
-    """
-    heads = {}
-    delta_lines = []
-    obs_lines = []
+def statements(text):
+    """Yield (line number, statement) for every line that holds one: `#`
+    starts a comment and blank lines are skipped."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
-        m = re.match(r"(\w+):\s*(.*)$", stmt)
+        if stmt:
+            yield ln, stmt
+
+
+def sections(text, headers, arities):
+    """Split a document into `key: value` headers and `keyword field ... -> rest`
+    lines; returns (heads, lines).
+
+    heads maps each header present to (line number, value).  lines[keyword]
+    lists (line number, fields, rest) in document order, every line of that
+    keyword having arities[keyword] fields.  A header outside headers, a
+    repeated header and any other line raise ModelSyntaxError.
+    """
+    heads, lines = {}, {kw: [] for kw in arities}
+    for ln, stmt in statements(text):
+        m = _HEADER_RE.match(stmt)
         if m:
-            key, rest = m.group(1), m.group(2)
-            if key not in _HEADERS:
+            key = m.group(1)
+            if key not in headers:
                 raise ModelSyntaxError(ln, 1, f"unknown section {key!r}")
             if key in heads:
                 raise ModelSyntaxError(ln, 1, f"duplicate section {key!r}")
-            heads[key] = (ln, rest.split())
+            heads[key] = (ln, m.group(2))
             continue
-        m = re.match(r"delta\s+(\S+)\s+(\S+)\s*->\s*(.+)$", stmt)
-        if m:
-            delta_lines.append((ln, m.group(1), m.group(2), m.group(3)))
-            continue
-        m = re.match(r"obs\s+(\S+)\s*->\s*(.+)$", stmt)
-        if m:
-            obs_lines.append((ln, m.group(1), m.group(2)))
-            continue
-        raise ModelSyntaxError(ln, 1, f"unrecognized line {stmt!r}")
+        head, arrow, rest = stmt.partition("->")
+        fields = head.split()
+        if not (arrow and fields and arities.get(fields[0]) == len(fields) - 1):
+            raise ModelSyntaxError(ln, 1, f"unrecognized line {stmt!r}")
+        lines[fields[0]].append((ln, fields[1:], rest.strip()))
+    return heads, lines
 
+
+def lookup(table, name, kind, ln):
+    """table[name]; an unknown name raises ModelSemanticError naming line ln."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ModelSemanticError(name, f"unknown {kind} (line {ln})") from None
+
+
+def read_row(text, table, kind, owner, ln):
+    """Read the distribution `name weight, name weight, ...` at line ln into a
+    tuple of (table[name], weight).
+
+    Weights are exact positive rationals that sum to 1, and no name repeats;
+    owner names the row in the errors.
+    """
+    row = []
+    seen = set()
+    for part in text.split(","):
+        toks = part.split()
+        if len(toks) != 2:
+            raise ModelSyntaxError(ln, 1, f"expected 'name weight', got {part.strip()!r}")
+        name, tok = toks
+        try:
+            w = Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ModelSyntaxError(ln, 1, f"bad weight {tok!r}") from None
+        if w <= 0:
+            raise ModelSyntaxError(ln, 1, f"weight must be positive, got {tok}")
+        i = lookup(table, name, kind, ln)
+        if i in seen:
+            raise ModelSemanticError(owner, f"duplicate {kind} {name} (line {ln})")
+        seen.add(i)
+        row.append((i, w))
+    if sum(w for _, w in row) != 1:
+        raise ModelSemanticError(owner, f"distribution does not sum to 1 (line {ln})")
+    return tuple(row)
+
+
+def parse_pomdp(text):
+    """Parse the line-oriented model format into a valid Pomdp.
+
+    Every condition validate() checks is checked here, with a line number
+    where there is one.  Declared targets (or a non-absorbing goal) are
+    reduced to a single absorbing goal state on the way in, so parsed models
+    always satisfy the shape the encoder assumes.
+    """
+    heads, lines = sections(text, _HEADERS, {"delta": 2, "obs": 1})
     for key in ("states", "actions", "initial"):
         if key not in heads:
             raise ModelSemanticError(key, "missing required section")
@@ -188,15 +215,17 @@ def parse_pomdp(text):
     def names_of(key, kind, allow_empty=False):
         if key not in heads:
             return []
-        ln, names = heads[key]
+        ln, value = heads[key]
+        names = value.split()
         if not names and not allow_empty:
             raise ModelSyntaxError(ln, 1, f"empty {key!r} section")
-        seen = {}
+        seen = set()
         for n in names:
-            _check_name(n, ln, 1, kind)
+            if not _NAME_RE.match(n):
+                raise ModelSyntaxError(ln, 1, f"bad {kind} name {n!r}")
             if n in seen:
                 raise ModelSemanticError(n, f"duplicate {kind} name")
-            seen[n] = True
+            seen.add(n)
         return names
 
     state_names = names_of("states", "state")
@@ -207,73 +236,42 @@ def parse_pomdp(text):
     sidx = {n: i for i, n in enumerate(state_names)}
     aidx = {n: i for i, n in enumerate(action_names)}
     zidx = {n: i for i, n in enumerate(obs_names)}
+    zidx["bot"] = BOT
 
-    def state_of(name, ln):
-        if name not in sidx:
-            raise ModelSemanticError(name, f"unknown state (line {ln})")
-        return sidx[name]
-
-    ln, toks = heads["initial"]
+    ln, value = heads["initial"]
+    toks = value.split()
     if len(toks) != 1:
         raise ModelSyntaxError(ln, 1, "initial: wants exactly one state")
-    initial = state_of(toks[0], ln)
+    initial = lookup(sidx, toks[0], "state", ln)
 
     tkey = "goal" if "goal" in heads else "targets"
-    ln, toks = heads[tkey]
+    ln, value = heads[tkey]
+    toks = value.split()
     if not toks:
         raise ModelSyntaxError(ln, 1, f"empty {tkey!r} section")
-    targets = [state_of(t, ln) for t in toks]
+    targets = [lookup(sidx, t, "state", ln) for t in toks]
     if len(set(targets)) != len(targets):
         raise ModelSemanticError(tkey, "duplicate target state")
 
     delta = [[None] * len(action_names) for _ in state_names]
-    for ln, sname, aname, rest in delta_lines:
-        s = state_of(sname, ln)
-        if aname not in aidx:
-            raise ModelSemanticError(aname, f"unknown action (line {ln})")
-        a = aidx[aname]
+    for ln, (sname, aname), rest in lines["delta"]:
+        s = lookup(sidx, sname, "state", ln)
+        a = lookup(aidx, aname, "action", ln)
         if delta[s][a] is not None:
             raise ModelSemanticError(f"{sname}/{aname}", f"duplicate delta line (line {ln})")
-        row = []
-        seen = set()
-        for name, w in _parse_dist(rest, ln, 1):
-            t = state_of(name, ln)
-            if t in seen:
-                raise ModelSemanticError(f"{sname}/{aname}", f"duplicate successor {name} (line {ln})")
-            seen.add(t)
-            row.append((t, w))
-        if sum(w for _, w in row) != 1:
-            raise ModelSemanticError(f"{sname}/{aname}", "distribution does not sum to 1")
-        delta[s][a] = tuple(row)
+        delta[s][a] = read_row(rest, sidx, "state", f"{sname}/{aname}", ln)
     for s, sname in enumerate(state_names):
         for a, aname in enumerate(action_names):
             if delta[s][a] is None:
                 raise ModelSemanticError(f"{sname}/{aname}", "delta not total: missing entry")
 
     obs_rows = [None] * len(state_names)
-    for ln, sname, rest in obs_lines:
-        s = state_of(sname, ln)
+    for ln, (sname,), rest in lines["obs"]:
+        s = lookup(sidx, sname, "state", ln)
         if obs_rows[s] is not None:
             raise ModelSemanticError(sname, f"duplicate obs line (line {ln})")
-        row = []
-        seen = set()
-        for name, w in _parse_dist(rest, ln, 1):
-            if name == "bot":
-                z = BOT
-            elif name in zidx:
-                z = zidx[name]
-            else:
-                raise ModelSemanticError(name, f"unknown observation (line {ln})")
-            if z in seen:
-                raise ModelSemanticError(sname, f"duplicate observation {name} (line {ln})")
-            seen.add(z)
-            row.append((z, w))
-        if sum(w for _, w in row) != 1:
-            raise ModelSemanticError(sname, "observation distribution does not sum to 1")
-        obs_rows[s] = tuple(row)
-    for s in range(len(state_names)):
-        if obs_rows[s] is None:
-            obs_rows[s] = ((BOT, Fraction(1)),)
+        obs_rows[s] = read_row(rest, zidx, "observation", sname, ln)
+    undefined = ((BOT, Fraction(1)),)
 
     p = Pomdp(
         states=tuple(state_names),
@@ -282,13 +280,9 @@ def parse_pomdp(text):
         initial=initial,
         goal=targets[0],
         delta=tuple(tuple(row) for row in delta),
-        obs=PartialObsFn(tuple(obs_rows)),
+        obs=PartialObsFn(tuple(undefined if row is None else row for row in obs_rows)),
     )
-    p = reduce_targets(p, targets)
-    problems = validate(p)
-    if problems:
-        raise ModelSemanticError("model", "; ".join(problems))
-    return p
+    return reduce_targets(p, targets)
 
 
 def print_pomdp(p):

@@ -390,16 +390,17 @@ class Solver:
         self.qhead = bound
 
     def _decide(self):
+        """The unassigned variable at the top of the heap; only called while
+        some variable is unassigned.  The heap always holds an entry for every
+        unassigned variable: the constructor pushes every variable,
+        _backtrack re-pushes each one it unassigns and _rebuild_heap keeps all
+        unassigned ones; entries of assigned variables are dropped here."""
         vals = self.vals
         heap = self.heap
-        while heap:
+        while True:
             _, v = heappop(heap)
             if vals[v] == 0:
                 return v
-        for v in range(1, self.nvars + 1):
-            if vals[v] == 0:
-                return v
-        return 0
 
     def _locked(self, ci):
         lit = self.lits[ci]
@@ -508,8 +509,6 @@ class Solver:
                 if len(self.trail) == n:
                     return result(SAT, self._model())
                 v = self._decide()
-                if v == 0:
-                    return result(SAT, self._model())
                 self.n_decisions += 1
                 trail_lim.append(len(self.trail))
                 self._enqueue(v if self.phase[v] else -v, -1)

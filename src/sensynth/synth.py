@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from . import sat
 from .encode import SideConstraints, encode, mdp_prepass, sensor_model
-from .model import Completion, ModelSemanticError, Policy, Pomdp
+from .model import (Completion, ModelError, ModelSemanticError, Policy, Pomdp, lookup,
+                    read_row, sections)
 from .verify import VerifyCertificate, build_product, check_almost_sure
 
 
@@ -396,30 +397,31 @@ class ResultParseError(ValueError):
     pass
 
 
+_RESULT_HEADERS = ("verdict", "mu", "nu", "reason", "k", "memory", "observations", "new",
+                   "stats")
+
+
 def parse_result(text, p):
-    """Parse a result document against the model it was produced from."""
-    kv = {}
-    act_lines, upd_lines, obs_lines = [], [], []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("action "):
-            act_lines.append((ln, line))
-        elif line.startswith("update "):
-            upd_lines.append((ln, line))
-        elif line.startswith("obs "):
-            obs_lines.append((ln, line))
-        elif ":" in line:
-            key, _, val = line.partition(":")
-            kv[key.strip()] = val.strip()
-        else:
-            raise ResultParseError(f"line {ln}: unrecognized line {line!r}")
+    """Parse a result document against the model it was produced from.
+
+    The document is read like a model (model.sections): every header at most
+    once, no action, update or obs line repeated, and each obs row a
+    distribution of exact positive weights summing to 1 (model.read_row).
+    Any defect raises ResultParseError.
+    """
+    try:
+        return _read_result(text, p)
+    except ModelError as e:
+        raise ResultParseError(str(e)) from None
+
+
+def _read_result(text, p):
+    heads, lines = sections(text, _RESULT_HEADERS, {"action": 1, "update": 3, "obs": 1})
 
     def header(key):
-        if key not in kv:
+        if key not in heads:
             raise ResultParseError(f"missing header {key!r}")
-        return kv[key]
+        return heads[key][1]
 
     def header_int(key):
         val = header(key)
@@ -431,82 +433,69 @@ def parse_result(text, p):
     verdict = header("verdict")
     mu, nu, k = header_int("mu"), header_int("nu"), header_int("k")
     stats = SynthStats()
-    if "stats" in kv:
+    if "stats" in heads:
         try:
-            f = dict(tok.split("=", 1) for tok in kv["stats"].split())
+            f = dict(tok.split("=", 1) for tok in header("stats").split())
             conf, dec, props = (None if f.get(key, "-") == "-" else int(f[key])
                                 for key in ("conflicts", "decisions", "propagations"))
             stats = SynthStats(int(f.get("vars", 0)), int(f.get("clauses", 0)),
                                int(f.get("time_ms", 0)), conf, dec, props)
         except ValueError:
-            raise ResultParseError(f"malformed stats line {kv['stats']!r}") from None
+            raise ResultParseError(f"malformed stats line {header('stats')!r}") from None
     if verdict != "Realizable":
-        return ResultDoc(verdict, mu, nu, k, kv.get("reason", ""), (), None, None, stats)
+        reason = header("reason") if "reason" in heads else ""
+        return ResultDoc(verdict, mu, nu, k, reason, (), None, None, stats)
 
     names = tuple(header("observations").split())
     zidx = {z: i for i, z in enumerate(names)}
     n_mem = header_int("memory")
+    if n_mem < 1:
+        raise ResultParseError(f"header 'memory' must be at least 1, got {n_mem}")
     aidx = {a: i for i, a in enumerate(p.actions)}
     sidx = {s: i for i, s in enumerate(p.states)}
     midx = {f"m{m}": m for m in range(n_mem)}
 
-    def lookup(table, tok, ln, kind):
-        if tok not in table:
-            raise ResultParseError(f"line {ln}: unknown {kind} {tok!r}")
-        return table[tok]
-
     act = [None] * n_mem
-    for ln, line in act_lines:
-        head, _, rest = line.partition("->")
-        toks = head.split()
-        if len(toks) != 2:
-            raise ResultParseError(f"line {ln}: malformed action line")
-        m = lookup(midx, toks[1], ln, "memory element")
-        acts = tuple(lookup(aidx, t, ln, "action") for t in rest.split())
-        if not acts:
+    for ln, (mname,), rest in lines["action"]:
+        m = lookup(midx, mname, "memory element", ln)
+        if act[m] is not None:
+            raise ResultParseError(f"line {ln}: repeated action line for {mname}")
+        act[m] = tuple(lookup(aidx, t, "action", ln) for t in rest.split())
+        if not act[m]:
             raise ResultParseError(f"line {ln}: empty action support")
-        act[m] = acts
     if any(a is None for a in act):
         raise ResultParseError("missing action line for some memory element")
 
     upd = [[[None] * p.n_actions for _ in names] for _ in range(n_mem)]
-    for ln, line in upd_lines:
-        head, _, rest = line.partition("->")
-        toks = head.split()
-        if len(toks) != 4:
-            raise ResultParseError(f"line {ln}: malformed update line")
-        m = lookup(midx, toks[1], ln, "memory element")
-        z = lookup(zidx, toks[2], ln, "observation")
-        a = lookup(aidx, toks[3], ln, "action")
-        dest = tuple(lookup(midx, t, ln, "memory element") for t in rest.split())
-        if not dest:
+    for ln, (mname, zname, aname), rest in lines["update"]:
+        m = lookup(midx, mname, "memory element", ln)
+        z = lookup(zidx, zname, "observation", ln)
+        a = lookup(aidx, aname, "action", ln)
+        if upd[m][z][a] is not None:
+            raise ResultParseError(f"line {ln}: repeated update line for {mname} {zname} {aname}")
+        upd[m][z][a] = tuple(lookup(midx, t, "memory element", ln) for t in rest.split())
+        if not upd[m][z][a]:
             raise ResultParseError(f"line {ln}: empty memory support")
-        upd[m][z][a] = dest
     for m in range(n_mem):
         for z in range(len(names)):
             for a in range(p.n_actions):
                 if upd[m][z][a] is None:
-                    # unlisted cells never fire (actions outside sigma_n); any value works
+                    if a in act[m]:
+                        raise ResultParseError(
+                            f"missing update line for m{m} {names[z]} {p.actions[a]}")
+                    # cells of actions outside sigma_n(m) never fire; any value works
                     upd[m][z][a] = (0,)
     policy = Policy(n_mem=n_mem,
                     act=tuple(act),
                     update=tuple(tuple(tuple(zr) for zr in mr) for mr in upd))
 
     rows = [None] * p.n_states
-    for ln, line in obs_lines:
-        head, _, rest = line.partition("->")
-        toks = head.split()
-        if len(toks) != 2:
-            raise ResultParseError(f"line {ln}: malformed obs line")
-        s = lookup(sidx, toks[1], ln, "state")
-        row = []
-        for part in rest.split(","):
-            ztok, *wtok = part.split()
-            if len(wtok) != 1:
-                raise ResultParseError(f"line {ln}: malformed obs entry {part.strip()!r}")
-            row.append((lookup(zidx, ztok, ln, "observation"), Fraction(wtok[0])))
-        rows[s] = tuple(row)
+    for ln, (sname,), rest in lines["obs"]:
+        s = lookup(sidx, sname, "state", ln)
+        if rows[s] is not None:
+            raise ResultParseError(f"line {ln}: repeated obs line for {sname}")
+        rows[s] = read_row(rest, zidx, "observation", sname, ln)
     if any(r is None for r in rows):
         raise ResultParseError("missing obs line for some state")
-    completion = Completion(n_new=header_int("new") if "new" in kv else 0, rows=tuple(rows))
+    completion = Completion(n_new=header_int("new") if "new" in heads else 0, rows=tuple(rows))
     return ResultDoc(verdict, mu, nu, k, "", names, completion, policy, stats)

@@ -40,7 +40,6 @@ class VerifyCertificate:
     reachable: tuple  # vertex ids reachable from the initial pair
     dist: dict  # vertex id -> BFS distance to the nearest goal pair
     witness: int  # reachable vertex with no goal path (-1 when ok)
-    bound: int  # |S| * |M|
 
 
 def build_product(p, c, pol):
@@ -108,14 +107,12 @@ def check_almost_sure(g):
         if v not in dist:
             witness = v
             break
-    bound = n
     cert_dist = {v: dist[v] for v in reachable if v in dist}
     return VerifyCertificate(
         ok=(witness == -1),
         reachable=reachable,
         dist=cert_dist,
         witness=witness,
-        bound=bound,
     )
 
 

@@ -104,7 +104,18 @@ class TestVerifyCommand:
         ("\nmemory: 3\n", "\n"),
         ("\nmu: 3\n", "\nmu: x\n"),
         ("\nstats: ", "\nstats: vars\n# "),
-    ], ids=["no-memory", "mu-not-integer", "stats-malformed"])
+        ("\nobs cell0 -> @0 1\n", "\nobs cell0 -> @0 abc\n"),
+        ("\nobs cell0 -> @0 1\n", "\nobs cell0 -> @0 1/0\n"),
+        ("\nobs cell0 -> @0 1\n", "\nobs cell0 -> @0 -1\n"),
+        ("\nobs cell0 -> @0 1\n", "\nobs cell0 -> @0 1/2\n"),
+        ("\naction m0 -> ", "\naction m0 -> move-left\naction m0 -> "),
+        ("\nmu: 3\n", "\nmu: 3\nmu: 3\n"),
+        ("\nnu: 1\n", "\nnu: 1\ncolour: blue\n"),
+        ("\nmemory: 3\n", "\nmemory: 0\n"),
+        ("\nupdate m0 ", "\n# update m0 "),
+    ], ids=["no-memory", "mu-not-integer", "stats-malformed", "weight-not-a-number",
+            "weight-over-zero", "weight-negative", "row-sums-to-half", "repeated-action",
+            "repeated-header", "unknown-header", "memory-zero", "played-update-missing"])
     def test_malformed_document(self, tmp_path, fig1_file, capsys, old, new):
         res = self._result(tmp_path, fig1_file)
         doc = (tmp_path / "doc.result").read_text()
@@ -129,11 +140,21 @@ class TestUsageErrors:
     def test_garbage_range(self, fig1_file):
         assert cli.main(["sweep", fig1_file, "--mu-range", "x..y"]) == 4
 
-    @pytest.mark.parametrize("flag, value", [("--mu-range", "0..1"), ("--nu-range", "-1..0")])
-    def test_sweep_range_below_minimum(self, fig1_file, capsys, flag, value):
-        assert cli.main(["sweep", fig1_file, f"{flag}={value}"]) == 4
+    @pytest.mark.parametrize("cmd, flag, value, message", [
+        pytest.param("sweep", "--mu-range", "0..1", "--mu-range", id="--mu-range-0..1"),
+        pytest.param("sweep", "--nu-range", "-1..0", "--nu-range", id="--nu-range--1..0"),
+        pytest.param("sweep", "--max-seconds", "-1", "--max-seconds", id="sweep---max-seconds--1"),
+        pytest.param("synth", "--max-conflicts", "-3", "--max-conflicts",
+                     id="synth---max-conflicts--3"),
+        # export-dimacs runs no search, so it has no budget flags
+        pytest.param("export-dimacs", "--max-conflicts", "5",
+                     "unrecognized arguments: --max-conflicts",
+                     id="export-dimacs---max-conflicts-5"),
+    ])
+    def test_sweep_range_below_minimum(self, fig1_file, capsys, cmd, flag, value, message):
+        assert cli.main([cmd, fig1_file, f"{flag}={value}"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {flag}") and len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: {message}") and len(err.splitlines()) == 1
 
     def test_sweep_k_bounded_by_top_of_mu_range(self, fig1_file, capsys):
         # fig1 has 5 states: --k up to 5 * 3 with --mu-range 2..3
