@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 Realizable, 1 Unrealizable, 2 Unknown, 3 runtime error
-(I/O, parse, invalid model, internal fault), 4 usage error.  Human-readable reports go to
+(I/O, parse, invalid model, internal fault), 4 usage error, 141 (128 +
+SIGPIPE) when the reader closes stdout early.  Human-readable reports go to
 stdout; machine-readable documents (result, CSV, DIMACS, models) go to the
 given output files so golden tests stay stable.
 """
@@ -27,6 +28,7 @@ EXIT_UNREALIZABLE = 1
 EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 4
+EXIT_BROKEN_PIPE = 141
 
 _VERDICT_EXIT = {"Realizable": EXIT_REALIZABLE, "Unrealizable": EXIT_UNREALIZABLE,
                  "Unknown": EXIT_UNKNOWN}
@@ -309,10 +311,17 @@ def main(argv=None):
                 raise UsageError("--mu must be >= 1")
             if ns.nu < 0:
                 raise UsageError("--nu must be >= 0")
-        return _COMMANDS[ns.cmd](ns)
+        code = _COMMANDS[ns.cmd](ns)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # reader gone (`| head`): keep the exit flush silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ModelError, ResultParseError, ExternalSolverError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

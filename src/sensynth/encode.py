@@ -7,7 +7,8 @@ Variable families (in fixed numbering order, auxiliaries last):
   M(m,z,a,m')   memory update m -z,a-> m' has positive probability, z in Z'
   O(s,z)        completed observation function puts mass on z at state s
   C(s,m)        state-memory pair reachable under the chosen supports
-  P(s,m,j)      goal reachable from (s,m) within j steps, 0 <= j <= k
+  P(s,m,j)      true only if the goal is reachable from (s,m) within j
+                steps, 0 <= j <= k
 Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
 sensor-variable mode).  A formula for a whole (mu, nu) grid adds selector
 auxiliaries E(m) and F(t) that switch memory elements and fresh symbols off
@@ -498,21 +499,25 @@ def encode_path_predicate(p, vm, out=None, dist=None):
 
     P(G,m,j) holds everywhere, nothing else is reachable in 0 steps, every
     reachable pair must reach the goal within k, and for i != G, j >= 1 the
-    predicate is fixed both ways to the one-step unrolling
+    predicate is bounded by the one-step unrolling in one direction only
 
-        P(i,m,j) <-> OR_a [ A(m,a) & OR_{z,m',i' in succ(i,a)}
-                            (O(i',z) & M(m,z,a,m') & P(i',m',j-1)) ]
+        P(i,m,j) -> OR_a [ A(m,a) & OR_{z,m',i' in succ(i,a)}
+                           (O(i',z) & M(m,z,a,m') & P(i',m',j-1)) ]
 
-    via Tseitin auxiliaries, one per distinct inner and per distinct
-    action-level conjunct (structurally shared across occurrences, which is
-    sound because both directions are emitted).
+    through auxiliaries t -> O & M & P(i',m',j-1) and u -> A & OR t, one per
+    distinct conjunct and shared by every P that uses it (Plaisted &
+    Greenbaum, J. Symbolic Computation 2(3), 1986).  P occurs only positively
+    elsewhere (C -> P(k)), so no reverse clause is needed: a true P(i,m,j)
+    still implies a product path of at most j steps, and exact values of P,
+    t and u satisfy every clause, so the formula is equisatisfiable with the
+    two-way definition at every k.  Sharing is sound since a t or u only
+    implies its own conjunct, whichever P it serves.
 
-    dist, when given, holds the MDP goal distances (mdp_prepass).  An exact
+    dist, when given, holds the MDP goal distances (mdp_prepass).  A true
     P(i,m,j) implies a graph path of at most j steps from i to the goal, so
     P(i,m,j) is fixed false for j < dist[i] (for every j if dist[i] is None).
     Inner conjuncts over such a fixed-false P(i',m',j-1) are dropped, and so
-    are action-level disjuncts left with no conjunct: the remaining clauses
-    define the same predicate over fewer variables and clauses.
+    are action-level disjuncts left with no conjunct.
     """
     out = out if out is not None else Cnf()
     mu, nzp, k, g = vm.mu, vm.nzp, vm.k, p.goal
@@ -545,8 +550,6 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                 disj = []
                 for a in range(vm.na):
                     succ = row[a]
-                    if not succ or nzp == 0:
-                        continue
                     dkey = (m, a, j, succ)
                     if dkey in cons:
                         u = cons[dkey]
@@ -562,32 +565,19 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                                     if t is None:
                                         t = vm.fresh_aux()
                                         cons[tkey] = t
-                                        ov = vm.var_o(i2, z)
-                                        mv = vm.var_m(m, z, a, m2)
-                                        pv = vm.var_p(i2, m2, j - 1)
-                                        out.add((-t, ov))
-                                        out.add((-t, mv))
-                                        out.add((-t, pv))
-                                        out.add((-ov, -mv, -pv, t))
+                                        out.add((-t, vm.var_o(i2, z)))
+                                        out.add((-t, vm.var_m(m, z, a, m2)))
+                                        out.add((-t, vm.var_p(i2, m2, j - 1)))
                                     inner.append(t)
                         u = None
                         if inner:
                             u = vm.fresh_aux()
-                            av = vm.var_a(m, a)
-                            out.add((-u, av))
+                            out.add((-u, vm.var_a(m, a)))
                             out.add([-u] + inner)
-                            for t in inner:
-                                out.add((-av, -t, u))
                         cons[dkey] = u
                     if u is not None:
                         disj.append(u)
-                pv = vm.var_p(i, m, j)
-                if not disj:
-                    out.add((-pv,))
-                else:
-                    out.add([-pv] + disj)
-                    for u in disj:
-                        out.add((-u, pv))
+                out.add([-vm.var_p(i, m, j)] + disj)  # a unit when no disjunct is left
     return out
 
 

@@ -1,5 +1,10 @@
 """Command-line behavior: exit codes, file outputs, report text."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from sensynth import cli, sat
@@ -7,6 +12,8 @@ from sensynth.bench import (GridSpec, gen_det_hallway, gen_fig1, gen_hallway,
                             gen_rocksample)
 from sensynth.model import parse_pomdp, print_pomdp
 from sensynth.synth import EncoderFault
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -125,6 +132,22 @@ class TestVerifyCommand:
         assert cli.main(["verify", fig1_file, res]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_is_not_an_error(self, tmp_path, fig1_file, monkeypatch, unbuffered):
+        # the reader is gone before the first write, whether that write is
+        # the print itself or the exit-time flush
+        res = self._result(tmp_path, fig1_file)
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "sensynth.cli", "verify", fig1_file, res],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, "")  # 128 + SIGPIPE
 
 
 class TestUsageErrors:

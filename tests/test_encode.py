@@ -404,6 +404,45 @@ class TestPathPredicate:
         assert [-vm.var_p(0, 0, 1)] in list(out)
         assert [-vm.var_p(0, 0, 2)] in list(out)
 
+    def test_true_p_has_short_path(self):
+        # P is defined in one direction only, and that direction must hold in
+        # every model the solver returns: a true P(s,m,j) has a product path
+        # of at most j steps to the goal under the model's own A/O/M choices
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(40):
+            p = random_pomdp(rng)
+            mu, nu = rng.randint(1, 2), rng.randint(0, 1)
+            for k in sorted({1, 2, p.n_states * mu}):
+                cnf, vm = encode(p, mu, nu, k)  # pre-pass on: P pruned below dist
+                res = sat.solve(cnf)
+                if res.status != sat.SAT:
+                    continue
+                val = res.assignment
+                pred = {(s, m): [] for s in range(vm.ns) for m in range(mu)}
+                for s, m in pred:
+                    for a in range(vm.na):
+                        if not val[vm.var_a(m, a)]:
+                            continue
+                        for s2 in p.succ(s, a):
+                            for z in range(vm.nzp):
+                                for m2 in range(mu):
+                                    if val[vm.var_o(s2, z)] and val[vm.var_m(m, z, a, m2)]:
+                                        pred[s2, m2].append((s, m))
+                steps = {(p.goal, m): 0 for m in range(mu)}
+                todo = list(steps)
+                for x in todo:  # breadth-first from the goal along reversed edges
+                    for n in pred[x]:
+                        if n not in steps:
+                            steps[n] = steps[x] + 1
+                            todo.append(n)
+                for s, m in pred:
+                    for j in range(k + 1):
+                        if val[vm.var_p(s, m, j)]:
+                            assert steps.get((s, m), k + 1) <= j, (p, mu, nu, k, s, m, j)
+                            checked += 1
+        assert checked
+
 
 class TestMdpPrepass:
     def test_split(self):
