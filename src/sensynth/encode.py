@@ -10,9 +10,10 @@ Variable families (in fixed numbering order, auxiliaries last):
   P(s,m,j)      true only if the goal is reachable from (s,m) within j
                 steps, 0 <= j <= k
 Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
-sensor-variable mode).  A formula for a whole (mu, nu) grid adds selector
-auxiliaries E(m) and F(t) that switch memory elements and fresh symbols off
-(encode_selectors).
+sensor-variable mode).  Auxiliaries define P in one direction, with an edge
+literal per product edge (m,a,s',m') shared by all layers
+(encode_path_predicate); a (mu, nu) grid adds selectors E(m) and F(t) that
+switch memory elements and fresh symbols off (encode_selectors).
 
 encode() first runs mdp_prepass() on the fully observable model and fixes
 the variables that the pre-pass decides: C outside the MDP's almost-sure
@@ -501,17 +502,19 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     reachable pair must reach the goal within k, and for i != G, j >= 1 the
     predicate is bounded by the one-step unrolling in one direction only
 
-        P(i,m,j) -> OR_a [ A(m,a) & OR_{z,m',i' in succ(i,a)}
-                           (O(i',z) & M(m,z,a,m') & P(i',m',j-1)) ]
+        P(i,m,j) -> OR_a [ A(m,a) & OR_{m',i' in succ(i,a)} (e & P(i',m',j-1)) ]
+        e(m,a,i',m') -> OR_z (O(i',z) & M(m,z,a,m'))
 
-    through auxiliaries t -> O & M & P(i',m',j-1) and u -> A & OR t, one per
+    through auxiliaries t -> e & P(i',m',j-1) and u -> A & OR t, one per
     distinct conjunct and shared by every P that uses it (Plaisted &
-    Greenbaum, J. Symbolic Computation 2(3), 1986).  P occurs only positively
-    elsewhere (C -> P(k)), so no reverse clause is needed: a true P(i,m,j)
-    still implies a product path of at most j steps, and exact values of P,
-    t and u satisfy every clause, so the formula is equisatisfiable with the
-    two-way definition at every k.  Sharing is sound since a t or u only
-    implies its own conjunct, whichever P it serves.
+    Greenbaum, J. Symbolic Computation 2(3), 1986).  The edge literal e names
+    no layer and no source, so each product edge defines it once, by
+    x -> O & M per symbol and e -> OR x (e -> O & M when |Z'| = 1): an edge
+    costs 2|Z'| + 1 + 2k clauses, not 3|Z'|k.  P and every auxiliary occur
+    only positively elsewhere (C -> P(k)), so a true P(i,m,j) still implies
+    a product path of at most j steps, exact values satisfy every clause,
+    and the formula is equisatisfiable with the two-way definition at every
+    k.  Sharing is sound since an auxiliary implies only its own conjunct.
 
     dist, when given, holds the MDP goal distances (mdp_prepass).  A true
     P(i,m,j) implies a graph path of at most j steps from i to the goal, so
@@ -540,7 +543,20 @@ def encode_path_predicate(p, vm, out=None, dist=None):
             out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
 
     succs = [[p.succ(i, a) for a in range(vm.na)] for i in range(vm.ns)]
-    cons = {}
+    cons, edges = {}, {}
+
+    def edge(m, a, i2, m2):
+        e = edges.get((m, a, i2, m2))
+        if e is None:
+            e = edges[m, a, i2, m2] = vm.fresh_aux()
+            xs = [e] if nzp == 1 else [vm.fresh_aux() for _ in range(nzp)]
+            for z, x in enumerate(xs):
+                out.add((-x, vm.var_o(i2, z)))
+                out.add((-x, vm.var_m(m, z, a, m2)))
+            if nzp > 1:
+                out.add([-e] + xs)
+        return e
+
     for i in range(vm.ns):
         if i == g:
             continue
@@ -556,19 +572,16 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                     else:
                         inner = []
                         for i2 in succ:
-                            if low[i2] > j - 1:
+                            if low[i2] > j - 1 or not nzp:  # no symbol: no edge
                                 continue
-                            for z in range(nzp):
-                                for m2 in range(mu):
-                                    tkey = (m, a, z, i2, m2, j)
-                                    t = cons.get(tkey)
-                                    if t is None:
-                                        t = vm.fresh_aux()
-                                        cons[tkey] = t
-                                        out.add((-t, vm.var_o(i2, z)))
-                                        out.add((-t, vm.var_m(m, z, a, m2)))
-                                        out.add((-t, vm.var_p(i2, m2, j - 1)))
-                                    inner.append(t)
+                            for m2 in range(mu):
+                                tkey = (m, a, i2, m2, j)
+                                t = cons.get(tkey)
+                                if t is None:
+                                    t = cons[tkey] = vm.fresh_aux()
+                                    out.add((-t, edge(m, a, i2, m2)))
+                                    out.add((-t, vm.var_p(i2, m2, j - 1)))
+                                inner.append(t)
                         u = None
                         if inner:
                             u = vm.fresh_aux()

@@ -555,8 +555,9 @@ def write_dimacs(cnf, path, comments=(), units=()):
 
 
 def parse_dimacs(text):
-    """Parse DIMACS CNF text into a Cnf (tolerates comments and blank lines)."""
-    nvars = 0
+    """Parse DIMACS CNF text into a Cnf (tolerates comments and blank lines);
+    tautologies are dropped, a literal past the header's count is a ValueError."""
+    nvars = None
     out = Cnf()
     cur = []
     for raw in text.splitlines():
@@ -572,13 +573,14 @@ def parse_dimacs(text):
         for tok in line.split():
             l = int(tok)
             if l == 0:
-                out.add(cur)
+                if not set(cur) & {-x for x in cur}:  # a tautology always holds
+                    out.add(cur)
                 cur = []
             else:
                 cur.append(l)
     if cur:
         raise ValueError("trailing literals without clause terminator")
-    return out.finalize(max(nvars, out.max_var))
+    return out.finalize(out.max_var if nvars is None else nvars)
 
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

@@ -404,6 +404,44 @@ class TestPathPredicate:
         assert [-vm.var_p(0, 0, 1)] in list(out)
         assert [-vm.var_p(0, 0, 2)] in list(out)
 
+    @pytest.mark.parametrize("name", ["fig1", "det_hallway"])
+    def test_edge_choice_shared_across_layers(self, name, request):
+        # the observation and memory-update choice of a product edge is
+        # encoded once, not once per layer: the P clauses over O and M do not
+        # grow with k
+        p = request.getfixturevalue(name)
+        mu, nu = 2, 1
+
+        def choice_clauses(k):
+            vm = VarMap(p, mu, nu, k)
+            lo, hi = vm.var_m(0, 0, 0, 0), vm.var_o(vm.ns - 1, vm.nzp - 1)  # the M and O blocks
+            return sum(any(lo <= abs(l) <= hi for l in c) for c in encode_path_predicate(p, vm))
+
+        assert choice_clauses(2) == choice_clauses(p.n_states * mu) > 0
+
+    @staticmethod
+    def product_steps(p, vm, val):
+        """Length of a shortest product path to the goal from each pair under
+        the assignment's own A/O/M choices; unreachable pairs are absent."""
+        pred = {(s, m): [] for s in range(vm.ns) for m in range(vm.mu)}
+        for s, m in pred:
+            for a in range(vm.na):
+                if not val[vm.var_a(m, a)]:
+                    continue
+                for s2 in p.succ(s, a):
+                    for z in range(vm.nzp):
+                        for m2 in range(vm.mu):
+                            if val[vm.var_o(s2, z)] and val[vm.var_m(m, z, a, m2)]:
+                                pred[s2, m2].append((s, m))
+        steps = {(p.goal, m): 0 for m in range(vm.mu)}
+        todo = list(steps)
+        for x in todo:  # breadth-first from the goal along reversed edges
+            for n in pred[x]:
+                if n not in steps:
+                    steps[n] = steps[x] + 1
+                    todo.append(n)
+        return steps
+
     def test_true_p_has_short_path(self):
         # P is defined in one direction only, and that direction must hold in
         # every model the solver returns: a true P(s,m,j) has a product path
@@ -419,28 +457,34 @@ class TestPathPredicate:
                 if res.status != sat.SAT:
                     continue
                 val = res.assignment
-                pred = {(s, m): [] for s in range(vm.ns) for m in range(mu)}
-                for s, m in pred:
-                    for a in range(vm.na):
-                        if not val[vm.var_a(m, a)]:
-                            continue
-                        for s2 in p.succ(s, a):
-                            for z in range(vm.nzp):
-                                for m2 in range(mu):
-                                    if val[vm.var_o(s2, z)] and val[vm.var_m(m, z, a, m2)]:
-                                        pred[s2, m2].append((s, m))
-                steps = {(p.goal, m): 0 for m in range(mu)}
-                todo = list(steps)
-                for x in todo:  # breadth-first from the goal along reversed edges
-                    for n in pred[x]:
-                        if n not in steps:
-                            steps[n] = steps[x] + 1
-                            todo.append(n)
-                for s, m in pred:
-                    for j in range(k + 1):
-                        if val[vm.var_p(s, m, j)]:
-                            assert steps.get((s, m), k + 1) <= j, (p, mu, nu, k, s, m, j)
-                            checked += 1
+                steps = self.product_steps(p, vm, val)
+                for s, m, j in itertools.product(range(vm.ns), range(mu), range(k + 1)):
+                    if val[vm.var_p(s, m, j)]:
+                        assert steps.get((s, m), k + 1) <= j, (p, mu, nu, k, s, m, j)
+                        checked += 1
+        assert checked
+
+    def test_forced_p_iff_short_path(self):
+        # under arbitrary fixed A/O/M values, P(s,m,j) can be made true exactly
+        # when those values give a product path of at most j steps: the
+        # solver may not justify it by a free edge auxiliary
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(20):
+            p = random_pomdp(rng)
+            mu, nu = rng.randint(1, 3), rng.randint(0, 2)
+            k = p.n_states * mu
+            vm = VarMap(p, mu, nu, k)
+            cnf = encode_path_predicate(p, vm, dist=mdp_prepass(p)[1]).finalize(vm.nvars)
+            engine = sat.Solver(cnf)
+            for _ in range(4):
+                val = [False] + [rng.random() < 0.5 for _ in range(vm.nvars)]
+                steps = self.product_steps(p, vm, val)
+                fixed = [v if val[v] else -v for v in range(1, vm.var_c(0, 0))]  # the A, M, O blocks
+                for s, m, j in itertools.product(range(vm.ns), range(mu), range(k + 1)):
+                    res = sat.solve(cnf, assumptions=fixed + [vm.var_p(s, m, j)], solver=engine)
+                    assert (res.status == sat.SAT) == (steps.get((s, m), k + 1) <= j), (p, mu, nu, s, m, j)
+                    checked += 1
         assert checked
 
 

@@ -365,6 +365,26 @@ class TestFrontEnd:
         assert run().returncode == 1
         assert run(str(tmp_path / "missing.cnf")).returncode == 1
 
+    def test_drops_tautological_clauses(self, tmp_path, monkeypatch):
+        # a tautology is legal DIMACS and always satisfied
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 -1 0\n2 0\n")
+        assert [list(c) for c in parse_dimacs((tmp_path / "f.cnf").read_text())] == [[2]]
+        done = subprocess.run([sys.executable, "-m", "sensynth.sat", str(tmp_path / "f.cnf")],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 10 and done.stderr == ""
+        assert done.stdout.splitlines()[0] == "s SATISFIABLE"
+
+    def test_rejects_literal_past_header(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        with pytest.raises(ValueError):
+            parse_dimacs("p cnf 1 1\n2 0\n")
+        (tmp_path / "f.cnf").write_text("p cnf 1 1\n2 0\n")
+        done = subprocess.run([sys.executable, "-m", "sensynth.sat", str(tmp_path / "f.cnf")],
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "exceeds" in done.stderr
+
     def test_reports_no_counters(self, monkeypatch):
         monkeypatch.setenv("PYTHONPATH", SRC)
         res = solve_external(encode_php(3, 2), FRONT_END)
