@@ -12,8 +12,9 @@ Variable families (in fixed numbering order, auxiliaries last):
 Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
 sensor-variable mode).  Auxiliaries define P in one direction, with an edge
 literal per product edge (m,a,s',m') shared by all layers
-(encode_path_predicate); a (mu, nu) grid adds selectors E(m) and F(t) that
-switch memory elements and fresh symbols off (encode_selectors).
+(encode_path_predicate).  The formula at (mu, nu) also answers every smaller
+cell of a grid, under assumptions that set its own update and emission
+literals false (VarMap.assumptions).
 
 encode() first runs mdp_prepass() on the fully observable model and fixes
 the variables that the pre-pass decides: C outside the MDP's almost-sure
@@ -123,16 +124,35 @@ class VarMap:
         if self.n_semantic >= 2**31:
             raise OverflowError(f"variable count {self.n_semantic} overflows the 31-bit literal space")
         self._next_aux = self.n_semantic + 1
-        self.mem_sel = {}  # memory element m -> its selector E(m)
-        self.fresh_sel = {}  # fresh symbol index z in Z' -> its selector F(t)
 
     def assumptions(self, mu, nu):
-        """Selector literals that restrict the formula to the cell (mu, nu):
-        memory elements below mu and fresh symbols below nu are on, the rest
-        off."""
+        """Literals that restrict this formula to the cell (mu, nu): every
+        update M(m',z,a,m) into a memory element m >= mu and every emission
+        O(s,@t) of a fresh symbol t >= nu is false.  The top cell (self.mu,
+        self.nu) has none.
+
+        Under them the formula is satisfiable iff the formula encoded at
+        (mu, nu) is:
+
+        - No update enters a switched-off element, so it is never reached
+          from m0: its C and P variables can be false, and its A and M rows
+          constrain nothing that matters.  encode_memory_update then makes
+          every update pick an element below mu, which decode_policy reads.
+        - The switched-off elements are the highest indices, so the
+          lexicographic symmetry chain (encode_symmetry) stays satisfiable:
+          their action rows copy the last switched-on row.
+        - A fresh symbol that is never emitted only adds update columns that
+          never fire, and value precedence only restricts the use of higher
+          symbols, which are unused.
+        """
+        if not (1 <= mu <= self.mu and 0 <= nu <= self.nu):
+            # m0 is never switched off, and a larger cell is another formula
+            raise ValueError(f"cell ({mu}, {nu}) lies outside (1..{self.mu}, 0..{self.nu})")
         n_obs = self.nzp - self.nu
-        return ([v if m < mu else -v for m, v in self.mem_sel.items()]
-                + [v if z - n_obs < nu else -v for z, v in self.fresh_sel.items()])
+        zs, ms, acts = range(self.nzp), range(self.mu), range(self.na)
+        return ([-self.var_m(m, z, a, m2) for m2 in range(mu, self.mu)
+                 for m in ms for z in zs for a in acts]
+                + [-self.var_o(s, n_obs + t) for t in range(nu, self.nu) for s in range(self.ns)])
 
     # semantic ids are 1-based
     def var_a(self, m, a):
@@ -594,47 +614,6 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     return out
 
 
-def encode_selectors(vm, mu_lo, nu_lo, out=None):
-    """Selectors that let one formula answer every cell of a (mu, nu) grid.
-
-    One auxiliary E(m) per memory element m in [mu_lo, vm.mu), with
-    M(m',z,a,m) -> E(m) for every update into m, and one F(t) per fresh
-    symbol t in [nu_lo, vm.nu), with O(s,@t) -> F(t) for every state s.  The
-    cell (mu, nu) assumes every E(m) with m >= mu and every F(t) with t >= nu
-    false and the other selectors true (VarMap.assumptions); the formula
-    under those assumptions is satisfiable iff the formula encoded at
-    (mu, nu) is:
-
-    - An element that no update enters is never reached from m0, so its A, M,
-      C and P variables constrain nothing that matters; a fresh symbol no
-      state emits only adds update columns that never fire.
-    - The switched-off elements and symbols are the highest indices, so the
-      symmetry breaking (encode_symmetry) stays satisfiable: a switched-off
-      memory row copies the last switched-on row, which keeps the
-      lexicographic chain, and value precedence on fresh symbols only
-      restricts the use of higher indices, which are unused.
-
-    mu_lo >= 1, since m0 is always on; an empty range adds nothing, so a
-    one-cell formula is unchanged.
-    """
-    if mu_lo < 1:
-        raise ValueError(f"memory element m0 cannot be switched off (mu_lo={mu_lo})")
-    out = out if out is not None else Cnf()
-    n_obs = vm.nzp - vm.nu
-    for m2 in range(mu_lo, vm.mu):
-        e = vm.mem_sel[m2] = vm.fresh_aux()
-        for m in range(vm.mu):
-            for z in range(vm.nzp):
-                for a in range(vm.na):
-                    out.add((-vm.var_m(m, z, a, m2), e))
-    for t in range(nu_lo, vm.nu):
-        z = n_obs + t
-        f = vm.fresh_sel[z] = vm.fresh_aux()
-        for s in range(vm.ns):
-            out.add((-vm.var_o(s, z), f))
-    return out
-
-
 def encode_side_constraints(sc, vm, out=None):
     """Distinguishability and dependency clauses over the O family."""
     out = out if out is not None else Cnf()
@@ -733,16 +712,15 @@ def encode_symmetry(p, vm, out=None):
     return out
 
 
-def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None, mu_lo=None, nu_lo=None):
+def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None):
     """Assemble the full formula; returns (Cnf, VarMap).
 
     Expects a model with an absorbing goal (parse_pomdp guarantees this; for
     programmatic models apply model.reduce_targets first).  In sensor mode
     pass the transformed model from sensor_model() and nu = 0.  prepass is
     mdp_prepass(p), computed here when not given; its facts are fixed in the
-    C and P families.  mu_lo and nu_lo (default mu and nu: none) add
-    selectors for every cell from (mu_lo, nu_lo) up to (mu, nu); see
-    encode_selectors.
+    C and P families.  The same formula answers every cell (mu', nu') <=
+    (mu, nu) under VarMap.assumptions(mu', nu').
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
@@ -757,7 +735,6 @@ def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None, mu_lo=None, nu_l
     encode_observation_fn(p, vm, sc, out)
     encode_reach_closure(p, vm, out, win=win)
     encode_path_predicate(p, vm, out, dist=dist)
-    encode_selectors(vm, mu if mu_lo is None else mu_lo, nu if nu_lo is None else nu_lo, out)
     encode_side_constraints(sc, vm, out)
     if sym_break:
         encode_symmetry(p, vm, out)

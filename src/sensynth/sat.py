@@ -69,20 +69,15 @@ class SolveResult:
 def evaluate(cnf, assignment):
     """True iff every clause has a literal satisfied by the assignment."""
     sat_clause = False
-    seen_any = False
     for l in cnf.literal_array():
         if l == 0:
             if not sat_clause:
                 return False
             sat_clause = False
-            seen_any = False
-            continue
-        seen_any = True
-        if not sat_clause:
+        elif not sat_clause:
             v = assignment[l if l > 0 else -l]
-            if v if l > 0 else not v:
-                sat_clause = True
-    return not seen_any
+            sat_clause = v if l > 0 else not v
+    return True
 
 
 RESTART_UNIT = 100  # conflicts per unit of the Luby restart sequence
@@ -556,10 +551,13 @@ def write_dimacs(cnf, path, comments=(), units=()):
 
 def parse_dimacs(text):
     """Parse DIMACS CNF text into a Cnf (tolerates comments and blank lines);
-    tautologies are dropped, a literal past the header's count is a ValueError."""
+    tautologies are dropped, a literal past the header's count is a ValueError.
+    Cnf refuses the empty clause, so an empty clause becomes the contradiction
+    x1 & -x1 (declaring x1 if the header declares no variable)."""
     nvars = None
     out = Cnf()
     cur = []
+    empty = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -573,14 +571,21 @@ def parse_dimacs(text):
         for tok in line.split():
             l = int(tok)
             if l == 0:
-                if not set(cur) & {-x for x in cur}:  # a tautology always holds
+                if not cur:
+                    empty = True
+                elif not set(cur) & {-x for x in cur}:  # a tautology always holds
                     out.add(cur)
                 cur = []
             else:
                 cur.append(l)
     if cur:
         raise ValueError("trailing literals without clause terminator")
-    return out.finalize(out.max_var if nvars is None else nvars)
+    out.finalize(out.max_var if nvars is None else nvars)
+    if empty:
+        out.add((1,))
+        out.add((-1,))
+        out.finalize(max(out.nvars, 1))
+    return out
 
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")

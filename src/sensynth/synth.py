@@ -13,8 +13,9 @@ Unrealizable is only claimed when the path bound k reached that bound; below
 it an unsatisfiable formula proves nothing and the outcome is Unknown.
 
 synthesize and sweep are both solve_grid: one formula and one solver answer
-every (mu, nu) cell, each cell being one solve call under selector
-assumptions (see solve_grid and encode.encode_selectors).
+every (mu, nu) cell, each cell being one solve call that assumes the
+formula's own update and emission literals false (see solve_grid and
+encode.VarMap.assumptions).
 """
 
 from __future__ import annotations
@@ -170,8 +171,7 @@ class Prepared:
     model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
     constraints: SideConstraints  # with the deterministic/strict flags merged in
     prepass: tuple  # mdp_prepass(model): (win, dist)
-    bound: int  # completeness bound mu * max(1, |win - {goal}|)
-    k: int  # the path bound to encode: the given k, else the bound
+    k: int  # the path bound to encode: the given k, else the completeness bound
 
     def needs_formula(self, nu):
         """False when every cell (mu, nu) is Unrealizable without a formula:
@@ -180,11 +180,10 @@ class Prepared:
         and admits no observation distribution at all."""
         return self.model.initial in self.prepass[0] and self.model.n_obs + nu > 0
 
-    def encode(self, mu, nu, mu_lo=None, nu_lo=None):
-        """The formula at (mu, nu) with path bound k, plus selectors for every
-        cell from (mu_lo, nu_lo) up (encode.encode); returns (Cnf, VarMap)."""
-        return encode(self.model, mu, nu, self.k, self.constraints, prepass=self.prepass,
-                      mu_lo=mu_lo, nu_lo=nu_lo)
+    def encode(self, mu, nu):
+        """The formula at (mu, nu) with path bound k (encode.encode); returns
+        (Cnf, VarMap)."""
+        return encode(self.model, mu, nu, self.k, self.constraints, prepass=self.prepass)
 
 
 def _completeness_bound(win, goal, mu):
@@ -207,9 +206,8 @@ def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=No
             raise ModelSemanticError(sc.sensor_name, "sensor mode replaces the fresh symbols; nu must be 0")
         p, sc = sensor_model(p, sc)
     win, dist = mdp_prepass(p)
-    bound = _completeness_bound(win, p.goal, mu)
-    return Prepared(model=p, constraints=sc, prepass=(win, dist), bound=bound,
-                    k=bound if k is None else k)
+    return Prepared(model=p, constraints=sc, prepass=(win, dist),
+                    k=_completeness_bound(win, p.goal, mu) if k is None else k)
 
 
 def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
@@ -222,16 +220,15 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     pre-pass depends on neither mu nor nu.  A cell whose nu fails
     Prepared.needs_formula is Unrealizable without a formula.  The other
     cells share one formula, encoded at (mu_hi, nu_hi) with path bound k
-    (default the completeness bound of mu_hi), plus selectors for the memory
-    elements and fresh symbols that some cell switches off
-    (encode.encode_selectors, whose docstring has the soundness argument).
-    A one-cell grid has no selectors, so its formula is exactly the (mu, nu)
-    formula.
+    (default the completeness bound of mu_hi); a one-cell grid's formula is
+    exactly the (mu, nu) formula.
 
-    Each cell is one solve under the assumptions VarMap.assumptions(mu, nu):
-    with the embedded solver, one Solver answers them all and what it learns
-    in one cell carries to the next; an external solver gets one DIMACS file
-    per cell, the assumptions written as unit clauses.  The budget holds per
+    Each cell is one solve under VarMap.assumptions(mu, nu), which sets the
+    formula's updates into memory elements >= mu and emissions of fresh
+    symbols >= nu false (its docstring has the soundness argument).  With
+    the embedded solver, one Solver answers every cell and what it learns in
+    one cell carries to the next; an external solver gets one DIMACS file per
+    cell, the assumptions written as unit clauses.  The budget holds per
     cell.  UNSAT means Unrealizable iff k >= mu * max(1, |W - {goal}|), the
     cell's completeness bound, and Unknown otherwise.  A model is decoded
     with the cell's mu and checked by the product-graph analysis.
@@ -249,13 +246,10 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     cells = [(mu, nu) for mu in mus for nu in nus]
     bounds = {mu: _completeness_bound(prep.prepass[0], p_enc.goal, mu) for mu in mus}
     live = [nu for nu in nus if prep.needs_formula(nu)]
-    if not live:
-        return [Unrealizable(k=bounds[mu], mu=mu, nu=nu, stats=SynthStats())
-                for mu, nu in cells], None
-
-    cnf, vm = prep.encode(mus[-1], nus[-1], mu_lo=mus[0], nu_lo=live[0])
     embedded = solver in (None, "", "embedded")
-    engine = sat.Solver(cnf) if embedded else None
+    if live:
+        cnf, vm = prep.encode(mus[-1], nus[-1])
+        engine = sat.Solver(cnf) if embedded else None
     out, error = [], None
     for mu, nu in cells:
         bound = bounds[mu]

@@ -11,10 +11,10 @@ from sensynth import sat
 from sensynth.encode import (Cnf, SideConstraints, VarMap, encode,
                              encode_action_selection, encode_memory_update,
                              encode_observation_fn, encode_path_predicate,
-                             encode_reach_closure, encode_selectors,
-                             encode_side_constraints, exactly_one, mdp_prepass, parse_constraints,
-                             sensor_model)
+                             encode_reach_closure, encode_side_constraints, exactly_one,
+                             mdp_prepass, parse_constraints, sensor_model)
 from sensynth.model import BOT, PartialObsFn, Pomdp, parse_pomdp
+from sensynth.synth import solve_grid
 from test_acceptance import SPLIT
 
 FIG1_VARIANT = """
@@ -673,43 +673,64 @@ class TestEncodeWhole:
 
 
 class TestSelectorFamily:
+    """A (mu, nu) cell of a grid formula is the formula's own update and
+    emission literals assumed false (VarMap.assumptions)."""
+
     def test_one_cell_formula_unchanged(self, fig1):
-        plain, _ = encode(fig1, 3, 1, 9)
-        same, vm = encode(fig1, 3, 1, 9, mu_lo=3, nu_lo=1)
-        assert same.literal_array() == plain.literal_array()
-        assert vm.mem_sel == {} and vm.fresh_sel == {} and vm.assumptions(3, 1) == []
+        plain, vm = encode(fig1, 3, 1, 9)
+        assert vm.assumptions(vm.mu, vm.nu) == []
+        (out,), _ = solve_grid(fig1, [3], [1], k=9)
+        assert (out.stats.vars, out.stats.clauses) == (plain.nvars, len(plain))
 
     def test_layout_and_assumptions(self, fig1):
-        plain, _ = encode(fig1, 3, 2, 9)
-        cnf, vm = encode(fig1, 3, 2, 9, mu_lo=1, nu_lo=0)
-        e1, e2 = vm.mem_sel[1], vm.mem_sel[2]
-        f0, f1 = vm.fresh_sel[fig1.n_obs], vm.fresh_sel[fig1.n_obs + 1]
-        assert cnf.nvars == plain.nvars + 4
-        # one clause per (m, z, a) into each switchable element, one per state
-        # for each switchable symbol
-        per_m2 = vm.mu * vm.nzp * vm.na
-        assert len(cnf) == len(plain) + 2 * per_m2 + 2 * vm.ns
-        assert vm.assumptions(2, 1) == [e1, -e2, f0, -f1]
-        assert vm.assumptions(1, 0) == [-e1, -e2, -f0, -f1]
-        assert vm.assumptions(3, 2) == [e1, e2, f0, f1]
+        _, vm = encode(fig1, 3, 2, 9)
+        n_upd = vm.mu * vm.nzp * vm.na  # updates into one memory element
+        for mu in (1, 2, 3):
+            for nu in (0, 1, 2):
+                lits = vm.assumptions(mu, nu)
+                assert all(l < 0 for l in lits) and len(set(lits)) == len(lits)
+                names = [vm.var_name(-l) for l in lits]
+                into = [int(n[n.rindex(",m") + 2:-1]) for n in names if n.startswith("M(")]
+                fresh = [int(n[n.index(",@") + 2:-1]) for n in names if n.startswith("O(")]
+                assert len(into) + len(fresh) == len(names)
+                assert sorted(into) == [m for m in range(mu, 3) for _ in range(n_upd)]
+                assert sorted(fresh) == [t for t in range(nu, 2) for _ in range(vm.ns)]
+
+    @staticmethod
+    def _cells_match(p, sc, mus, nus):
+        k = mus[-1] * p.n_states
+        grid, vm = encode(p, mus[-1], nus[-1], k, sc=sc)
+        solver = sat.Solver(grid)
+        for mu in mus:
+            for nu in nus:
+                if p.n_obs + nu == 0:
+                    continue
+                got = sat.solve(grid, assumptions=vm.assumptions(mu, nu), solver=solver).status
+                want = sat.solve(encode(p, mu, nu, k, sc=sc)[0]).status
+                assert got == want, (p, sc, mu, nu)
 
     def test_each_cell_equisatisfiable_with_its_own_formula(self):
         rng = random.Random(19)
         for _ in range(8):
             p = random_pomdp(rng)
-            k = 3 * p.n_states
-            for sc in (SideConstraints(), SideConstraints(deterministic=True)):
-                grid, vm = encode(p, 3, 2, k, sc=sc, mu_lo=1, nu_lo=0)
-                solver = sat.Solver(grid)
-                for mu in (1, 2, 3):
-                    for nu in (0, 1, 2):
-                        if p.n_obs + nu == 0:
-                            continue
-                        got = sat.solve(grid, assumptions=vm.assumptions(mu, nu),
-                                        solver=solver).status
-                        want = sat.solve(encode(p, mu, nu, k, sc=sc)[0]).status
-                        assert got == want, (p, sc, mu, nu)
+            a, b = rng.sample(range(p.n_states), 2)
+            modes = [SideConstraints(), SideConstraints(deterministic=True),
+                     SideConstraints(strict=True), SideConstraints(same=((a, b),)),
+                     SideConstraints(diff=((a, b),))]
+            if p.n_obs >= 2:
+                modes.append(SideConstraints(implies=((a, 0, 1),)))
+            for sc in modes:
+                self._cells_match(p, sc, (1, 2, 3), (0, 1, 2))
+        sensors = 0
+        while sensors < 4:  # sensor mode: the mu axis at nu = 0
+            p = random_pomdp(rng)
+            if all(p.obs.support(s) for s in range(p.n_states)):
+                sensor = SideConstraints(sensor_name="C", sensor_values=("lo", "hi"))
+                self._cells_match(*sensor_model(p, sensor), (1, 2, 3), (0,))
+                sensors += 1
 
     def test_element_zero_stays_on(self, fig1):
-        with pytest.raises(ValueError):
-            encode_selectors(VarMap(fig1, 2, 1, 3), 0, 1)
+        vm = VarMap(fig1, 2, 1, 3)
+        for mu, nu in ((0, 1), (3, 1), (1, -1), (1, 2)):
+            with pytest.raises(ValueError):
+                vm.assumptions(mu, nu)

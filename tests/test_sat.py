@@ -385,6 +385,16 @@ class TestFrontEnd:
         assert (done.returncode, done.stdout) == (1, "")
         assert "exceeds" in done.stderr
 
+    def test_empty_clause_is_unsatisfiable(self, tmp_path, capsys):
+        # Cnf.add refuses the empty clause; the reader turns it into x1 & -x1
+        for text in ("p cnf 1 1\n0\n", "p cnf 0 1\n0\n", "p cnf 2 2\n1 2 0\n0\n"):
+            (tmp_path / "f.cnf").write_text(text)
+            assert sat.main([str(tmp_path / "f.cnf")]) == 20, text
+            assert capsys.readouterr() == ("s UNSATISFIABLE\n", "")
+        assert parse_dimacs("p cnf 0 1\n0\n").nvars == 1
+        with pytest.raises(ValueError):
+            parse_dimacs("p cnf 0 2\n0\n1 0\n")
+
     def test_reports_no_counters(self, monkeypatch):
         monkeypatch.setenv("PYTHONPATH", SRC)
         res = solve_external(encode_php(3, 2), FRONT_END)

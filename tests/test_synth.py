@@ -108,7 +108,7 @@ class TestPrepass:
         for _ in range(25):
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
-            bound = prepare(p, mu, nu).bound
+            bound = prepare(p, mu, nu).k
             seq = [synthesize(p, mu, nu, k=k).verdict
                    for k in range(1, p.n_states * mu + 1)]
             assert seq == sorted(seq, key=order.get), (p, mu, nu)
