@@ -243,8 +243,9 @@ def _add_common(sp, solver_flags=True):
     sp.add_argument("--mu", type=int, default=1, help="memory elements (>= 1)")
     sp.add_argument("--nu", type=int, default=0, help="fresh observations allowed (>= 0)")
     sp.add_argument("--k", type=int, default=None,
-                    help="path bound (default: the completeness bound mu*|W-{goal}|, "
-                         "W the MDP's almost-sure winning region)")
+                    help="path bound (default: the completeness bound mu*|V-{goal}|, "
+                         "V the states reachable from the initial state through "
+                         "actions that stay in the MDP's almost-sure winning region)")
     sp.add_argument("--deterministic", action="store_true",
                     help="require a deterministic completion")
     sp.add_argument("--strict", action="store_true",

@@ -16,9 +16,12 @@ literal per product edge (m,a,s',m') shared by all layers
 cell of a grid, under assumptions that set its own update and emission
 literals false (VarMap.assumptions).
 
-encode() first runs mdp_prepass() on the fully observable model and fixes
-the variables that the pre-pass decides: C outside the MDP's almost-sure
-winning region and P below each state's goal distance.
+encode() first runs mdp_prepass() on the fully observable model.  Its
+region V, the states reachable from the initial state through actions whose
+successors all lie in the MDP's almost-sure winning region W, holds every
+state a winning policy can visit.  C and P range over V only: a state
+outside V gets no variable and no clause.  P is also fixed false below each
+state's goal distance.
 """
 
 from __future__ import annotations
@@ -95,10 +98,12 @@ class VarMap:
     """Deterministic numbering of the semantic variable families.
 
     Semantic ids occupy 1..n_semantic in block order A, M, O, C, P;
-    auxiliaries are handed out past that.
+    auxiliaries are handed out past that.  The C and P blocks cover only the
+    states of region (mdp_prepass), in ascending order; var_c and var_p of a
+    state outside it raise TypeError.  region None means every state.
     """
 
-    def __init__(self, p, mu, nu, k):
+    def __init__(self, p, mu, nu, k, region=None):
         if mu < 1:
             raise ValueError(f"mu must be >= 1, got {mu}")
         if nu < 0:
@@ -114,13 +119,18 @@ class VarMap:
         self.nzp = len(self.znames)
         self.state_names = p.states
         self.action_names = p.actions
-        ns, na, mu_, nzp = self.ns, self.na, mu, self.nzp
+        self.region = frozenset(range(self.ns) if region is None else region)
+        self._covered = sorted(self.region)  # the states with C and P variables
+        self._pos = [None] * self.ns  # a state's index in _covered
+        for i, s in enumerate(self._covered):
+            self._pos[s] = i
+        ns, na, mu_, nzp, nv = self.ns, self.na, mu, self.nzp, len(self._covered)
         self._off_a = 0
         self._off_m = self._off_a + mu_ * na
         self._off_o = self._off_m + mu_ * nzp * na * mu_
         self._off_c = self._off_o + ns * nzp
-        self._off_p = self._off_c + ns * mu_
-        self.n_semantic = self._off_p + ns * mu_ * (k + 1)
+        self._off_p = self._off_c + nv * mu_
+        self.n_semantic = self._off_p + nv * mu_ * (k + 1)
         if self.n_semantic >= 2**31:
             raise OverflowError(f"variable count {self.n_semantic} overflows the 31-bit literal space")
         self._next_aux = self.n_semantic + 1
@@ -165,10 +175,10 @@ class VarMap:
         return 1 + self._off_o + s * self.nzp + z
 
     def var_c(self, s, m):
-        return 1 + self._off_c + s * self.mu + m
+        return 1 + self._off_c + self._pos[s] * self.mu + m
 
     def var_p(self, s, m, j):
-        return 1 + self._off_p + (s * self.mu + m) * (self.k + 1) + j
+        return 1 + self._off_p + (self._pos[s] * self.mu + m) * (self.k + 1) + j
 
     def fresh_aux(self):
         v = self._next_aux
@@ -203,10 +213,10 @@ class VarMap:
             return f"O({self.state_names[s]},{self.znames[z]})"
         if i < self._off_p:
             s, m = divmod(i - self._off_c, self.mu)
-            return f"C({self.state_names[s]},m{m})"
+            return f"C({self.state_names[self._covered[s]]},m{m})"
         sm, j = divmod(i - self._off_p, self.k + 1)
         s, m = divmod(sm, self.mu)
-        return f"P({self.state_names[s]},m{m},{j})"
+        return f"P({self.state_names[self._covered[s]]},m{m},{j})"
 
 
 @dataclass(frozen=True)
@@ -317,20 +327,25 @@ def sensor_model(p, sc):
 
 
 def mdp_prepass(p):
-    """Almost-sure winning region and goal distances of the underlying MDP.
+    """The region a winning policy can visit, and goal distances, of the
+    underlying MDP.
 
-    Returns (win, dist).  win is the frozenset of states from which some
-    strategy of the fully observable MDP reaches the goal with probability 1:
-    the attractor fixpoint that repeatedly keeps only the states that can
-    reach the goal using actions whose successors all stay in the set
-    (Baier & Katoen, Principles of Model Checking, ch. 10).  dist[s] is the
-    length of a shortest path from s to the goal over any actions, or None
-    if the goal is unreachable from s.
+    Returns (region, dist).  First the almost-sure winning region W: the
+    states from which some strategy of the fully observable MDP reaches the
+    goal with probability 1, the attractor fixpoint that repeatedly keeps
+    only the states that can reach the goal using actions whose successors
+    all stay in the set (Baier & Katoen, Principles of Model Checking,
+    ch. 10).  region is the frozenset V of states reachable from the initial
+    state through such safe actions, those whose successors all lie in W; it
+    is empty when the initial state lies outside W.  dist[s] is the length of
+    a shortest path from s to the goal over any actions, or None if the goal
+    is unreachable from s.
 
     A finite-memory policy under any completion is one strategy of this MDP,
-    so both are sound facts about every (completion, policy) pair: every
-    pair it reaches from a winning start lies in win, and no pair reaches
-    the goal in fewer than dist steps.
+    so both are sound facts about every (completion, policy) pair that wins:
+    from each pair it reaches the policy still wins, so that pair's state is
+    in W and every enabled action is safe, which keeps every reached state in
+    V; and no pair reaches the goal in fewer than dist steps.
     """
     ns, na, g = p.n_states, p.n_actions, p.goal
     succ = [[p.succ(s, a) for a in range(na)] for s in range(ns)]
@@ -365,8 +380,20 @@ def mdp_prepass(p):
                     reach.add(s)
                     todo.append(s)
         if reach == win:
-            return frozenset(win), tuple(dist)
+            break
         win = reach
+
+    region = {p.initial} if p.initial in win else set()
+    todo = list(region)
+    while todo:
+        s = todo.pop()
+        for a in range(na):
+            if (s, a) in safe:
+                for t in succ[s][a]:
+                    if t not in region:
+                        region.add(t)
+                        todo.append(t)
+    return frozenset(region), tuple(dist)
 
 
 def encode_action_selection(vm, out=None):
@@ -479,7 +506,7 @@ def encode_observation_fn(p, vm, sc, out=None):
     return out
 
 
-def encode_reach_closure(p, vm, out=None, win=None):
+def encode_reach_closure(p, vm, out=None):
     """Reachability closure of state-memory pairs under the chosen supports.
 
     Anchor unit C(I,m0), then propagation along every positive-probability
@@ -487,23 +514,27 @@ def encode_reach_closure(p, vm, out=None, win=None):
     tautological (self-loop propagating a pair to itself) are vacuous and
     skipped.
 
-    win, when given, is the MDP's almost-sure winning region (mdp_prepass).
-    C(s,m) is fixed false for every s outside it, and propagation clauses
-    from such a source pair are skipped, since they are satisfied.  Sound
-    because every pair a winning policy reaches lies in win: from each one
-    the policy itself is an MDP strategy winning almost surely.
+    Only the states of vm.region have C variables (mdp_prepass).  No clause
+    starts from a state outside it, and a clause into such a state drops its
+    C literal: the pair it names is never reached, so an action with that
+    successor is never enabled at a reached pair.  Sound because every pair
+    a winning policy reaches has its state in the region.  An initial state
+    outside the region leaves no anchor, and the family is the contradiction
+    A(m0,a0) & -A(m0,a0).
     """
     out = out if out is not None else Cnf()
-    mu, nzp = vm.mu, vm.nzp
+    mu, nzp, region = vm.mu, vm.nzp, vm.region
+    if p.initial not in region:
+        v = vm.var_a(0, 0)
+        out.add((v,))
+        out.add((-v,))
+        return out
     out.add((vm.var_c(p.initial, 0),))
-    for i in range(vm.ns):
-        if win is not None and i not in win:
-            for m in range(mu):
-                out.add((-vm.var_c(i, m),))
-            continue
+    for i in sorted(region):
         for a in range(vm.na):
             av = [vm.var_a(m, a) for m in range(mu)]
             for j in p.succ(i, a):
+                inside = j in region
                 for z in range(nzp):
                     ov = vm.var_o(j, z)
                     for m in range(mu):
@@ -511,7 +542,8 @@ def encode_reach_closure(p, vm, out=None, win=None):
                         for m2 in range(mu):
                             if i == j and m == m2:
                                 continue
-                            out.add((-ci, -av[m], -ov, -vm.var_m(m, z, a, m2), vm.var_c(j, m2)))
+                            head = (-ci, -av[m], -ov, -vm.var_m(m, z, a, m2))
+                            out.add(head + (vm.var_c(j, m2),) if inside else head)
     return out
 
 
@@ -536,6 +568,11 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     and the formula is equisatisfiable with the two-way definition at every
     k.  Sharing is sound since an auxiliary implies only its own conjunct.
 
+    Only the states of vm.region have P variables, and a conjunct over a
+    state outside it is dropped, as if its P were false.  A pair whose C is
+    true needs a path through reached pairs only, and their states lie in
+    the region (encode_reach_closure), so this keeps every verdict.
+
     dist, when given, holds the MDP goal distances (mdp_prepass).  A true
     P(i,m,j) implies a graph path of at most j steps from i to the goal, so
     P(i,m,j) is fixed false for j < dist[i] (for every j if dist[i] is None).
@@ -544,21 +581,23 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     """
     out = out if out is not None else Cnf()
     mu, nzp, k, g = vm.mu, vm.nzp, vm.k, p.goal
+    states = sorted(vm.region)
     if dist is None:
         dist = [0] * vm.ns  # no pre-pass: nothing pruned
-    # P(i,.,j) is fixed false for j < low[i]
-    low = [k + 1 if d is None else d for d in dist]
+    # P(i,.,j) is fixed false for j < low[i]; a state outside the region is never reached
+    low = [k + 1 if d is None or i not in vm.region else d for i, d in enumerate(dist)]
     first = [max(d, 1) for d in low]  # first unrolled layer of a non-goal state
-    for m in range(mu):
-        for j in range(k + 1):
-            out.add((vm.var_p(g, m, j),))
-    for i in range(vm.ns):
+    if g in vm.region:
+        for m in range(mu):
+            for j in range(k + 1):
+                out.add((vm.var_p(g, m, j),))
+    for i in states:
         if i == g:
             continue
         for m in range(mu):
             for j in range(min(first[i], k + 1)):
                 out.add((-vm.var_p(i, m, j),))
-    for i in range(vm.ns):
+    for i in states:
         for m in range(mu):
             out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
 
@@ -577,7 +616,7 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                 out.add([-e] + xs)
         return e
 
-    for i in range(vm.ns):
+    for i in states:
         if i == g:
             continue
         row = succs[i]
@@ -649,7 +688,7 @@ def encode_side_constraints(sc, vm, out=None):
 
 
 def encode_symmetry(p, vm, out=None):
-    """Optional symmetry breaking; preserves satisfiability up to renaming.
+    """Symmetry breaking; preserves satisfiability up to renaming.
 
     Fresh observation symbols are interchangeable, so the t-th may first be
     used only at a state strictly after the first use of the (t-1)-th
@@ -712,30 +751,30 @@ def encode_symmetry(p, vm, out=None):
     return out
 
 
-def encode(p, mu, nu, k, sc=None, sym_break=True, prepass=None):
+def encode(p, mu, nu, k, sc=None, prepass=None):
     """Assemble the full formula; returns (Cnf, VarMap).
 
     Expects a model with an absorbing goal (parse_pomdp guarantees this; for
     programmatic models apply model.reduce_targets first).  In sensor mode
     pass the transformed model from sensor_model() and nu = 0.  prepass is
-    mdp_prepass(p), computed here when not given; its facts are fixed in the
-    C and P families.  The same formula answers every cell (mu', nu') <=
-    (mu, nu) under VarMap.assumptions(mu', nu').
+    mdp_prepass(p), computed here when not given: C and P range over its
+    region, and P is fixed false below its distances.  The same formula
+    answers every cell (mu', nu') <= (mu, nu) under VarMap.assumptions(mu',
+    nu').
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
         raise ValueError("goal must be absorbing; apply reduce_targets first")
     if sc.sensor_values is not None and nu != 0:
         raise ValueError("sensor mode replaces the fresh symbols; nu must be 0")
-    win, dist = prepass if prepass is not None else mdp_prepass(p)
-    vm = VarMap(p, mu, nu, k)
+    region, dist = prepass if prepass is not None else mdp_prepass(p)
+    vm = VarMap(p, mu, nu, k, region)
     out = Cnf()
     encode_action_selection(vm, out)
     encode_memory_update(vm, out)
     encode_observation_fn(p, vm, sc, out)
-    encode_reach_closure(p, vm, out, win=win)
+    encode_reach_closure(p, vm, out)
     encode_path_predicate(p, vm, out, dist=dist)
     encode_side_constraints(sc, vm, out)
-    if sym_break:
-        encode_symmetry(p, vm, out)
+    encode_symmetry(p, vm, out)
     return out.finalize(vm.nvars), vm

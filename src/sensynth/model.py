@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 # Index used for the undefined-observation symbol in PartialObsFn rows.
 BOT = -1
@@ -167,6 +168,13 @@ def lookup(table, name, kind, ln):
         raise ModelSemanticError(name, f"unknown {kind} (line {ln})") from None
 
 
+@lru_cache(maxsize=1024)
+def _weight(tok):
+    """Fraction(tok); models repeat a few weight tokens on every row, and a
+    Fraction is immutable, so one instance serves every row."""
+    return Fraction(tok)
+
+
 def read_row(text, table, kind, owner, ln):
     """Read the distribution `name weight, name weight, ...` at line ln into a
     tuple of (table[name], weight).
@@ -182,7 +190,7 @@ def read_row(text, table, kind, owner, ln):
             raise ModelSyntaxError(ln, 1, f"expected 'name weight', got {part.strip()!r}")
         name, tok = toks
         try:
-            w = Fraction(tok)
+            w = _weight(tok)
         except (ValueError, ZeroDivisionError):
             raise ModelSyntaxError(ln, 1, f"bad weight {tok!r}") from None
         if w <= 0:

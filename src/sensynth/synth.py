@@ -6,9 +6,11 @@ a decode that fails verification is an internal fault, never a result.
 
 prepare() runs the MDP pre-pass (encode.mdp_prepass) on the model to encode.
 An initial state outside the MDP's almost-sure winning region W is
-Unrealizable without any formula.  Otherwise the completeness bound is
-mu * max(1, |W - {goal}|): a shortest path from a pair that a winning policy
-reaches visits only reached non-goal pairs, all in (W - {goal}) x memory.
+Unrealizable without any formula.  Otherwise the pre-pass returns the region
+V of states reachable from the initial state through actions whose
+successors all lie in W, and the completeness bound is
+mu * max(1, |V - {goal}|): a shortest path from a pair that a winning policy
+reaches visits only reached non-goal pairs, all in (V - {goal}) x memory.
 Unrealizable is only claimed when the path bound k reached that bound; below
 it an unsatisfiable formula proves nothing and the outcome is Unknown.
 
@@ -63,7 +65,7 @@ class Realizable:
 
 @dataclass(frozen=True)
 class Unrealizable:
-    k: int  # met the completeness bound mu * max(1, |W - {goal}|)
+    k: int  # met the completeness bound mu * max(1, |V - {goal}|), V the pre-pass region
     mu: int
     nu: int
     stats: SynthStats
@@ -170,7 +172,7 @@ class Prepared:
 
     model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
     constraints: SideConstraints  # with the deterministic/strict flags merged in
-    prepass: tuple  # mdp_prepass(model): (win, dist)
+    prepass: tuple  # mdp_prepass(model): (region, dist)
     k: int  # the path bound to encode: the given k, else the completeness bound
 
     def needs_formula(self, nu):
@@ -186,9 +188,11 @@ class Prepared:
         return encode(self.model, mu, nu, self.k, self.constraints, prepass=self.prepass)
 
 
-def _completeness_bound(win, goal, mu):
-    """mu * max(1, |win - {goal}|): at this path bound UNSAT is Unrealizable."""
-    return mu * max(1, len(win - {goal}))
+def _completeness_bound(region, goal, mu):
+    """mu * max(1, |region - {goal}|), region the pre-pass region V: at this
+    path bound UNSAT is Unrealizable, since every pair a winning policy
+    reaches has its state in V."""
+    return mu * max(1, len(region - {goal}))
 
 
 def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=None):
@@ -205,9 +209,9 @@ def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=No
         if nu != 0:
             raise ModelSemanticError(sc.sensor_name, "sensor mode replaces the fresh symbols; nu must be 0")
         p, sc = sensor_model(p, sc)
-    win, dist = mdp_prepass(p)
-    return Prepared(model=p, constraints=sc, prepass=(win, dist),
-                    k=_completeness_bound(win, p.goal, mu) if k is None else k)
+    region, dist = mdp_prepass(p)
+    return Prepared(model=p, constraints=sc, prepass=(region, dist),
+                    k=_completeness_bound(region, p.goal, mu) if k is None else k)
 
 
 def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
@@ -229,7 +233,7 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     the embedded solver, one Solver answers every cell and what it learns in
     one cell carries to the next; an external solver gets one DIMACS file per
     cell, the assumptions written as unit clauses.  The budget holds per
-    cell.  UNSAT means Unrealizable iff k >= mu * max(1, |W - {goal}|), the
+    cell.  UNSAT means Unrealizable iff k >= mu * max(1, |V - {goal}|), the
     cell's completeness bound, and Unknown otherwise.  A model is decoded
     with the cell's mu and checked by the product-graph analysis.
 

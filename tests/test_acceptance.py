@@ -242,6 +242,20 @@ def test_criterion_8_scale_smoke():
           f"{out.stats.clauses} clauses) solved in {dt:.0f}s via {solver}")
 
 
+def test_criterion_8_escape8_default_bound():
+    # both sides of escape 8's frontier at the default, complete path bound;
+    # it is small because the pre-pass region keeps only the corner cells
+    p = gen_escape(8)
+    t0 = time.perf_counter()
+    refuted, found = synthesize(p, 1, 2), synthesize(p, 2, 2)
+    dt = time.perf_counter() - t0
+    assert refuted.verdict == "Unrealizable"
+    assert found.verdict == "Realizable" and found.certificate.ok
+    assert dt < 20.0
+    print(f"criterion 8: PASS - escape n=8 (1,2) Unrealizable at k={refuted.k}, "
+          f"(2,2) Realizable at k={found.k}, {dt:.1f}s < 20s")
+
+
 def test_criterion_9_cross_solver(fig1_runs, dh_runs, named_runs):
     cmd = external_solver()
     if cmd is None:

@@ -311,8 +311,11 @@ class TestExportDimacs:
         cnf = (tmp_path / "fig1.cnf").read_text()
         assert cnf.startswith("p cnf ")
         mapping = (tmp_path / "fig1.cnf.map").read_text().splitlines()
-        assert len(mapping) == 26  # 3 A + 3 M + 5 O + 5 C + 10 P
+        # 3 A + 3 M + 5 O + 4 C + 8 P: C and P cover the region, which
+        # leaves out the sink 'lose'
+        assert len(mapping) == 23
         assert mapping[0] == "1 A(m0,move-left)"
+        assert not any("lose" in line for line in mapping if " C(" in line or " P(" in line)
         assert "-> fig1.cnf" in capsys.readouterr().out
 
     def test_out_override_and_map_names(self, fig1_file, tmp_path):
@@ -320,12 +323,18 @@ class TestExportDimacs:
         cli.main(["export-dimacs", fig1_file, "--mu", "2", "--nu", "1",
                   "--out", out, "--quiet"])
         mapping = (tmp_path / "phi.cnf.map").read_text().splitlines()
-        from sensynth.encode import VarMap
-        vm = VarMap(gen_fig1(), 2, 1, 6)
+        from sensynth.encode import VarMap, mdp_prepass
+        p = gen_fig1()
+        region = mdp_prepass(p)[0]
+        vm = VarMap(p, 2, 1, 6, region)
         assert len(mapping) == vm.n_semantic
-        for line in mapping[:40]:
+        for line in mapping:
             v, name = line.split(" ", 1)
             assert vm.var_name(int(v)) == name
+        names = {line.split(" ", 1)[1] for line in mapping}
+        for s in range(p.n_states):
+            assert ("C(%s,m1)" % p.states[s] in names) == (s in region)
+            assert ("P(%s,m0,6)" % p.states[s] in names) == (s in region)
 
     def test_sensor_mode_exports_refined_formula(self, tmp_path):
         model = tmp_path / "chain.pomdp"

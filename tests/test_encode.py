@@ -227,11 +227,25 @@ def semantic_ok(p, vm, sc, choice):
     return closure <= win
 
 
+def symmetry_free(p, vm, sc=SideConstraints(), dist=None):
+    """encode()'s families except symmetry breaking, which prunes models by
+    design, over vm's region and with P pruned below dist."""
+    out = Cnf()
+    encode_action_selection(vm, out)
+    encode_memory_update(vm, out)
+    encode_observation_fn(p, vm, sc, out)
+    encode_reach_closure(p, vm, out)
+    encode_path_predicate(p, vm, out, dist=dist)
+    encode_side_constraints(sc, vm, out)
+    return out.finalize(vm.nvars)
+
+
 def choices_match_formula(p, mu, nu, k, sc):
     """Enumerate all A/M/O assignments; the pinned formula must be satisfiable
-    exactly when the reference decision accepts.  Symmetry breaking off, since
-    it prunes models by design."""
-    cnf, vm = encode(p, mu, nu, k, sc=sc, sym_break=False)
+    exactly when the reference decision accepts."""
+    region, dist = mdp_prepass(p)
+    vm = VarMap(p, mu, nu, k, region)
+    cnf = symmetry_free(p, vm, sc, dist)
     vars_ = ([vm.var_a(m, a) for m in range(mu) for a in range(vm.na)]
              + [vm.var_m(m, z, a, m2) for m in range(mu) for z in range(vm.nzp)
                 for a in range(vm.na) for m2 in range(mu)]
@@ -452,13 +466,13 @@ class TestPathPredicate:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
             for k in sorted({1, 2, p.n_states * mu}):
-                cnf, vm = encode(p, mu, nu, k)  # pre-pass on: P pruned below dist
+                cnf, vm = encode(p, mu, nu, k)  # P over the region, pruned below dist
                 res = sat.solve(cnf)
                 if res.status != sat.SAT:
                     continue
                 val = res.assignment
                 steps = self.product_steps(p, vm, val)
-                for s, m, j in itertools.product(range(vm.ns), range(mu), range(k + 1)):
+                for s, m, j in itertools.product(sorted(vm.region), range(mu), range(k + 1)):
                     if val[vm.var_p(s, m, j)]:
                         assert steps.get((s, m), k + 1) <= j, (p, mu, nu, k, s, m, j)
                         checked += 1
@@ -507,18 +521,21 @@ class TestMdpPrepass:
         # s0 reaches the goal only through a coin flip into the sink
         p = parse_pomdp(SINK.replace("delta s0 go -> g 1", "delta s0 go -> g 1/2, sink 1/2")
                         .replace("delta s0 fall -> sink 1", "delta s0 fall -> s0 1"))
-        win, dist = mdp_prepass(p)
-        assert win == {p.goal}
+        region, dist = mdp_prepass(p)
+        assert p.initial not in region and region == frozenset()
         assert dist[p.initial] == 1
 
     def test_encode_fixes_closure_outside_win(self, fig1):
+        # 'lose' is outside the region: it has no C or P variable, and a
+        # propagation clause into it keeps only its other four literals
         cnf, vm = encode(fig1, 2, 1, 6)
         lose = fig1.states.index("lose")
-        clauses = list(cnf)
-        for m in range(2):
-            assert [-vm.var_c(lose, m)] in clauses
-            # no propagation clause starts from a fixed-false pair
-            assert not any(len(c) == 5 and c[0] == -vm.var_c(lose, m) for c in clauses)
+        assert lose not in vm.region and vm.region == mdp_prepass(fig1)[0]
+        names = [vm.var_name(v) for v in range(1, vm.n_semantic + 1)]
+        assert not any("lose" in n for n in names if n[0] in "CP")
+        assert len([n for n in names if n[0] == "C"]) == 2 * len(vm.region)
+        into_lose = [c for c in cnf if -vm.var_o(lose, 0) in c]
+        assert into_lose and all(len(c) == 4 and max(c) < 0 for c in into_lose)
 
     def test_encode_fixes_path_below_distance(self, fig1):
         cnf, vm = encode(fig1, 2, 1, 6)
@@ -550,15 +567,9 @@ class TestMdpPrepass:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
             k = p.n_states * mu
-            vm = VarMap(p, mu, nu, k)
-            plain = Cnf()
-            encode_action_selection(vm, plain)
-            encode_memory_update(vm, plain)
-            encode_observation_fn(p, vm, SideConstraints(), plain)
-            encode_reach_closure(p, vm, plain)
-            encode_path_predicate(p, vm, plain)
-            plain.finalize(vm.nvars)
-            pruned = encode(p, mu, nu, k, sym_break=False)[0]
+            region, dist = mdp_prepass(p)
+            plain = symmetry_free(p, VarMap(p, mu, nu, k))
+            pruned = symmetry_free(p, VarMap(p, mu, nu, k, region), dist=dist)
             assert sat.solve(plain).status == sat.solve(pruned).status, (p, mu, nu)
 
 
@@ -667,8 +678,9 @@ class TestEncodeWhole:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 3), rng.randint(0, 2)
             k = rng.randint(1, p.n_states * mu)
-            a = sat.solve(encode(p, mu, nu, k, sym_break=True)[0]).status
-            b = sat.solve(encode(p, mu, nu, k, sym_break=False)[0]).status
+            region, dist = mdp_prepass(p)
+            a = sat.solve(encode(p, mu, nu, k)[0]).status
+            b = sat.solve(symmetry_free(p, VarMap(p, mu, nu, k, region), dist=dist)).status
             assert a == b
 
 

@@ -70,6 +70,20 @@ class TestParse:
         with pytest.raises(err):
             parse_pomdp(mangle(CHAIN))
 
+    @pytest.mark.parametrize("tok, message", [
+        ("abc", "line 9, col 1: bad weight 'abc'"),
+        ("1/0", "line 9, col 1: bad weight '1/0'"),
+        ("-1", "line 9, col 1: weight must be positive, got -1"),
+    ])
+    def test_weight_errors_name_their_line(self, tok, message):
+        # weights are parsed through a cache: a token seen before, valid or
+        # not, still reports its own line
+        bad = CHAIN.replace("delta g step -> g 1", f"delta g step -> g {tok}")
+        for _ in range(2):
+            with pytest.raises(ModelSyntaxError) as exc:
+                parse_pomdp(bad)
+            assert str(exc.value) == message
+
 
 class TestRoundTrip:
     def test_chain_fixpoint(self):

@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import external_solver, random_pomdp
 from sensynth import sat, synth
-from sensynth.bench import gen_rocksample
+from sensynth.bench import gen_escape, gen_rocksample
 from sensynth.encode import SideConstraints, VarMap, encode, mdp_prepass, parse_constraints
 from sensynth.model import ModelSemanticError, parse_pomdp
 from sensynth.sat import Budget, ExternalSolverError
@@ -48,7 +49,7 @@ class TestSynthesizeFig1:
         assert synthesize(fig1, 2, 2).verdict == "Realizable"
         out = synthesize(fig1, 2, 1)
         assert out.verdict == "Unrealizable"
-        assert out.k == 6  # mu * |win - {goal}|: win leaves out `lose`
+        assert out.k == 6  # mu * |V - {goal}|: the region V leaves out `lose`
 
     def test_realizable_payload(self, fig1):
         out = synthesize(fig1, 3, 1)
@@ -101,6 +102,41 @@ class TestPrepass:
                     assert out.verdict == ("Realizable" if want else "Unrealizable"), \
                         (p, mu, nu)
         assert outside >= 10  # the refutation path is exercised too
+
+    def test_escape_region_is_the_corners(self):
+        # the robot slides to the walls, so only corner cells are visited
+        p = gen_escape(3)
+        region = mdp_prepass(p)[0]
+        corners = {f"r{x}_{y}" for x in (0, 2) for y in (0, 2)}
+        assert {p.states[s].rsplit("_", 1)[0] for s in region - {p.goal}} <= corners
+        assert len(region) < p.n_states // 2
+        assert prepare(p, 1, 2).k == 1 * len(region - {p.goal})
+
+    def test_oracle_agreement_where_region_is_smaller(self):
+        # models with winning states that no safe path from the initial state
+        # visits: at every k, a verdict that is not Unknown matches the oracle
+        rng = random.Random(33)
+        models, seen = 0, set()
+        while models < 40:
+            p = random_pomdp(rng)
+            region = mdp_prepass(p)[0]
+            win = {s for s in range(p.n_states)
+                   if s in mdp_prepass(replace(p, initial=s))[0]}
+            if not region or region == win:
+                continue
+            assert region < win
+            models += 1
+            mu, nu = rng.randint(1, 2), rng.randint(0, 1)
+            want = brute_force_decide(p, mu, nu, deterministic=True)
+            bound = prepare(p, mu, nu).k
+            for k in range(1, p.n_states * mu + 1):
+                got = synthesize(p, mu, nu, k=k, deterministic=True).verdict
+                if k >= bound:
+                    assert got != "Unknown", (p, mu, nu, k)
+                if got != "Unknown":
+                    assert got == ("Realizable" if want else "Unrealizable"), (p, mu, nu, k)
+                    seen.add(got)
+        assert seen == {"Realizable", "Unrealizable"}
 
     def test_monotone_in_k_up_to_old_bound(self):
         rng = random.Random(32)
