@@ -333,8 +333,8 @@ class TestExportDimacs:
             assert vm.var_name(int(v)) == name
         names = {line.split(" ", 1)[1] for line in mapping}
         for s in range(p.n_states):
-            assert ("C(%s,m1)" % p.states[s] in names) == (s in region)
-            assert ("P(%s,m0,6)" % p.states[s] in names) == (s in region)
+            assert (f"C({p.states[s]},m1)" in names) == (s in region)
+            assert (f"P({p.states[s]},m0,6)" in names) == (s in region)
 
     def test_sensor_mode_exports_refined_formula(self, tmp_path):
         model = tmp_path / "chain.pomdp"

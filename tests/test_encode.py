@@ -294,7 +294,7 @@ delta g fall -> g 1
 
 class TestTseitinProjection:
     def test_state_outside_winning_region(self):
-        # C(sink,.) is fixed false and P(sink,.,.) has no goal distance
+        # sink lies outside the region: it has no C or P variable
         choices_match_formula(parse_pomdp(SINK), 1, 0, 2, SideConstraints())
 
     def test_chain_permissive(self):
