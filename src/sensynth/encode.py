@@ -10,11 +10,14 @@ Variable families (in fixed numbering order, auxiliaries last):
   P(s,m,j)      true only if the goal is reachable from (s,m) within j
                 steps, 0 <= j <= k
 Z' is the declared alphabet plus nu fresh symbols (or Z x Val(C) in
-sensor-variable mode).  Auxiliaries define P in one direction, with an edge
-literal per product edge (m,a,s',m') shared by all layers
-(encode_path_predicate).  The formula at (mu, nu) also answers every smaller
-cell of a grid, under assumptions that set its own update and emission
-literals false (VarMap.assumptions).
+sensor-variable mode).  Every auxiliary is implied in one direction only
+(Plaisted & Greenbaum 1986): those that bound P, with an edge literal per
+product edge (m,a,s',m') shared by all layers (encode_path_predicate), and
+the value-precedence and lexicographic chains of symmetry breaking
+(encode_symmetry).  Deterministic mode adds a pairwise at-most-one to each
+state's coverage clause.  The formula at (mu, nu) also answers every
+smaller cell of a grid, under assumptions that set its own update and
+emission literals false (VarMap.assumptions).
 
 encode() first runs mdp_prepass() on the fully observable model.  Its
 region V, the states reachable from the initial state through actions whose
@@ -414,40 +417,11 @@ def encode_memory_update(vm, out=None):
     return out
 
 
-PAIRWISE_LIMIT = 8
-
-
-def exactly_one(lits, vm, out=None):
-    """Constrain exactly one of lits to hold.
-
-    Pairwise encoding up to PAIRWISE_LIMIT literals; above that, a sequential
-    encoding whose prefix auxiliaries are fully defined (so the model count
-    stays exactly len(lits), enumeration-checkable).
-    """
-    out = out if out is not None else Cnf()
-    n = len(lits)
-    if n == 0:
-        raise ValueError("exactly_one of no literals")
-    if n == 1:
-        out.add((lits[0],))
-        return out
-    if n <= PAIRWISE_LIMIT:
-        out.add(lits)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.add((-lits[i], -lits[j]))
-        return out
-    # sequential: s_i <-> (lits[0] | ... | lits[i]), reusing lits[0] as s_0
-    prev = lits[0]
-    for i in range(1, n):
-        x = lits[i]
-        out.add((-x, -prev))  # at most one
-        s = vm.fresh_aux()
-        out.add((-prev, s))
-        out.add((-x, s))
-        out.add((-s, prev, x))
-        prev = s
-    out.add((prev,))  # at least one
+def at_most_one(lits, out):
+    """Pairwise at-most-one: -x | -y for every two of lits."""
+    for i, x in enumerate(lits):
+        for y in lits[i + 1:]:
+            out.add((-x, -y))
     return out
 
 
@@ -459,7 +433,8 @@ def encode_observation_fn(p, vm, sc, out=None):
     definition).  States without bot mass are pinned to their given support
     either way.  A strict-mode state with empty bot-support and no fresh
     symbols admits no completion; that is surfaced as a canonical
-    contradiction pair on its first O variable.
+    contradiction pair on its first O variable.  Deterministic mode adds
+    at_most_one over each row; the coverage clause is the at-least-one half.
     """
     out = out if out is not None else Cnf()
     ns, nzp = vm.ns, vm.nzp
@@ -478,7 +453,7 @@ def encode_observation_fn(p, vm, sc, out=None):
                     for v in pair_vars:
                         out.add((-v,))
             if sc.deterministic:
-                exactly_one([vm.var_o(i, z) for z in range(nzp)], vm, out)
+                at_most_one([vm.var_o(i, z) for z in range(nzp)], out)
         return out
 
     n_obs = nzp - vm.nu
@@ -502,7 +477,7 @@ def encode_observation_fn(p, vm, sc, out=None):
             for z in set(range(n_obs)) - set(supp):
                 out.add((-vm.var_o(i, z),))
         if sc.deterministic:
-            exactly_one([vm.var_o(i, z) for z in range(nzp)], vm, out)
+            at_most_one([vm.var_o(i, z) for z in range(nzp)], out)
     return out
 
 
@@ -688,66 +663,59 @@ def encode_side_constraints(sc, vm, out=None):
 
 
 def encode_symmetry(p, vm, out=None):
-    """Symmetry breaking; preserves satisfiability up to renaming.
+    """Symmetry-breaking predicates (Crawford, Ginsberg, Luks & Roy, KR 1996):
+    they keep at least one assignment of every orbit under renaming fresh
+    symbols and memory elements m1.., so satisfiability is unchanged.
 
-    Fresh observation symbols are interchangeable, so the t-th may first be
-    used only at a state strictly after the first use of the (t-1)-th
-    (value precedence via a prefix-use chain).  Memory elements other than m0
-    are interchangeable, so action-selection rows of m1.. are ordered
-    lexicographically nonincreasing.
+    Fresh observation symbols are interchangeable, so @t may first be used
+    only at a state strictly after the first use of @t-1 (value precedence):
+    -O(0,@t) and O(i,@t) -> used[t-1][i-1].  Memory elements other than m0
+    are interchangeable, so the action rows of m1.. are lexicographically
+    nonincreasing, A(m,.) >= A(m+1,.) with true above false.
+
+    Each auxiliary is defined in one direction only, and each direction is
+    sound for the same reason: the literal occurs in one polarity outside
+    its own definition, so only the implied direction can matter.
+
+    - used[t][i] -> used[t][i-1] | O(i,@t), with base used[t][0] -> O(0,@t).
+      By induction on i, a true used[t][i] has @t at some state <= i, so
+      O(i,@t+1) -> used[t][i-1] still puts the first use of @t before that
+      of @t+1.  Setting used to its exact meaning satisfies the chain, so no
+      ordered completion is lost.  The last state's literal would occur in
+      no precedence clause and is not made.
+    - g, one per action a < |A|-1 of each pair of rows m, m+1, is a prefix
+      literal: g_prev -> (x | -y), (g_prev & -x) -> g and (g_prev & y) -> g,
+      with x = A(m,a), y = A(m+1,a) and no g_prev at a = 0.  Given the
+      comparison at a, -x or y means x = y, so by induction g holds wherever
+      the rows agree on actions 0..a, and the comparison is enforced up to
+      the first difference.  Setting g to that prefix equality satisfies
+      every clause of two ordered rows.
     """
     out = out if out is not None else Cnf()
     ns, mu, na = vm.ns, vm.mu, vm.na
-    n_obs = vm.nzp - vm.nu
-    fresh = list(range(n_obs, vm.nzp))
-    if len(fresh) >= 2:
-        used = []  # used[t][i] <-> some state <= i produces fresh symbol t
-        for t in range(len(fresh) - 1):
-            z = fresh[t]
-            chain = []
-            prev = None
-            for i in range(ns):
-                u = vm.fresh_aux()
-                ov = vm.var_o(i, z)
-                if prev is None:
-                    out.add((-u, ov))
-                    out.add((u, -ov))
-                else:
-                    out.add((-prev, u))
-                    out.add((-ov, u))
-                    out.add((-u, prev, ov))
-                chain.append(u)
-                prev = u
-            used.append(chain)
-        for t in range(1, len(fresh)):
-            z = fresh[t]
-            out.add((-vm.var_o(0, z),))
-            for i in range(1, ns):
-                out.add((-vm.var_o(i, z), used[t - 1][i - 1]))
-    if mu >= 3:
-        for m in range(1, mu - 1):
-            g = None
-            for a in range(na):
-                x, y = vm.var_a(m, a), vm.var_a(m + 1, a)
-                if g is None:
-                    out.add((x, -y))
-                else:
-                    out.add((-g, x, -y))
-                if a == na - 1:
-                    break
-                e = vm.fresh_aux()
-                out.add((-e, -x, y))
-                out.add((-e, x, -y))
-                out.add((e, x, y))
-                out.add((e, -x, -y))
-                if g is None:
-                    g = e
-                else:
-                    ng = vm.fresh_aux()
-                    out.add((-ng, g))
-                    out.add((-ng, e))
-                    out.add((ng, -g, -e))
-                    g = ng
+    fresh = range(vm.nzp - vm.nu, vm.nzp)
+    used = []  # used[t][i] -> some state <= i produces fresh symbol t
+    for z in fresh[:-1]:
+        chain = []
+        for i in range(ns - 1):
+            u = vm.fresh_aux()
+            out.add([-u, vm.var_o(i, z)] + chain[-1:])
+            chain.append(u)
+        used.append(chain)
+    for t, z in enumerate(fresh[1:]):
+        out.add((-vm.var_o(0, z),))
+        for i in range(1, ns):
+            out.add((-vm.var_o(i, z), used[t][i - 1]))
+    for m in range(1, mu - 1):
+        guard = []  # [-g_prev], empty at the first action
+        for a in range(na):
+            x, y = vm.var_a(m, a), vm.var_a(m + 1, a)
+            out.add(guard + [x, -y])
+            if a < na - 1:
+                g = vm.fresh_aux()
+                out.add(guard + [x, g])
+                out.add(guard + [-y, g])
+                guard = [-g]
     return out
 
 

@@ -530,12 +530,10 @@ def solve(cnf, budget=None, assumptions=(), solver=None):
 
 # DIMACS and external solvers
 
-def write_dimacs(cnf, path, comments=(), units=()):
+def write_dimacs(cnf, path, units=()):
     """Stream DIMACS to a file without building the whole text in memory;
     units are extra one-literal clauses written after the formula."""
     with open(path, "w") as fh:
-        for c in comments:
-            fh.write(f"c {c}\n")
         fh.write(f"p cnf {cnf.nvars} {len(cnf) + len(units)}\n")
         cur = []
         for l in cnf.literal_array():

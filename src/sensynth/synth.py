@@ -82,17 +82,20 @@ class Unknown:
     verdict = "Unknown"
 
 
-def _fresh_first_use(assignment, vm):
-    """Fresh symbols with a true O variable, ordered by first state of use."""
+def _fresh_used(assignment, vm):
+    """How many fresh symbols the assignment uses.  Value precedence
+    (encode.encode_symmetry) makes them @0, @1, ... with strictly increasing
+    first states of use; any other order is an EncoderFault."""
     n_obs = vm.nzp - vm.nu
-    order = []
-    seen = set()
+    used = 0
     for s in range(vm.ns):
-        for z in range(n_obs, vm.nzp):
-            if z not in seen and assignment[vm.var_o(s, z)]:
-                seen.add(z)
-                order.append(z)
-    return order
+        new = [z - n_obs for z in range(n_obs + used, vm.nzp) if assignment[vm.var_o(s, z)]]
+        if new:
+            if new != [used]:
+                raise EncoderFault(f"state {vm.state_names[s]} first uses fresh symbols {new}, "
+                                   f"where value precedence allows only @{used}")
+            used += 1
+    return used
 
 
 def decode_completion(assignment, vm, p, strict=False):
@@ -101,19 +104,18 @@ def decode_completion(assignment, vm, p, strict=False):
     Support of state s is {z : O(s,z) true}.  Weights are uniform over the
     support, except in strict mode where pre-assigned weights are kept and
     only the bot mass is spread over the chosen fresh symbols (over the whole
-    support if the solver picked none).  Unused fresh symbols are dropped and
-    the kept ones renumbered by first state of use, so partitions are
-    comparable across runs.
+    support if the solver picked none).  Symmetry breaking numbers the used
+    fresh symbols @0, @1, ... by first state of use, so the completion keeps
+    those and partitions are comparable across runs; an assignment that
+    breaks that order is an EncoderFault.
     """
     n_obs = vm.nzp - vm.nu
-    order = _fresh_first_use(assignment, vm)
-    rename = {old: n_obs + i for i, old in enumerate(order)}
+    n_new = _fresh_used(assignment, vm)
     rows = []
     for s in range(vm.ns):
         supp = [z for z in range(vm.nzp) if assignment[vm.var_o(s, z)]]
         if not supp:
             raise EncoderFault(f"state {p.states[s]} decoded with empty observation support")
-        supp = sorted(rename.get(z, z) for z in supp)
         if strict:
             old_w = {z: w for z, w in p.obs.rows[s] if z >= 0}
             bot = p.obs.bot_mass(s)
@@ -130,7 +132,7 @@ def decode_completion(assignment, vm, p, strict=False):
         if sum(w for _, w in row) != 1:
             raise EncoderFault(f"decoded weights at state {p.states[s]} do not sum to 1")
         rows.append(tuple(row))
-    return Completion(n_new=len(order), rows=tuple(rows))
+    return Completion(n_new=n_new, rows=tuple(rows))
 
 
 def decode_policy(assignment, vm, mu=None):
@@ -138,9 +140,8 @@ def decode_policy(assignment, vm, mu=None):
 
     sigma_n(m) = {a : A(m,a)}, sigma_u(m,z,a) = {m' : M(m,z,a,m')}, over the
     memory elements m, m' < mu (default vm.mu; a grid formula's cell reads
-    only the elements it switched on).  Columns for dropped fresh symbols are
-    discarded and the rest follow the same first-use renumbering as the
-    completion.
+    only the elements it switched on).  Columns of unused fresh symbols are
+    dropped, as in the completion.
     """
     mu = vm.mu if mu is None else mu
     act = []
@@ -149,8 +150,7 @@ def decode_policy(assignment, vm, mu=None):
         if not row:
             raise EncoderFault(f"memory element {m} decoded with empty action support")
         act.append(row)
-    n_obs = vm.nzp - vm.nu
-    cols = list(range(n_obs)) + _fresh_first_use(assignment, vm)
+    cols = range(vm.nzp - vm.nu + _fresh_used(assignment, vm))
     update = []
     for m in range(mu):
         zrows = []

@@ -8,10 +8,10 @@ import pytest
 
 from conftest import random_pomdp
 from sensynth import sat
-from sensynth.encode import (Cnf, SideConstraints, VarMap, encode,
+from sensynth.encode import (Cnf, SideConstraints, VarMap, at_most_one, encode,
                              encode_action_selection, encode_memory_update,
                              encode_observation_fn, encode_path_predicate,
-                             encode_reach_closure, encode_side_constraints, exactly_one,
+                             encode_reach_closure, encode_side_constraints, encode_symmetry,
                              mdp_prepass, parse_constraints, sensor_model)
 from sensynth.model import BOT, PartialObsFn, Pomdp, parse_pomdp
 from sensynth.synth import solve_grid
@@ -116,40 +116,26 @@ class TestActionAndMemoryFamilies:
         assert list(out) == [[vm.var_m(0, 0, 0, 0)]]
 
 
-class TestExactlyOne:
-    def _vm(self):
-        return VarMap(parse_pomdp(FIG1_VARIANT), 2, 1, 3)
+def projections(cnf, lits):
+    """Every valuation of lits, each with whether it extends to a model of cnf."""
+    solver = sat.Solver(cnf)
+    for bits in itertools.product((False, True), repeat=len(lits)):
+        assumed = [l if b else -l for l, b in zip(lits, bits)]
+        yield bits, sat.solve(cnf, assumptions=assumed, solver=solver).status == sat.SAT
 
+
+class TestAtMostOne:
     def test_single_literal(self):
-        vm = self._vm()
-        out = Cnf()
-        exactly_one([5], vm, out)
-        assert list(out) == [[5]]
+        assert len(at_most_one([5], Cnf())) == 0
 
     def test_three_literals_pairwise(self):
-        # C(3,2) negatives + 1 coverage
-        vm = self._vm()
-        out = Cnf()
-        exactly_one([3, 5, 7], vm, out)
-        assert len(out) == 4
+        out = at_most_one([3, 5, 7], Cnf())
+        assert sorted(out) == [[-5, -7], [-3, -7], [-3, -5]]
 
     @pytest.mark.parametrize("n", [2, 4, 8, 10])
     def test_model_count_by_enumeration(self, n):
-        vm = self._vm()
-        lits = [vm.var_o(0, 0), vm.var_o(0, 1)] + [vm.fresh_aux() for _ in range(n - 2)]
-        base = Cnf()
-        exactly_one(lits, vm, base)
-        models = 0
-        for bits in itertools.product((False, True), repeat=n):
-            cnf = Cnf()
-            for c in base:
-                cnf.add(c)
-            for lit, b in zip(lits, bits):
-                cnf.add((lit if b else -lit,))
-            cnf.finalize(vm.nvars)
-            if sat.solve(cnf).status == sat.SAT:
-                models += 1
-        assert models == n
+        lits = list(range(1, n + 1))
+        assert sum(got for _, got in projections(at_most_one(lits, Cnf()).finalize(n), lits)) == n + 1
 
 
 def semantic_ok(p, vm, sc, choice):
@@ -353,20 +339,57 @@ class TestObservationFamily:
                {vm.var_o(1, 0), vm.var_o(1, 1)}]
         assert len(cov) == 1
 
-    def test_deterministic_adds_exactly_one(self):
+    def test_deterministic_adds_at_most_one(self):
         p = parse_pomdp(PARTIAL)
         vm = VarMap(p, 1, 1, 1)
         base = len(encode_observation_fn(p, vm, SideConstraints()))
         det = len(encode_observation_fn(p, VarMap(p, 1, 1, 1),
                                         SideConstraints(deterministic=True)))
-        # pairwise at |Z'|=2: C(2,2)+1 = 2 clauses per state, 3 states
-        assert det == base + 6
+        # pairwise at |Z'|=2: C(2,2) = 1 clause per state, 3 states; the
+        # coverage clause is already the at-least-one half
+        assert det == base + 3
 
     def test_empty_alphabet_contradiction(self):
         p = parse_pomdp(CHAIN.replace("obs s0 -> z0 1\n", "")
                         .replace("observations: z0", "observations:"))
         cnf, vm = encode(p, 1, 0, 1)
         assert sat.solve(cnf).status == sat.UNSAT
+
+
+class TestSymmetryFamily:
+    """encode_symmetry alone, projected on the literals it orders: exactly
+    the canonical assignments extend to a model."""
+
+    @pytest.mark.parametrize("na", [2, 3])
+    def test_rows_lexicographically_nonincreasing(self, na):
+        acts = " ".join(f"a{i}" for i in range(na))
+        p = parse_pomdp(f"states: g\nactions: {acts}\nobservations: z\ninitial: g\ngoal: g\n"
+                        + "".join(f"delta g a{i} -> g 1\n" for i in range(na)))
+        vm = VarMap(p, 4, 0, 1)
+        cnf = encode_symmetry(p, vm).finalize(vm.nvars)
+        lits = [vm.var_a(m, a) for m in range(4) for a in range(na)]
+        for bits, got in projections(cnf, lits):
+            rows = [bits[m * na:(m + 1) * na] for m in range(4)]
+            assert got == (rows[1] >= rows[2] >= rows[3]), rows  # m0 is not ordered
+
+    def test_fresh_first_uses_strictly_ordered(self):
+        p = parse_pomdp("states: s0 s1 g\nactions: a\nobservations: z\ninitial: s0\ngoal: g\n"
+                        "delta s0 a -> s1 1\ndelta s1 a -> g 1\ndelta g a -> g 1\n")
+        vm = VarMap(p, 1, 3, 1)
+        cnf = encode_symmetry(p, vm).finalize(vm.nvars)
+        lits = [vm.var_o(s, 1 + t) for s in range(3) for t in range(3)]
+        for bits, got in projections(cnf, lits):
+            first = [min((s for s in range(3) if bits[s * 3 + t]), default=None) for t in range(3)]
+            want = all(first[t] is None or (first[t - 1] is not None and first[t - 1] < first[t])
+                       for t in (1, 2))
+            assert got == want, first
+
+    def test_one_auxiliary_per_link(self, fig1):
+        # nu - 1 precedence chains of |S| - 1 literals, and |A| - 1 prefix
+        # literals per pair of rows m1..
+        vm = VarMap(fig1, 4, 3, 1)
+        encode_symmetry(fig1, vm)
+        assert vm.n_aux == 2 * (fig1.n_states - 1) + 2 * (fig1.n_actions - 1)
 
 
 class TestReachClosure:

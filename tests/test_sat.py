@@ -302,10 +302,6 @@ class TestDimacs:
         write_dimacs(cnf_of([(1, -2)], 2), tmp_path / "f.cnf")
         assert (tmp_path / "f.cnf").read_text() == "p cnf 2 1\n1 -2 0\n"
 
-    def test_comments(self, tmp_path):
-        write_dimacs(cnf_of([(1,)], 1), tmp_path / "f.cnf", comments=("hello",))
-        assert (tmp_path / "f.cnf").read_text().startswith("c hello\np cnf 1 1\n")
-
     def test_round_trip(self, tmp_path):
         rng = random.Random(9)
         for _ in range(20):

@@ -198,17 +198,26 @@ obs s1 -> z0 1/3, bot 2/3
         comp = decode_completion(a, vm, p, strict=True)
         assert comp.rows[1] == ((0, Fraction(1)),)
 
-    def test_fresh_renamed_by_first_use(self):
+    def test_fresh_out_of_first_use_order_faults(self):
+        # value precedence numbers the fresh symbols by first use, so an
+        # assignment that breaks it is a fault, not something to renumber
         p, vm = self._vm()
         a = self._blank(vm)
+        a[vm.var_a(0, 0)] = True
+        for z in range(3):
+            a[vm.var_m(0, z, 0, 0)] = True
         a[vm.var_o(0, 2)] = True   # s0 uses the *second* fresh slot
         a[vm.var_o(1, 1)] = True   # s1 uses the first
         a[vm.var_o(2, 1)] = True
-        comp = decode_completion(a, vm, p)
-        # s0's slot is renamed @0 because s0 comes first
-        assert comp.support(0) == (1,) and comp.support(1) == (2,)
-        assert comp.support(2) == (2,)
-        assert comp.n_new == 2
+        for decode in (lambda: decode_completion(a, vm, p), lambda: decode_policy(a, vm)):
+            with pytest.raises(EncoderFault, match="first uses fresh symbols"):
+                decode()
+        a[vm.var_o(0, 1)] = True  # s0 first uses @0 and @1 together
+        with pytest.raises(EncoderFault, match="first uses fresh symbols"):
+            decode_completion(a, vm, p)
+        a[vm.var_o(0, 2)] = False  # s0 now uses @0 only: in order
+        assert decode_completion(a, vm, p).n_new == 1
+        assert len(decode_policy(a, vm).update[0]) == 2
 
     def test_empty_support_faults(self):
         p, vm = self._vm()
