@@ -14,17 +14,19 @@ sensor-variable mode).  Every auxiliary is implied in one direction only
 (Plaisted & Greenbaum 1986): those that bound P, with an edge literal per
 product edge (m,a,s',m') shared by all layers (encode_path_predicate), and
 the value-precedence and lexicographic chains of symmetry breaking
-(encode_symmetry).  Deterministic mode adds a pairwise at-most-one to each
-state's coverage clause.  The formula at (mu, nu) also answers every
+(encode_symmetry).  One rule sets every state's O row in every mode
+(encode_observation_fn); deterministic mode adds a pairwise at-most-one over
+the row's allowed symbols.  The formula at (mu, nu) also answers every
 smaller cell of a grid, under assumptions that set its own update and
 emission literals false (VarMap.assumptions).
 
-encode() first runs mdp_prepass() on the fully observable model.  Its
-region V, the states reachable from the initial state through actions whose
-successors all lie in the MDP's almost-sure winning region W, holds every
-state a winning policy can visit.  C and P range over V only: a state
-outside V gets no variable and no clause.  P is also fixed false below each
-state's goal distance.
+encode() first runs mdp_prepass(), one backward search of the fully
+observable model, which is the encoder's only source of MDP facts.  Its
+region V, the states reachable from the initial state through safe actions
+(those whose successors all lie in the MDP's almost-sure winning region W),
+holds every state a winning policy can visit.  C and P range over V only: a
+state outside V gets no variable and no clause.  P unrolls safe actions
+only, and is fixed false below each state's goal distance through them.
 """
 
 from __future__ import annotations
@@ -287,7 +289,8 @@ def sensor_model(p, sc):
     set fully undefined, and the original per-state supports are recorded in
     the returned SideConstraints so the encoder can emit the refinement
     clauses: a state that produced z must produce some (z, c), and never any
-    (z', c) for unproduced z'.
+    (z', c) for unproduced z'.  Only the goal may lack a base symbol (say,
+    the state reduce_targets appends); it then takes any pair.
     """
     vals = sc.sensor_values
     if not vals:
@@ -295,11 +298,12 @@ def sensor_model(p, sc):
     names = tuple(f"{z}:{c}" for z in p.observations for c in vals)
     base = tuple(p.obs.support(s) for s in range(p.n_states))
     for s, supp in enumerate(base):
-        if not supp:
+        if not supp and s != p.goal:
             # a state that never produces a base symbol would produce no
-            # pair either, leaving the refined function non-total
+            # pair either, leaving the refined function non-total; the
+            # goal's row cannot change a verdict, so it may take any pair
             raise ModelSemanticError(
-                p.states[s], "sensor mode needs a base observation in every state")
+                p.states[s], "sensor mode needs a base observation in every state but the goal")
     bot_row = ((BOT, Fraction(1)),)
     p2 = Pomdp(
         states=p.states,
@@ -336,52 +340,45 @@ def mdp_prepass(p):
     Returns (region, dist).  First the almost-sure winning region W: the
     states from which some strategy of the fully observable MDP reaches the
     goal with probability 1, the attractor fixpoint that repeatedly keeps
-    only the states that can reach the goal using actions whose successors
-    all stay in the set (Baier & Katoen, Principles of Model Checking,
-    ch. 10).  region is the frozenset V of states reachable from the initial
-    state through such safe actions, those whose successors all lie in W; it
-    is empty when the initial state lies outside W.  dist[s] is the length of
-    a shortest path from s to the goal over any actions, or None if the goal
-    is unreachable from s.
+    only the states that can reach the goal using safe actions, those whose
+    successors all stay in the set (Baier & Katoen, Principles of Model
+    Checking, ch. 10).  Each sweep is breadth-first backward from the goal
+    over the safe actions, so the last one, which keeps the set as it is,
+    leaves dist[s] the length of a shortest path from s to the goal through
+    actions safe for W, or None outside W.  region is the frozenset V of
+    states reachable from the initial state through those actions; it is
+    empty when the initial state lies outside W.
 
     A finite-memory policy under any completion is one strategy of this MDP,
     so both are sound facts about every (completion, policy) pair that wins:
     from each pair it reaches the policy still wins, so that pair's state is
     in W and every enabled action is safe, which keeps every reached state in
-    V; and no pair reaches the goal in fewer than dist steps.
+    V; and a goal path from such a pair takes enabled actions only, so none
+    is shorter than dist.
     """
     ns, na, g = p.n_states, p.n_actions, p.goal
-    succ = [[p.succ(s, a) for a in range(na)] for s in range(ns)]
     pred = [[] for _ in range(ns)]  # pred[t]: the (s, a) with t in succ(s, a)
     for s in range(ns):
         for a in range(na):
-            for t in succ[s][a]:
+            for t in p.succ(s, a):
                 pred[t].append((s, a))
-
-    dist = [None] * ns
-    dist[g] = 0
-    layer = [g]
-    while layer:
-        nxt = []
-        for t in layer:
-            for s, _ in pred[t]:
-                if dist[s] is None:
-                    dist[s] = dist[t] + 1
-                    nxt.append(s)
-        layer = nxt
 
     win = set(range(ns))
     while True:
         safe = {(s, a) for s in win for a in range(na)
-                if all(t in win for t in succ[s][a])}
-        reach = {g}
-        todo = [g]
-        while todo:
-            t = todo.pop()
-            for s, a in pred[t]:
-                if s not in reach and (s, a) in safe:
-                    reach.add(s)
-                    todo.append(s)
+                if all(t in win for t in p.succ(s, a))}
+        dist = [None] * ns
+        dist[g] = 0
+        layer = [g]
+        while layer:
+            nxt = []
+            for t in layer:
+                for s, a in pred[t]:
+                    if dist[s] is None and (s, a) in safe:
+                        dist[s] = dist[t] + 1
+                        nxt.append(s)
+            layer = nxt
+        reach = {s for s in range(ns) if dist[s] is not None}
         if reach == win:
             break
         win = reach
@@ -392,7 +389,7 @@ def mdp_prepass(p):
         s = todo.pop()
         for a in range(na):
             if (s, a) in safe:
-                for t in succ[s][a]:
+                for t in p.succ(s, a):
                     if t not in region:
                         region.add(t)
                         todo.append(t)
@@ -428,56 +425,50 @@ def at_most_one(lits, out):
 def encode_observation_fn(p, vm, sc, out=None):
     """Per-state clauses pinning the completed observation function.
 
-    Permissive mode lets any bot-mass state take any symbol of Z'; strict
-    mode confines new mass to the fresh symbols (the literal completion
-    definition).  States without bot mass are pinned to their given support
-    either way.  A strict-mode state with empty bot-support and no fresh
-    symbols admits no completion; that is surfaced as a canonical
-    contradiction pair on its first O variable.  Deterministic mode adds
-    at_most_one over each row; the coverage clause is the at-least-one half.
+    One rule for every mode.  A state's given symbols, its support in the
+    model, are true units, and every symbol it does not allow is a false
+    unit.  Sensor mode allows the pairs (z, c) of the state's base symbols
+    z, with one at-least-one group per z (a state that produced z produces
+    some (z, c)).  Otherwise a row with no bot mass allows its given
+    symbols, strict mode (the literal completion definition) the given and
+    the fresh ones, and permissive mode all of Z'; a row that gives no
+    symbol gets one group over its allowed symbols.  So does the goal in
+    sensor mode, which needs no base symbol (sensor_model).  An empty group
+    admits no completion and is surfaced as a canonical contradiction pair
+    on the state's first O variable.  Deterministic mode adds at_most_one
+    over the allowed symbols; the units or groups are the at-least-one half.
     """
     out = out if out is not None else Cnf()
-    ns, nzp = vm.ns, vm.nzp
-    if sc.sensor_values is not None:
-        if sc.sensor_base is None:
-            raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
-        nvals = len(sc.sensor_values)
-        n_base = nzp // nvals
-        for i in range(ns):
-            bset = set(sc.sensor_base[i])
-            for z in range(n_base):
-                pair_vars = [vm.var_o(i, z * nvals + c) for c in range(nvals)]
-                if z in bset:
-                    out.add(pair_vars)
-                else:
-                    for v in pair_vars:
-                        out.add((-v,))
-            if sc.deterministic:
-                at_most_one([vm.var_o(i, z) for z in range(nzp)], out)
-        return out
-
-    n_obs = nzp - vm.nu
-    fresh = range(n_obs, nzp)
-    for i in range(ns):
-        supp = p.obs.support(i)
-        cov = list(range(nzp)) if not sc.strict else sorted(set(supp)) + list(fresh)
-        if cov:
-            out.add([vm.var_o(i, z) for z in cov])
-        else:
-            v = vm.var_o(i, 0) if nzp else vm.var_a(0, 0)
-            out.add((v,))
-            out.add((-v,))
-        for z in supp:
+    nzp = vm.nzp
+    everything = range(nzp)
+    fresh = tuple(range(nzp - vm.nu, nzp))
+    base = sc.sensor_base if sc.sensor_values is not None else [()] * vm.ns
+    if base is None:
+        raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
+    for i in range(vm.ns):
+        given = p.obs.support(i)
+        if base[i]:
+            nvals = len(sc.sensor_values)
+            groups = [range(z * nvals, z * nvals + nvals) for z in sorted(base[i])]
+            allowed = [z for grp in groups for z in grp]
+        else:  # a row that forbids nothing shares everything: no per-state set
+            allowed = (given if p.obs.fully_defined(i) else given + fresh if sc.strict
+                       else everything)
+            groups = [] if given else [allowed]
+        for grp in groups:
+            if grp:
+                out.add([vm.var_o(i, z) for z in grp])
+            else:
+                v = vm.var_o(i, 0) if nzp else vm.var_a(0, 0)
+                out.add((v,))
+                out.add((-v,))
+        for z in given:
             out.add((vm.var_o(i, z),))
-        if p.obs.fully_defined(i):
-            # no bot mass, no freedom: the row is pinned to its support
-            for z in set(range(nzp)) - set(supp):
-                out.add((-vm.var_o(i, z),))
-        elif sc.strict:
-            for z in set(range(n_obs)) - set(supp):
+        if allowed is not everything:
+            for z in sorted(set(everything).difference(allowed)):
                 out.add((-vm.var_o(i, z),))
         if sc.deterministic:
-            at_most_one([vm.var_o(i, z) for z in range(nzp)], out)
+            at_most_one([vm.var_o(i, z) for z in allowed], out)
     return out
 
 
@@ -543,26 +534,29 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     and the formula is equisatisfiable with the two-way definition at every
     k.  Sharing is sound since an auxiliary implies only its own conjunct.
 
-    Only the states of vm.region have P variables, and a conjunct over a
-    state outside it is dropped, as if its P were false.  A pair whose C is
-    true needs a path through reached pairs only, and their states lie in
-    the region (encode_reach_closure), so this keeps every verdict.
+    Only the states of vm.region have P variables, and only safe actions,
+    those whose successors all lie in the region, are unrolled.  A pair
+    whose C is true never enables an unsafe action: the closure's clauses
+    into a state outside the region, with the at-least-one halves of the O
+    and M families, force -C(i,m) | -A(m,a) (encode_reach_closure).  A product path from a
+    reached pair runs through reached pairs, so it takes safe actions only,
+    and skipping the others keeps every verdict.
 
-    dist, when given, holds the MDP goal distances (mdp_prepass).  A true
-    P(i,m,j) implies a graph path of at most j steps from i to the goal, so
-    P(i,m,j) is fixed false for j < dist[i] (for every j if dist[i] is None).
-    Inner conjuncts over such a fixed-false P(i',m',j-1) are dropped, and so
-    are action-level disjuncts left with no conjunct.
+    dist, when given, holds the MDP goal distances through safe actions
+    (mdp_prepass).  A true P(i,m,j) implies a path of at most j steps from i
+    to the goal through those actions, so P(i,m,j) is fixed false for
+    j < dist[i] (for every j if dist[i] is None).  Inner conjuncts over such
+    a fixed-false P(i',m',j-1) are dropped, and so are action-level
+    disjuncts left with no conjunct.
     """
     out = out if out is not None else Cnf()
-    mu, nzp, k, g = vm.mu, vm.nzp, vm.k, p.goal
-    states = sorted(vm.region)
+    mu, nzp, k, g, region = vm.mu, vm.nzp, vm.k, p.goal, vm.region
+    states = sorted(region)
     if dist is None:
         dist = [0] * vm.ns  # no pre-pass: nothing pruned
-    # P(i,.,j) is fixed false for j < low[i]; a state outside the region is never reached
-    low = [k + 1 if d is None or i not in vm.region else d for i, d in enumerate(dist)]
+    low = [k + 1 if d is None else d for d in dist]  # P(i,.,j) is fixed false for j < low[i]
     first = [max(d, 1) for d in low]  # first unrolled layer of a non-goal state
-    if g in vm.region:
+    if g in region:
         for m in range(mu):
             for j in range(k + 1):
                 out.add((vm.var_p(g, m, j),))
@@ -576,7 +570,6 @@ def encode_path_predicate(p, vm, out=None, dist=None):
         for m in range(mu):
             out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
 
-    succs = [[p.succ(i, a) for a in range(vm.na)] for i in range(vm.ns)]
     cons, edges = {}, {}
 
     def edge(m, a, i2, m2):
@@ -594,19 +587,19 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     for i in states:
         if i == g:
             continue
-        row = succs[i]
         for m in range(mu):
             for j in range(first[i], k + 1):
                 disj = []
                 for a in range(vm.na):
-                    succ = row[a]
+                    succ = p.succ(i, a)
                     dkey = (m, a, j, succ)
                     if dkey in cons:
                         u = cons[dkey]
                     else:
                         inner = []
-                        for i2 in succ:
-                            if low[i2] > j - 1 or not nzp:  # no symbol: no edge
+                        # no symbol: no edge; an unsafe action is not unrolled
+                        for i2 in succ if nzp and region.issuperset(succ) else ():
+                            if low[i2] > j - 1:
                                 continue
                             for m2 in range(mu):
                                 tkey = (m, a, i2, m2, j)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 # Index used for the undefined-observation symbol in PartialObsFn rows.
 BOT = -1
@@ -76,9 +76,13 @@ class Pomdp:
     def n_obs(self):
         return len(self.observations)
 
+    @cached_property
+    def _succ(self):  # one table per model; not a field, so == and hash ignore it
+        return tuple(tuple(tuple(t for t, w in row if w > 0) for row in rows) for rows in self.delta)
+
     def succ(self, s, a):
         """Successor state indices with positive probability under (s, a)."""
-        return tuple(t for t, w in self.delta[s][a] if w > 0)
+        return self._succ[s][a]
 
     def absorbing(self, s):
         return all(self.succ(s, a) == (s,) for a in range(self.n_actions))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -278,10 +279,32 @@ delta g fall -> g 1
 """
 
 
+# s0 reaches the goal in one risky step or two safe ones; risky may fall
+# into the sink, so P unrolls only the safe actions
+RISKY = """
+states: s0 s1 sink g
+actions: risky safe
+observations: z0
+initial: s0
+goal: g
+delta s0 risky -> g 1/2, sink 1/2
+delta s0 safe -> s1 1
+delta s1 risky -> sink 1
+delta s1 safe -> g 1
+delta sink risky -> sink 1
+delta sink safe -> sink 1
+delta g risky -> g 1
+delta g safe -> g 1
+"""
+
+
 class TestTseitinProjection:
     def test_state_outside_winning_region(self):
         # sink lies outside the region: it has no C or P variable
         choices_match_formula(parse_pomdp(SINK), 1, 0, 2, SideConstraints())
+
+    def test_risky_action_not_unrolled(self):
+        choices_match_formula(parse_pomdp(RISKY), 1, 0, 2, SideConstraints())
 
     def test_chain_permissive(self):
         choices_match_formula(chain_model(), 1, 0, 2, SideConstraints())
@@ -334,10 +357,13 @@ class TestObservationFamily:
         p = parse_pomdp(PARTIAL)
         vm = VarMap(p, 1, 1, 1)
         out = encode_observation_fn(p, vm, SideConstraints(strict=True))
-        # s1 coverage over {z0, fresh}; s0/g pinned or covered; no z-out-of-support
-        cov = [c for c in out if set(map(abs, c)) ==
-               {vm.var_o(1, 0), vm.var_o(1, 1)}]
-        assert len(cov) == 1
+        s1 = {vm.var_o(1, 0), vm.var_o(1, 1)}
+        # s1 gives z0: no coverage clause, and the fresh symbol stays free
+        assert [c for c in out if s1 & set(map(abs, c))] == [[vm.var_o(1, 0)]]
+        # an all-bot row is covered by the fresh symbol alone
+        p = parse_pomdp(PARTIAL.replace("obs s1 -> z0 1/2, bot 1/2\n", ""))
+        out = encode_observation_fn(p, vm, SideConstraints(strict=True))
+        assert [c for c in out if s1 & set(map(abs, c))] == [[vm.var_o(1, 1)], [-vm.var_o(1, 0)]]
 
     def test_deterministic_adds_at_most_one(self):
         p = parse_pomdp(PARTIAL)
@@ -345,9 +371,26 @@ class TestObservationFamily:
         base = len(encode_observation_fn(p, vm, SideConstraints()))
         det = len(encode_observation_fn(p, VarMap(p, 1, 1, 1),
                                         SideConstraints(deterministic=True)))
-        # pairwise at |Z'|=2: C(2,2) = 1 clause per state, 3 states; the
-        # coverage clause is already the at-least-one half
-        assert det == base + 3
+        # pairwise over the allowed symbols at |Z'| = 2: one clause for each
+        # of s1 and g; s0 has no bot mass and allows z0 alone
+        assert det == base + 2
+
+    def test_deterministic_sensor_pairs_base_symbols_only(self):
+        # s0 sees z0 only: its 3 pairs; the goal has no base symbol and
+        # allows all 6 pairs in one group
+        p = parse_pomdp(PARTIAL.replace("observations: z0", "observations: z0 z1"))
+        p2, sc2 = sensor_model(p, parse_constraints("sensor C v0 v1 v2", p))
+        vm = VarMap(p2, 1, 0, 1)
+        out = encode_observation_fn(p2, vm, replace(sc2, deterministic=True))
+
+        def pairs(s):
+            return {frozenset(c) for c in out if len(c) == 2 and all(
+                l < 0 and -l in {vm.var_o(s, z) for z in range(6)} for l in c)}
+
+        assert pairs(0) == {frozenset((-vm.var_o(0, z), -vm.var_o(0, y)))
+                            for z in range(3) for y in range(z)}
+        assert len(pairs(p.goal)) == 15
+        assert [vm.var_o(p.goal, z) for z in range(6)] in list(out)
 
     def test_empty_alphabet_contradiction(self):
         p = parse_pomdp(CHAIN.replace("obs s0 -> z0 1\n", "")
@@ -459,11 +502,12 @@ class TestPathPredicate:
     @staticmethod
     def product_steps(p, vm, val):
         """Length of a shortest product path to the goal from each pair under
-        the assignment's own A/O/M choices; unreachable pairs are absent."""
+        the assignment's own A/O/M choices, through safe actions (successors
+        all in vm.region) only; unreachable pairs are absent."""
         pred = {(s, m): [] for s in range(vm.ns) for m in range(vm.mu)}
         for s, m in pred:
             for a in range(vm.na):
-                if not val[vm.var_a(m, a)]:
+                if not val[vm.var_a(m, a)] or not vm.region.issuperset(p.succ(s, a)):
                     continue
                 for s2 in p.succ(s, a):
                     for z in range(vm.nzp):
@@ -503,22 +547,25 @@ class TestPathPredicate:
 
     def test_forced_p_iff_short_path(self):
         # under arbitrary fixed A/O/M values, P(s,m,j) can be made true exactly
-        # when those values give a product path of at most j steps: the
-        # solver may not justify it by a free edge auxiliary
+        # when those values give a product path of at most j steps through
+        # safe actions: the solver may not justify it by a free edge
+        # auxiliary, and the distance units cut no such path
         rng = random.Random(8)
         checked = 0
         for _ in range(20):
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 3), rng.randint(0, 2)
             k = p.n_states * mu
-            vm = VarMap(p, mu, nu, k)
-            cnf = encode_path_predicate(p, vm, dist=mdp_prepass(p)[1]).finalize(vm.nvars)
+            region, dist = mdp_prepass(p)
+            vm = VarMap(p, mu, nu, k, region)
+            cnf = encode_path_predicate(p, vm, dist=dist).finalize(vm.nvars)
             engine = sat.Solver(cnf)
             for _ in range(4):
                 val = [False] + [rng.random() < 0.5 for _ in range(vm.nvars)]
                 steps = self.product_steps(p, vm, val)
-                fixed = [v if val[v] else -v for v in range(1, vm.var_c(0, 0))]  # the A, M, O blocks
-                for s, m, j in itertools.product(range(vm.ns), range(mu), range(k + 1)):
+                n_amo = vm.var_o(0, 0) + vm.ns * vm.nzp  # the A, M, O blocks
+                fixed = [v if val[v] else -v for v in range(1, n_amo)]
+                for s, m, j in itertools.product(sorted(region), range(mu), range(k + 1)):
                     res = sat.solve(cnf, assumptions=fixed + [vm.var_p(s, m, j)], solver=engine)
                     assert (res.status == sat.SAT) == (steps.get((s, m), k + 1) <= j), (p, mu, nu, s, m, j)
                     checked += 1
@@ -546,7 +593,20 @@ class TestMdpPrepass:
                         .replace("delta s0 fall -> sink 1", "delta s0 fall -> s0 1"))
         region, dist = mdp_prepass(p)
         assert p.initial not in region and region == frozenset()
-        assert dist[p.initial] == 1
+        assert dist[p.initial] is None  # outside W
+
+    def test_distance_through_safe_actions(self):
+        # risky reaches the goal in one step but may fall into the sink: the
+        # distance takes the two safe steps, and P never names risky
+        p = parse_pomdp(RISKY)
+        region, dist = mdp_prepass(p)
+        s0, risky = p.states.index("s0"), p.actions.index("risky")
+        assert dist[s0] == 2 and p.states.index("sink") not in region
+        vm = VarMap(p, 2, 0, 4, region)
+        clauses = list(encode_path_predicate(p, vm, dist=dist))
+        for m in range(2):
+            assert [-vm.var_p(s0, m, 1)] in clauses
+            assert not any(vm.var_a(m, risky) in map(abs, c) for c in clauses)
 
     def test_encode_fixes_closure_outside_win(self, fig1):
         # 'lose' is outside the region: it has no C or P variable, and a

@@ -1,6 +1,7 @@
 """Model parsing, serialization, validation, and goal reduction."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,13 @@ class TestRoundTrip:
             p = random_pomdp(rng)
             q = parse_pomdp(print_pomdp(p))
             assert q == p
+
+    def test_successor_table_is_not_a_field(self):
+        p = parse_pomdp(CHAIN)  # the parser's absorbing check builds p's table
+        q = replace(p)  # the same fields, no table yet
+        assert "_succ" in vars(p) and "_succ" not in vars(q)
+        assert q == p and hash(q) == hash(p)
+        assert [q.succ(s, 0) for s in range(3)] == [p.succ(s, 0) for s in range(3)]
 
     def test_exact_weights_survive(self):
         p = parse_pomdp(CHAIN.replace("1/2", "1/3").replace("bot 1/3", "bot 2/3"))

@@ -11,9 +11,9 @@ import pytest
 
 from conftest import external_solver, random_pomdp
 from sensynth import sat, synth
-from sensynth.bench import gen_escape, gen_rocksample
+from sensynth.bench import GridSpec, gen_escape, gen_hallway, gen_rocksample
 from sensynth.encode import SideConstraints, VarMap, encode, mdp_prepass, parse_constraints
-from sensynth.model import ModelSemanticError, parse_pomdp
+from sensynth.model import ModelSemanticError, parse_pomdp, print_pomdp
 from sensynth.sat import Budget, ExternalSolverError
 from sensynth.synth import (EncoderFault, ResultParseError, decode_completion,
                             decode_policy, format_frontier_csv, format_result,
@@ -481,6 +481,19 @@ class TestSensorMode:
         sc = parse_constraints("sensor C lo hi", p)
         with pytest.raises(ModelSemanticError):
             synthesize(p, 3, 0, constraints=sc)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_goal_added_by_target_reduction(self, deterministic):
+        # two goal cells reduce to an appended goal G with an undefined row;
+        # the goal's row cannot change a verdict, so G needs no base symbol
+        # and the answers equal those with G given one
+        text = print_pomdp(gen_hallway(GridSpec.from_ascii("#+#+#\n#.#.#\n#.#.#\ng.x.g")))
+        assert "obs G " not in text
+        got, given = ([synthesize(p, mu, 0, deterministic=deterministic,
+                                  constraints=parse_constraints("sensor C v0 v1", p)).verdict
+                       for mu in (1, 2)]
+                      for p in (parse_pomdp(text), parse_pomdp(text + "obs G -> z0 1\n")))
+        assert got == given == ["Unrealizable", "Realizable"]
 
 
 class TestExternalSolverPath:
