@@ -25,8 +25,10 @@ observable model, which is the encoder's only source of MDP facts.  Its
 region V, the states reachable from the initial state through safe actions
 (those whose successors all lie in the MDP's almost-sure winning region W),
 holds every state a winning policy can visit.  C and P range over V only: a
-state outside V gets no variable and no clause.  P unrolls safe actions
-only, and is fixed false below each state's goal distance through them.
+state outside V gets no variable and no clause.  An action with a successor
+outside V is forbidden at every reached pair by one clause -C(s,m) | -A(m,a)
+(encode_reach_closure).  P unrolls the other actions only, and is fixed
+false below each state's goal distance through them.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ class Cnf:
     """Clause store over positive variable ids; negative literal = negation.
 
     Clauses live in one flat int arena (zero-terminated), which keeps
-    multi-million-clause encodings affordable.  Construction rejects empty
-    and tautological clauses and drops duplicate literals, so every clause in
-    the arena is non-empty, non-tautological and free of repeated literals.
-    sat.Solver loads the arena as it is and relies on that invariant; whole
-    clauses may repeat.
+    multi-million-clause encodings affordable.  Construction rejects
+    tautological clauses and drops duplicate literals, so every clause in the
+    arena is non-tautological and free of repeated literals; the empty
+    clause is allowed and makes the formula unsatisfiable.  sat.Solver loads
+    the arena as it is and relies on that invariant; whole clauses may
+    repeat.
     """
 
     def __init__(self):
@@ -69,8 +72,6 @@ class Cnf:
             if l not in seen:
                 seen.add(l)
                 clause.append(l)
-        if not clause:
-            raise ValueError("empty clause")
         for l in clause:
             v = l if l > 0 else -l
             if v > self.max_var:
@@ -434,9 +435,9 @@ def encode_observation_fn(p, vm, sc, out=None):
     the fresh ones, and permissive mode all of Z'; a row that gives no
     symbol gets one group over its allowed symbols.  So does the goal in
     sensor mode, which needs no base symbol (sensor_model).  An empty group
-    admits no completion and is surfaced as a canonical contradiction pair
-    on the state's first O variable.  Deterministic mode adds at_most_one
-    over the allowed symbols; the units or groups are the at-least-one half.
+    admits no completion and is the empty clause.  Deterministic mode adds
+    at_most_one over the allowed symbols; the units or groups are the
+    at-least-one half.
     """
     out = out if out is not None else Cnf()
     nzp = vm.nzp
@@ -456,12 +457,7 @@ def encode_observation_fn(p, vm, sc, out=None):
                        else everything)
             groups = [] if given else [allowed]
         for grp in groups:
-            if grp:
-                out.add([vm.var_o(i, z) for z in grp])
-            else:
-                v = vm.var_o(i, 0) if nzp else vm.var_a(0, 0)
-                out.add((v,))
-                out.add((-v,))
+            out.add([vm.var_o(i, z) for z in grp])
         for z in given:
             out.add((vm.var_o(i, z),))
         if allowed is not everything:
@@ -476,31 +472,34 @@ def encode_reach_closure(p, vm, out=None):
     """Reachability closure of state-memory pairs under the chosen supports.
 
     Anchor unit C(I,m0), then propagation along every positive-probability
-    transition, observation symbol, and memory update.  Clauses that would be
-    tautological (self-loop propagating a pair to itself) are vacuous and
-    skipped.
+    transition, observation symbol, and memory update of a safe action.
+    Clauses that would be tautological (self-loop propagating a pair to
+    itself) are vacuous and skipped.
 
-    Only the states of vm.region have C variables (mdp_prepass).  No clause
-    starts from a state outside it, and a clause into such a state drops its
-    C literal: the pair it names is never reached, so an action with that
-    successor is never enabled at a reached pair.  Sound because every pair
-    a winning policy reaches has its state in the region.  An initial state
-    outside the region leaves no anchor, and the family is the contradiction
-    A(m0,a0) & -A(m0,a0).
+    Only the states of vm.region V have C variables (mdp_prepass).  No
+    clause starts from a state outside it.  An action a at a state i in V is
+    safe when its successors all lie in V; an unsafe one gets no propagation
+    clause, only -C(i,m) | -A(m,a) for each memory element m: it is never
+    enabled at a reached pair.  Sound because a winning policy enables at
+    each pair it reaches only actions whose successors all lie in W, and a
+    state of V reaches only states of V through those.  An initial state
+    outside V leaves no anchor, and the family is the empty clause.
     """
     out = out if out is not None else Cnf()
     mu, nzp, region = vm.mu, vm.nzp, vm.region
     if p.initial not in region:
-        v = vm.var_a(0, 0)
-        out.add((v,))
-        out.add((-v,))
+        out.add(())
         return out
     out.add((vm.var_c(p.initial, 0),))
     for i in sorted(region):
         for a in range(vm.na):
             av = [vm.var_a(m, a) for m in range(mu)]
-            for j in p.succ(i, a):
-                inside = j in region
+            succ = p.succ(i, a)
+            if not region.issuperset(succ):
+                for m in range(mu):
+                    out.add((-vm.var_c(i, m), -av[m]))
+                continue
+            for j in succ:
                 for z in range(nzp):
                     ov = vm.var_o(j, z)
                     for m in range(mu):
@@ -508,8 +507,7 @@ def encode_reach_closure(p, vm, out=None):
                         for m2 in range(mu):
                             if i == j and m == m2:
                                 continue
-                            head = (-ci, -av[m], -ov, -vm.var_m(m, z, a, m2))
-                            out.add(head + (vm.var_c(j, m2),) if inside else head)
+                            out.add((-ci, -av[m], -ov, -vm.var_m(m, z, a, m2), vm.var_c(j, m2)))
     return out
 
 
@@ -535,12 +533,9 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     k.  Sharing is sound since an auxiliary implies only its own conjunct.
 
     Only the states of vm.region have P variables, and only safe actions,
-    those whose successors all lie in the region, are unrolled.  A pair
-    whose C is true never enables an unsafe action: the closure's clauses
-    into a state outside the region, with the at-least-one halves of the O
-    and M families, force -C(i,m) | -A(m,a) (encode_reach_closure).  A product path from a
-    reached pair runs through reached pairs, so it takes safe actions only,
-    and skipping the others keeps every verdict.
+    those whose successors all lie in the region, are unrolled: the closure
+    forbids every other action at every reached pair (encode_reach_closure),
+    and a product path from a reached pair runs through reached pairs.
 
     dist, when given, holds the MDP goal distances through safe actions
     (mdp_prepass).  A true P(i,m,j) implies a path of at most j steps from i

@@ -20,8 +20,8 @@ It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
 literal arena, with learnt clauses appended to it.  A clause is named by the
 offset of its first literal in that arena, and each literal's watch list is a
 flat int list of (clause offset, blocker literal) pairs (see Solver).  Load
-relies on the Cnf invariant that no clause is empty, tautological or repeats
-a literal, so it copies the arena once and re-checks nothing.
+relies on the Cnf invariant that no clause is tautological or repeats a
+literal, so it copies the arena once and re-checks nothing.
 
 `python -m sensynth.sat FILE` runs the embedded solver on a DIMACS file and
 answers with SAT-competition `s`/`v` lines and exit codes (see main).
@@ -113,9 +113,10 @@ class Solver:
       terminator's, is never assigned, which ends every scan of a clause
       tail for free.
 
-    Load trusts the invariant that Cnf.add enforces: no clause is empty,
-    none is tautological and none repeats a literal.  It neither
-    de-duplicates nor re-checks a clause; unit clauses are assigned at once.
+    Load trusts the invariant that Cnf.add enforces: no clause is
+    tautological and none repeats a literal.  It neither de-duplicates nor
+    re-checks a clause; unit clauses are assigned at once, and an empty
+    clause sets `ok` False.
     """
 
     def __init__(self, cnf):
@@ -154,8 +155,8 @@ class Solver:
         while start < size:
             end = find(0, start)
             a = lits[start]
-            if end - start == 1:
-                if not self._enqueue(a, -1):
+            if end - start < 2:  # a unit, or the empty clause (a is its terminator 0)
+                if not a or not self._enqueue(a, -1):
                     self.ok = False
                     break
             else:
@@ -549,13 +550,10 @@ def write_dimacs(cnf, path, units=()):
 
 def parse_dimacs(text):
     """Parse DIMACS CNF text into a Cnf (tolerates comments and blank lines);
-    tautologies are dropped, a literal past the header's count is a ValueError.
-    Cnf refuses the empty clause, so an empty clause becomes the contradiction
-    x1 & -x1 (declaring x1 if the header declares no variable)."""
+    tautologies are dropped, a literal past the header's count is a ValueError."""
     nvars = None
     out = Cnf()
     cur = []
-    empty = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -569,21 +567,14 @@ def parse_dimacs(text):
         for tok in line.split():
             l = int(tok)
             if l == 0:
-                if not cur:
-                    empty = True
-                elif not set(cur) & {-x for x in cur}:  # a tautology always holds
+                if not set(cur) & {-x for x in cur}:  # a tautology always holds
                     out.add(cur)
                 cur = []
             else:
                 cur.append(l)
     if cur:
         raise ValueError("trailing literals without clause terminator")
-    out.finalize(out.max_var if nvars is None else nvars)
-    if empty:
-        out.add((1,))
-        out.add((-1,))
-        out.finalize(max(out.nvars, 1))
-    return out
+    return out.finalize(out.max_var if nvars is None else nvars)
 
 
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
@@ -605,7 +596,10 @@ def parse_external_result(text, nvars=0):
                 status = BUDGET
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
-                l = int(tok)
+                try:
+                    l = int(tok)
+                except ValueError:
+                    raise ExternalSolverError(f"non-integer token {tok!r} in a 'v' line") from None
                 if l != 0:
                     lits.append(l)
     if status is None:

@@ -225,6 +225,19 @@ class TestRuntimeErrors:
         assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1",
                          "--solver", "/nonexistent/solver {input}"]) == 3
 
+    def test_external_solver_non_integer_value(self, fig1_file, tmp_path, capsys):
+        stub = tmp_path / "stub.sh"
+        stub.write_text("#!/bin/sh\necho 's SATISFIABLE'\necho 'v 1 x 0'\n")
+        stub.chmod(0o755)
+        solver = f"{stub} {{input}}"
+        assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1", "--solver", solver]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'x'" in err and "Traceback" not in err
+        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1",
+                         "--solver", solver]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["Unknown", "Unknown"]
+
     def test_env_solver_picked_up(self, fig1_file, monkeypatch):
         monkeypatch.setenv("SENSYNTH_SOLVER", "/nonexistent/solver {input}")
         assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1"]) == 3

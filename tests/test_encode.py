@@ -306,6 +306,18 @@ class TestTseitinProjection:
     def test_risky_action_not_unrolled(self):
         choices_match_formula(parse_pomdp(RISKY), 1, 0, 2, SideConstraints())
 
+    def test_risky_action_forbidden_by_closure(self):
+        # risky may fall into the sink: the closure forbids it at every
+        # reached pair of s0 and never names the sink
+        p = parse_pomdp(RISKY)
+        s0, sink, risky = p.states.index("s0"), p.states.index("sink"), p.actions.index("risky")
+        vm = VarMap(p, 2, 1, 4, mdp_prepass(p)[0])
+        closure = list(encode_reach_closure(p, vm))
+        for m in range(2):
+            assert [-vm.var_c(s0, m), -vm.var_a(m, risky)] in closure
+        sink_o = {vm.var_o(sink, z) for z in range(vm.nzp)}
+        assert not any(sink_o & set(map(abs, c)) for c in closure)
+
     def test_chain_permissive(self):
         choices_match_formula(chain_model(), 1, 0, 2, SideConstraints())
 
@@ -594,6 +606,7 @@ class TestMdpPrepass:
         region, dist = mdp_prepass(p)
         assert p.initial not in region and region == frozenset()
         assert dist[p.initial] is None  # outside W
+        assert list(encode_reach_closure(p, VarMap(p, 1, 0, 1, region))) == [[]]
 
     def test_distance_through_safe_actions(self):
         # risky reaches the goal in one step but may fall into the sink: the
@@ -609,16 +622,27 @@ class TestMdpPrepass:
             assert not any(vm.var_a(m, risky) in map(abs, c) for c in clauses)
 
     def test_encode_fixes_closure_outside_win(self, fig1):
-        # 'lose' is outside the region: it has no C or P variable, and a
-        # propagation clause into it keeps only its other four literals
-        cnf, vm = encode(fig1, 2, 1, 6)
+        # 'lose' is outside the region: it has no C or P variable, no closure
+        # clause names it, and each action that may enter it is forbidden at
+        # every reached pair by one clause -C | -A per memory element
+        mu = 2
+        _, vm = encode(fig1, mu, 1, 6)
         lose = fig1.states.index("lose")
         assert lose not in vm.region and vm.region == mdp_prepass(fig1)[0]
         names = [vm.var_name(v) for v in range(1, vm.n_semantic + 1)]
         assert not any("lose" in n for n in names if n[0] in "CP")
-        assert len([n for n in names if n[0] == "C"]) == 2 * len(vm.region)
-        into_lose = [c for c in cnf if -vm.var_o(lose, 0) in c]
-        assert into_lose and all(len(c) == 4 and max(c) < 0 for c in into_lose)
+        assert len([n for n in names if n[0] == "C"]) == mu * len(vm.region)
+        closure = list(encode_reach_closure(fig1, VarMap(fig1, mu, 1, 6, vm.region)))
+        lose_o = {vm.var_o(lose, z) for z in range(vm.nzp)}
+        assert not any(lose_o & set(map(abs, c)) for c in closure)
+        unsafe = [(i, a) for i in sorted(vm.region) for a in range(vm.na)
+                  if not vm.region.issuperset(fig1.succ(i, a))]
+        assert unsafe
+        for i, a in unsafe:
+            for m in range(mu):
+                forbid = [-vm.var_c(i, m), -vm.var_a(m, a)]
+                assert closure.count(forbid) == 1
+                assert not any(len(c) > 2 and set(forbid) <= set(c) for c in closure)
 
     def test_encode_fixes_path_below_distance(self, fig1):
         cnf, vm = encode(fig1, 2, 1, 6)

@@ -382,12 +382,11 @@ class TestFrontEnd:
         assert "exceeds" in done.stderr
 
     def test_empty_clause_is_unsatisfiable(self, tmp_path, capsys):
-        # Cnf.add refuses the empty clause; the reader turns it into x1 & -x1
         for text in ("p cnf 1 1\n0\n", "p cnf 0 1\n0\n", "p cnf 2 2\n1 2 0\n0\n"):
             (tmp_path / "f.cnf").write_text(text)
             assert sat.main([str(tmp_path / "f.cnf")]) == 20, text
             assert capsys.readouterr() == ("s UNSATISFIABLE\n", "")
-        assert parse_dimacs("p cnf 0 1\n0\n").nvars == 1
+        assert parse_dimacs("p cnf 0 1\n0\n").nvars == 0
         with pytest.raises(ValueError):
             parse_dimacs("p cnf 0 2\n0\n1 0\n")
 
@@ -432,6 +431,10 @@ class TestExternalResult:
     def test_unknown_status_rejected(self):
         with pytest.raises(ExternalSolverError):
             parse_external_result("s GARBAGE\n")
+
+    def test_non_integer_value_rejected(self):
+        with pytest.raises(ExternalSolverError, match="'x'"):
+            parse_external_result("s SATISFIABLE\nv 1 x 0\n", nvars=1)
 
 
 class TestExternalDriver:
