@@ -580,14 +580,16 @@ def parse_dimacs(text):
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
 
-def parse_external_result(text, nvars=0):
-    """Parse `s ...` / `v ...` solver output lines into a SolveResult."""
-    status = None
+def parse_external_result(text, nvars=0, returncode=None):
+    """Parse `s ...` / `v ...` solver output lines into a SolveResult.  Only
+    output without an `s` line falls back to the exit code (20 is UNSAT); a
+    malformed `v` line is an error whatever the exit code."""
+    status, read_s = None, False
     lits = []
     for raw in text.splitlines():
         line = _ANSI_RE.sub("", raw).strip()
         if line.startswith("s "):
-            verdict = line[2:].strip()
+            read_s, verdict = True, line[2:].strip()
             if verdict.startswith("SATISFIABLE"):
                 status = SAT
             elif verdict.startswith("UNSATISFIABLE"):
@@ -603,6 +605,8 @@ def parse_external_result(text, nvars=0):
                 if l != 0:
                     lits.append(l)
     if status is None:
+        if returncode == 20 and not read_s:
+            return SolveResult(status=UNSAT)
         raise ExternalSolverError(f"no recognizable 's' line in solver output:\n{text[:500]}")
     if status != SAT:
         return SolveResult(status=status)
@@ -621,9 +625,9 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
 
     The template must contain `{input}`, e.g. `splr -q -r - {input}` or
     `minisat {input} /dev/stdout`.  The assumptions are added to the file as
-    unit clauses.  Verdict is read from stdout (`s` line, exit codes 10/20 as
-    fallback); Sat models are self-checked against the formula and the
-    assumptions.
+    unit clauses.  Verdict is read from stdout (the `s` line, or exit code 20
+    when there is none: parse_external_result); Sat models are self-checked
+    against the formula and the assumptions.
     """
     if "{input}" not in command:
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
@@ -644,15 +648,7 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
         except subprocess.TimeoutExpired:
             return SolveResult(status=BUDGET)
         out = proc.stdout + "\n" + proc.stderr
-        try:
-            res = parse_external_result(out, nvars=cnf.nvars)
-        except ExternalSolverError:
-            if proc.returncode == 10:
-                raise
-            if proc.returncode == 20:
-                res = SolveResult(status=UNSAT)
-            else:
-                raise
+        res = parse_external_result(out, nvars=cnf.nvars, returncode=proc.returncode)
     if res.status == SAT:
         if len(res.assignment) < cnf.nvars + 1:
             res.assignment.extend([False] * (cnf.nvars + 1 - len(res.assignment)))

@@ -15,9 +15,16 @@ Unrealizable is only claimed when the path bound k reached that bound; below
 it an unsatisfiable formula proves nothing and the outcome is Unknown.
 
 synthesize and sweep are both solve_grid: one formula and one solver answer
-every (mu, nu) cell, each cell being one solve call that assumes the
+the (mu, nu) cells, each searched cell being one solve call that assumes the
 formula's own update and emission literals false (see solve_grid and
-encode.VarMap.assumptions).
+encode.VarMap.assumptions).  A sweep searches only the cells of a walk along
+its staircase of verdicts and infers the rest, soundly: a cell (mu, nu) of
+the shared formula assumes a superset of the literals that a cell (mu', nu')
+with mu' >= mu and nu' >= nu assumes.  So a model at (mu, nu) satisfies
+(mu', nu'), where its checked pair (memory <= mu, new <= nu) is a witness;
+and UNSAT at (mu', nu') with k at the bound of mu' stays UNSAT at (mu, nu),
+where k reaches the smaller bound of mu.  An Unknown cell implies nothing,
+UNSAT below the bound (a smaller --k) included.
 """
 
 from __future__ import annotations
@@ -227,15 +234,25 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     (default the completeness bound of mu_hi); a one-cell grid's formula is
     exactly the (mu, nu) formula.
 
-    Each cell is one solve under VarMap.assumptions(mu, nu), which sets the
-    formula's updates into memory elements >= mu and emissions of fresh
+    A searched cell is one solve under VarMap.assumptions(mu, nu), which sets
+    the formula's updates into memory elements >= mu and emissions of fresh
     symbols >= nu false (its docstring has the soundness argument).  With
-    the embedded solver, one Solver answers every cell and what it learns in
-    one cell carries to the next; an external solver gets one DIMACS file per
-    cell, the assumptions written as unit clauses.  The budget holds per
-    cell.  UNSAT means Unrealizable iff k >= mu * max(1, |V - {goal}|), the
-    cell's completeness bound, and Unknown otherwise.  A model is decoded
-    with the cell's mu and checked by the product-graph analysis.
+    the embedded solver, one Solver answers every searched cell and what it
+    learns in one cell carries to the next; it is freed once no cell is left
+    to search.  An external solver gets one DIMACS file per cell, the
+    assumptions written as unit clauses.  The budget holds per cell.  UNSAT
+    means Unrealizable iff k >= mu * max(1, |V - {goal}|), the cell's
+    completeness bound, and Unknown otherwise.  A model is decoded with the
+    cell's mu and checked by the product-graph analysis.
+
+    The search walks the staircase from (mu_hi, nu_lo): to the next lower mu
+    after a Realizable cell, to the next higher nu after an Unrealizable one,
+    stopping at the first Unknown.  Every cell still undecided is then, in
+    ascending order, inferred from a decided cell that implies it (module
+    docstring) or searched; without an Unknown at most |mus| + |nus| - 1
+    cells are searched.  An inferred cell keeps its source's k, completion,
+    policy and certificate, with the shared formula's vars and clauses,
+    time_ms 0 and no solver counters.
 
     A failing external solver makes its cell Unknown, with the error as the
     reason; every other exception propagates.
@@ -247,58 +264,73 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
         raise ValueError("mu must be >= 1 and nu >= 0")
     prep = prepare(p, mus[-1], nus[-1], k, deterministic, strict, constraints)
     p_enc, k_used = prep.model, prep.k
-    cells = [(mu, nu) for mu in mus for nu in nus]
     bounds = {mu: _completeness_bound(prep.prepass[0], p_enc.goal, mu) for mu in mus}
     live = [nu for nu in nus if prep.needs_formula(nu)]
+    # cells without a formula; their nu lies below every live one, so they imply none
+    done = {(mu, nu): Unrealizable(k=bounds[mu], mu=mu, nu=nu, stats=SynthStats())
+            for mu in mus for nu in nus if nu not in live}
     embedded = solver in (None, "", "embedded")
     if live:
         cnf, vm = prep.encode(mus[-1], nus[-1])
         engine = sat.Solver(cnf) if embedded else None
-    out, error = [], None
-    for mu, nu in cells:
+    error = None
+
+    def search(mu, nu, ends=(False, False)):
+        # ends: a Realizable (Unrealizable) answer leaves the walk no lower mu (higher nu)
+        nonlocal engine, error
         bound = bounds[mu]
-        if nu not in live:
-            out.append(Unrealizable(k=bound, mu=mu, nu=nu, stats=SynthStats()))
-            continue
         assumptions = vm.assumptions(mu, nu)
         t0 = time.perf_counter()
         if embedded:
             res = sat.solve(cnf, budget, assumptions, solver=engine)
-            if (mu, nu) == cells[-1]:
-                engine = None  # free the solver before the last decode and verify
+            if ends[0] and res.status == sat.SAT or ends[1] and res.status == sat.UNSAT \
+                    and k_used >= bound:
+                engine = None  # no cell is left to search: free it before decode and verify
         else:
             limit = budget.max_seconds if budget is not None else None
             try:
                 res = sat.solve_external(cnf, solver, time_limit=limit, assumptions=assumptions)
             except sat.ExternalSolverError as e:
                 error = error or e
-                out.append(Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
-                                   k=k_used, stats=SynthStats()))
-                continue
+                return Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
+                               k=k_used, stats=SynthStats())
         elapsed = int(round((time.perf_counter() - t0) * 1000))
         stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed,
                            conflicts=res.conflicts, decisions=res.decisions,
                            propagations=res.propagations)
 
         if res.status == sat.BUDGET:
-            outcome = Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
-        elif res.status == sat.UNSAT and k_used >= bound:
-            outcome = Unrealizable(k=k_used, mu=mu, nu=nu, stats=stats)
-        elif res.status == sat.UNSAT:
-            outcome = Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
-                              mu=mu, nu=nu, k=k_used, stats=stats)
-        else:
-            comp = decode_completion(res.assignment, vm, p_enc, strict=prep.constraints.strict)
-            pol = decode_policy(res.assignment, vm, mu)
-            if comp.n_new > nu:
-                raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
-            cert = check_almost_sure(build_product(p_enc, comp, pol))
-            if not cert.ok:
-                raise EncoderFault("decoded pair fails almost-sure verification")
-            outcome = Realizable(completion=comp, policy=pol, certificate=cert,
-                                 mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
-        out.append(outcome)
-    return out, error
+            return Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
+        if res.status == sat.UNSAT and k_used >= bound:
+            return Unrealizable(k=k_used, mu=mu, nu=nu, stats=stats)
+        if res.status == sat.UNSAT:
+            return Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
+                           mu=mu, nu=nu, k=k_used, stats=stats)
+        comp = decode_completion(res.assignment, vm, p_enc, strict=prep.constraints.strict)
+        pol = decode_policy(res.assignment, vm, mu)
+        if comp.n_new > nu:
+            raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
+        cert = check_almost_sure(build_product(p_enc, comp, pol))
+        if not cert.ok:
+            raise EncoderFault("decoded pair fails almost-sure verification")
+        return Realizable(completion=comp, policy=pol, certificate=cert,
+                          mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
+
+    i, j = len(mus) - 1, 0  # the staircase walk from (mu_hi, nu_lo)
+    while i >= 0 and j < len(live):
+        out = done[mus[i], live[j]] = search(mus[i], live[j], (i == 0, j == len(live) - 1))
+        if out.verdict == "Unknown":
+            break
+        i, j = (i - 1, j) if out.verdict == "Realizable" else (i, j + 1)
+    cells = [(mu, nu) for mu in mus for nu in nus]
+    for mu, nu in cells:
+        if (mu, nu) not in done:
+            src = next((o for o in done.values()
+                        if o.verdict == "Realizable" and o.mu <= mu and o.nu <= nu
+                        or o.verdict == "Unrealizable" and o.mu >= mu and o.nu >= nu), None)
+            done[mu, nu] = search(mu, nu) if src is None else \
+                replace(src, mu=mu, nu=nu, stats=SynthStats(cnf.nvars, len(cnf)))
+    return [done[c] for c in cells], error
 
 
 def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
@@ -324,11 +356,13 @@ def sweep(p, mu_range, nu_range, **opts):
     """Outcomes of every (mu, nu), ascending, from one solve_grid call: one
     formula and, with the embedded solver, one solver for the whole sweep.
 
-    Every outcome's vars and clauses are those of the shared formula;
-    time_ms, the solver counters and the budget are the cell's own.  A
-    failing external solver makes its cell Unknown, naming the error, and the
-    sweep continues; every other exception, such as an EncoderFault or the
-    solver's non-model AssertionError, is a fault and propagates."""
+    Every outcome's vars and clauses are those of the shared formula.  A
+    cell solve_grid searches has its own time_ms, solver counters and budget;
+    one it infers has time_ms 0 and no counters (an empty CSV conflicts
+    field).  A failing external solver makes its cell Unknown, naming the
+    error, and the sweep continues; every other exception, such as an
+    EncoderFault or the solver's non-model AssertionError, is a fault and
+    propagates."""
     return solve_grid(p, mu_range, nu_range, **opts)[0]
 
 

@@ -238,6 +238,19 @@ class TestRuntimeErrors:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["Unknown", "Unknown"]
 
+    def test_malformed_model_with_exit_20_is_no_refutation(self, fig1_file, tmp_path, capsys):
+        # the exit code stands in only for a missing `s` line; (3, 1) is Realizable
+        stub = tmp_path / "stub.sh"
+        stub.write_text("#!/bin/sh\necho 's SATISFIABLE'\necho 'v 1 x 0'\nexit 20\n")
+        stub.chmod(0o755)
+        solver = f"{stub} {{input}}"
+        assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1", "--solver", solver]) == 3
+        assert "'x'" in capsys.readouterr().err
+        assert cli.main(["sweep", fig1_file, "--mu-range", "1..3", "--nu-range", "1..2",
+                         "--solver", solver]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["Unknown"] * 6
+
     def test_env_solver_picked_up(self, fig1_file, monkeypatch):
         monkeypatch.setenv("SENSYNTH_SOLVER", "/nonexistent/solver {input}")
         assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1"]) == 3

@@ -436,6 +436,17 @@ class TestExternalResult:
         with pytest.raises(ExternalSolverError, match="'x'"):
             parse_external_result("s SATISFIABLE\nv 1 x 0\n", nvars=1)
 
+    def test_exit_code_only_without_status_line(self):
+        assert parse_external_result("c no verdict\n", returncode=20).status == UNSAT
+        for code in (10, 0, None):
+            with pytest.raises(ExternalSolverError):
+                parse_external_result("c no verdict\n", returncode=code)
+        with pytest.raises(ExternalSolverError, match="'x'"):
+            parse_external_result("s SATISFIABLE\nv 1 x 0\n", nvars=1, returncode=20)
+        with pytest.raises(ExternalSolverError):
+            parse_external_result("s GARBAGE\n", returncode=20)
+        assert parse_external_result("s SATISFIABLE\nv 1 0\n", nvars=1, returncode=20).status == SAT
+
 
 class TestExternalDriver:
     def test_stub_solver(self, tmp_path):

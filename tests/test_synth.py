@@ -381,9 +381,14 @@ class TestGrid:
     def per_cell(p, mus, nus, **opts):
         return {(mu, nu): synthesize(p, mu, nu, **opts).verdict for mu in mus for nu in nus}
 
-    @pytest.mark.parametrize("mode", [{}, {"deterministic": True}, {"strict": True}],
-                             ids=["default", "deterministic", "strict"])
-    def test_random_models_match_per_cell(self, mode):
+    @pytest.mark.parametrize("mode, verdicts", [
+        ({}, {"Realizable", "Unrealizable"}),
+        ({"deterministic": True}, {"Realizable", "Unrealizable"}),
+        ({"strict": True}, {"Realizable", "Unrealizable"}),
+        # below the completeness bound UNSAT is Unknown, which implies nothing
+        ({"k": 2}, {"Realizable", "Unrealizable", "Unknown"}),
+    ], ids=["default", "deterministic", "strict", "k=2"])
+    def test_random_models_match_per_cell(self, mode, verdicts):
         rng = random.Random(47)
         seen = set()
         for _ in range(10):
@@ -392,7 +397,37 @@ class TestGrid:
             got = {(r.mu, r.nu): r.verdict for r in rows}
             assert got == self.per_cell(p, range(1, 4), range(0, 3), **mode), p
             seen |= set(got.values())
+        assert seen == verdicts
+
+    @pytest.mark.parametrize("kind", ["same", "implies"])
+    def test_same_and_implies_match_per_cell(self, kind):
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(10):
+            p = random_pomdp(rng, max_states=5)
+            while p.n_obs < 2:  # implies needs two declared symbols
+                p = random_pomdp(rng, max_states=5)
+            a, b = rng.sample(range(p.n_states), 2)
+            sc = SideConstraints(same=((a, b),)) if kind == "same" else \
+                SideConstraints(implies=((a, *rng.sample(range(p.n_obs), 2)),))
+            got = {(r.mu, r.nu): r.verdict
+                   for r in sweep(p, range(1, 4), range(0, 3), constraints=sc)}
+            assert got == self.per_cell(p, range(1, 4), range(0, 3), constraints=sc), p
+            seen |= set(got.values())
         assert seen == {"Realizable", "Unrealizable"}
+
+    def test_budget_never_contradicts(self):
+        # a budget makes some cells Unknown; every other verdict, searched
+        # or inferred, is the unbudgeted per-cell one
+        rng = random.Random(11)
+        unknown = 0
+        for _ in range(10):
+            p = random_pomdp(rng, max_states=5)
+            want = self.per_cell(p, range(1, 4), range(0, 3))
+            for r in sweep(p, range(1, 4), range(0, 3), budget=Budget(max_conflicts=1)):
+                unknown += r.verdict == "Unknown"
+                assert r.verdict in ("Unknown", want[r.mu, r.nu]), (p, r.mu, r.nu)
+        assert unknown
 
     def test_diff_constraints_match_per_cell(self):
         # diff forbids a shared symbol; a switched-off fresh symbol is emitted
@@ -421,7 +456,63 @@ class TestGrid:
         rows = [r for r in sweep(fig1, range(1, 4), range(0, 3)) if r.stats.vars]
         assert len(rows) == 6  # nu = 0 leaves fig1 no alphabet: no formula
         assert len({(r.stats.vars, r.stats.clauses) for r in rows}) == 1
-        assert all(r.stats.conflicts is not None for r in rows)
+        searched = [r for r in rows if r.stats.conflicts is not None]
+        assert searched and all(r.stats.decisions is not None for r in searched)
+
+    def test_walk_searches_the_staircase(self, fig1):
+        # (3,1) R -> (2,1) U -> (2,2) R -> (1,2) U; nu = 0 needs no formula
+        rows = sweep(fig1, range(1, 4), range(0, 3))
+        searched = [(r.mu, r.nu) for r in rows if r.stats.conflicts is not None]
+        assert sorted(searched) == [(1, 2), (2, 1), (2, 2), (3, 1)]
+        assert {(r.mu, r.nu) for r in rows if r.verdict == "Realizable"} == \
+            {(2, 2), (3, 1), (3, 2)}
+        inferred = [r for r in rows if r.stats.vars and r.stats.conflicts is None]
+        assert sorted((r.mu, r.nu, r.verdict) for r in inferred) == \
+            [(1, 1, "Unrealizable"), (3, 2, "Realizable")]
+        for r in inferred:
+            assert r.stats.time_ms == 0 and r.stats.decisions is None
+            assert r.k == 9  # the shared formula's k, 3 * |V - {goal}|, as a search reports
+            if r.verdict == "Realizable":
+                assert r.policy.n_mem <= r.mu and r.completion.n_new <= r.nu
+                assert check_almost_sure(build_product(r.model, r.completion, r.policy)).ok
+
+    def test_k_below_bound_infers_nothing(self, fig1):
+        # k = 3 is the bound of mu = 1 only: (2, 1) is UNSAT below its bound 6,
+        # an Unknown that stops the walk and refutes nothing below it
+        rows = sweep(fig1, range(1, 4), range(1, 3), k=3)
+        got = {(r.mu, r.nu): r.verdict for r in rows}
+        assert got == self.per_cell(fig1, range(1, 4), range(1, 3), k=3)
+        assert got[2, 1] == "Unknown" and got[1, 1] == "Unrealizable"
+        assert rows[0].stats.conflicts is not None  # (1, 1) was searched
+
+    def test_unknown_stops_the_walk(self, monkeypatch):
+        # SPLIT without observations is Realizable iff mu >= 2 and nu = 2.  The
+        # walk's first cell (4, 1) comes back Unknown; the cells searched after
+        # it must not let (2, 2) imply (3, 1), which lies above but to the left
+        p = parse_pomdp(re.sub(r"obs .*\n", "", SPLIT).replace(" z0 z1", ""))
+        solve, calls = sat.solve, []
+
+        def first_unknown(*args, **kwargs):
+            calls.append(args)
+            return sat.SolveResult(status=sat.BUDGET) if len(calls) == 1 else solve(*args, **kwargs)
+
+        monkeypatch.setattr(sat, "solve", first_unknown)
+        got = {(r.mu, r.nu): r.verdict for r in sweep(p, range(1, 5), range(0, 3))}
+        assert got == {**self.per_cell(p, range(1, 5), range(0, 3)), (4, 1): "Unknown"}
+        assert got[3, 1] == "Unrealizable" and got[2, 2] == "Realizable"
+
+    def test_inferred_pairs_verify(self):
+        rng = random.Random(29)
+        inferred = 0
+        for _ in range(10):
+            p = random_pomdp(rng, max_states=5)
+            for r in sweep(p, range(1, 4), range(0, 3)):
+                if r.verdict == "Realizable" and r.stats.conflicts is None:
+                    inferred += 1
+                    assert r.policy.n_mem <= r.mu and r.completion.n_new <= r.nu
+                    assert check_almost_sure(build_product(r.model, r.completion,
+                                                           r.policy)).ok
+        assert inferred
 
     def test_sensor_mode(self):
         p = parse_pomdp(TestSensorMode.SENSE)
@@ -435,23 +526,31 @@ class TestGrid:
 
     def test_front_end_solver_agrees(self, fig1, monkeypatch):
         monkeypatch.setenv("PYTHONPATH", str(Path(sat.__file__).resolve().parent.parent))
-        external = sweep(fig1, range(2, 4), range(1, 3),
-                         solver=f"{sys.executable} -m sensynth.sat {{input}}")
+        solver = f"{sys.executable} -m sensynth.sat {{input}}"
+        external = sweep(fig1, range(2, 4), range(1, 3), solver=solver)
         embedded = sweep(fig1, range(2, 4), range(1, 3))
         assert [(r.mu, r.nu, r.verdict) for r in external] == \
             [(r.mu, r.nu, r.verdict) for r in embedded]
         assert all(r.stats.conflicts is None for r in external)
+        rng = random.Random(47)
+        for _ in range(3):
+            p = random_pomdp(rng, max_states=4)
+            got = {(r.mu, r.nu): r.verdict
+                   for r in sweep(p, range(1, 3), range(0, 2), solver=solver)}
+            assert got == self.per_cell(p, range(1, 3), range(0, 2)), p
 
     def test_budget_per_cell(self, fig1):
         free = sweep(fig1, range(1, 4), range(1, 3))
-        most = max(r.stats.conflicts for r in free)
-        assert sum(r.stats.conflicts for r in free) > most + 1
+        # inferred cells carry no counters, so only searched ones count
+        counts = [r.stats.conflicts for r in free if r.stats.conflicts is not None]
+        most = max(counts)
+        assert sum(counts) > most + 1
         budgeted = sweep(fig1, range(1, 4), range(1, 3),
                          budget=Budget(max_conflicts=most + 1))
         assert [r.verdict for r in budgeted] == [r.verdict for r in free]
         tight = sweep(fig1, range(1, 4), range(1, 3), budget=Budget(max_conflicts=1))
         assert "Unknown" in {r.verdict for r in tight}
-        assert all(r.stats.conflicts <= 1 for r in tight)
+        assert all(r.stats.conflicts <= 1 for r in tight if r.stats.conflicts is not None)
 
 
 class TestSensorMode:
