@@ -580,10 +580,11 @@ def parse_dimacs(text):
 _ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]")
 
 
-def parse_external_result(text, nvars=0, returncode=None):
+def parse_external_result(text, returncode, nvars=0):
     """Parse `s ...` / `v ...` solver output lines into a SolveResult.  Only
-    output without an `s` line falls back to the exit code (20 is UNSAT); a
-    malformed `v` line is an error whatever the exit code."""
+    output without an `s` line falls back to the solver's exit code
+    returncode (20 is UNSAT); a malformed `v` line is an error whatever the
+    exit code."""
     status, read_s = None, False
     lits = []
     for raw in text.splitlines():
@@ -648,7 +649,7 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
         except subprocess.TimeoutExpired:
             return SolveResult(status=BUDGET)
         out = proc.stdout + "\n" + proc.stderr
-        res = parse_external_result(out, nvars=cnf.nvars, returncode=proc.returncode)
+        res = parse_external_result(out, proc.returncode, nvars=cnf.nvars)
     if res.status == SAT:
         if len(res.assignment) < cnf.nvars + 1:
             res.assignment.extend([False] * (cnf.nvars + 1 - len(res.assignment)))

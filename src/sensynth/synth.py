@@ -245,11 +245,11 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     completeness bound, and Unknown otherwise.  A model is decoded with the
     cell's mu and checked by the product-graph analysis.
 
-    The search walks the staircase from (mu_hi, nu_lo): to the next lower mu
-    after a Realizable cell, to the next higher nu after an Unrealizable one,
-    stopping at the first Unknown.  Every cell still undecided is then, in
-    ascending order, inferred from a decided cell that implies it (module
-    docstring) or searched; without an Unknown at most |mus| + |nus| - 1
+    The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
+    Each is inferred from a decided cell that implies it (module docstring)
+    or else searched, which walks the staircase: a Realizable cell sends the
+    search to the next lower mu, an Unrealizable one to the next higher nu.
+    An Unknown cell implies nothing; without one at most |mus| + |nus| - 1
     cells are searched.  An inferred cell keeps its source's k, completion,
     policy and certificate, with the shared formula's vars and clauses,
     time_ms 0 and no solver counters.
@@ -275,8 +275,8 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
         engine = sat.Solver(cnf) if embedded else None
     error = None
 
-    def search(mu, nu, ends=(False, False)):
-        # ends: a Realizable (Unrealizable) answer leaves the walk no lower mu (higher nu)
+    def search(mu, nu, ends):
+        # ends: a Realizable (Unrealizable) answer here implies every cell not yet visited
         nonlocal engine, error
         bound = bounds[mu]
         assumptions = vm.assumptions(mu, nu)
@@ -316,21 +316,14 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
         return Realizable(completion=comp, policy=pol, certificate=cert,
                           mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
 
-    i, j = len(mus) - 1, 0  # the staircase walk from (mu_hi, nu_lo)
-    while i >= 0 and j < len(live):
-        out = done[mus[i], live[j]] = search(mus[i], live[j], (i == 0, j == len(live) - 1))
-        if out.verdict == "Unknown":
-            break
-        i, j = (i - 1, j) if out.verdict == "Realizable" else (i, j + 1)
-    cells = [(mu, nu) for mu in mus for nu in nus]
-    for mu, nu in cells:
-        if (mu, nu) not in done:
+    for nu in live:  # the staircase walk from (mu_hi, nu_lo), inferring what it implies
+        for mu in reversed(mus):
             src = next((o for o in done.values()
                         if o.verdict == "Realizable" and o.mu <= mu and o.nu <= nu
                         or o.verdict == "Unrealizable" and o.mu >= mu and o.nu >= nu), None)
-            done[mu, nu] = search(mu, nu) if src is None else \
+            done[mu, nu] = search(mu, nu, (mu == mus[0], nu == live[-1])) if src is None else \
                 replace(src, mu=mu, nu=nu, stats=SynthStats(cnf.nvars, len(cnf)))
-    return [done[c] for c in cells], error
+    return [done[mu, nu] for mu in mus for nu in nus], error
 
 
 def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,

@@ -401,51 +401,51 @@ class TestFrontEnd:
         res = solve_external(Cnf().finalize(0), FRONT_END)  # answers `v 0`
         assert res.status == SAT and res.assignment == [False]
         with pytest.raises(ExternalSolverError):
-            parse_external_result("s SATISFIABLE\nv 0\n", nvars=1)
+            parse_external_result("s SATISFIABLE\nv 0\n", 10, nvars=1)
 
 
 class TestExternalResult:
     def test_sat_with_values(self):
-        res = parse_external_result("c noise\ns SATISFIABLE\nv 1 -2 0\n", nvars=2)
+        res = parse_external_result("c noise\ns SATISFIABLE\nv 1 -2 0\n", 10, nvars=2)
         assert res.status == SAT
         assert res.assignment[1] is True and res.assignment[2] is False
 
     def test_multiline_values(self):
-        res = parse_external_result("s SATISFIABLE\nv 1 -2\nv 3 0\n", nvars=3)
+        res = parse_external_result("s SATISFIABLE\nv 1 -2\nv 3 0\n", 10, nvars=3)
         assert res.assignment[3] is True
 
     def test_unsat(self):
-        assert parse_external_result("s UNSATISFIABLE\n").status == UNSAT
+        assert parse_external_result("s UNSATISFIABLE\n", 20).status == UNSAT
 
     def test_ansi_colored_output(self):
         text = "\x1b[1;32ms SATISFIABLE\x1b[0m\nv 1 0\n"
-        assert parse_external_result(text, nvars=1).status == SAT
+        assert parse_external_result(text, 10, nvars=1).status == SAT
 
     def test_missing_status_rejected(self):
         with pytest.raises(ExternalSolverError):
-            parse_external_result("hello world\n")
+            parse_external_result("hello world\n", 0)
 
     def test_indeterminate_maps_to_budget(self):
-        assert parse_external_result("s INDETERMINATE\n").status == BUDGET
+        assert parse_external_result("s INDETERMINATE\n", 0).status == BUDGET
 
     def test_unknown_status_rejected(self):
         with pytest.raises(ExternalSolverError):
-            parse_external_result("s GARBAGE\n")
+            parse_external_result("s GARBAGE\n", 0)
 
     def test_non_integer_value_rejected(self):
         with pytest.raises(ExternalSolverError, match="'x'"):
-            parse_external_result("s SATISFIABLE\nv 1 x 0\n", nvars=1)
+            parse_external_result("s SATISFIABLE\nv 1 x 0\n", 10, nvars=1)
 
     def test_exit_code_only_without_status_line(self):
-        assert parse_external_result("c no verdict\n", returncode=20).status == UNSAT
-        for code in (10, 0, None):
+        assert parse_external_result("c no verdict\n", 20).status == UNSAT
+        for code in (10, 0, 1):
             with pytest.raises(ExternalSolverError):
-                parse_external_result("c no verdict\n", returncode=code)
+                parse_external_result("c no verdict\n", code)
         with pytest.raises(ExternalSolverError, match="'x'"):
-            parse_external_result("s SATISFIABLE\nv 1 x 0\n", nvars=1, returncode=20)
+            parse_external_result("s SATISFIABLE\nv 1 x 0\n", 20, nvars=1)
         with pytest.raises(ExternalSolverError):
-            parse_external_result("s GARBAGE\n", returncode=20)
-        assert parse_external_result("s SATISFIABLE\nv 1 0\n", nvars=1, returncode=20).status == SAT
+            parse_external_result("s GARBAGE\n", 20)
+        assert parse_external_result("s SATISFIABLE\nv 1 0\n", 20, nvars=1).status == SAT
 
 
 class TestExternalDriver:

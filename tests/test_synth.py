@@ -478,17 +478,17 @@ class TestGrid:
 
     def test_k_below_bound_infers_nothing(self, fig1):
         # k = 3 is the bound of mu = 1 only: (2, 1) is UNSAT below its bound 6,
-        # an Unknown that stops the walk and refutes nothing below it
+        # an Unknown that refutes nothing below it
         rows = sweep(fig1, range(1, 4), range(1, 3), k=3)
         got = {(r.mu, r.nu): r.verdict for r in rows}
         assert got == self.per_cell(fig1, range(1, 4), range(1, 3), k=3)
         assert got[2, 1] == "Unknown" and got[1, 1] == "Unrealizable"
         assert rows[0].stats.conflicts is not None  # (1, 1) was searched
 
-    def test_unknown_stops_the_walk(self, monkeypatch):
+    def test_unknown_implies_nothing(self, monkeypatch):
         # SPLIT without observations is Realizable iff mu >= 2 and nu = 2.  The
-        # walk's first cell (4, 1) comes back Unknown; the cells searched after
-        # it must not let (2, 2) imply (3, 1), which lies above but to the left
+        # walk's first cell (4, 1) comes back Unknown; (3, 1) below it must
+        # still be searched, not copied from it, and the walk go on from there
         p = parse_pomdp(re.sub(r"obs .*\n", "", SPLIT).replace(" z0 z1", ""))
         solve, calls = sat.solve, []
 
