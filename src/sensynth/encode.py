@@ -20,6 +20,9 @@ the row's allowed symbols.  The formula at (mu, nu) also answers every
 smaller cell of a grid, under assumptions that set its own update and
 emission literals false (VarMap.assumptions).
 
+With k None there is no P, only an edge literal per product edge of a safe
+action (encode_edges), over which synth adds trap cuts.
+
 encode() first runs mdp_prepass(), one backward search of the fully
 observable model, which is the encoder's only source of MDP facts.  Its
 region V, the states reachable from the initial state through safe actions
@@ -106,7 +109,9 @@ class VarMap:
     Semantic ids occupy 1..n_semantic in block order A, M, O, C, P;
     auxiliaries are handed out past that.  The C and P blocks cover only the
     states of region (mdp_prepass), in ascending order; var_c and var_p of a
-    state outside it raise TypeError.  region None means every state.
+    state outside it raise TypeError.  region None means every state, and k
+    None means no P block.  edges maps (m,a,s',m') to the edge literals
+    encode_edges defines.
     """
 
     def __init__(self, p, mu, nu, k, region=None):
@@ -114,7 +119,7 @@ class VarMap:
             raise ValueError(f"mu must be >= 1, got {mu}")
         if nu < 0:
             raise ValueError(f"nu must be >= 0, got {nu}")
-        if k < 1:
+        if k is not None and k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.mu = mu
         self.nu = nu
@@ -136,10 +141,11 @@ class VarMap:
         self._off_o = self._off_m + mu_ * nzp * na * mu_
         self._off_c = self._off_o + ns * nzp
         self._off_p = self._off_c + nv * mu_
-        self.n_semantic = self._off_p + nv * mu_ * (k + 1)
+        self.n_semantic = self._off_p + (0 if k is None else nv * mu_ * (k + 1))
         if self.n_semantic >= 2**31:
             raise OverflowError(f"variable count {self.n_semantic} overflows the 31-bit literal space")
         self._next_aux = self.n_semantic + 1
+        self.edges = {}
 
     def assumptions(self, mu, nu):
         """Literals that restrict this formula to the cell (mu, nu): every
@@ -567,18 +573,6 @@ def encode_path_predicate(p, vm, out=None, dist=None):
 
     cons, edges = {}, {}
 
-    def edge(m, a, i2, m2):
-        e = edges.get((m, a, i2, m2))
-        if e is None:
-            e = edges[m, a, i2, m2] = vm.fresh_aux()
-            xs = [e] if nzp == 1 else [vm.fresh_aux() for _ in range(nzp)]
-            for z, x in enumerate(xs):
-                out.add((-x, vm.var_o(i2, z)))
-                out.add((-x, vm.var_m(m, z, a, m2)))
-            if nzp > 1:
-                out.add([-e] + xs)
-        return e
-
     for i in states:
         if i == g:
             continue
@@ -601,7 +595,9 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                                 t = cons.get(tkey)
                                 if t is None:
                                     t = cons[tkey] = vm.fresh_aux()
-                                    out.add((-t, edge(m, a, i2, m2)))
+                                    if (m, a, i2, m2) not in edges:
+                                        edges[m, a, i2, m2] = _edge_literal(vm, out, m, a, i2, m2)
+                                    out.add((-t, edges[m, a, i2, m2]))
                                     out.add((-t, vm.var_p(i2, m2, j - 1)))
                                 inner.append(t)
                         u = None
@@ -613,6 +609,36 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                     if u is not None:
                         disj.append(u)
                 out.add([-vm.var_p(i, m, j)] + disj)  # a unit when no disjunct is left
+    return out
+
+
+def _edge_literal(vm, out, m, a, i2, m2):
+    """A fresh e with e -> OR_z (O(i2,z) & M(m,z,a,m2)), by x -> O & M per
+    symbol and e -> OR x, or e -> O & M directly when |Z'| = 1."""
+    e = vm.fresh_aux()
+    xs = [e] if vm.nzp == 1 else [vm.fresh_aux() for _ in range(vm.nzp)]
+    for z, x in enumerate(xs):
+        out.add((-x, vm.var_o(i2, z)))
+        out.add((-x, vm.var_m(m, z, a, m2)))
+    if vm.nzp != 1:
+        out.add([-e] + xs)
+    return e
+
+
+def encode_edges(p, vm, out=None):
+    """e(m,a,s',m') -> A(m,a) & OR_z (O(s',z) & M(m,z,a,m')) in vm.edges,
+    for each product edge of a safe action a at a state of vm.region, in
+    key order.  A true e is the edge (s,m) -> (s',m') at every s with s' in
+    succ(s,a).  Only trap cuts (synth) use e, positively, so e constrains
+    nothing."""
+    out = out if out is not None else Cnf()
+    region, ms = vm.region, range(vm.mu)
+    keys = sorted({(m, a, s2, m2) for s in region for a in range(vm.na)
+                   if region.issuperset(p.succ(s, a))
+                   for s2 in p.succ(s, a) for m in ms for m2 in ms})
+    for m, a, s2, m2 in keys:
+        e = vm.edges[m, a, s2, m2] = _edge_literal(vm, out, m, a, s2, m2)
+        out.add((-e, vm.var_a(m, a)))
     return out
 
 
@@ -714,9 +740,9 @@ def encode(p, mu, nu, k, sc=None, prepass=None):
     programmatic models apply model.reduce_targets first).  In sensor mode
     pass the transformed model from sensor_model() and nu = 0.  prepass is
     mdp_prepass(p), computed here when not given: C and P range over its
-    region, and P is fixed false below its distances.  The same formula
-    answers every cell (mu', nu') <= (mu, nu) under VarMap.assumptions(mu',
-    nu').
+    region, and P is fixed false below its distances.  k None encodes the
+    edge literals (encode_edges) in place of P.  The same formula answers
+    every cell (mu', nu') <= (mu, nu) under VarMap.assumptions(mu', nu').
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
@@ -730,7 +756,10 @@ def encode(p, mu, nu, k, sc=None, prepass=None):
     encode_memory_update(vm, out)
     encode_observation_fn(p, vm, sc, out)
     encode_reach_closure(p, vm, out)
-    encode_path_predicate(p, vm, out, dist=dist)
+    if k is None:
+        encode_edges(p, vm, out)
+    else:
+        encode_path_predicate(p, vm, out, dist=dist)
     encode_side_constraints(sc, vm, out)
     encode_symmetry(p, vm, out)
     return out.finalize(vm.nvars), vm

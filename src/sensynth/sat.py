@@ -13,8 +13,9 @@ decision level each.  An assumption found false answers UNSAT for that call
 only; a conflict at level 0 refutes the formula itself and every later call.
 Learnt clauses are implied by the formula alone, never by the assumptions,
 so they, the activities, the saved phases and the restart and reduce
-schedules carry from one call to the next.  The external-solver driver
-passes assumptions as unit clauses instead.
+schedules carry from one call to the next.  Between calls add_clause adds
+permanent clauses, as the trap cuts of synth.solve_grid are.  The
+external-solver driver passes assumptions as unit clauses instead.
 
 It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
 literal arena, with learnt clauses appended to it.  A clause is named by the
@@ -185,6 +186,21 @@ class Solver:
         self.learnts.append(ci)
         self.lbd[ci] = lbd
         return ci
+
+    def add_clause(self, clause):
+        """Add a permanent clause (Cnf invariant) between solve() calls.  At
+        level 0 a satisfied clause is skipped and false literals dropped; the
+        empty clause sets `ok` False, a unit is propagated, and a longer
+        clause is a learnt one of LBD 0, which _reduce_db never drops."""
+        self._backtrack(0)
+        vals = self.vals
+        rest = [l for l in clause if vals[l] != 2]
+        if not self.ok or any(vals[l] == 1 for l in rest):
+            return
+        if len(rest) > 1:
+            self._learn(rest, 0)
+        elif not rest or not self._enqueue(rest[0], -1) or self._propagate() != -1:
+            self.ok = False
 
     def _enqueue(self, lit, reason):
         vals = self.vals

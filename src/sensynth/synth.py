@@ -14,17 +14,22 @@ reaches visits only reached non-goal pairs, all in (V - {goal}) x memory.
 Unrealizable is only claimed when the path bound k reached that bound; below
 it an unsatisfiable formula proves nothing and the outcome is Unknown.
 
+Below the top cell's bound the formula unrolls the path predicate P to k.
+At or above it the formula has no P, and a model whose pair loses the
+product check adds trap cuts that every winning pair satisfies (trap_cuts;
+SAT modulo graph reachability, Bayless, Bayless, Hoos & Hu, AAAI 2015).
+
 synthesize and sweep are both solve_grid: one formula and one solver answer
-the (mu, nu) cells, each searched cell being one solve call that assumes the
-formula's own update and emission literals false (see solve_grid and
-encode.VarMap.assumptions).  A sweep searches only the cells of a walk along
-its staircase of verdicts and infers the rest, soundly: a cell (mu, nu) of
-the shared formula assumes a superset of the literals that a cell (mu', nu')
-with mu' >= mu and nu' >= nu assumes.  So a model at (mu, nu) satisfies
-(mu', nu'), where its checked pair (memory <= mu, new <= nu) is a witness;
-and UNSAT at (mu', nu') with k at the bound of mu' stays UNSAT at (mu, nu),
-where k reaches the smaller bound of mu.  An Unknown cell implies nothing,
-UNSAT below the bound (a smaller --k) included.
+the (mu, nu) cells, each searched cell assuming the formula's own update and
+emission literals false (see solve_grid and encode.VarMap.assumptions).  A
+sweep searches only the cells of a walk along its staircase of verdicts and
+infers the rest, soundly: a cell (mu, nu) of the shared formula assumes a
+superset of the literals that a cell (mu', nu') with mu' >= mu and
+nu' >= nu assumes.  So a model at (mu, nu) satisfies (mu', nu'), where its
+checked pair (memory <= mu, new <= nu) is a witness; and UNSAT at
+(mu', nu') with k at the bound of mu' stays UNSAT at (mu, nu), where k
+reaches the smaller bound of mu.  An Unknown cell implies nothing, UNSAT
+below the bound (a smaller --k) included.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ class SynthStats:
     conflicts: int = None  # the solver counters are None when an external solver ran
     decisions: int = None
     propagations: int = None
+    rounds: int = 0  # solve calls for the cell; time_ms and the counters sum over them
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,70 @@ def decode_policy(assignment, vm, mu=None):
     return Policy(n_mem=mu, act=tuple(act), update=tuple(update))
 
 
+def _bottom_sccs(adj, nodes):
+    """The bottom strongly connected components of the subgraph on nodes, a
+    set closed under adj: Tarjan's algorithm (SIAM J. Comput. 1(2), 1972),
+    iterative, from the nodes in ascending order."""
+    index, low, stack, bottom = {}, {}, [], []
+    for root in sorted(nodes):
+        work = [] if root in index else [root]
+        while work:
+            v = work[-1]
+            if v not in index:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+            w = next((w for w in adj[v] if w not in index), None)
+            if w is not None:
+                work.append(w)
+                continue
+            work.pop()
+            low[v] = min([low[v]] + [low[w] for w in adj[v]])
+            if low[v] == index[v]:
+                comp = set(stack[stack.index(v):])
+                del stack[-len(comp):]
+                low.update(dict.fromkeys(comp, len(nodes)))  # above every index: ignored
+                if all(w in comp for x in comp for w in adj[x]):
+                    bottom.append(comp)
+    return bottom
+
+
+def trap_cuts(p, vm, g, cert):
+    """Clauses, in a fixed order, that the losing pair behind product graph
+    g violates and every winning pair satisfies.  The reached pairs with no
+    goal path are closed under successors, so each bottom strongly connected
+    component T of them is a trap.  A winning pair that reaches b in T leaves
+    T towards the goal by an edge from some (s, m) in T under a safe action a
+    (the closure forbids the others) to some (s', m') outside T, m' over all
+    memory of the formula: so -C(b) | OR e(m,a,s',m') over those edges
+    (encode_edges) holds in every cell.  g's model makes C(b) true and every
+    such e false, since a true e is an edge of g."""
+    cuts = []
+    for trap in _bottom_sccs(g.adj, set(cert.reachable).difference(cert.dist)):
+        pairs = sorted(g.pair(v) for v in trap)
+        inside = set(pairs)
+        leave = sorted({vm.edges[m, a, s2, m2] for s, m in pairs for a in range(vm.na)
+                        if vm.region.issuperset(p.succ(s, a)) for s2 in p.succ(s, a)
+                        for m2 in range(vm.mu) if (s2, m2) not in inside})
+        cuts += [[-vm.var_c(s, m)] + leave for s, m in pairs]
+    return cuts
+
+
+def _prune(p, comp, pol, cert):
+    """Drop actions from each memory element's support, in order, while the
+    pair still wins.  Without P nothing steers a witness towards the goal,
+    so its supports can carry actions that only slow it down."""
+    for m in range(pol.n_mem):
+        for a in pol.act[m]:
+            act = pol.act[m]
+            if len(act) > 1:
+                trial = replace(pol, act=pol.act[:m] + (tuple(b for b in act if b != a),)
+                                + pol.act[m + 1:])
+                check = check_almost_sure(build_product(p, comp, trial))
+                if check.ok:
+                    pol, cert = trial, check
+    return pol, cert
+
+
 @dataclass(frozen=True)
 class Prepared:
     """What one request encodes, shared by solve_grid and export-dimacs."""
@@ -190,9 +260,40 @@ class Prepared:
         return self.model.initial in self.prepass[0] and self.model.n_obs + nu > 0
 
     def encode(self, mu, nu):
-        """The formula at (mu, nu) with path bound k (encode.encode); returns
-        (Cnf, VarMap)."""
-        return encode(self.model, mu, nu, self.k, self.constraints, prepass=self.prepass)
+        """The formula at (mu, nu) (encode.encode); returns (Cnf, VarMap).  At
+        or above the completeness bound of mu it has no P (VarMap.k None)."""
+        bound = _completeness_bound(self.prepass[0], self.model.goal, mu)
+        return encode(self.model, mu, nu, self.k if self.k < bound else None,
+                      self.constraints, prepass=self.prepass)
+
+    def search(self, cnf, vm, mu, nu, solve, engine=None):
+        """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
+        rounds of solve(); returns the last SolveResult and, when SAT, the
+        checked (completion, policy, certificate) decoded with the cell's mu.
+        With P one round decides.  Without P a losing pair's trap cuts go
+        into cnf and engine, the embedded Solver of solve(), and exclude its
+        model, so the rounds end; a winning pair is pruned (_prune)."""
+        p = self.model
+        while True:
+            res = solve()
+            if res.status != sat.SAT:
+                return res, None
+            comp = decode_completion(res.assignment, vm, p, strict=self.constraints.strict)
+            pol = decode_policy(res.assignment, vm, mu)
+            if comp.n_new > nu:
+                raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
+            g = build_product(p, comp, pol)
+            cert = check_almost_sure(g)
+            if cert.ok:
+                if vm.k is None:
+                    pol, cert = _prune(p, comp, pol, cert)
+                return res, (comp, pol, cert)
+            if vm.k is not None:
+                raise EncoderFault("decoded pair fails almost-sure verification")
+            for cut in trap_cuts(p, vm, g, cert):
+                cnf.add(cut)
+                if engine is not None:
+                    engine.add_clause(cut)
 
 
 def _completeness_bound(region, goal, mu):
@@ -230,20 +331,19 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
     pre-pass depends on neither mu nor nu.  A cell whose nu fails
     Prepared.needs_formula is Unrealizable without a formula.  The other
-    cells share one formula, encoded at (mu_hi, nu_hi) with path bound k
-    (default the completeness bound of mu_hi); a one-cell grid's formula is
-    exactly the (mu, nu) formula.
+    cells share one formula, Prepared.encode at (mu_hi, nu_hi) with path
+    bound k (default the completeness bound of mu_hi); a one-cell grid's
+    formula is exactly the (mu, nu) formula.
 
-    A searched cell is one solve under VarMap.assumptions(mu, nu), which sets
-    the formula's updates into memory elements >= mu and emissions of fresh
-    symbols >= nu false (its docstring has the soundness argument).  With
-    the embedded solver, one Solver answers every searched cell and what it
-    learns in one cell carries to the next; it is freed once no cell is left
-    to search.  An external solver gets one DIMACS file per cell, the
-    assumptions written as unit clauses.  The budget holds per cell.  UNSAT
-    means Unrealizable iff k >= mu * max(1, |V - {goal}|), the cell's
-    completeness bound, and Unknown otherwise.  A model is decoded with the
-    cell's mu and checked by the product-graph analysis.
+    A searched cell is Prepared.search under VarMap.assumptions(mu, nu),
+    which sets the formula's updates into memory elements >= mu and
+    emissions of fresh symbols >= nu false (its docstring has the soundness
+    argument).  With the embedded solver, one Solver answers every searched
+    cell, and what it learns and every cut carry to the next.  An external
+    solver gets one DIMACS file per round, the assumptions written as unit
+    clauses.  The budget holds per cell, over all its rounds.  UNSAT means
+    Unrealizable iff k >= mu * max(1, |V - {goal}|), the cell's completeness
+    bound, and Unknown otherwise.
 
     The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
     Each is inferred from a decided cell that implies it (module docstring)
@@ -251,8 +351,8 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     search to the next lower mu, an Unrealizable one to the next higher nu.
     An Unknown cell implies nothing; without one at most |mus| + |nus| - 1
     cells are searched.  An inferred cell keeps its source's k, completion,
-    policy and certificate, with the shared formula's vars and clauses,
-    time_ms 0 and no solver counters.
+    policy and certificate, with the shared formula's vars and clauses (cuts
+    so far included), time_ms 0, no solver counters and no rounds.
 
     A failing external solver makes its cell Unknown, with the error as the
     reason; every other exception propagates.
@@ -275,30 +375,37 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
         engine = sat.Solver(cnf) if embedded else None
     error = None
 
-    def search(mu, nu, ends):
-        # ends: a Realizable (Unrealizable) answer here implies every cell not yet visited
-        nonlocal engine, error
+    def search(mu, nu):
+        nonlocal error
         bound = bounds[mu]
         assumptions = vm.assumptions(mu, nu)
-        t0 = time.perf_counter()
-        if embedded:
-            res = sat.solve(cnf, budget, assumptions, solver=engine)
-            if ends[0] and res.status == sat.SAT or ends[1] and res.status == sat.UNSAT \
-                    and k_used >= bound:
-                engine = None  # no cell is left to search: free it before decode and verify
-        else:
-            limit = budget.max_seconds if budget is not None else None
-            try:
-                res = sat.solve_external(cnf, solver, time_limit=limit, assumptions=assumptions)
-            except sat.ExternalSolverError as e:
-                error = error or e
-                return Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
-                               k=k_used, stats=SynthStats())
-        elapsed = int(round((time.perf_counter() - t0) * 1000))
-        stats = SynthStats(vars=cnf.nvars, clauses=len(cnf), time_ms=elapsed,
-                           conflicts=res.conflicts, decisions=res.decisions,
-                           propagations=res.propagations)
+        t_cell = time.perf_counter()
+        rounds = []  # each round's SolveResult and seconds
 
+        def solve():
+            used = sum(r.conflicts or 0 for r, _ in rounds), time.perf_counter() - t_cell
+            rest = None if budget is None else sat.Budget(*(
+                None if limit is None else max(limit - u, 0)
+                for limit, u in zip((budget.max_conflicts, budget.max_seconds), used)))
+            t0 = time.perf_counter()
+            if embedded:
+                res = sat.solve(cnf, rest, assumptions, solver=engine)
+            else:
+                res = sat.solve_external(cnf, solver, assumptions=assumptions,
+                                         time_limit=rest.max_seconds if rest else None)
+            rounds.append((res, time.perf_counter() - t0))
+            return res
+
+        try:
+            res, pair = prep.search(cnf, vm, mu, nu, solve, engine)
+        except sat.ExternalSolverError as e:
+            error = error or e
+            return Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu, k=k_used,
+                           stats=SynthStats(cnf.nvars, len(cnf), rounds=len(rounds) + 1))
+        counters = (sum(getattr(r, f) or 0 for r, _ in rounds) if embedded else None
+                    for f in ("conflicts", "decisions", "propagations"))
+        stats = SynthStats(cnf.nvars, len(cnf), int(round(sum(t for _, t in rounds) * 1000)),
+                           *counters, rounds=len(rounds))
         if res.status == sat.BUDGET:
             return Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
         if res.status == sat.UNSAT and k_used >= bound:
@@ -306,13 +413,7 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
         if res.status == sat.UNSAT:
             return Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
                            mu=mu, nu=nu, k=k_used, stats=stats)
-        comp = decode_completion(res.assignment, vm, p_enc, strict=prep.constraints.strict)
-        pol = decode_policy(res.assignment, vm, mu)
-        if comp.n_new > nu:
-            raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
-        cert = check_almost_sure(build_product(p_enc, comp, pol))
-        if not cert.ok:
-            raise EncoderFault("decoded pair fails almost-sure verification")
+        comp, pol, cert = pair
         return Realizable(completion=comp, policy=pol, certificate=cert,
                           mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
 
@@ -321,7 +422,7 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
             src = next((o for o in done.values()
                         if o.verdict == "Realizable" and o.mu <= mu and o.nu <= nu
                         or o.verdict == "Unrealizable" and o.mu >= mu and o.nu >= nu), None)
-            done[mu, nu] = search(mu, nu, (mu == mus[0], nu == live[-1])) if src is None else \
+            done[mu, nu] = search(mu, nu) if src is None else \
                 replace(src, mu=mu, nu=nu, stats=SynthStats(cnf.nvars, len(cnf)))
     return [done[mu, nu] for mu in mus for nu in nus], error
 
@@ -400,8 +501,8 @@ def format_result(out):
             lines.append(f"obs {p.states[s]} -> {row}")
     st = out.stats
     c, d, pr = ("-" if x is None else x for x in (st.conflicts, st.decisions, st.propagations))
-    lines.append(f"stats: vars={st.vars} clauses={st.clauses} "
-                 f"time_ms={st.time_ms} conflicts={c} decisions={d} propagations={pr}")
+    lines.append(f"stats: vars={st.vars} clauses={st.clauses} time_ms={st.time_ms} "
+                 f"conflicts={c} decisions={d} propagations={pr} rounds={st.rounds}")
     return "\n".join(lines) + "\n"
 
 
@@ -464,7 +565,8 @@ def _read_result(text, p):
             conf, dec, props = (None if f.get(key, "-") == "-" else int(f[key])
                                 for key in ("conflicts", "decisions", "propagations"))
             stats = SynthStats(int(f.get("vars", 0)), int(f.get("clauses", 0)),
-                               int(f.get("time_ms", 0)), conf, dec, props)
+                               int(f.get("time_ms", 0)), conf, dec, props,
+                               int(f.get("rounds", 0)))
         except ValueError:
             raise ResultParseError(f"malformed stats line {header('stats')!r}") from None
     if verdict != "Realizable":

@@ -352,7 +352,7 @@ class TestExportDimacs:
         from sensynth.encode import VarMap, mdp_prepass
         p = gen_fig1()
         region = mdp_prepass(p)[0]
-        vm = VarMap(p, 2, 1, 6, region)
+        vm = VarMap(p, 2, 1, None, region)  # the default k is the bound: no P
         assert len(mapping) == vm.n_semantic
         for line in mapping:
             v, name = line.split(" ", 1)
@@ -360,7 +360,7 @@ class TestExportDimacs:
         names = {line.split(" ", 1)[1] for line in mapping}
         for s in range(p.n_states):
             assert (f"C({p.states[s]},m1)" in names) == (s in region)
-            assert (f"P({p.states[s]},m0,6)" in names) == (s in region)
+        assert not any(name.startswith("P(") for name in names)
 
     def test_sensor_mode_exports_refined_formula(self, tmp_path):
         model = tmp_path / "chain.pomdp"

@@ -15,7 +15,7 @@ from sensynth.encode import (Cnf, SideConstraints, VarMap, at_most_one, encode,
                              encode_reach_closure, encode_side_constraints, encode_symmetry,
                              mdp_prepass, parse_constraints, sensor_model)
 from sensynth.model import BOT, PartialObsFn, Pomdp, parse_pomdp
-from sensynth.synth import solve_grid
+from sensynth.synth import prepare, solve_grid
 from test_acceptance import SPLIT
 
 FIG1_VARIANT = """
@@ -796,10 +796,17 @@ class TestSelectorFamily:
     emission literals assumed false (VarMap.assumptions)."""
 
     def test_one_cell_formula_unchanged(self, fig1):
-        plain, vm = encode(fig1, 3, 1, 9)
-        assert vm.assumptions(vm.mu, vm.nu) == []
+        # k = 9 is the bound of (3, 1): the formula has no P, and the cell's
+        # search adds the trap cuts of its rounds to it
+        prep = prepare(fig1, 3, 1, k=9)
+        plain, vm = prep.encode(3, 1)
+        assert vm.k is None and vm.assumptions(vm.mu, vm.nu) == []
+        engine = sat.Solver(plain)
+        n_base = len(plain)
+        prep.search(plain, vm, 3, 1, lambda: sat.solve(plain, solver=engine), engine)
         (out,), _ = solve_grid(fig1, [3], [1], k=9)
         assert (out.stats.vars, out.stats.clauses) == (plain.nvars, len(plain))
+        assert len(plain) > n_base
 
     def test_layout_and_assumptions(self, fig1):
         _, vm = encode(fig1, 3, 2, 9)

@@ -297,6 +297,57 @@ class TestAssumptions:
         assert solve_external(cnf, FRONT_END, assumptions=[-3, -2]).status == UNSAT
 
 
+class TestAddClause:
+    """Permanent clauses added between solve() calls (Solver.add_clause)."""
+
+    def test_satisfied_clause_is_skipped(self):
+        solver = sat.Solver(cnf_of([(1,), (-1, 2, 3)], 3))
+        size = len(solver.lits)
+        solver.add_clause([-2, 1])
+        assert len(solver.lits) == size and solver.ok
+
+    def test_false_literals_dropped_and_unit_propagated(self):
+        solver = sat.Solver(cnf_of([(-1,), (-2, 3)], 3))
+        solver.add_clause([1, 2])  # 1 is false at level 0: the unit 2, then 3
+        assert solver.ok and not solver.trail_lim
+        assert solver.vals[2] == solver.vals[3] == 1
+
+    def test_empty_clause_refutes(self):
+        solver = sat.Solver(cnf_of([(1,), (2, 3)], 3))
+        assert solver.solve().status == SAT
+        solver.add_clause([-1])
+        assert not solver.ok
+        assert solver.solve().status == UNSAT
+
+    def test_unit_conflict_refutes(self):
+        solver = sat.Solver(cnf_of([(-1, 2), (-1, -2)], 2))
+        solver.add_clause([1])
+        assert not solver.ok and solver.solve().status == UNSAT
+
+    def test_clauses_survive_later_calls(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            nvars = rng.randint(3, 8)
+            clauses = [tuple(l if rng.random() < 0.5 else -l
+                             for l in rng.sample(range(1, nvars + 1), rng.randint(1, 3)))
+                       for _ in range(rng.randint(1, 2 * nvars))]
+            cnf = cnf_of(clauses, nvars)
+            solver = sat.Solver(cnf)
+            for _ in range(4):
+                assert solve(cnf, solver=solver).status == \
+                    (SAT if brute_sat(clauses, nvars) else UNSAT)
+                for _ in range(2):  # between calls, after a model or a refutation
+                    added = tuple(l if rng.random() < 0.5 else -l
+                                  for l in rng.sample(range(1, nvars + 1), rng.randint(1, 3)))
+                    cnf.add(added)
+                    clauses.append(added)
+                    solver.add_clause(added)
+                assumed = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
+                res = solve(cnf, assumptions=assumed, solver=solver)  # self-checks the model
+                assert (res.status == SAT) == \
+                    brute_sat(clauses + [(l,) for l in assumed], nvars)
+
+
 class TestDimacs:
     def test_exact_format(self, tmp_path):
         write_dimacs(cnf_of([(1, -2)], 2), tmp_path / "f.cnf")

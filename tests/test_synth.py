@@ -299,13 +299,23 @@ class TestResultDocuments:
 
 class TestSolverCounters:
     def test_match_the_solver(self, fig1):
+        # the formula solve_grid builds at the bound, searched in rounds of
+        # trap cuts; the counters are summed over the rounds
         out = synthesize(fig1, 3, 1)
         prep = prepare(fig1, 3, 1)
-        cnf, _ = encode(prep.model, 3, 1, prep.k, prep.constraints, prepass=prep.prepass)
-        res = sat.solve(cnf)
+        cnf, vm = prep.encode(3, 1)
+        engine, runs = sat.Solver(cnf), []
+
+        def solve():
+            runs.append(sat.solve(cnf, solver=engine))
+            return runs[-1]
+
+        prep.search(cnf, vm, 3, 1, solve, engine)
         st = out.stats
+        assert st.rounds == len(runs) > 1
         assert (st.conflicts, st.decisions, st.propagations) == \
-            (res.conflicts, res.decisions, res.propagations)
+            tuple(sum(getattr(r, f) for r in runs) for f in ("conflicts", "decisions",
+                                                             "propagations"))
         assert st.decisions > 0 and st.propagations > 0
 
     def test_result_document_round_trip(self, fig1):
@@ -455,7 +465,10 @@ class TestGrid:
     def test_shared_formula(self, fig1):
         rows = [r for r in sweep(fig1, range(1, 4), range(0, 3)) if r.stats.vars]
         assert len(rows) == 6  # nu = 0 leaves fig1 no alphabet: no formula
-        assert len({(r.stats.vars, r.stats.clauses) for r in rows}) == 1
+        assert len({r.stats.vars for r in rows}) == 1
+        # clauses: the shared formula's, with the trap cuts added before the row
+        base = len(prepare(fig1, 3, 2).encode(3, 2)[0])
+        assert all(r.stats.clauses >= base for r in rows)
         searched = [r for r in rows if r.stats.conflicts is not None]
         assert searched and all(r.stats.decisions is not None for r in searched)
 
@@ -551,6 +564,93 @@ class TestGrid:
         tight = sweep(fig1, range(1, 4), range(1, 3), budget=Budget(max_conflicts=1))
         assert "Unknown" in {r.verdict for r in tight}
         assert all(r.stats.conflicts <= 1 for r in tight if r.stats.conflicts is not None)
+
+
+class TestTrapCuts:
+    """At the completeness bound a cell is searched in rounds of trap cuts
+    over a formula without P; its verdicts are those of P unrolled to the
+    bound."""
+
+    @staticmethod
+    def eager(p, mus, nus, **opts):
+        out = {}
+        for mu in mus:
+            for nu in nus:
+                prep = prepare(p, mu, nu, **opts)
+                if not prep.needs_formula(nu):
+                    out[mu, nu] = "Unrealizable"
+                    continue
+                cnf, _ = encode(prep.model, mu, nu, prep.k, prep.constraints,
+                                prepass=prep.prepass)
+                out[mu, nu] = "Realizable" if sat.solve(cnf).status == sat.SAT \
+                    else "Unrealizable"
+        return out
+
+    @staticmethod
+    def request(rng, mode):
+        """A random model and options for mode; sensor mode asks for a base
+        symbol in every state but the goal."""
+        while True:
+            p = random_pomdp(rng, max_states=5)
+            a, b = rng.sample(range(p.n_states), 2)
+            if mode == "sensor":
+                if all(p.obs.support(s) for s in range(p.n_states) if s != p.goal):
+                    return p, {"constraints": SideConstraints(sensor_values=("lo", "hi"))}
+            elif mode == "implies":
+                if p.n_obs >= 2:
+                    z = rng.sample(range(p.n_obs), 2)
+                    return p, {"constraints": SideConstraints(implies=((a, *z),))}
+            elif mode in ("same", "diff"):
+                return p, {"constraints": SideConstraints(**{mode: ((a, b),)})}
+            else:
+                return p, {} if mode == "default" else {mode: True}
+
+    @pytest.mark.parametrize("mode", ["default", "deterministic", "strict", "same", "diff",
+                                      "implies", "sensor"])
+    def test_verdicts_match_the_eager_formula(self, mode):
+        rng = random.Random(61)
+        rounds, verdicts = [], set()
+        for _ in range(20):
+            p, opts = self.request(rng, mode)
+            mus, nus = range(1, 4), [0] if mode == "sensor" else range(0, 3)
+            want = self.eager(p, mus, nus, **opts)
+            rows = sweep(p, mus, nus, **opts)
+            assert {(r.mu, r.nu): r.verdict for r in rows} == want, p
+            top = synthesize(p, 3, nus[-1], **opts)
+            assert top.verdict == want[3, nus[-1]], p
+            rounds += [r.stats.rounds for r in rows] + [top.stats.rounds]
+            verdicts |= set(want.values())
+        assert verdicts == {"Realizable", "Unrealizable"}
+        assert max(rounds) > 1  # some cell needed cuts
+
+    def test_bottom_sccs_match_reachability(self):
+        # v lies in a bottom component iff every pair it reaches reaches it back
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            adj = [sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
+            reach = []
+            for v in range(n):
+                seen, todo = {v}, [v]
+                while todo:
+                    for w in adj[todo.pop()]:
+                        if w not in seen:
+                            seen.add(w)
+                            todo.append(w)
+                reach.append(frozenset(seen))
+            closed = reach[rng.randrange(n)]
+            want = {reach[v] for v in closed if all(v in reach[w] for w in reach[v])}
+            assert {frozenset(c) for c in synth._bottom_sccs(adj, closed)} == want, adj
+
+    def test_external_failure_keeps_the_formula_counts(self, fig1, tmp_path):
+        stub = tmp_path / "stub.py"
+        stub.write_text('print("s SATISFIABLE")\nprint("v 1 x 0")\n')
+        rows = sweep(fig1, range(2, 4), [1], solver=f"{sys.executable} {stub} {{input}}")
+        cnf, _ = prepare(fig1, 3, 1).encode(3, 1)
+        assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
+        assert all("non-integer token" in r.reason for r in rows)
+        assert {(r.stats.vars, r.stats.clauses, r.stats.rounds) for r in rows} == \
+            {(cnf.nvars, len(cnf), 1)}
 
 
 class TestSensorMode:
