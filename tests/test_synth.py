@@ -623,6 +623,30 @@ class TestTrapCuts:
         assert verdicts == {"Realizable", "Unrealizable"}
         assert max(rounds) > 1  # some cell needed cuts
 
+    def test_cuts_hold_in_every_cell(self, fig1):
+        # a cut found at mu = 2 on the mu = 3 formula names the edges into
+        # every memory element of the formula, so it also holds at mu = 3
+        prep = prepare(fig1, 3, 1)
+        cnf, vm = prep.encode(3, 1)
+        res = sat.solve(cnf, assumptions=vm.assumptions(2, 1))
+        comp = decode_completion(res.assignment, vm, prep.model)
+        g = build_product(prep.model, comp, decode_policy(res.assignment, vm, 2))
+        cert = check_almost_sure(g)
+        pair = {vm.var_c(s, m): (s, m) for s in vm.region for m in range(3)}
+        key = {e: k for k, e in vm.edges.items()}
+        traps = {}
+        for cut in synth.trap_cuts(prep.model, vm, g, cert):
+            traps.setdefault(tuple(cut[1:]), set()).add(pair[-cut[0]])
+        assert traps and not cert.ok
+        for leave, inside in traps.items():
+            ids = {g.vertex(s, m) for s, m in inside}
+            assert all(w in ids for v in ids for w in g.adj[v])  # g never leaves the trap
+            want = {(m, a, s2, m2) for s, m in inside for a in range(vm.na)
+                    if vm.region.issuperset(fig1.succ(s, a)) for s2 in fig1.succ(s, a)
+                    for m2 in range(3) if (s2, m2) not in inside}
+            assert {key[e] for e in leave} == want
+            assert 2 in {m2 for *_, m2 in want}
+
     def test_bottom_sccs_match_reachability(self):
         # v lies in a bottom component iff every pair it reaches reaches it back
         rng = random.Random(13)
