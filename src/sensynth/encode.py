@@ -20,8 +20,8 @@ the row's allowed symbols.  The formula at (mu, nu) also answers every
 smaller cell of a grid, under assumptions that set its own update and
 emission literals false (VarMap.assumptions).
 
-With k None there is no P, only an edge literal per product edge of a safe
-action (encode_edges), over which synth adds trap cuts.
+With k None there is no P and no edge literal: synth defines one
+(edge_literal) the first time a trap cut names its product edge.
 
 encode() first runs mdp_prepass(), one backward search of the fully
 observable model, which is the encoder's only source of MDP facts.  Its
@@ -111,7 +111,7 @@ class VarMap:
     states of region (mdp_prepass), in ascending order; var_c and var_p of a
     state outside it raise TypeError.  region None means every state, and k
     None means no P block.  edges maps (m,a,s',m') to the edge literals
-    encode_edges defines.
+    edge_literal has defined so far; it starts empty.
     """
 
     def __init__(self, p, mu, nu, k, region=None):
@@ -596,7 +596,7 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                                 if t is None:
                                     t = cons[tkey] = vm.fresh_aux()
                                     if (m, a, i2, m2) not in edges:
-                                        edges[m, a, i2, m2] = _edge_literal(vm, out, m, a, i2, m2)
+                                        edges[m, a, i2, m2] = _edge_literal(vm, out.add, m, a, i2, m2)
                                     out.add((-t, edges[m, a, i2, m2]))
                                     out.add((-t, vm.var_p(i2, m2, j - 1)))
                                 inner.append(t)
@@ -612,34 +612,31 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     return out
 
 
-def _edge_literal(vm, out, m, a, i2, m2):
+def _edge_literal(vm, add, m, a, i2, m2):
     """A fresh e with e -> OR_z (O(i2,z) & M(m,z,a,m2)), by x -> O & M per
-    symbol and e -> OR x, or e -> O & M directly when |Z'| = 1."""
+    symbol and e -> OR x, or e -> O & M directly when |Z'| = 1; each clause
+    goes to add."""
     e = vm.fresh_aux()
     xs = [e] if vm.nzp == 1 else [vm.fresh_aux() for _ in range(vm.nzp)]
     for z, x in enumerate(xs):
-        out.add((-x, vm.var_o(i2, z)))
-        out.add((-x, vm.var_m(m, z, a, m2)))
+        add((-x, vm.var_o(i2, z)))
+        add((-x, vm.var_m(m, z, a, m2)))
     if vm.nzp != 1:
-        out.add([-e] + xs)
+        add([-e] + xs)
     return e
 
 
-def encode_edges(p, vm, out=None):
-    """e(m,a,s',m') -> A(m,a) & OR_z (O(s',z) & M(m,z,a,m')) in vm.edges,
-    for each product edge of a safe action a at a state of vm.region, in
-    key order.  A true e is the edge (s,m) -> (s',m') at every s with s' in
-    succ(s,a).  Only trap cuts (synth) use e, positively, so e constrains
-    nothing."""
-    out = out if out is not None else Cnf()
-    region, ms = vm.region, range(vm.mu)
-    keys = sorted({(m, a, s2, m2) for s in region for a in range(vm.na)
-                   if region.issuperset(p.succ(s, a))
-                   for s2 in p.succ(s, a) for m in ms for m2 in ms})
-    for m, a, s2, m2 in keys:
-        e = vm.edges[m, a, s2, m2] = _edge_literal(vm, out, m, a, s2, m2)
-        out.add((-e, vm.var_a(m, a)))
-    return out
+def edge_literal(vm, key, add):
+    """vm.edges[key], key = (m,a,s',m'), defined on first use as a fresh
+    e -> A(m,a) & OR_z (O(s',z) & M(m,z,a,m')), its clauses going to add.
+    A true e is the edge (s,m) -> (s',m') at every s with s' in succ(s,a).
+    Only trap cuts (synth) use e, positively, so e constrains nothing."""
+    e = vm.edges.get(key)
+    if e is None:
+        m, a, s2, m2 = key
+        e = vm.edges[key] = _edge_literal(vm, add, m, a, s2, m2)
+        add((-e, vm.var_a(m, a)))
+    return e
 
 
 def encode_side_constraints(sc, vm, out=None):
@@ -740,9 +737,10 @@ def encode(p, mu, nu, k, sc=None, prepass=None):
     programmatic models apply model.reduce_targets first).  In sensor mode
     pass the transformed model from sensor_model() and nu = 0.  prepass is
     mdp_prepass(p), computed here when not given: C and P range over its
-    region, and P is fixed false below its distances.  k None encodes the
-    edge literals (encode_edges) in place of P.  The same formula answers
-    every cell (mu', nu') <= (mu, nu) under VarMap.assumptions(mu', nu').
+    region, and P is fixed false below its distances.  k None encodes no P
+    and no edge literal (edge_literal defines those on demand).  The same
+    formula answers every cell (mu', nu') <= (mu, nu) under
+    VarMap.assumptions(mu', nu').
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
@@ -756,9 +754,7 @@ def encode(p, mu, nu, k, sc=None, prepass=None):
     encode_memory_update(vm, out)
     encode_observation_fn(p, vm, sc, out)
     encode_reach_closure(p, vm, out)
-    if k is None:
-        encode_edges(p, vm, out)
-    else:
+    if k is not None:
         encode_path_predicate(p, vm, out, dist=dist)
     encode_side_constraints(sc, vm, out)
     encode_symmetry(p, vm, out)

@@ -14,7 +14,8 @@ only; a conflict at level 0 refutes the formula itself and every later call.
 Learnt clauses are implied by the formula alone, never by the assumptions,
 so they, the activities, the saved phases and the restart and reduce
 schedules carry from one call to the next.  Between calls add_clause adds
-permanent clauses, as the trap cuts of synth.solve_grid are.  The
+permanent clauses, as the trap cuts of synth.solve_grid are, over old or new
+variables: the edge literals a cut is the first to name are new.  The
 external-solver driver passes assumptions as unit clauses instead.
 
 It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
@@ -189,10 +190,24 @@ class Solver:
 
     def add_clause(self, clause):
         """Add a permanent clause (Cnf invariant) between solve() calls.  At
-        level 0 a satisfied clause is skipped and false literals dropped; the
-        empty clause sets `ok` False, a unit is propagated, and a longer
+        level 0 a literal past nvars first grows the solver by the variables
+        up to it; a satisfied clause is skipped and false literals dropped;
+        the empty clause sets `ok` False, a unit is propagated, and a longer
         clause is a learnt one of LBD 0, which _reduce_db never drops."""
         self._backtrack(0)
+        n, top = self.nvars, max(map(abs, clause), default=0)
+        if top > n:  # a negative literal -v sits at slot 2n+1-v: open 2d slots after n
+            d = top - n
+            self.vals[n + 1:n + 1] = bytes(2 * d)
+            self.watches[n + 1:n + 1] = [[] for _ in range(2 * d)]
+            self.levelv += [0] * d
+            self.reasonv += [-1] * d
+            self.phase += bytes(d)
+            self.activity += [0.0] * d
+            self.seen += bytes(d)
+            for v in range(n + 1, top + 1):
+                heappush(self.heap, (0.0, v))
+            self.nvars = top
         vals = self.vals
         rest = [l for l in clause if vals[l] != 2]
         if not self.ok or any(vals[l] == 1 for l in rest):

@@ -15,8 +15,9 @@ Unrealizable is only claimed when the path bound k reached that bound; below
 it an unsatisfiable formula proves nothing and the outcome is Unknown.
 
 Below the top cell's bound the formula unrolls the path predicate P to k.
-At or above it the formula has no P, and a model whose pair loses the
-product check adds trap cuts that every winning pair satisfies (trap_cuts;
+At or above it the formula has neither P nor edge literals, and a model
+whose pair loses the product check adds trap cuts that every winning pair
+satisfies, with the edge literals they are the first to name (trap_cuts;
 SAT modulo graph reachability, Bayless, Bayless, Hoos & Hu, AAAI 2015).
 
 synthesize and sweep are both solve_grid: one formula and one solver answer
@@ -39,7 +40,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import sat
-from .encode import SideConstraints, encode, mdp_prepass, sensor_model
+from .encode import SideConstraints, edge_literal, encode, mdp_prepass, sensor_model
 from .model import (Completion, ModelError, ModelSemanticError, Policy, Pomdp, lookup,
                     read_row, sections)
 from .verify import VerifyCertificate, build_product, check_almost_sure
@@ -208,23 +209,26 @@ def _bottom_sccs(adj, nodes):
 
 def trap_cuts(p, vm, g, cert):
     """Clauses, in a fixed order, that the losing pair behind product graph
-    g violates and every winning pair satisfies.  The reached pairs with no
-    goal path are closed under successors, so each bottom strongly connected
-    component T of them is a trap.  A winning pair that reaches b in T leaves
-    T towards the goal by an edge from some (s, m) in T under a safe action a
-    (the closure forbids the others) to some (s', m') outside T, m' over all
-    memory of the formula: so -C(b) | OR e(m,a,s',m') over those edges
-    (encode_edges) holds in every cell.  g's model makes C(b) true and every
-    such e false, since a true e is an edge of g."""
-    cuts = []
+    g violates and every winning pair satisfies: the definitions of the edge
+    literals they are the first to name, then the cuts.  The reached pairs
+    with no goal path are closed under successors, so each bottom strongly
+    connected component T of them is a trap.  A winning pair that reaches b
+    in T leaves T towards the goal by an edge from some (s, m) in T under a
+    safe action a (the closure forbids the others) to some (s', m') outside
+    T, m' over all memory of the formula: so -C(b) | OR e(m,a,s',m') over
+    those edges (encode.edge_literal) holds in every cell.  g's model makes
+    C(b) true and every such e false, since a true e is an edge of g, and a
+    newly defined e is false in its extension too."""
+    defs, cuts = [], []
     for trap in _bottom_sccs(g.adj, set(cert.reachable).difference(cert.dist)):
         pairs = sorted(g.pair(v) for v in trap)
         inside = set(pairs)
-        leave = sorted({vm.edges[m, a, s2, m2] for s, m in pairs for a in range(vm.na)
+        leave = sorted({edge_literal(vm, (m, a, s2, m2), defs.append)
+                        for s, m in pairs for a in range(vm.na)
                         if vm.region.issuperset(p.succ(s, a)) for s2 in p.succ(s, a)
                         for m2 in range(vm.mu) if (s2, m2) not in inside})
         cuts += [[-vm.var_c(s, m)] + leave for s, m in pairs]
-    return cuts
+    return defs + cuts
 
 
 def _prune(p, comp, pol, cert):
@@ -270,9 +274,11 @@ class Prepared:
         """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
         rounds of solve(); returns the last SolveResult and, when SAT, the
         checked (completion, policy, certificate) decoded with the cell's mu.
-        With P one round decides.  Without P a losing pair's trap cuts go
-        into cnf and engine, the embedded Solver of solve(), and exclude its
-        model, so the rounds end; a winning pair is pruned (_prune)."""
+        With P one round decides.  Without P a losing pair's trap cuts, and
+        the edge literals they newly define, go into cnf and engine, the
+        embedded Solver of solve(), and exclude its model, so the rounds end;
+        cnf then declares the grown variable count.  A winning pair is
+        pruned (_prune)."""
         p = self.model
         while True:
             res = solve()
@@ -290,10 +296,11 @@ class Prepared:
                 return res, (comp, pol, cert)
             if vm.k is not None:
                 raise EncoderFault("decoded pair fails almost-sure verification")
-            for cut in trap_cuts(p, vm, g, cert):
-                cnf.add(cut)
+            for clause in trap_cuts(p, vm, g, cert):
+                cnf.add(clause)
                 if engine is not None:
-                    engine.add_clause(cut)
+                    engine.add_clause(clause)
+            cnf.finalize(vm.nvars)
 
 
 def _completeness_bound(region, goal, mu):

@@ -347,6 +347,58 @@ class TestAddClause:
                 assert (res.status == SAT) == \
                     brute_sat(clauses + [(l,) for l in assumed], nvars)
 
+    def test_new_variables_grow_the_solver(self):
+        loaded = cnf_of([(-1,), (1, 2, 3), (-2, -3)], 3)
+        solver = sat.Solver(loaded)
+        assert solver.vals[-1] == 1  # slot 6 of 7
+        solver.add_clause([2, 5])  # 4 and 5 are new: 4 slots open after slot 3
+        assert solver.nvars == 5 and solver.ok
+        assert solver.vals[-1] == 1 and solver.vals[1] == 2  # -1 now at slot 10
+        assert not any(solver.vals[l] for l in (2, 3, 4, 5, -2, -3, -4, -5))
+        assert_watch_invariant(solver, loaded)
+        solver.add_clause([-5])  # 2 by the new clause, then -3 by an old one
+        assert solver.vals[2] == solver.vals[-3] == solver.vals[-5] == 1
+        res = solver.solve()
+        assert res.status == SAT and res.assignment[2] and not res.assignment[5]
+        assert len(res.assignment) == 6
+
+    def test_clauses_over_new_variables(self):
+        rng = random.Random(41)
+
+        def clause(nvars, new):
+            lits = rng.sample(range(1, nvars + 1), rng.randint(0 if new else 1, min(2, nvars)))
+            lits += range(nvars + 1, nvars + new + 1)
+            return tuple(l if rng.random() < 0.5 else -l for l in lits)
+
+        for _ in range(40):
+            nvars = rng.randint(2, 4)
+            clauses = [clause(nvars, 0) for _ in range(rng.randint(1, 2 * nvars))]
+            cnf, loaded = cnf_of(clauses, nvars), cnf_of(clauses, nvars)
+            solver = sat.Solver(loaded)
+            for _ in range(3):
+                assert solve(cnf, solver=solver).status == \
+                    (SAT if brute_sat(clauses, nvars) else UNSAT)
+                solver._backtrack(0)
+                level0 = {l: solver.vals[l] for v in range(1, nvars + 1) for l in (v, -v)}
+                for new in (rng.randint(1, 2), 0):  # new variables, then old ones only
+                    added = clause(nvars, new)
+                    nvars += new
+                    cnf.add(added)
+                    clauses.append(added)
+                    solver.add_clause(added)
+                    if new:
+                        assert solver.nvars == nvars
+                        # what level 0 held before the growth still holds
+                        assert all(solver.vals[l] == w for l, w in level0.items() if w)
+                    if solver.ok:
+                        assert_watch_invariant(solver, loaded)
+                cnf.finalize(nvars)
+                assumed = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
+                res = solve(cnf, assumptions=assumed, solver=solver)  # self-checks the model
+                assert (res.status == SAT) == \
+                    brute_sat(clauses + [(l,) for l in assumed], nvars)
+                assert res.status != SAT or len(res.assignment) == nvars + 1
+
 
 class TestDimacs:
     def test_exact_format(self, tmp_path):

@@ -465,10 +465,10 @@ class TestGrid:
     def test_shared_formula(self, fig1):
         rows = [r for r in sweep(fig1, range(1, 4), range(0, 3)) if r.stats.vars]
         assert len(rows) == 6  # nu = 0 leaves fig1 no alphabet: no formula
-        assert len({r.stats.vars for r in rows}) == 1
-        # clauses: the shared formula's, with the trap cuts added before the row
-        base = len(prepare(fig1, 3, 2).encode(3, 2)[0])
-        assert all(r.stats.clauses >= base for r in rows)
+        # the shared formula's, with the trap cuts and the edge literals they
+        # define added before the row
+        base = prepare(fig1, 3, 2).encode(3, 2)[0]
+        assert all(r.stats.vars >= base.nvars and r.stats.clauses >= len(base) for r in rows)
         searched = [r for r in rows if r.stats.conflicts is not None]
         assert searched and all(r.stats.decisions is not None for r in searched)
 
@@ -633,9 +633,10 @@ class TestTrapCuts:
         g = build_product(prep.model, comp, decode_policy(res.assignment, vm, 2))
         cert = check_almost_sure(g)
         pair = {vm.var_c(s, m): (s, m) for s in vm.region for m in range(3)}
+        clauses = synth.trap_cuts(prep.model, vm, g, cert)
         key = {e: k for k, e in vm.edges.items()}
         traps = {}
-        for cut in synth.trap_cuts(prep.model, vm, g, cert):
+        for cut in (c for c in clauses if -c[0] in pair):  # the definitions come first
             traps.setdefault(tuple(cut[1:]), set()).add(pair[-cut[0]])
         assert traps and not cert.ok
         for leave, inside in traps.items():
@@ -646,6 +647,51 @@ class TestTrapCuts:
                     for m2 in range(3) if (s2, m2) not in inside}
             assert {key[e] for e in leave} == want
             assert 2 in {m2 for *_, m2 in want}
+
+    def test_edges_defined_on_demand(self, fig1, monkeypatch):
+        # the formula at the bound defines no edge literal; each one a cut
+        # names is defined once, by 2|Z'| + 2 clauses (3 when |Z'| = 1), ahead
+        # of the cuts, and every clause and variable added is one of those
+        formulas = []
+        encode_cell = synth.Prepared.encode
+
+        def spy(prep, mu, nu):
+            cnf, vm = encode_cell(prep, mu, nu)
+            assert vm.k is None and vm.edges == {}
+            formulas.append((cnf, vm, cnf.nvars, len(cnf)))
+            return cnf, vm
+
+        monkeypatch.setattr(synth.Prepared, "encode", spy)
+        sweep(fig1, range(1, 4), range(0, 3))
+        rng = random.Random(23)
+        for _ in range(40):
+            sweep(random_pomdp(rng, max_states=5), range(1, 4), range(0, 2))
+        sizes = set()
+        for cnf, vm, n_base, c_base in formulas:
+            clauses = [tuple(c) for c in cnf]
+            cuts = [i for i in range(c_base, len(cnf))
+                    if clauses[i][0] < 0 and vm.var_name(-clauses[i][0]).startswith("C(")]
+            defs, new_vars = [], set()
+            for (m, a, s2, m2), e in vm.edges.items():
+                named = [i for i in cuts if e in clauses[i]]
+                assert named and not any(e in c for c in clauses[:c_base])
+                mine = [i for i, c in enumerate(clauses) if -e in c]
+                xs = [e] if vm.nzp == 1 else \
+                    [x for i in mine for x in clauses[i][1:] if x != vm.var_a(m, a)]
+                mine += [i for x in xs if x != e for i, c in enumerate(clauses) if -x in c]
+                want = {(-x, lit) for z, x in enumerate(xs)
+                        for lit in (vm.var_o(s2, z), vm.var_m(m, z, a, m2))}
+                want |= {(-e, vm.var_a(m, a))} | ({(-e, *xs)} if vm.nzp > 1 else set())
+                assert sorted(clauses[i] for i in mine) == sorted(want)
+                assert c_base <= min(mine) and max(mine) < min(named)
+                assert len(mine) == (3 if vm.nzp == 1 else 2 * vm.nzp + 2)
+                sizes.add(len(mine))
+                defs += mine
+                new_vars |= {e, *xs}
+            assert sorted(defs + cuts) == list(range(c_base, len(cnf)))
+            assert new_vars == set(range(n_base + 1, cnf.nvars + 1)) and cnf.nvars == vm.nvars
+        assert 3 in sizes and len(sizes) > 1  # |Z'| = 1 and wider alphabets
+        assert sum(len(vm.edges) for _, vm, _, _ in formulas[:1]) > 0  # fig1 made cuts
 
     def test_bottom_sccs_match_reachability(self):
         # v lies in a bottom component iff every pair it reaches reaches it back
