@@ -227,9 +227,8 @@ def cmd_export_dimacs(ns):
                   "region or the completed alphabet is empty, so the instance is Unrealizable")
         return EXIT_UNREALIZABLE
     cnf, vm = prep.encode(ns.mu, ns.nu)
-    if vm.k is None:  # at the bound: add the trap cuts that settle the question
-        engine = Solver(cnf)
-        prep.search(cnf, vm, ns.mu, ns.nu, lambda: solve(cnf, solver=engine), engine)
+    engine = Solver(cnf)  # add the trap cuts that settle the question
+    prep.search(cnf, vm, ns.mu, ns.nu, lambda: solve(cnf, solver=engine), engine)
     out = ns.out or os.path.splitext(os.path.basename(ns.input))[0] + ".cnf"
     write_dimacs(cnf, out)
     with open(out + ".map", "w", encoding="utf-8") as fh:
@@ -246,9 +245,10 @@ def _add_common(sp, solver_flags=True):
     sp.add_argument("--mu", type=int, default=1, help="memory elements (>= 1)")
     sp.add_argument("--nu", type=int, default=0, help="fresh observations allowed (>= 0)")
     sp.add_argument("--k", type=int, default=None,
-                    help="path bound (default: the completeness bound mu*|V-{goal}|, "
-                         "V the states reachable from the initial state through "
-                         "actions that stay in the MDP's almost-sure winning region)")
+                    help="path bound that labels refutations: below the completeness "
+                         "bound mu*|V-{goal}| (the default) UNSAT is Unknown, not "
+                         "Unrealizable; V is the states reachable from the initial state "
+                         "through actions that stay in the MDP's almost-sure winning region")
     sp.add_argument("--deterministic", action="store_true",
                     help="require a deterministic completion")
     sp.add_argument("--strict", action="store_true",

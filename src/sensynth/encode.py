@@ -20,8 +20,9 @@ the row's allowed symbols.  The formula at (mu, nu) also answers every
 smaller cell of a grid, under assumptions that set its own update and
 emission literals false (VarMap.assumptions).
 
-With k None there is no P and no edge literal: synth defines one
-(edge_literal) the first time a trap cut names its product edge.
+synth always encodes with k None: no P and no edge literal, and it defines
+an edge literal (edge_literal) the first time a trap cut names its product
+edge.  P remains only for the traced replay and the tests.
 
 encode() first runs mdp_prepass(), one backward search of the fully
 observable model, which is the encoder's only source of MDP facts.  Its

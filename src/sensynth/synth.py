@@ -11,14 +11,13 @@ V of states reachable from the initial state through actions whose
 successors all lie in W, and the completeness bound is
 mu * max(1, |V - {goal}|): a shortest path from a pair that a winning policy
 reaches visits only reached non-goal pairs, all in (V - {goal}) x memory.
-Unrealizable is only claimed when the path bound k reached that bound; below
-it an unsatisfiable formula proves nothing and the outcome is Unknown.
-
-Below the top cell's bound the formula unrolls the path predicate P to k.
-At or above it the formula has neither P nor edge literals, and a model
+The formula has neither the path predicate P nor edge literals.  A model
 whose pair loses the product check adds trap cuts that every winning pair
 satisfies, with the edge literals they are the first to name (trap_cuts;
-SAT modulo graph reachability, Bayless, Bayless, Hoos & Hu, AAAI 2015).
+SAT modulo graph reachability, Bayless, Bayless, Hoos & Hu, AAAI 2015), so
+the rounds are a complete search at every path bound k.  k only labels a
+refutation: UNSAT is Unrealizable when k reaches the cell's bound, and
+Unknown below it.
 
 synthesize and sweep are both solve_grid: one formula and one solver answer
 the (mu, nu) cells, each searched cell assuming the formula's own update and
@@ -254,7 +253,7 @@ class Prepared:
     model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
     constraints: SideConstraints  # with the deterministic/strict flags merged in
     prepass: tuple  # mdp_prepass(model): (region, dist)
-    k: int  # the path bound to encode: the given k, else the completeness bound
+    k: int  # labels UNSAT: Unrealizable iff k reaches the cell's completeness bound
 
     def needs_formula(self, nu):
         """False when every cell (mu, nu) is Unrealizable without a formula:
@@ -264,21 +263,20 @@ class Prepared:
         return self.model.initial in self.prepass[0] and self.model.n_obs + nu > 0
 
     def encode(self, mu, nu):
-        """The formula at (mu, nu) (encode.encode); returns (Cnf, VarMap).  At
-        or above the completeness bound of mu it has no P (VarMap.k None)."""
-        bound = _completeness_bound(self.prepass[0], self.model.goal, mu)
-        return encode(self.model, mu, nu, self.k if self.k < bound else None,
-                      self.constraints, prepass=self.prepass)
+        """The formula at (mu, nu) (encode.encode); returns (Cnf, VarMap).  It
+        has no P at any k (VarMap.k None): P remains only for the traced
+        replay and the tests."""
+        return encode(self.model, mu, nu, None, self.constraints, prepass=self.prepass)
 
     def search(self, cnf, vm, mu, nu, solve, engine=None):
         """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
         rounds of solve(); returns the last SolveResult and, when SAT, the
         checked (completion, policy, certificate) decoded with the cell's mu.
-        With P one round decides.  Without P a losing pair's trap cuts, and
-        the edge literals they newly define, go into cnf and engine, the
-        embedded Solver of solve(), and exclude its model, so the rounds end;
-        cnf then declares the grown variable count.  A winning pair is
-        pruned (_prune)."""
+        A losing pair's trap cuts, and the edge literals they newly define,
+        go into cnf and engine, the embedded Solver of solve(), and exclude
+        its model, so the rounds end; a round whose clauses the model (new
+        variables false) satisfies is an EncoderFault.  cnf then declares
+        the grown variable count.  A winning pair is pruned (_prune)."""
         p = self.model
         while True:
             res = solve()
@@ -291,12 +289,12 @@ class Prepared:
             g = build_product(p, comp, pol)
             cert = check_almost_sure(g)
             if cert.ok:
-                if vm.k is None:
-                    pol, cert = _prune(p, comp, pol, cert)
-                return res, (comp, pol, cert)
-            if vm.k is not None:
-                raise EncoderFault("decoded pair fails almost-sure verification")
-            for clause in trap_cuts(p, vm, g, cert):
+                return res, (comp, *_prune(p, comp, pol, cert))
+            clauses, model = trap_cuts(p, vm, g, cert), res.assignment
+            if all(any((l > 0) == (abs(l) < len(model) and model[abs(l)]) for l in c)
+                   for c in clauses):
+                raise EncoderFault("the trap cuts of a losing pair do not exclude its model")
+            for clause in clauses:
                 cnf.add(clause)
                 if engine is not None:
                     engine.add_clause(clause)
@@ -312,7 +310,8 @@ def _completeness_bound(region, goal, mu):
 
 def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=None):
     """Check a request and compute what it encodes: the merged constraints,
-    the sensor-mode model rewrite, the MDP pre-pass and the path bound."""
+    the sensor-mode model rewrite and the MDP pre-pass, with the path bound
+    that labels refutations."""
     if mu < 1 or nu < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
     if k is not None and k < 1:
@@ -338,9 +337,8 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
     pre-pass depends on neither mu nor nu.  A cell whose nu fails
     Prepared.needs_formula is Unrealizable without a formula.  The other
-    cells share one formula, Prepared.encode at (mu_hi, nu_hi) with path
-    bound k (default the completeness bound of mu_hi); a one-cell grid's
-    formula is exactly the (mu, nu) formula.
+    cells share one formula, Prepared.encode at (mu_hi, nu_hi); a one-cell
+    grid's formula is exactly the (mu, nu) formula.
 
     A searched cell is Prepared.search under VarMap.assumptions(mu, nu),
     which sets the formula's updates into memory elements >= mu and
@@ -350,7 +348,8 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     solver gets one DIMACS file per round, the assumptions written as unit
     clauses.  The budget holds per cell, over all its rounds.  UNSAT means
     Unrealizable iff k >= mu * max(1, |V - {goal}|), the cell's completeness
-    bound, and Unknown otherwise.
+    bound, and Unknown otherwise; k (default the completeness bound of
+    mu_hi) has no other use.
 
     The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
     Each is inferred from a decided cell that implies it (module docstring)

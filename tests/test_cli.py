@@ -337,11 +337,12 @@ class TestExportDimacs:
         cnf = (tmp_path / "fig1.cnf").read_text()
         assert cnf.startswith("p cnf ")
         mapping = (tmp_path / "fig1.cnf.map").read_text().splitlines()
-        # 3 A + 3 M + 5 O + 4 C + 8 P: C and P cover the region, which
-        # leaves out the sink 'lose'
-        assert len(mapping) == 23
+        # 3 A + 3 M + 5 O + 4 C and no P at any k: C covers the region,
+        # which leaves out the sink 'lose'
+        assert len(mapping) == 15
         assert mapping[0] == "1 A(m0,move-left)"
-        assert not any("lose" in line for line in mapping if " C(" in line or " P(" in line)
+        assert not any(" P(" in line for line in mapping)
+        assert not any("lose" in line for line in mapping if " C(" in line)
         assert "-> fig1.cnf" in capsys.readouterr().out
 
     def test_out_override_and_map_names(self, fig1_file, tmp_path):
@@ -361,6 +362,19 @@ class TestExportDimacs:
         for s in range(p.n_states):
             assert (f"C({p.states[s]},m1)" in names) == (s in region)
         assert not any(name.startswith("P(") for name in names)
+
+    def test_below_the_bound_exports_the_cuts(self, fig1_file, tmp_path, monkeypatch):
+        # k = 2 is below the bound 6 of (2, 1): the export still runs the rounds
+        out = tmp_path / "phi.cnf"
+        assert cli.main(["export-dimacs", fig1_file, "--mu", "2", "--nu", "1", "--k", "2",
+                         "--out", str(out), "--quiet"]) == 0
+        header, *body = out.read_text().splitlines()
+        declared = int(header.split()[2])
+        assert declared == max(abs(int(tok)) for line in body for tok in line.split())
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        done = subprocess.run([sys.executable, "-m", "sensynth.sat", str(out)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 20
 
     def test_sensor_mode_exports_refined_formula(self, tmp_path):
         model = tmp_path / "chain.pomdp"

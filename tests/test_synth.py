@@ -398,16 +398,48 @@ class TestGrid:
         # below the completeness bound UNSAT is Unknown, which implies nothing
         ({"k": 2}, {"Realizable", "Unrealizable", "Unknown"}),
     ], ids=["default", "deterministic", "strict", "k=2"])
-    def test_random_models_match_per_cell(self, mode, verdicts):
+    def test_random_models_match_per_cell(self, fig1, mode, verdicts):
         rng = random.Random(47)
         seen = set()
-        for _ in range(10):
-            p = random_pomdp(rng, max_states=5)
+        # fig1's (2, 1) is Unrealizable by a formula, so Unknown at k=2
+        for p in [random_pomdp(rng, max_states=5) for _ in range(10)] + [fig1]:
             rows = sweep(p, range(1, 4), range(0, 3), **mode)
             got = {(r.mu, r.nu): r.verdict for r in rows}
             assert got == self.per_cell(p, range(1, 4), range(0, 3), **mode), p
             seen |= set(got.values())
         assert seen == verdicts
+
+    @pytest.mark.parametrize("mode", [{}, {"deterministic": True}, {"strict": True}],
+                             ids=["default", "deterministic", "strict"])
+    def test_k_only_labels_refutations(self, fig1, mode):
+        # every k searches the same formula: its verdict is the default-k one,
+        # except that Unrealizable is Unknown exactly below the cell's bound.
+        # Random models are seldom refuted by a formula; fig1 is, at (1, 1) and (2, 1)
+        rng = random.Random(71)
+        mus, nus = range(1, 3), range(0, 3)
+        below = {"Realizable": 0, "Unknown": 0}
+        for p in [random_pomdp(rng) for _ in range(8)] + [fig1]:
+            full = {(mu, nu): synthesize(p, mu, nu, **mode) for mu in mus for nu in nus}
+            for k in range(1, p.n_states * mus[-1] + 1):
+                got = {}
+                for (mu, nu), want in full.items():
+                    prep = prepare(p, mu, nu, **mode)
+                    out = got[mu, nu] = synthesize(p, mu, nu, k=k, **mode)
+                    lowered = want.verdict == "Unrealizable" and prep.needs_formula(nu) \
+                        and k < prep.k
+                    assert out.verdict == ("Unknown" if lowered else want.verdict), \
+                        (p, mu, nu, k)
+                    if out.verdict == "Realizable":
+                        assert out.policy.n_mem <= mu and out.completion.n_new <= nu
+                        assert out.certificate.ok
+                        assert check_almost_sure(build_product(out.model, out.completion,
+                                                               out.policy)).ok
+                    if k < prep.k and out.verdict in below:
+                        below[out.verdict] += 1
+                rows = sweep(p, mus, nus, k=k, **mode)
+                assert {(r.mu, r.nu): r.verdict for r in rows} == \
+                    {cell: out.verdict for cell, out in got.items()}, (p, k)
+        assert all(below.values()), below
 
     @pytest.mark.parametrize("kind", ["same", "implies"])
     def test_same_and_implies_match_per_cell(self, kind):
@@ -567,9 +599,8 @@ class TestGrid:
 
 
 class TestTrapCuts:
-    """At the completeness bound a cell is searched in rounds of trap cuts
-    over a formula without P; its verdicts are those of P unrolled to the
-    bound."""
+    """At every k a cell is searched in rounds of trap cuts over a formula
+    without P; its verdicts are those of P unrolled to the bound."""
 
     @staticmethod
     def eager(p, mus, nus, **opts):
@@ -649,7 +680,7 @@ class TestTrapCuts:
             assert 2 in {m2 for *_, m2 in want}
 
     def test_edges_defined_on_demand(self, fig1, monkeypatch):
-        # the formula at the bound defines no edge literal; each one a cut
+        # the formula defines no edge literal; each one a cut
         # names is defined once, by 2|Z'| + 2 clauses (3 when |Z'| = 1), ahead
         # of the cuts, and every clause and variable added is one of those
         formulas = []
@@ -692,6 +723,22 @@ class TestTrapCuts:
             assert new_vars == set(range(n_base + 1, cnf.nvars + 1)) and cnf.nvars == vm.nvars
         assert 3 in sizes and len(sizes) > 1  # |Z'| = 1 and wider alphabets
         assert sum(len(vm.edges) for _, vm, _, _ in formulas[:1]) > 0  # fig1 made cuts
+
+    @pytest.mark.parametrize("keep", ["nothing", "definitions"])
+    def test_a_round_that_cannot_end_faults(self, fig1, monkeypatch, keep):
+        # fig1's (2, 1) is Unrealizable, so its first model loses; clauses that
+        # model satisfies, new edge literals false, would repeat the round
+        trap_cuts, calls = synth.trap_cuts, []
+
+        def no_cut(p, vm, g, cert):
+            calls.append(g)
+            return [] if keep == "nothing" else \
+                [c for c in trap_cuts(p, vm, g, cert) if -c[0] > vm.n_semantic]
+
+        monkeypatch.setattr(synth, "trap_cuts", no_cut)
+        with pytest.raises(EncoderFault, match="do not exclude its model"):
+            synthesize(fig1, 2, 1)
+        assert len(calls) == 1  # in the first round
 
     def test_bottom_sccs_match_reachability(self):
         # v lies in a bottom component iff every pair it reaches reaches it back
