@@ -44,13 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def check_k(ns, p, mu):
-    # |S|*mu is at least the completeness bound that prepare() computes
-    bound = p.n_states * mu
-    if ns.k is not None and not 1 <= ns.k <= bound:
-        raise UsageError(f"--k must be in 1..{bound} for this model")
-
-
 def budget(ns):
     for flag, value in (("--max-conflicts", ns.max_conflicts), ("--max-seconds", ns.max_seconds)):
         if value is not None and not value >= 0:  # NaN fails too
@@ -70,11 +63,12 @@ def _write(path, text):
         fh.write(text)
 
 
-def _load_model(ns, mu=None):
-    """The model and its constraints; --k is checked against mu (default
-    --mu), the largest memory it is encoded with."""
+def _load_model(ns):
+    """The model and its constraints.  --k only labels a refutation, so any
+    k >= 1 is a valid question."""
     p = parse_pomdp(_read(ns.input))
-    check_k(ns, p, ns.mu if mu is None else mu)
+    if ns.k is not None and ns.k < 1:
+        raise UsageError("--k must be >= 1")
     sc = None
     if ns.constraints:
         sc = parse_constraints(_read(ns.constraints), p)
@@ -171,7 +165,7 @@ def _parse_range(text, flag, least):
 def cmd_sweep(ns):
     mu_range = _parse_range(ns.mu_range, "--mu-range", 1) if ns.mu_range else [ns.mu]
     nu_range = _parse_range(ns.nu_range, "--nu-range", 0) if ns.nu_range else [ns.nu]
-    p, sc = _load_model(ns, max(mu_range))
+    p, sc = _load_model(ns)
     rows = sweep(p, mu_range, nu_range, k=ns.k, deterministic=ns.deterministic,
                  strict=ns.strict, constraints=sc, budget=budget(ns), solver=ns.solver)
     csv = format_frontier_csv(rows)
@@ -245,9 +239,9 @@ def _add_common(sp, solver_flags=True):
     sp.add_argument("--mu", type=int, default=1, help="memory elements (>= 1)")
     sp.add_argument("--nu", type=int, default=0, help="fresh observations allowed (>= 0)")
     sp.add_argument("--k", type=int, default=None,
-                    help="path bound that labels refutations: below the completeness "
-                         "bound mu*|V-{goal}| (the default) UNSAT is Unknown, not "
-                         "Unrealizable; V is the states reachable from the initial state "
+                    help="path bound (any k >= 1) that labels refutations: below the "
+                         "completeness bound mu*|V-{goal}| (the default) UNSAT is Unknown, "
+                         "not Unrealizable; V is the states reachable from the initial state "
                          "through actions that stay in the MDP's almost-sure winning region")
     sp.add_argument("--deterministic", action="store_true",
                     help="require a deterministic completion")

@@ -1,9 +1,13 @@
 """POMDP data model: core types, text format, validation, target reduction,
 and the line reader that constraint files and result documents share.
 
-Probabilities are exact rationals throughout.  Qualitative (almost-sure)
-analysis depends only on distribution supports, so exact arithmetic costs
-nothing and removes float-tolerance questions from validation entirely.
+Probabilities are exact rationals throughout, so validation has no
+float-tolerance questions.  Qualitative (almost-sure) analysis depends only on
+distribution supports, so exact arithmetic stays off its path: read_row checks
+a row's weights once per distinct tuple of weight tokens, and supports are
+tables computed once per model, completion or observation function.  Exact
+rationals are still used by row validation, strict-mode weights
+(synth.decode_completion), verify.simulate and printing.
 """
 
 from __future__ import annotations
@@ -15,6 +19,12 @@ from functools import cached_property, lru_cache
 
 # Index used for the undefined-observation symbol in PartialObsFn rows.
 BOT = -1
+
+
+def _positive(w):
+    """w > 0 for an exact weight, without Fraction's comparison protocol: a
+    Fraction's denominator is positive, so its sign is its numerator's."""
+    return w.numerator > 0
 
 
 class ModelError(ValueError):
@@ -43,15 +53,27 @@ class PartialObsFn:
 
     rows: tuple
 
+    @cached_property
+    def _supports(self):
+        return tuple(tuple(z for z, w in row if z != BOT and _positive(w)) for row in self.rows)
+
+    @cached_property
+    def _bot_mass(self):  # exact sums, only strict-mode decoding reads them
+        return tuple(sum((w for z, w in row if z == BOT), Fraction(0)) for row in self.rows)
+
+    @cached_property
+    def _defined(self):  # no undefined mass: weights are not negative
+        return tuple(not any(z == BOT and _positive(w) for z, w in row) for row in self.rows)
+
     def support(self, s):
         """Observation indices with positive weight at state s (BOT excluded)."""
-        return tuple(z for z, w in self.rows[s] if z != BOT and w > 0)
+        return self._supports[s]
 
     def bot_mass(self, s):
-        return sum((w for z, w in self.rows[s] if z == BOT), Fraction(0))
+        return self._bot_mass[s]
 
     def fully_defined(self, s):
-        return self.bot_mass(s) == 0
+        return self._defined[s]
 
 
 @dataclass(frozen=True)
@@ -78,7 +100,8 @@ class Pomdp:
 
     @cached_property
     def _succ(self):  # one table per model; not a field, so == and hash ignore it
-        return tuple(tuple(tuple(t for t, w in row if w > 0) for row in rows) for rows in self.delta)
+        return tuple(tuple(tuple(t for t, w in row if _positive(w)) for row in rows)
+                     for rows in self.delta)
 
     def succ(self, s, a):
         """Successor state indices with positive probability under (s, a)."""
@@ -99,8 +122,12 @@ class Completion:
     n_new: int
     rows: tuple
 
+    @cached_property
+    def _supports(self):
+        return tuple(tuple(z for z, w in row if _positive(w)) for row in self.rows)
+
     def support(self, s):
-        return tuple(z for z, w in self.rows[s] if w > 0)
+        return self._supports[s]
 
     def symbol_name(self, p, z):
         return p.observations[z] if z < p.n_obs else f"@{z - p.n_obs}"
@@ -173,10 +200,16 @@ def lookup(table, name, kind, ln):
 
 
 @lru_cache(maxsize=1024)
-def _weight(tok):
-    """Fraction(tok); models repeat a few weight tokens on every row, and a
-    Fraction is immutable, so one instance serves every row."""
-    return Fraction(tok)
+def _weights(toks):
+    """The weights of a row whose weight tokens are toks, or None when a token
+    does not parse, a weight is not positive or they do not sum to 1.  Models
+    repeat a few token tuples on every row, so each is checked once; a
+    Fraction is immutable, so one tuple serves every row."""
+    try:
+        ws = tuple(Fraction(tok) for tok in toks)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return ws if all(w > 0 for w in ws) and sum(ws) == 1 else None
 
 
 def read_row(text, table, kind, owner, ln):
@@ -184,8 +217,16 @@ def read_row(text, table, kind, owner, ln):
     tuple of (table[name], weight).
 
     Weights are exact positive rationals that sum to 1, and no name repeats;
-    owner names the row in the errors.
+    owner names the row in the errors.  A row whose weight tokens pass
+    _weights and whose names are known and distinct is read at once; any
+    other row goes through the loop below, which raises the first defect.
     """
+    parts = [part.split() for part in text.split(",")]
+    if all(len(toks) == 2 for toks in parts):
+        names, toks = zip(*parts)
+        ws, idx = _weights(toks), tuple(map(table.get, names))
+        if ws is not None and None not in idx and len(set(idx)) == len(idx):
+            return tuple(zip(idx, ws))
     row = []
     seen = set()
     for part in text.split(","):
@@ -194,7 +235,7 @@ def read_row(text, table, kind, owner, ln):
             raise ModelSyntaxError(ln, 1, f"expected 'name weight', got {part.strip()!r}")
         name, tok = toks
         try:
-            w = _weight(tok)
+            w = Fraction(tok)
         except (ValueError, ZeroDivisionError):
             raise ModelSyntaxError(ln, 1, f"bad weight {tok!r}") from None
         if w <= 0:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from . import sat
 from .encode import SideConstraints, edge_literal, encode, mdp_prepass, sensor_model
@@ -111,6 +112,12 @@ def _fresh_used(assignment, vm):
     return used
 
 
+@lru_cache(maxsize=64)
+def _uniform(n):
+    """Fraction(1, n): one instance serves every uniform row of n symbols."""
+    return Fraction(1, n)
+
+
 def decode_completion(assignment, vm, p, strict=False):
     """Read the completed observation function off a satisfying assignment.
 
@@ -140,7 +147,7 @@ def decode_completion(assignment, vm, p, strict=False):
                 share = bot / len(supp)
                 row = [(z, old_w.get(z, Fraction(0)) + share) for z in supp]
         else:
-            u = Fraction(1, len(supp))
+            u = _uniform(len(supp))
             row = [(z, u) for z in supp]
         if sum(w for _, w in row) != 1:
             raise EncoderFault(f"decoded weights at state {p.states[s]} do not sum to 1")

@@ -1,10 +1,12 @@
 """Independent verification of synthesized (completion, policy) pairs.
 
 Almost-sure reachability of the goal in the induced product chain depends
-only on supports, so the product graph is built from supports alone and
-checked with two linear passes: forward reachability from the initial pair,
-backward reachability from the goal pairs.  The certificate carries the
-reachable pairs and their goal distances (bounded by |S|*|M|).
+only on supports, so the product graph is built from supports alone, forward
+from the initial pair over the pairs it reaches, and checked with one
+backward pass from the goal pairs inside that subgraph.  Every pair on a
+goal path from a reached pair is itself reached, so the subgraph gives the
+same distances as the whole product.  The certificate carries the reached
+pairs and their goal distances (bounded by |S|*|M|).
 
 Also here: a seeded Monte Carlo simulator over the exact model weights and a
 brute-force synthesis oracle used by the tests to cross-examine the encoder.
@@ -23,7 +25,7 @@ class ProductGraph:
 
     n_states: int
     n_mem: int
-    adj: tuple  # adj[v] = sorted tuple of successor vertex ids, v = s * n_mem + m
+    adj: dict  # adjacency of the reached pairs: adj[v] = sorted successor ids, v = s * n_mem + m
     initial: int
     goals: tuple
 
@@ -43,54 +45,41 @@ class VerifyCertificate:
 
 
 def build_product(p, c, pol):
-    """Product graph of model p under completion c and policy pol."""
+    """Product graph of model p under completion c and policy pol, over the
+    pairs reached from the initial pair."""
     mu = pol.n_mem
     # the policy table fixes the completed alphabet width it can react to
     nzp = len(pol.update[0]) if pol.update else 0
     supports = [c.support(s) for s in range(p.n_states)]
-    adj = []
-    for s in range(p.n_states):
-        for m in range(mu):
-            row = set()
-            for a in pol.act[m]:
-                urow = pol.update[m]
-                for s2 in p.succ(s, a):
-                    for z in supports[s2]:
-                        if z >= nzp:
-                            raise ValueError(
-                                f"completion emits symbol {z} but the policy update "
-                                f"table only covers {nzp} symbols"
-                            )
-                        for m2 in urow[z][a]:
-                            row.add(s2 * mu + m2)
-            adj.append(tuple(sorted(row)))
+    z = max((z for supp in supports for z in supp), default=-1)
+    if z >= nzp:
+        raise ValueError(f"completion emits symbol {z} but the policy update "
+                         f"table only covers {nzp} symbols")
+    initial = p.initial * mu
+    adj, todo = {}, [initial]
+    while todo:
+        v = todo.pop()
+        if v in adj:
+            continue
+        s, m = divmod(v, mu)
+        urow = pol.update[m]
+        row = {s2 * mu + m2 for a in pol.act[m] for s2 in p.succ(s, a)
+               for z in supports[s2] for m2 in urow[z][a]}
+        adj[v] = tuple(sorted(row))
+        todo += row.difference(adj)
     goals = tuple(p.goal * mu + m for m in range(mu))
-    return ProductGraph(p.n_states, mu, tuple(adj), p.initial * mu, goals)
+    return ProductGraph(p.n_states, mu, adj, initial, goals)
 
 
 def check_almost_sure(g):
     """Verdict true iff every pair reachable from the initial pair can still
     reach a goal pair; witness pair returned otherwise."""
-    n = len(g.adj)
-    seen = [False] * n
-    seen[g.initial] = True
-    stack = [g.initial]
-    while stack:
-        v = stack.pop()
-        for w in g.adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    reachable = tuple(v for v in range(n) if seen[v])
-
-    radj = [[] for _ in range(n)]
-    for v in range(n):
-        for w in g.adj[v]:
+    radj = {v: [] for v in g.adj}
+    for v, row in g.adj.items():
+        for w in row:
             radj[w].append(v)
-    dist = {}
-    frontier = list(g.goals)
-    for v in frontier:
-        dist[v] = 0
+    frontier = [v for v in g.goals if v in radj]
+    dist = dict.fromkeys(frontier, 0)
     d = 0
     while frontier:
         d += 1
@@ -101,17 +90,12 @@ def check_almost_sure(g):
                     dist[u] = d
                     nxt.append(u)
         frontier = nxt
-
-    witness = -1
-    for v in reachable:
-        if v not in dist:
-            witness = v
-            break
-    cert_dist = {v: dist[v] for v in reachable if v in dist}
+    reachable = tuple(sorted(g.adj))
+    witness = next((v for v in reachable if v not in dist), -1)
     return VerifyCertificate(
         ok=(witness == -1),
         reachable=reachable,
-        dist=cert_dist,
+        dist={v: dist[v] for v in reachable if v in dist},
         witness=witness,
     )
 

@@ -155,7 +155,9 @@ class TestUsageErrors:
         assert cli.main(["synth", fig1_file, "--mu", "0"]) == 4
 
     def test_k_out_of_range(self, fig1_file):
-        assert cli.main(["synth", fig1_file, "--mu", "2", "--k", "99"]) == 4
+        assert cli.main(["synth", fig1_file, "--mu", "2", "--k", "0"]) == 4
+        # no upper cap: a k above |S| * mu answers as the bound does
+        assert cli.main(["synth", fig1_file, "--mu", "2", "--k", "99"]) == 1
 
     def test_empty_sweep_range(self, fig1_file):
         assert cli.main(["sweep", fig1_file, "--mu-range", "3..1"]) == 4
@@ -180,13 +182,17 @@ class TestUsageErrors:
         assert err.startswith(f"usage error: {message}") and len(err.splitlines()) == 1
 
     def test_sweep_k_bounded_by_top_of_mu_range(self, fig1_file, capsys):
-        # fig1 has 5 states: --k up to 5 * 3 with --mu-range 2..3
-        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1",
-                         "--k", "8"]) == 0
-        assert capsys.readouterr().out.startswith("mu,nu,verdict,")
-        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1",
-                         "--k", "16"]) == 4
-        assert "--k must be in 1..15" in capsys.readouterr().err
+        # k only labels a refutation, so --k has no upper cap: 16 is above
+        # |S| * mu = 15 for fig1 at mu 3 and answers as the default k does
+        def rows(*k):
+            assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1", *k]) == 0
+            # drop time_ms, the one column that varies between runs
+            return [line.split(",")[:5] + line.split(",")[6:]
+                    for line in capsys.readouterr().out.splitlines()]
+
+        assert rows("--k", "16") == rows()
+        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--k", "0"]) == 4
+        assert "--k must be >= 1" in capsys.readouterr().err
 
     def test_hallway_needs_layout(self):
         assert cli.main(["gen", "hallway"]) == 4

@@ -9,7 +9,7 @@ import pytest
 from conftest import random_pomdp
 from sensynth.model import (BOT, ModelSemanticError, ModelSyntaxError,
                             PartialObsFn, Pomdp, parse_pomdp, print_pomdp,
-                            reduce_targets, validate)
+                            read_row, reduce_targets, validate)
 
 CHAIN = """
 states: s0 s1 g
@@ -84,6 +84,44 @@ class TestParse:
             with pytest.raises(ModelSyntaxError) as exc:
                 parse_pomdp(bad)
             assert str(exc.value) == message
+
+
+NAMES = {"a": 0, "b": 1, "c": 2}
+
+
+class TestReadRowCache:
+    """read_row checks each tuple of weight tokens once; a row whose tokens
+    were accepted before must still be rejected for its own defects, with
+    the message the uncached loop gives."""
+
+    @pytest.mark.parametrize("bad, err, message", [
+        ("a 1/2, x 1/2", ModelSemanticError, "x: unknown state (line 7)"),
+        ("a 1/2, a 1/2", ModelSemanticError, "s/a: duplicate state a (line 7)"),
+        ("a 1/2, b", ModelSyntaxError, "line 7, col 1: expected 'name weight', got 'b'"),
+        ("a 1/2, b 1/2 c", ModelSyntaxError,
+         "line 7, col 1: expected 'name weight', got 'b 1/2 c'"),
+        ("a 1/2, b half", ModelSyntaxError, "line 7, col 1: bad weight 'half'"),
+        ("a 1/2, b 1/2, c 0", ModelSyntaxError,
+         "line 7, col 1: weight must be positive, got 0"),
+        ("a 3/2, b -1/2", ModelSyntaxError,
+         "line 7, col 1: weight must be positive, got -1/2"),
+        ("a 1/2, b 1/2, c 1/2", ModelSemanticError,
+         "s/a: distribution does not sum to 1 (line 7)"),
+        ("x 1/2, a 0", ModelSemanticError, "x: unknown state (line 7)"),
+    ])
+    def test_warm_cache_keeps_errors(self, bad, err, message):
+        for _ in range(2):  # the second pass reads bad with its own tokens cached too
+            assert read_row("a 1/2, b 1/2", NAMES, "state", "s/a", 3) == (
+                (0, Fraction(1, 2)), (1, Fraction(1, 2)))
+            with pytest.raises(err) as exc:
+                read_row(bad, NAMES, "state", "s/a", 7)
+            assert type(exc.value) is err and str(exc.value) == message
+
+    def test_tokens_cached_across_name_tables(self):
+        row = "a 1/4, b 3/4"
+        assert read_row(row, NAMES, "state", "r", 1) == ((0, Fraction(1, 4)), (1, Fraction(3, 4)))
+        assert read_row(row, {"a": 5, "b": 3}, "state", "r", 1) == (
+            (5, Fraction(1, 4)), (3, Fraction(3, 4)))
 
 
 class TestRoundTrip:

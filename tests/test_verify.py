@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_pomdp
 from sensynth.model import BOT, Completion, PartialObsFn, Policy, Pomdp, parse_pomdp
-from sensynth.verify import (BruteForceGuardError, brute_force_decide,
+from sensynth.verify import (BruteForceGuardError, VerifyCertificate, brute_force_decide,
                              build_product, check_almost_sure,
                              format_certificate, simulate)
 
@@ -58,6 +58,39 @@ def same_class_completion(p):
     return Completion(n_new=1, rows=rows)
 
 
+def direct_successors(p, c, pol, s, m):
+    """(s', m') pairs one step from (s, m), straight from the definition."""
+    return {(s2, m2) for a in pol.act[m] for s2 in p.succ(s, a)
+            for z in c.support(s2) for m2 in pol.update[m][z][a]}
+
+
+def full_product_certificate(p, c, pol):
+    """Reference check over every (state, memory) pair, reached or not:
+    forward search from the initial pair, backward search from all goal
+    pairs over the whole product."""
+    mu = pol.n_mem
+    n = p.n_states * mu
+    adj = [sorted(s2 * mu + m2 for s2, m2 in direct_successors(p, c, pol, *divmod(v, mu)))
+           for v in range(n)]
+    seen, todo = {p.initial * mu}, [p.initial * mu]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    dist = {p.goal * mu + m: 0 for m in range(mu)}
+    frontier, d = list(dist), 0
+    while frontier:
+        d += 1
+        frontier = [u for u in range(n) if u not in dist and set(adj[u]) & set(frontier)]
+        dist.update(dict.fromkeys(frontier, d))
+    reachable = tuple(sorted(seen))
+    witness = next((v for v in reachable if v not in dist), -1)
+    return VerifyCertificate(ok=witness == -1, reachable=reachable,
+                             dist={v: dist[v] for v in reachable if v in dist},
+                             witness=witness)
+
+
 class TestBuildProduct:
     def test_edges_match_direct_definition(self):
         rng = random.Random(31)
@@ -68,15 +101,16 @@ class TestBuildProduct:
             c = random_completion(rng, p, nu)
             pol = random_policy(rng, mu, p.n_obs + nu, p.n_actions)
             g = build_product(p, c, pol)
-            for s in range(p.n_states):
-                for m in range(mu):
-                    want = set()
-                    for a in pol.act[m]:
-                        for s2 in p.succ(s, a):
-                            for z in c.support(s2):
-                                for m2 in pol.update[m][z][a]:
-                                    want.add(g.vertex(s2, m2))
-                    assert set(g.adj[g.vertex(s, m)]) == want
+            reached, todo = {(p.initial, 0)}, [(p.initial, 0)]
+            while todo:
+                for pair in direct_successors(p, c, pol, *todo.pop()):
+                    if pair not in reached:
+                        reached.add(pair)
+                        todo.append(pair)
+            assert set(g.adj) == {g.vertex(s, m) for s, m in reached}
+            for s, m in reached:
+                want = {g.vertex(s2, m2) for s2, m2 in direct_successors(p, c, pol, s, m)}
+                assert g.adj[g.vertex(s, m)] == tuple(sorted(want))
 
     def test_goals_and_initial(self, fig1):
         pol = blind_fig1_policy()
@@ -89,6 +123,17 @@ class TestBuildProduct:
                                            for _ in range(fig1.n_states)))
         with pytest.raises(ValueError):
             build_product(fig1, c, blind_fig1_policy())
+
+    def test_unreached_symbol_out_of_range_rejected(self):
+        p = parse_pomdp("states: s0 g u\nactions: a\nobservations: z\ninitial: s0\n"
+                        "goal: g\ndelta s0 a -> g 1\ndelta g a -> g 1\ndelta u a -> g 1")
+        pol = Policy(n_mem=1, act=((0,),), update=((((0,),),),))
+        one = ((0, Fraction(1)),)
+        g = build_product(p, Completion(n_new=0, rows=(one,) * 3), pol)
+        assert set(g.adj) == {g.vertex(0, 0), g.vertex(1, 0)}  # u is never reached
+        c = Completion(n_new=1, rows=(one, one, ((1, Fraction(1)),)))
+        with pytest.raises(ValueError, match="emits symbol 1"):
+            build_product(p, c, pol)
 
 
 class TestCheckAlmostSure:
@@ -128,6 +173,19 @@ delta g a -> g 1
         cert = check_almost_sure(build_product(p, c, pol))
         assert not cert.ok
         assert p.states[cert.witness // 1] == "dead"
+
+    def test_reached_pairs_match_full_product(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            p = random_pomdp(rng)
+            nu = rng.randint(0, 2)
+            mu = rng.randint(1, 3)
+            c = random_completion(rng, p, nu)
+            pol = random_policy(rng, mu, p.n_obs + nu, p.n_actions)
+            cert = check_almost_sure(build_product(p, c, pol))
+            want = full_product_certificate(p, c, pol)
+            assert cert == want
+            assert format_certificate(cert, p, pol) == format_certificate(want, p, pol)
 
     def test_format_certificate(self, fig1):
         g = build_product(fig1, same_class_completion(fig1), blind_fig1_policy())
