@@ -64,11 +64,8 @@ def _write(path, text):
 
 
 def _load_model(ns):
-    """The model and its constraints.  --k only labels a refutation, so any
-    k >= 1 is a valid question."""
+    """The model and its constraints."""
     p = parse_pomdp(_read(ns.input))
-    if ns.k is not None and ns.k < 1:
-        raise UsageError("--k must be >= 1")
     sc = None
     if ns.constraints:
         sc = parse_constraints(_read(ns.constraints), p)
@@ -116,7 +113,7 @@ def render_grid(out):
 
 def cmd_synth(ns):
     p, sc = _load_model(ns)
-    out = synthesize(p, ns.mu, ns.nu, k=ns.k, deterministic=ns.deterministic,
+    out = synthesize(p, ns.mu, ns.nu, deterministic=ns.deterministic,
                      strict=ns.strict, constraints=sc, budget=budget(ns),
                      solver=ns.solver)
     doc = format_result(out)
@@ -166,7 +163,7 @@ def cmd_sweep(ns):
     mu_range = _parse_range(ns.mu_range, "--mu-range", 1) if ns.mu_range else [ns.mu]
     nu_range = _parse_range(ns.nu_range, "--nu-range", 0) if ns.nu_range else [ns.nu]
     p, sc = _load_model(ns)
-    rows = sweep(p, mu_range, nu_range, k=ns.k, deterministic=ns.deterministic,
+    rows = sweep(p, mu_range, nu_range, deterministic=ns.deterministic,
                  strict=ns.strict, constraints=sc, budget=budget(ns), solver=ns.solver)
     csv = format_frontier_csv(rows)
     if ns.out:
@@ -213,7 +210,7 @@ def cmd_gen(args):
 
 def cmd_export_dimacs(ns):
     p, sc = _load_model(ns)
-    prep = prepare(p, ns.mu, ns.nu, k=ns.k, deterministic=ns.deterministic,
+    prep = prepare(p, ns.mu, ns.nu, deterministic=ns.deterministic,
                    strict=ns.strict, constraints=sc)
     if not prep.needs_formula(ns.nu):
         if not ns.quiet:
@@ -238,11 +235,6 @@ def _add_common(sp, solver_flags=True):
     sp.add_argument("input", help="model file")
     sp.add_argument("--mu", type=int, default=1, help="memory elements (>= 1)")
     sp.add_argument("--nu", type=int, default=0, help="fresh observations allowed (>= 0)")
-    sp.add_argument("--k", type=int, default=None,
-                    help="path bound (any k >= 1) that labels refutations: below the "
-                         "completeness bound mu*|V-{goal}| (the default) UNSAT is Unknown, "
-                         "not Unrealizable; V is the states reachable from the initial state "
-                         "through actions that stay in the MDP's almost-sure winning region")
     sp.add_argument("--deterministic", action="store_true",
                     help="require a deterministic completion")
     sp.add_argument("--strict", action="store_true",

@@ -1,5 +1,5 @@
-"""CNF encoding of bounded almost-sure reachability for partially observed
-models: does a completion of the observation function with at most nu fresh
+"""CNF encoding of almost-sure reachability for partially observed models:
+does a completion of the observation function with at most nu fresh
 symbols admit an almost-sure winning policy with at most mu memory elements?
 
 Variable families (in fixed numbering order, auxiliaries last):
@@ -24,15 +24,14 @@ synth always encodes with k None: no P and no edge literal, and it defines
 an edge literal (edge_literal) the first time a trap cut names its product
 edge.  P remains only for the traced replay and the tests.
 
-encode() first runs mdp_prepass(), one backward search of the fully
-observable model, which is the encoder's only source of MDP facts.  Its
-region V, the states reachable from the initial state through safe actions
-(those whose successors all lie in the MDP's almost-sure winning region W),
-holds every state a winning policy can visit.  C and P range over V only: a
-state outside V gets no variable and no clause.  An action with a successor
+The region comes from mdp_prepass(), one attractor computation on the fully
+observable model, which is the encoder's only source of MDP facts: V, the
+states reachable from the initial state through safe actions (those whose
+successors all lie in the MDP's almost-sure winning region W), holds every
+state a winning policy can visit.  C and P range over V only: a state
+outside V gets no variable and no clause.  An action with a successor
 outside V is forbidden at every reached pair by one clause -C(s,m) | -A(m,a)
-(encode_reach_closure).  P unrolls the other actions only, and is fixed
-false below each state's goal distance through them.
+(encode_reach_closure), and P unrolls the other actions only.
 """
 
 from __future__ import annotations
@@ -342,27 +341,21 @@ def sensor_model(p, sc):
 
 
 def mdp_prepass(p):
-    """The region a winning policy can visit, and goal distances, of the
-    underlying MDP.
+    """The region V a winning policy can visit, a frozenset of states.
 
-    Returns (region, dist).  First the almost-sure winning region W: the
-    states from which some strategy of the fully observable MDP reaches the
-    goal with probability 1, the attractor fixpoint that repeatedly keeps
-    only the states that can reach the goal using safe actions, those whose
-    successors all stay in the set (Baier & Katoen, Principles of Model
-    Checking, ch. 10).  Each sweep is breadth-first backward from the goal
-    over the safe actions, so the last one, which keeps the set as it is,
-    leaves dist[s] the length of a shortest path from s to the goal through
-    actions safe for W, or None outside W.  region is the frozenset V of
-    states reachable from the initial state through those actions; it is
-    empty when the initial state lies outside W.
+    First the almost-sure winning region W of the underlying MDP: the states
+    from which some strategy of the fully observable MDP reaches the goal
+    with probability 1, the attractor fixpoint that repeatedly keeps only the
+    states that can reach the goal using safe actions, those whose successors
+    all stay in the set (Baier & Katoen, Principles of Model Checking,
+    ch. 10).  Each iteration is one search backward from the goal.  V is the
+    set of states reachable from the initial state through actions safe for
+    W; it is empty when the initial state lies outside W.
 
     A finite-memory policy under any completion is one strategy of this MDP,
-    so both are sound facts about every (completion, policy) pair that wins:
-    from each pair it reaches the policy still wins, so that pair's state is
-    in W and every enabled action is safe, which keeps every reached state in
-    V; and a goal path from such a pair takes enabled actions only, so none
-    is shorter than dist.
+    and it still wins from each pair it reaches when it wins at all: so that
+    pair's state is in W and every action it enables there is safe, which
+    keeps every reached state in V.
     """
     ns, na, g = p.n_states, p.n_actions, p.goal
     pred = [[] for _ in range(ns)]  # pred[t]: the (s, a) with t in succ(s, a)
@@ -373,20 +366,12 @@ def mdp_prepass(p):
 
     win = set(range(ns))
     while True:
-        safe = {(s, a) for s in win for a in range(na)
-                if all(t in win for t in p.succ(s, a))}
-        dist = [None] * ns
-        dist[g] = 0
-        layer = [g]
-        while layer:
-            nxt = []
-            for t in layer:
-                for s, a in pred[t]:
-                    if dist[s] is None and (s, a) in safe:
-                        dist[s] = dist[t] + 1
-                        nxt.append(s)
-            layer = nxt
-        reach = {s for s in range(ns) if dist[s] is not None}
+        reach, todo = {g}, [g]
+        for t in todo:
+            for s, a in pred[t]:
+                if s not in reach and win.issuperset(p.succ(s, a)):
+                    reach.add(s)
+                    todo.append(s)
         if reach == win:
             break
         win = reach
@@ -396,12 +381,12 @@ def mdp_prepass(p):
     while todo:
         s = todo.pop()
         for a in range(na):
-            if (s, a) in safe:
+            if win.issuperset(p.succ(s, a)):
                 for t in p.succ(s, a):
                     if t not in region:
                         region.add(t)
                         todo.append(t)
-    return frozenset(region), tuple(dist)
+    return frozenset(region)
 
 
 def encode_action_selection(vm, out=None):
@@ -518,7 +503,7 @@ def encode_reach_closure(p, vm, out=None):
     return out
 
 
-def encode_path_predicate(p, vm, out=None, dist=None):
+def encode_path_predicate(p, vm, out=None):
     """Bounded goal-reachability predicate P and its linkage to C.
 
     P(G,m,j) holds everywhere, nothing else is reachable in 0 steps, every
@@ -543,21 +528,10 @@ def encode_path_predicate(p, vm, out=None, dist=None):
     those whose successors all lie in the region, are unrolled: the closure
     forbids every other action at every reached pair (encode_reach_closure),
     and a product path from a reached pair runs through reached pairs.
-
-    dist, when given, holds the MDP goal distances through safe actions
-    (mdp_prepass).  A true P(i,m,j) implies a path of at most j steps from i
-    to the goal through those actions, so P(i,m,j) is fixed false for
-    j < dist[i] (for every j if dist[i] is None).  Inner conjuncts over such
-    a fixed-false P(i',m',j-1) are dropped, and so are action-level
-    disjuncts left with no conjunct.
     """
     out = out if out is not None else Cnf()
     mu, nzp, k, g, region = vm.mu, vm.nzp, vm.k, p.goal, vm.region
     states = sorted(region)
-    if dist is None:
-        dist = [0] * vm.ns  # no pre-pass: nothing pruned
-    low = [k + 1 if d is None else d for d in dist]  # P(i,.,j) is fixed false for j < low[i]
-    first = [max(d, 1) for d in low]  # first unrolled layer of a non-goal state
     if g in region:
         for m in range(mu):
             for j in range(k + 1):
@@ -566,8 +540,7 @@ def encode_path_predicate(p, vm, out=None, dist=None):
         if i == g:
             continue
         for m in range(mu):
-            for j in range(min(first[i], k + 1)):
-                out.add((-vm.var_p(i, m, j),))
+            out.add((-vm.var_p(i, m, 0),))
     for i in states:
         for m in range(mu):
             out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
@@ -578,7 +551,7 @@ def encode_path_predicate(p, vm, out=None, dist=None):
         if i == g:
             continue
         for m in range(mu):
-            for j in range(first[i], k + 1):
+            for j in range(1, k + 1):
                 disj = []
                 for a in range(vm.na):
                     succ = p.succ(i, a)
@@ -589,8 +562,6 @@ def encode_path_predicate(p, vm, out=None, dist=None):
                         inner = []
                         # no symbol: no edge; an unsafe action is not unrolled
                         for i2 in succ if nzp and region.issuperset(succ) else ():
-                            if low[i2] > j - 1:
-                                continue
                             for m2 in range(mu):
                                 tkey = (m, a, i2, m2, j)
                                 t = cons.get(tkey)
@@ -731,32 +702,30 @@ def encode_symmetry(p, vm, out=None):
     return out
 
 
-def encode(p, mu, nu, k, sc=None, prepass=None):
+def encode(p, mu, nu, k, sc=None, region=None):
     """Assemble the full formula; returns (Cnf, VarMap).
 
     Expects a model with an absorbing goal (parse_pomdp guarantees this; for
     programmatic models apply model.reduce_targets first).  In sensor mode
-    pass the transformed model from sensor_model() and nu = 0.  prepass is
-    mdp_prepass(p), computed here when not given: C and P range over its
-    region, and P is fixed false below its distances.  k None encodes no P
-    and no edge literal (edge_literal defines those on demand).  The same
-    formula answers every cell (mu', nu') <= (mu, nu) under
-    VarMap.assumptions(mu', nu').
+    pass the transformed model from sensor_model() and nu = 0.  region is
+    mdp_prepass(p), computed here when not given: C and P range over it.
+    k None encodes no P and no edge literal (edge_literal defines those on
+    demand).  The same formula answers every cell (mu', nu') <= (mu, nu)
+    under VarMap.assumptions(mu', nu').
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):
         raise ValueError("goal must be absorbing; apply reduce_targets first")
     if sc.sensor_values is not None and nu != 0:
         raise ValueError("sensor mode replaces the fresh symbols; nu must be 0")
-    region, dist = prepass if prepass is not None else mdp_prepass(p)
-    vm = VarMap(p, mu, nu, k, region)
+    vm = VarMap(p, mu, nu, k, mdp_prepass(p) if region is None else region)
     out = Cnf()
     encode_action_selection(vm, out)
     encode_memory_update(vm, out)
     encode_observation_fn(p, vm, sc, out)
     encode_reach_closure(p, vm, out)
     if k is not None:
-        encode_path_predicate(p, vm, out, dist=dist)
+        encode_path_predicate(p, vm, out)
     encode_side_constraints(sc, vm, out)
     encode_symmetry(p, vm, out)
     return out.finalize(vm.nvars), vm

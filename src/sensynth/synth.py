@@ -5,19 +5,19 @@ re-checked by the independent product-graph analysis before being reported;
 a decode that fails verification is an internal fault, never a result.
 
 prepare() runs the MDP pre-pass (encode.mdp_prepass) on the model to encode.
-An initial state outside the MDP's almost-sure winning region W is
-Unrealizable without any formula.  Otherwise the pre-pass returns the region
-V of states reachable from the initial state through actions whose
-successors all lie in W, and the completeness bound is
-mu * max(1, |V - {goal}|): a shortest path from a pair that a winning policy
-reaches visits only reached non-goal pairs, all in (V - {goal}) x memory.
-The formula has neither the path predicate P nor edge literals.  A model
-whose pair loses the product check adds trap cuts that every winning pair
-satisfies, with the edge literals they are the first to name (trap_cuts;
-SAT modulo graph reachability, Bayless, Bayless, Hoos & Hu, AAAI 2015), so
-the rounds are a complete search at every path bound k.  k only labels a
-refutation: UNSAT is Unrealizable when k reaches the cell's bound, and
-Unknown below it.
+Its region V holds the states reachable from the initial state through
+actions whose successors all lie in the MDP's almost-sure winning region W;
+it is empty when the initial state lies outside W, and then every cell is
+Unrealizable without any formula.  The formula has neither the path
+predicate P nor edge literals.  A model whose pair loses the product check
+adds trap cuts that every winning pair satisfies, with the edge literals
+they are the first to name (trap_cuts; SAT modulo graph reachability,
+Bayless, Bayless, Hoos & Hu, AAAI 2015), so the rounds are a complete
+search and UNSAT is a refutation.  The path bound k of synthesize and sweep
+shapes no formula; it only labels a refutation.  UNSAT is Unrealizable when
+k reaches the cell's completeness bound mu * max(1, |V - {goal}|), since a
+shortest path from a pair that a winning policy reaches visits only reached
+non-goal pairs, all in (V - {goal}) x memory; below it UNSAT is Unknown.
 
 synthesize and sweep are both solve_grid: one formula and one solver answer
 the (mu, nu) cells, each searched cell assuming the formula's own update and
@@ -29,7 +29,7 @@ nu' >= nu assumes.  So a model at (mu, nu) satisfies (mu', nu'), where its
 checked pair (memory <= mu, new <= nu) is a witness; and UNSAT at
 (mu', nu') with k at the bound of mu' stays UNSAT at (mu, nu), where k
 reaches the smaller bound of mu.  An Unknown cell implies nothing, UNSAT
-below the bound (a smaller --k) included.
+below the bound (a smaller k) included.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class Realizable:
 
 @dataclass(frozen=True)
 class Unrealizable:
-    k: int  # met the completeness bound mu * max(1, |V - {goal}|), V the pre-pass region
+    k: int  # the call's path bound; a searched refutation's reaches the cell's bound
     mu: int
     nu: int
     stats: SynthStats
@@ -259,21 +259,20 @@ class Prepared:
 
     model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
     constraints: SideConstraints  # with the deterministic/strict flags merged in
-    prepass: tuple  # mdp_prepass(model): (region, dist)
-    k: int  # labels UNSAT: Unrealizable iff k reaches the cell's completeness bound
+    region: frozenset  # mdp_prepass(model)
 
     def needs_formula(self, nu):
         """False when every cell (mu, nu) is Unrealizable without a formula:
         the fully observable MDP cannot win from the initial state, so no
         policy under any completion can, or the completed alphabet is empty
         and admits no observation distribution at all."""
-        return self.model.initial in self.prepass[0] and self.model.n_obs + nu > 0
+        return self.model.initial in self.region and self.model.n_obs + nu > 0
 
     def encode(self, mu, nu):
         """The formula at (mu, nu) (encode.encode); returns (Cnf, VarMap).  It
-        has no P at any k (VarMap.k None): P remains only for the traced
-        replay and the tests."""
-        return encode(self.model, mu, nu, None, self.constraints, prepass=self.prepass)
+        has no P (VarMap.k None): P remains only for the traced replay and
+        the tests."""
+        return encode(self.model, mu, nu, None, self.constraints, region=self.region)
 
     def search(self, cnf, vm, mu, nu, solve, engine=None):
         """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
@@ -315,14 +314,11 @@ def _completeness_bound(region, goal, mu):
     return mu * max(1, len(region - {goal}))
 
 
-def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=None):
+def prepare(p, mu, nu, deterministic=False, strict=False, constraints=None):
     """Check a request and compute what it encodes: the merged constraints,
-    the sensor-mode model rewrite and the MDP pre-pass, with the path bound
-    that labels refutations."""
+    the sensor-mode model rewrite and the MDP pre-pass region."""
     if mu < 1 or nu < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
     sc = constraints if constraints is not None else SideConstraints()
     sc = replace(sc, deterministic=sc.deterministic or deterministic,
                  strict=sc.strict or strict)
@@ -330,9 +326,7 @@ def prepare(p, mu, nu, k=None, deterministic=False, strict=False, constraints=No
         if nu != 0:
             raise ModelSemanticError(sc.sensor_name, "sensor mode replaces the fresh symbols; nu must be 0")
         p, sc = sensor_model(p, sc)
-    region, dist = mdp_prepass(p)
-    return Prepared(model=p, constraints=sc, prepass=(region, dist),
-                    k=_completeness_bound(region, p.goal, mu) if k is None else k)
+    return Prepared(model=p, constraints=sc, region=mdp_prepass(p))
 
 
 def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
@@ -356,7 +350,8 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
     clauses.  The budget holds per cell, over all its rounds.  UNSAT means
     Unrealizable iff k >= mu * max(1, |V - {goal}|), the cell's completeness
     bound, and Unknown otherwise; k (default the completeness bound of
-    mu_hi) has no other use.
+    mu_hi) has no other use, and every outcome reports it, a cell without a
+    formula included.
 
     The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
     Each is inferred from a decided cell that implies it (module docstring)
@@ -375,12 +370,15 @@ def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
         return [], None
     if mus[0] < 1 or nus[0] < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
-    prep = prepare(p, mus[-1], nus[-1], k, deterministic, strict, constraints)
-    p_enc, k_used = prep.model, prep.k
-    bounds = {mu: _completeness_bound(prep.prepass[0], p_enc.goal, mu) for mu in mus}
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    prep = prepare(p, mus[-1], nus[-1], deterministic, strict, constraints)
+    p_enc = prep.model
+    bounds = {mu: _completeness_bound(prep.region, p_enc.goal, mu) for mu in mus}
+    k_used = bounds[mus[-1]] if k is None else k
     live = [nu for nu in nus if prep.needs_formula(nu)]
     # cells without a formula; their nu lies below every live one, so they imply none
-    done = {(mu, nu): Unrealizable(k=bounds[mu], mu=mu, nu=nu, stats=SynthStats())
+    done = {(mu, nu): Unrealizable(k=k_used, mu=mu, nu=nu, stats=SynthStats())
             for mu in mus for nu in nus if nu not in live}
     embedded = solver in (None, "", "embedded")
     if live:
@@ -444,8 +442,8 @@ def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
                constraints=None, budget=None, solver=None):
     """Decide realizability of (p, mu, nu) and return a checked outcome.
 
-    The one-cell case of solve_grid.  k defaults to the completeness bound of
-    prepare(); a smaller k is allowed and can only downgrade Unrealizable to
+    The one-cell case of solve_grid.  k defaults to the cell's completeness
+    bound; a smaller k is allowed and can only downgrade Unrealizable to
     Unknown.  solver is None for the embedded one or an external command
     template with an {input} placeholder; a failing external solver raises
     its ExternalSolverError.

@@ -29,9 +29,6 @@ class ProductGraph:
     initial: int
     goals: tuple
 
-    def vertex(self, s, m):
-        return s * self.n_mem + m
-
     def pair(self, v):
         return divmod(v, self.n_mem)
 

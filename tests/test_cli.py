@@ -37,11 +37,6 @@ class TestSynthExitCodes:
     def test_unrealizable(self, fig1_file):
         assert cli.main(["synth", fig1_file, "--mu", "2", "--nu", "1"]) == 1
 
-    def test_unknown_below_bound(self, fig1_file, capsys):
-        code = cli.main(["synth", fig1_file, "--mu", "2", "--nu", "1", "--k", "2"])
-        assert code == 2
-        assert "reason:" in capsys.readouterr().out
-
     def test_report_lines(self, fig1_file, capsys):
         cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1"])
         out = capsys.readouterr().out
@@ -65,7 +60,7 @@ class TestSynthExitCodes:
 
     def test_render_grid(self, hallway_file, capsys):
         code = cli.main(["synth", hallway_file, "--mu", "3", "--nu", "3",
-                         "--k", "13", "--render-grid", "--result", "/dev/null"])
+                         "--render-grid", "--result", "/dev/null"])
         assert code == 0
         grid = capsys.readouterr().out.splitlines()[-4:]
         assert all(len(line) == 5 for line in grid)
@@ -154,10 +149,12 @@ class TestUsageErrors:
     def test_bad_mu(self, fig1_file):
         assert cli.main(["synth", fig1_file, "--mu", "0"]) == 4
 
-    def test_k_out_of_range(self, fig1_file):
-        assert cli.main(["synth", fig1_file, "--mu", "2", "--k", "0"]) == 4
-        # no upper cap: a k above |S| * mu answers as the bound does
-        assert cli.main(["synth", fig1_file, "--mu", "2", "--k", "99"]) == 1
+    def test_k_out_of_range(self, fig1_file, capsys):
+        # there is no path bound option: every cell answers at its completeness bound
+        for cmd in ("synth", "sweep", "export-dimacs"):
+            for k in ("0", "2", "99"):
+                assert cli.main([cmd, fig1_file, "--mu", "2", "--nu", "1", "--k", k]) == 4
+                assert "unrecognized arguments: --k" in capsys.readouterr().err
 
     def test_empty_sweep_range(self, fig1_file):
         assert cli.main(["sweep", fig1_file, "--mu-range", "3..1"]) == 4
@@ -180,19 +177,6 @@ class TestUsageErrors:
         assert cli.main([cmd, fig1_file, f"{flag}={value}"]) == 4
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {message}") and len(err.splitlines()) == 1
-
-    def test_sweep_k_bounded_by_top_of_mu_range(self, fig1_file, capsys):
-        # k only labels a refutation, so --k has no upper cap: 16 is above
-        # |S| * mu = 15 for fig1 at mu 3 and answers as the default k does
-        def rows(*k):
-            assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--nu", "1", *k]) == 0
-            # drop time_ms, the one column that varies between runs
-            return [line.split(",")[:5] + line.split(",")[6:]
-                    for line in capsys.readouterr().out.splitlines()]
-
-        assert rows("--k", "16") == rows()
-        assert cli.main(["sweep", fig1_file, "--mu-range", "2..3", "--k", "0"]) == 4
-        assert "--k must be >= 1" in capsys.readouterr().err
 
     def test_hallway_needs_layout(self):
         assert cli.main(["gen", "hallway"]) == 4
@@ -337,13 +321,12 @@ class TestGenCommand:
 class TestExportDimacs:
     def test_default_paths(self, fig1_file, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        code = cli.main(["export-dimacs", fig1_file, "--mu", "1", "--nu", "1",
-                         "--k", "1"])
+        code = cli.main(["export-dimacs", fig1_file, "--mu", "1", "--nu", "1"])
         assert code == 0
         cnf = (tmp_path / "fig1.cnf").read_text()
         assert cnf.startswith("p cnf ")
         mapping = (tmp_path / "fig1.cnf.map").read_text().splitlines()
-        # 3 A + 3 M + 5 O + 4 C and no P at any k: C covers the region,
+        # 3 A + 3 M + 5 O + 4 C and no P: C covers the region,
         # which leaves out the sink 'lose'
         assert len(mapping) == 15
         assert mapping[0] == "1 A(m0,move-left)"
@@ -358,8 +341,8 @@ class TestExportDimacs:
         mapping = (tmp_path / "phi.cnf.map").read_text().splitlines()
         from sensynth.encode import VarMap, mdp_prepass
         p = gen_fig1()
-        region = mdp_prepass(p)[0]
-        vm = VarMap(p, 2, 1, None, region)  # the default k is the bound: no P
+        region = mdp_prepass(p)
+        vm = VarMap(p, 2, 1, None, region)  # no P
         assert len(mapping) == vm.n_semantic
         for line in mapping:
             v, name = line.split(" ", 1)
@@ -369,10 +352,11 @@ class TestExportDimacs:
             assert (f"C({p.states[s]},m1)" in names) == (s in region)
         assert not any(name.startswith("P(") for name in names)
 
-    def test_below_the_bound_exports_the_cuts(self, fig1_file, tmp_path, monkeypatch):
-        # k = 2 is below the bound 6 of (2, 1): the export still runs the rounds
+    def test_refutation_exports_the_cuts(self, fig1_file, tmp_path, monkeypatch):
+        # (2, 1) is Unrealizable: the export runs the rounds, keeps their cuts
+        # and declares the edge literals they define
         out = tmp_path / "phi.cnf"
-        assert cli.main(["export-dimacs", fig1_file, "--mu", "2", "--nu", "1", "--k", "2",
+        assert cli.main(["export-dimacs", fig1_file, "--mu", "2", "--nu", "1",
                          "--out", str(out), "--quiet"]) == 0
         header, *body = out.read_text().splitlines()
         declared = int(header.split()[2])

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_pomdp
 from sensynth import sat
+from sensynth.bench import gen_escape, gen_rocksample
 from sensynth.encode import (Cnf, SideConstraints, VarMap, at_most_one, encode,
                              encode_action_selection, encode_memory_update,
                              encode_observation_fn, encode_path_predicate,
@@ -214,15 +215,15 @@ def semantic_ok(p, vm, sc, choice):
     return closure <= win
 
 
-def symmetry_free(p, vm, sc=SideConstraints(), dist=None):
+def symmetry_free(p, vm, sc=SideConstraints()):
     """encode()'s families except symmetry breaking, which prunes models by
-    design, over vm's region and with P pruned below dist."""
+    design, over vm's region."""
     out = Cnf()
     encode_action_selection(vm, out)
     encode_memory_update(vm, out)
     encode_observation_fn(p, vm, sc, out)
     encode_reach_closure(p, vm, out)
-    encode_path_predicate(p, vm, out, dist=dist)
+    encode_path_predicate(p, vm, out)
     encode_side_constraints(sc, vm, out)
     return out.finalize(vm.nvars)
 
@@ -230,9 +231,8 @@ def symmetry_free(p, vm, sc=SideConstraints(), dist=None):
 def choices_match_formula(p, mu, nu, k, sc):
     """Enumerate all A/M/O assignments; the pinned formula must be satisfiable
     exactly when the reference decision accepts."""
-    region, dist = mdp_prepass(p)
-    vm = VarMap(p, mu, nu, k, region)
-    cnf = symmetry_free(p, vm, sc, dist)
+    vm = VarMap(p, mu, nu, k, mdp_prepass(p))
+    cnf = symmetry_free(p, vm, sc)
     vars_ = ([vm.var_a(m, a) for m in range(mu) for a in range(vm.na)]
              + [vm.var_m(m, z, a, m2) for m in range(mu) for z in range(vm.nzp)
                 for a in range(vm.na) for m2 in range(mu)]
@@ -311,7 +311,7 @@ class TestTseitinProjection:
         # reached pair of s0 and never names the sink
         p = parse_pomdp(RISKY)
         s0, sink, risky = p.states.index("s0"), p.states.index("sink"), p.actions.index("risky")
-        vm = VarMap(p, 2, 1, 4, mdp_prepass(p)[0])
+        vm = VarMap(p, 2, 1, 4, mdp_prepass(p))
         closure = list(encode_reach_closure(p, vm))
         for m in range(2):
             assert [-vm.var_c(s0, m), -vm.var_a(m, risky)] in closure
@@ -545,7 +545,7 @@ class TestPathPredicate:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
             for k in sorted({1, 2, p.n_states * mu}):
-                cnf, vm = encode(p, mu, nu, k)  # P over the region, pruned below dist
+                cnf, vm = encode(p, mu, nu, k)  # P over the region
                 res = sat.solve(cnf)
                 if res.status != sat.SAT:
                     continue
@@ -561,16 +561,16 @@ class TestPathPredicate:
         # under arbitrary fixed A/O/M values, P(s,m,j) can be made true exactly
         # when those values give a product path of at most j steps through
         # safe actions: the solver may not justify it by a free edge
-        # auxiliary, and the distance units cut no such path
+        # auxiliary
         rng = random.Random(8)
         checked = 0
         for _ in range(20):
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 3), rng.randint(0, 2)
             k = p.n_states * mu
-            region, dist = mdp_prepass(p)
+            region = mdp_prepass(p)
             vm = VarMap(p, mu, nu, k, region)
-            cnf = encode_path_predicate(p, vm, dist=dist).finalize(vm.nvars)
+            cnf = encode_path_predicate(p, vm).finalize(vm.nvars)
             engine = sat.Solver(cnf)
             for _ in range(4):
                 val = [False] + [rng.random() < 0.5 for _ in range(vm.nvars)]
@@ -584,42 +584,64 @@ class TestPathPredicate:
         assert checked
 
 
+def reference_prepass(p):
+    """The region by the textbook fixpoint: recompute the actions safe for
+    the current set, keep the states with a goal path through them, repeat;
+    then close the initial state under the safe actions."""
+    na = p.n_actions
+    win = set(range(p.n_states))
+    while True:
+        safe = {(s, a) for s in win for a in range(na) if set(p.succ(s, a)) <= win}
+        reach = {p.goal}
+        while True:
+            more = {s for s, a in safe if reach & set(p.succ(s, a))} - reach
+            if not more:
+                break
+            reach |= more
+        if reach == win:
+            break
+        win = reach
+    region = {p.initial} & win
+    while True:
+        more = {t for s, a in safe if s in region for t in p.succ(s, a)} - region
+        if not more:
+            return frozenset(region)
+        region |= more
+
+
 class TestMdpPrepass:
     def test_split(self):
         p = parse_pomdp(SPLIT)
-        win, dist = mdp_prepass(p)
+        region = mdp_prepass(p)
         idx = p.states.index
-        assert win == {idx("i"), idx("s1"), idx("s2"), idx("g")}
-        assert dist[idx("i")] == 2
-        assert dist[idx("s1")] == dist[idx("s2")] == 1
-        assert dist[idx("g")] == 0 and dist[idx("dead")] is None
+        assert region == {idx("i"), idx("s1"), idx("s2"), idx("g")}
 
     def test_fig1(self, fig1):
-        win, dist = mdp_prepass(fig1)
-        assert {fig1.states[s] for s in win} == {"cell0", "cell1", "cell2", "win"}
-        assert dist[fig1.states.index("cell0")] == 3
+        region = mdp_prepass(fig1)
+        assert {fig1.states[s] for s in region} == {"cell0", "cell1", "cell2", "win"}
 
     def test_one_risky_action_is_enough_to_lose(self):
         # s0 reaches the goal only through a coin flip into the sink
         p = parse_pomdp(SINK.replace("delta s0 go -> g 1", "delta s0 go -> g 1/2, sink 1/2")
                         .replace("delta s0 fall -> sink 1", "delta s0 fall -> s0 1"))
-        region, dist = mdp_prepass(p)
+        region = mdp_prepass(p)
         assert p.initial not in region and region == frozenset()
-        assert dist[p.initial] is None  # outside W
         assert list(encode_reach_closure(p, VarMap(p, 1, 0, 1, region))) == [[]]
 
-    def test_distance_through_safe_actions(self):
-        # risky reaches the goal in one step but may fall into the sink: the
-        # distance takes the two safe steps, and P never names risky
-        p = parse_pomdp(RISKY)
-        region, dist = mdp_prepass(p)
-        s0, risky = p.states.index("s0"), p.actions.index("risky")
-        assert dist[s0] == 2 and p.states.index("sink") not in region
-        vm = VarMap(p, 2, 0, 4, region)
-        clauses = list(encode_path_predicate(p, vm, dist=dist))
-        for m in range(2):
-            assert [-vm.var_p(s0, m, 1)] in clauses
-            assert not any(vm.var_a(m, risky) in map(abs, c) for c in clauses)
+    def test_bench_models_match_the_reference_fixpoint(self, fig1, det_hallway):
+        for p in fig1, det_hallway, gen_escape(3), gen_escape(8), gen_rocksample(1):
+            assert mdp_prepass(p) == reference_prepass(p)
+
+    @pytest.mark.parametrize("max_states, max_actions", [(3, 1), (4, 2), (6, 3), (9, 4)])
+    def test_random_models_match_the_reference_fixpoint(self, max_states, max_actions):
+        rng = random.Random(21 + max_states)
+        kinds = set()
+        for _ in range(200):
+            p = random_pomdp(rng, max_states, max_actions)
+            region = mdp_prepass(p)
+            assert type(region) is frozenset and region == reference_prepass(p), p
+            kinds.add("empty" if not region else "all" if len(region) == p.n_states else "some")
+        assert kinds == {"empty", "some", "all"}
 
     def test_encode_fixes_closure_outside_win(self, fig1):
         # 'lose' is outside the region: it has no C or P variable, no closure
@@ -628,7 +650,7 @@ class TestMdpPrepass:
         mu = 2
         _, vm = encode(fig1, mu, 1, 6)
         lose = fig1.states.index("lose")
-        assert lose not in vm.region and vm.region == mdp_prepass(fig1)[0]
+        assert lose not in vm.region and vm.region == mdp_prepass(fig1)
         names = [vm.var_name(v) for v in range(1, vm.n_semantic + 1)]
         assert not any("lose" in n for n in names if n[0] in "CP")
         assert len([n for n in names if n[0] == "C"]) == mu * len(vm.region)
@@ -644,29 +666,16 @@ class TestMdpPrepass:
                 assert closure.count(forbid) == 1
                 assert not any(len(c) > 2 and set(forbid) <= set(c) for c in closure)
 
-    def test_encode_fixes_path_below_distance(self, fig1):
-        cnf, vm = encode(fig1, 2, 1, 6)
-        clauses = list(cnf)
-        cell0 = fig1.states.index("cell0")
-        for m in range(2):
-            for j in range(3):
-                assert [-vm.var_p(cell0, m, j)] in clauses
-            assert [-vm.var_p(cell0, m, 3)] not in clauses
-
     def test_pruned_path_family_is_smaller(self, fig1):
-        win, dist = mdp_prepass(fig1)
+        # P over the region names no state outside it and unrolls no action
+        # that may leave it
         full = encode_path_predicate(fig1, VarMap(fig1, 2, 1, 6))
-        vm = VarMap(fig1, 2, 1, 6)
-        pruned = encode_path_predicate(fig1, vm, dist=dist)
+        vm = VarMap(fig1, 2, 1, 6, mdp_prepass(fig1))
+        pruned = encode_path_predicate(fig1, vm)
         assert len(pruned) < len(full)
-        fixed = {vm.var_p(s, m, j) for s in range(vm.ns) for m in range(2)
-                 for j in range(7) if dist[s] is None or j < dist[s]}
-
-        def conjunct_over_fixed(c):  # (-t, P) with t a Tseitin auxiliary
-            return len(c) == 2 and -c[0] > vm.n_semantic and c[1] in fixed
-
-        assert any(conjunct_over_fixed(c) for c in full)
-        assert not any(conjunct_over_fixed(c) for c in pruned)
+        lose = {vm.var_o(fig1.states.index("lose"), z) for z in range(vm.nzp)}
+        assert any(lose & set(map(abs, c)) for c in full)
+        assert not any(lose & set(map(abs, c)) for c in pruned)
 
     def test_same_verdicts_as_unpruned(self):
         rng = random.Random(14)
@@ -674,9 +683,8 @@ class TestMdpPrepass:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
             k = p.n_states * mu
-            region, dist = mdp_prepass(p)
             plain = symmetry_free(p, VarMap(p, mu, nu, k))
-            pruned = symmetry_free(p, VarMap(p, mu, nu, k, region), dist=dist)
+            pruned = symmetry_free(p, VarMap(p, mu, nu, k, mdp_prepass(p)))
             assert sat.solve(plain).status == sat.solve(pruned).status, (p, mu, nu)
 
 
@@ -785,9 +793,8 @@ class TestEncodeWhole:
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 3), rng.randint(0, 2)
             k = rng.randint(1, p.n_states * mu)
-            region, dist = mdp_prepass(p)
             a = sat.solve(encode(p, mu, nu, k)[0]).status
-            b = sat.solve(symmetry_free(p, VarMap(p, mu, nu, k, region), dist=dist)).status
+            b = sat.solve(symmetry_free(p, VarMap(p, mu, nu, k, mdp_prepass(p)))).status
             assert a == b
 
 
@@ -796,15 +803,15 @@ class TestSelectorFamily:
     emission literals assumed false (VarMap.assumptions)."""
 
     def test_one_cell_formula_unchanged(self, fig1):
-        # k = 9 is the bound of (3, 1): the formula has no P, and the cell's
-        # search adds the trap cuts of its rounds to it
-        prep = prepare(fig1, 3, 1, k=9)
+        # the formula has no P, and the cell's search adds the trap cuts of
+        # its rounds to it
+        prep = prepare(fig1, 3, 1)
         plain, vm = prep.encode(3, 1)
         assert vm.k is None and vm.assumptions(vm.mu, vm.nu) == []
         engine = sat.Solver(plain)
         n_base = len(plain)
         prep.search(plain, vm, 3, 1, lambda: sat.solve(plain, solver=engine), engine)
-        (out,), _ = solve_grid(fig1, [3], [1], k=9)
+        (out,), _ = solve_grid(fig1, [3], [1])
         assert (out.stats.vars, out.stats.clauses) == (plain.nvars, len(plain))
         assert len(plain) > n_base
 

@@ -94,7 +94,7 @@ class TestPrepass:
         outside = 0
         for _ in range(100):
             p = random_pomdp(rng)
-            outside += p.initial not in mdp_prepass(p)[0]
+            outside += p.initial not in mdp_prepass(p)
             for mu in (1, 2):
                 for nu in (0, 1):
                     out = synthesize(p, mu, nu, deterministic=True)
@@ -106,11 +106,22 @@ class TestPrepass:
     def test_escape_region_is_the_corners(self):
         # the robot slides to the walls, so only corner cells are visited
         p = gen_escape(3)
-        region = mdp_prepass(p)[0]
+        region = mdp_prepass(p)
         corners = {f"r{x}_{y}" for x in (0, 2) for y in (0, 2)}
         assert {p.states[s].rsplit("_", 1)[0] for s in region - {p.goal}} <= corners
         assert len(region) < p.n_states // 2
-        assert prepare(p, 1, 2).k == 1 * len(region - {p.goal})
+        assert synthesize(p, 1, 2).k == 1 * len(region - {p.goal})
+
+    def test_cell_without_formula_reports_the_call_k(self, fig1):
+        # fig1 declares no observations, so nu = 0 needs no formula; the cell
+        # reports the path bound of the call, as a searched one does
+        out = synthesize(fig1, 2, 0, k=99)
+        assert (out.verdict, out.stats.vars, out.k) == ("Unrealizable", 0, 99)
+
+    def test_sweep_rows_report_the_top_bound(self, fig1):
+        rows = sweep(fig1, range(1, 4), range(0, 3))
+        assert {r.k for r in rows} == {9}  # 3 * |V - {goal}|, the bound of mu = 3
+        assert any(r.stats.vars == 0 for r in rows)  # nu = 0 has no formula
 
     def test_oracle_agreement_where_region_is_smaller(self):
         # models with winning states that no safe path from the initial state
@@ -119,16 +130,16 @@ class TestPrepass:
         models, seen = 0, set()
         while models < 40:
             p = random_pomdp(rng)
-            region = mdp_prepass(p)[0]
+            region = mdp_prepass(p)
             win = {s for s in range(p.n_states)
-                   if s in mdp_prepass(replace(p, initial=s))[0]}
+                   if s in mdp_prepass(replace(p, initial=s))}
             if not region or region == win:
                 continue
             assert region < win
             models += 1
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
             want = brute_force_decide(p, mu, nu, deterministic=True)
-            bound = prepare(p, mu, nu).k
+            bound = mu * max(1, len(region - {p.goal}))
             for k in range(1, p.n_states * mu + 1):
                 got = synthesize(p, mu, nu, k=k, deterministic=True).verdict
                 if k >= bound:
@@ -144,7 +155,7 @@ class TestPrepass:
         for _ in range(25):
             p = random_pomdp(rng)
             mu, nu = rng.randint(1, 2), rng.randint(0, 1)
-            bound = prepare(p, mu, nu).k
+            bound = mu * max(1, len(mdp_prepass(p) - {p.goal}))
             seq = [synthesize(p, mu, nu, k=k).verdict
                    for k in range(1, p.n_states * mu + 1)]
             assert seq == sorted(seq, key=order.get), (p, mu, nu)
@@ -426,7 +437,7 @@ class TestGrid:
                     prep = prepare(p, mu, nu, **mode)
                     out = got[mu, nu] = synthesize(p, mu, nu, k=k, **mode)
                     lowered = want.verdict == "Unrealizable" and prep.needs_formula(nu) \
-                        and k < prep.k
+                        and k < want.k  # the default k is the cell's bound
                     assert out.verdict == ("Unknown" if lowered else want.verdict), \
                         (p, mu, nu, k)
                     if out.verdict == "Realizable":
@@ -434,7 +445,7 @@ class TestGrid:
                         assert out.certificate.ok
                         assert check_almost_sure(build_product(out.model, out.completion,
                                                                out.policy)).ok
-                    if k < prep.k and out.verdict in below:
+                    if k < want.k and out.verdict in below:
                         below[out.verdict] += 1
                 rows = sweep(p, mus, nus, k=k, **mode)
                 assert {(r.mu, r.nu): r.verdict for r in rows} == \
@@ -516,7 +527,7 @@ class TestGrid:
             [(1, 1, "Unrealizable"), (3, 2, "Realizable")]
         for r in inferred:
             assert r.stats.time_ms == 0 and r.stats.decisions is None
-            assert r.k == 9  # the shared formula's k, 3 * |V - {goal}|, as a search reports
+            assert r.k == 9  # the call's k, 3 * |V - {goal}|, as a search reports
             if r.verdict == "Realizable":
                 assert r.policy.n_mem <= r.mu and r.completion.n_new <= r.nu
                 assert check_almost_sure(build_product(r.model, r.completion, r.policy)).ok
@@ -611,8 +622,8 @@ class TestTrapCuts:
                 if not prep.needs_formula(nu):
                     out[mu, nu] = "Unrealizable"
                     continue
-                cnf, _ = encode(prep.model, mu, nu, prep.k, prep.constraints,
-                                prepass=prep.prepass)
+                bound = mu * max(1, len(prep.region - {p.goal}))
+                cnf, _ = encode(prep.model, mu, nu, bound, prep.constraints, region=prep.region)
                 out[mu, nu] = "Realizable" if sat.solve(cnf).status == sat.SAT \
                     else "Unrealizable"
         return out
@@ -671,7 +682,8 @@ class TestTrapCuts:
             traps.setdefault(tuple(cut[1:]), set()).add(pair[-cut[0]])
         assert traps and not cert.ok
         for leave, inside in traps.items():
-            ids = {g.vertex(s, m) for s, m in inside}
+            ids = {v for v in g.adj if g.pair(v) in inside}
+            assert len(ids) == len(inside)
             assert all(w in ids for v in ids for w in g.adj[v])  # g never leaves the trap
             want = {(m, a, s2, m2) for s, m in inside for a in range(vm.na)
                     if vm.region.issuperset(fig1.succ(s, a)) for s2 in fig1.succ(s, a)

@@ -107,16 +107,16 @@ class TestBuildProduct:
                     if pair not in reached:
                         reached.add(pair)
                         todo.append(pair)
-            assert set(g.adj) == {g.vertex(s, m) for s, m in reached}
-            for s, m in reached:
-                want = {g.vertex(s2, m2) for s2, m2 in direct_successors(p, c, pol, s, m)}
-                assert g.adj[g.vertex(s, m)] == tuple(sorted(want))
+            assert {g.pair(v) for v in g.adj} == reached
+            for v, row in g.adj.items():
+                assert row == tuple(sorted(set(row)))
+                assert {g.pair(w) for w in row} == direct_successors(p, c, pol, *g.pair(v))
 
     def test_goals_and_initial(self, fig1):
         pol = blind_fig1_policy()
         g = build_product(fig1, same_class_completion(fig1), pol)
-        assert g.initial == g.vertex(fig1.initial, 0)
-        assert g.goals == tuple(g.vertex(fig1.goal, m) for m in range(3))
+        assert g.pair(g.initial) == (fig1.initial, 0)
+        assert [g.pair(v) for v in g.goals] == [(fig1.goal, m) for m in range(3)]
 
     def test_symbol_out_of_range_rejected(self, fig1):
         c = Completion(n_new=2, rows=tuple(((1, Fraction(1)),)
@@ -130,7 +130,7 @@ class TestBuildProduct:
         pol = Policy(n_mem=1, act=((0,),), update=((((0,),),),))
         one = ((0, Fraction(1)),)
         g = build_product(p, Completion(n_new=0, rows=(one,) * 3), pol)
-        assert set(g.adj) == {g.vertex(0, 0), g.vertex(1, 0)}  # u is never reached
+        assert {g.pair(v) for v in g.adj} == {(0, 0), (1, 0)}  # u is never reached
         c = Completion(n_new=1, rows=(one, one, ((1, Fraction(1)),)))
         with pytest.raises(ValueError, match="emits symbol 1"):
             build_product(p, c, pol)
