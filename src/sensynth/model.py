@@ -3,11 +3,14 @@ and the line reader that constraint files and result documents share.
 
 Probabilities are exact rationals throughout, so validation has no
 float-tolerance questions.  Qualitative (almost-sure) analysis depends only on
-distribution supports, so exact arithmetic stays off its path: read_row checks
-a row's weights once per distinct tuple of weight tokens, and supports are
-tables computed once per model, completion or observation function.  Exact
-rationals are still used by row validation, strict-mode weights
-(synth.decode_completion), verify.simulate and printing.
+distribution supports, so exact arithmetic stays off its path.  Models repeat
+a few row texts on most lines, so each distinct row is read and tabulated
+once: a document reads its rows through one memo per name table (row_reader),
+read_row checks each distinct tuple of weight tokens once, and the support
+tables of a model, completion or observation function have one entry per
+distinct row object (_per_row).  Exact rationals are still used by row
+validation, strict-mode weights (synth.decode_completion), verify.simulate
+and printing.
 """
 
 from __future__ import annotations
@@ -25,6 +28,24 @@ def _positive(w):
     """w > 0 for an exact weight, without Fraction's comparison protocol: a
     Fraction's denominator is positive, so its sign is its numerator's."""
     return w.numerator > 0
+
+
+def _support(row):
+    """The entries of a row of (entry, weight) pairs with positive weight."""
+    return tuple(x for x, w in row if _positive(w))
+
+
+def _per_row(f):
+    """f, computed once per distinct row object (parsed rows of equal text
+    are one object).  The rows outlive the memo, so no id is reused in it."""
+    memo = {}
+
+    def once(row):
+        key = id(row)
+        if key not in memo:
+            memo[key] = f(row)
+        return memo[key]
+    return once
 
 
 class ModelError(ValueError):
@@ -55,15 +76,18 @@ class PartialObsFn:
 
     @cached_property
     def _supports(self):
-        return tuple(tuple(z for z, w in row if z != BOT and _positive(w)) for row in self.rows)
+        return tuple(map(_per_row(lambda row: tuple(z for z in _support(row) if z != BOT)),
+                         self.rows))
 
     @cached_property
     def _bot_mass(self):  # exact sums, only strict-mode decoding reads them
-        return tuple(sum((w for z, w in row if z == BOT), Fraction(0)) for row in self.rows)
+        return tuple(map(_per_row(lambda row: sum((w for z, w in row if z == BOT),
+                                                  Fraction(0))), self.rows))
 
     @cached_property
     def _defined(self):  # no undefined mass: weights are not negative
-        return tuple(not any(z == BOT and _positive(w) for z, w in row) for row in self.rows)
+        return tuple(map(_per_row(lambda row: not any(z == BOT and _positive(w)
+                                                      for z, w in row)), self.rows))
 
     def support(self, s):
         """Observation indices with positive weight at state s (BOT excluded)."""
@@ -100,8 +124,8 @@ class Pomdp:
 
     @cached_property
     def _succ(self):  # one table per model; not a field, so == and hash ignore it
-        return tuple(tuple(tuple(t for t, w in row if _positive(w)) for row in rows)
-                     for rows in self.delta)
+        once = _per_row(_support)
+        return tuple(tuple(map(once, rows)) for rows in self.delta)
 
     def succ(self, s, a):
         """Successor state indices with positive probability under (s, a)."""
@@ -124,7 +148,7 @@ class Completion:
 
     @cached_property
     def _supports(self):
-        return tuple(tuple(z for z, w in row if _positive(w)) for row in self.rows)
+        return tuple(map(_per_row(_support), self.rows))
 
     def support(self, s):
         return self._supports[s]
@@ -174,20 +198,22 @@ def sections(text, headers, arities):
     """
     heads, lines = {}, {kw: [] for kw in arities}
     for ln, stmt in statements(text):
-        m = _HEADER_RE.match(stmt)
-        if m:
-            key = m.group(1)
-            if key not in headers:
-                raise ModelSyntaxError(ln, 1, f"unknown section {key!r}")
-            if key in heads:
-                raise ModelSyntaxError(ln, 1, f"duplicate section {key!r}")
-            heads[key] = (ln, m.group(2))
-            continue
+        # keyword lines, most of a document, first: a first token that is
+        # exactly a keyword cannot run straight into the header's colon
         head, arrow, rest = stmt.partition("->")
         fields = head.split()
-        if not (arrow and fields and arities.get(fields[0]) == len(fields) - 1):
+        if arrow and fields and arities.get(fields[0]) == len(fields) - 1:
+            lines[fields[0]].append((ln, fields[1:], rest.strip()))
+            continue
+        m = _HEADER_RE.match(stmt)
+        if not m:
             raise ModelSyntaxError(ln, 1, f"unrecognized line {stmt!r}")
-        lines[fields[0]].append((ln, fields[1:], rest.strip()))
+        key = m.group(1)
+        if key not in headers:
+            raise ModelSyntaxError(ln, 1, f"unknown section {key!r}")
+        if key in heads:
+            raise ModelSyntaxError(ln, 1, f"duplicate section {key!r}")
+        heads[key] = (ln, m.group(2))
     return heads, lines
 
 
@@ -220,6 +246,8 @@ def read_row(text, table, kind, owner, ln):
     owner names the row in the errors.  A row whose weight tokens pass
     _weights and whose names are known and distinct is read at once; any
     other row goes through the loop below, which raises the first defect.
+    Documents call this through row_reader, so it reads each distinct row
+    text of a table once, and a defective text raises at its first line.
     """
     parts = [part.split() for part in text.split(",")]
     if all(len(toks) == 2 for toks in parts):
@@ -248,6 +276,20 @@ def read_row(text, table, kind, owner, ln):
     if sum(w for _, w in row) != 1:
         raise ModelSemanticError(owner, f"distribution does not sum to 1 (line {ln})")
     return tuple(row)
+
+
+def row_reader(table, kind):
+    """One document's reader of rows against table: read(text, owner, ln) is
+    read_row on the first line with a given text, errors included, and that
+    line's tuple on every later line with the same text."""
+    memo = {}
+
+    def read(text, owner, ln):
+        row = memo.get(text)
+        if row is None:
+            row = memo[text] = read_row(text, table, kind, owner, ln)
+        return row
+    return read
 
 
 def parse_pomdp(text):
@@ -306,13 +348,14 @@ def parse_pomdp(text):
     if len(set(targets)) != len(targets):
         raise ModelSemanticError(tkey, "duplicate target state")
 
+    read_delta, read_obs = row_reader(sidx, "state"), row_reader(zidx, "observation")
     delta = [[None] * len(action_names) for _ in state_names]
     for ln, (sname, aname), rest in lines["delta"]:
         s = lookup(sidx, sname, "state", ln)
         a = lookup(aidx, aname, "action", ln)
         if delta[s][a] is not None:
             raise ModelSemanticError(f"{sname}/{aname}", f"duplicate delta line (line {ln})")
-        delta[s][a] = read_row(rest, sidx, "state", f"{sname}/{aname}", ln)
+        delta[s][a] = read_delta(rest, f"{sname}/{aname}", ln)
     for s, sname in enumerate(state_names):
         for a, aname in enumerate(action_names):
             if delta[s][a] is None:
@@ -323,7 +366,7 @@ def parse_pomdp(text):
         s = lookup(sidx, sname, "state", ln)
         if obs_rows[s] is not None:
             raise ModelSemanticError(sname, f"duplicate obs line (line {ln})")
-        obs_rows[s] = read_row(rest, zidx, "observation", sname, ln)
+        obs_rows[s] = read_obs(rest, sname, ln)
     undefined = ((BOT, Fraction(1)),)
 
     p = Pomdp(

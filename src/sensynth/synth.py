@@ -37,12 +37,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from . import sat
 from .encode import SideConstraints, edge_literal, encode, mdp_prepass, sensor_model
 from .model import (Completion, ModelError, ModelSemanticError, Policy, Pomdp, lookup,
-                    read_row, sections)
+                    row_reader, sections)
 from .verify import VerifyCertificate, build_product, check_almost_sure
 
 
@@ -112,12 +111,6 @@ def _fresh_used(assignment, vm):
     return used
 
 
-@lru_cache(maxsize=64)
-def _uniform(n):
-    """Fraction(1, n): one instance serves every uniform row of n symbols."""
-    return Fraction(1, n)
-
-
 def decode_completion(assignment, vm, p, strict=False):
     """Read the completed observation function off a satisfying assignment.
 
@@ -128,30 +121,38 @@ def decode_completion(assignment, vm, p, strict=False):
     fresh symbols @0, @1, ... by first state of use, so the completion keeps
     those and partitions are comparable across runs; an assignment that
     breaks that order is an EncoderFault.
+
+    A row depends only on its support (and in strict mode on the state's
+    given row), so the states that share those share one row tuple, built
+    and checked to sum to 1 once; a fault names the first of them.
     """
     n_obs = vm.nzp - vm.nu
     n_new = _fresh_used(assignment, vm)
-    rows = []
+    rows, memo = [], {}
     for s in range(vm.ns):
-        supp = [z for z in range(vm.nzp) if assignment[vm.var_o(s, z)]]
+        supp = tuple(z for z in range(vm.nzp) if assignment[vm.var_o(s, z)])
         if not supp:
             raise EncoderFault(f"state {p.states[s]} decoded with empty observation support")
-        if strict:
-            old_w = {z: w for z, w in p.obs.rows[s] if z >= 0}
-            bot = p.obs.bot_mass(s)
-            fresh = [z for z in supp if z >= n_obs]
-            if fresh:
-                share = bot / len(fresh)
-                row = [(z, old_w[z] if z < n_obs else share) for z in supp]
+        key = (supp, id(p.obs.rows[s])) if strict else supp  # p keeps its rows alive
+        row = memo.get(key)
+        if row is None:
+            if strict:
+                old_w = {z: w for z, w in p.obs.rows[s] if z >= 0}
+                bot = p.obs.bot_mass(s)
+                fresh = [z for z in supp if z >= n_obs]
+                if fresh:
+                    share = bot / len(fresh)
+                    row = tuple((z, old_w[z] if z < n_obs else share) for z in supp)
+                else:
+                    share = bot / len(supp)
+                    row = tuple((z, old_w.get(z, Fraction(0)) + share) for z in supp)
             else:
-                share = bot / len(supp)
-                row = [(z, old_w.get(z, Fraction(0)) + share) for z in supp]
-        else:
-            u = _uniform(len(supp))
-            row = [(z, u) for z in supp]
-        if sum(w for _, w in row) != 1:
-            raise EncoderFault(f"decoded weights at state {p.states[s]} do not sum to 1")
-        rows.append(tuple(row))
+                u = Fraction(1, len(supp))
+                row = tuple((z, u) for z in supp)
+            if sum(w for _, w in row) != 1:
+                raise EncoderFault(f"decoded weights at state {p.states[s]} do not sum to 1")
+            memo[key] = row
+        rows.append(row)
     return Completion(n_new=n_new, rows=tuple(rows))
 
 
@@ -543,8 +544,11 @@ def parse_result(text, p):
 
     The document is read like a model (model.sections): every header at most
     once, no action, update or obs line repeated, and each obs row a
-    distribution of exact positive weights summing to 1 (model.read_row).
-    Any defect raises ResultParseError.
+    distribution of exact positive weights summing to 1 (model.read_row,
+    once per distinct row text through model.row_reader).  The completed
+    alphabet is consistent with itself: no name in 'observations' repeats,
+    and 'new' (0 when absent) counts its trailing fresh names @0 .. @{new-1},
+    the only names that start with '@'.  Any defect raises ResultParseError.
     """
     try:
         return _read_result(text, p)
@@ -586,6 +590,9 @@ def _read_result(text, p):
 
     names = tuple(header("observations").split())
     zidx = {z: i for i, z in enumerate(names)}
+    if len(zidx) != len(names):
+        dup = next(z for i, z in enumerate(names) if zidx[z] != i)
+        raise ResultParseError(f"header 'observations' repeats the name {dup!r}")
     n_mem = header_int("memory")
     if n_mem < 1:
         raise ResultParseError(f"header 'memory' must be at least 1, got {n_mem}")
@@ -627,13 +634,20 @@ def _read_result(text, p):
                     act=tuple(act),
                     update=tuple(tuple(tuple(zr) for zr in mr) for mr in upd))
 
-    rows = [None] * p.n_states
+    rows, read_obs = [None] * p.n_states, row_reader(zidx, "observation")
     for ln, (sname,), rest in lines["obs"]:
         s = lookup(sidx, sname, "state", ln)
         if rows[s] is not None:
             raise ResultParseError(f"line {ln}: repeated obs line for {sname}")
-        rows[s] = read_row(rest, zidx, "observation", sname, ln)
+        rows[s] = read_obs(rest, sname, ln)
     if any(r is None for r in rows):
         raise ResultParseError("missing obs line for some state")
-    completion = Completion(n_new=header_int("new") if "new" in heads else 0, rows=tuple(rows))
+    n_new = header_int("new") if "new" in heads else 0
+    n_obs = len(names) - n_new
+    if not (0 <= n_new <= len(names)
+            and names[n_obs:] == tuple(f"@{i}" for i in range(n_new))
+            and not any(z.startswith("@") for z in names[:n_obs])):
+        raise ResultParseError(f"header 'new' is {n_new}, but 'observations' does not end in "
+                               f"exactly that many fresh names @0, @1, ...")
+    completion = Completion(n_new=n_new, rows=tuple(rows))
     return ResultDoc(verdict, mu, nu, k, "", names, completion, policy, stats)

@@ -128,6 +128,21 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("old, new", [
+        ("\nnew: 2\n", "\nnew: 7\n"),
+        ("\nnew: 2\n", "\nnew: -1\n"),
+        ("\nobservations: @0 @1\n", "\nobservations: @0 @1 @0\n"),
+    ], ids=["new-7", "new-negative", "repeated-name"])
+    def test_alphabet_headers_disagree(self, tmp_path, fig1_file, capsys, old, new):
+        res = self._result(tmp_path, fig1_file, mu="2", nu="2")
+        doc = (tmp_path / "doc.result").read_text()
+        assert old in doc
+        (tmp_path / "doc.result").write_text(doc.replace(old, new))
+        capsys.readouterr()
+        assert cli.main(["verify", fig1_file, res]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: header '") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_is_not_an_error(self, tmp_path, fig1_file, monkeypatch, unbuffered):
         # the reader is gone before the first write, whether that write is

@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_pomdp
-from sensynth.model import (BOT, ModelSemanticError, ModelSyntaxError,
+from sensynth.bench import (GridSpec, gen_det_hallway, gen_escape, gen_fig1, gen_hallway,
+                            gen_rocksample)
+from sensynth.model import (_HEADER_RE, _HEADERS, BOT, ModelSemanticError, ModelSyntaxError,
                             PartialObsFn, Pomdp, parse_pomdp, print_pomdp,
-                            read_row, reduce_targets, validate)
+                            read_row, reduce_targets, sections, validate)
 
 CHAIN = """
 states: s0 s1 g
@@ -122,6 +124,137 @@ class TestReadRowCache:
         assert read_row(row, NAMES, "state", "r", 1) == ((0, Fraction(1, 4)), (1, Fraction(3, 4)))
         assert read_row(row, {"a": 5, "b": 3}, "state", "r", 1) == (
             (5, Fraction(1, 4)), (3, Fraction(3, 4)))
+
+
+def reference_sections(text, headers, arities):
+    """sections as it was before keyword lines were tried first: every line
+    goes through the header pattern, then the keyword form."""
+    heads, lines = {}, {kw: [] for kw in arities}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        stmt = raw.split("#", 1)[0].strip()
+        if not stmt:
+            continue
+        m = _HEADER_RE.match(stmt)
+        if m:
+            key = m.group(1)
+            if key not in headers:
+                raise ModelSyntaxError(ln, 1, f"unknown section {key!r}")
+            if key in heads:
+                raise ModelSyntaxError(ln, 1, f"duplicate section {key!r}")
+            heads[key] = (ln, m.group(2))
+            continue
+        head, arrow, rest = stmt.partition("->")
+        fields = head.split()
+        if not (arrow and fields and arities.get(fields[0]) == len(fields) - 1):
+            raise ModelSyntaxError(ln, 1, f"unrecognized line {stmt!r}")
+        lines[fields[0]].append((ln, fields[1:], rest.strip()))
+    return heads, lines
+
+
+def reference_parse(text):
+    """A valid model text read with read_row on every delta and obs line, one
+    tuple per line, as the parser did before its row memo."""
+    heads, lines = reference_sections(text, _HEADERS, {"delta": 2, "obs": 1})
+    names = {key: value.split() for key, (_, value) in heads.items()}
+    states, actions = names["states"], names["actions"]
+    sidx = {n: i for i, n in enumerate(states)}
+    aidx = {n: i for i, n in enumerate(actions)}
+    zidx = {n: i for i, n in enumerate(names["observations"])}
+    zidx["bot"] = BOT
+    delta = [[None] * len(actions) for _ in states]
+    for ln, (sname, aname), rest in lines["delta"]:
+        delta[sidx[sname]][aidx[aname]] = read_row(rest, sidx, "state", f"{sname}/{aname}", ln)
+    obs = [((BOT, Fraction(1)),) for _ in states]
+    for ln, (sname,), rest in lines["obs"]:
+        obs[sidx[sname]] = read_row(rest, zidx, "observation", sname, ln)
+    targets = [sidx[t] for t in names.get("goal", names.get("targets"))]
+    p = Pomdp(tuple(states), tuple(actions), tuple(names["observations"]),
+              sidx[names["initial"][0]], targets[0], tuple(map(tuple, delta)),
+              PartialObsFn(tuple(obs)))
+    return reduce_targets(p, targets)
+
+
+def tables(p):
+    """succ, support and fully_defined of every state, worked out from the
+    rows directly."""
+    return ([[tuple(t for t, w in row if w > 0) for row in rows] for rows in p.delta],
+            [tuple(z for z, w in row if z != BOT and w > 0) for row in p.obs.rows],
+            [not any(z == BOT and w > 0 for z, w in row) for row in p.obs.rows])
+
+
+def grid(art, p_fail="0"):
+    return gen_hallway(GridSpec.from_ascii(art.replace("/", "\n"), p_fail=Fraction(p_fail)))
+
+
+BENCH_MODELS = {
+    "fig1": gen_fig1, "det-hallway": gen_det_hallway, "escape3": lambda: gen_escape(3),
+    "escape8": lambda: gen_escape(8), "rock1": lambda: gen_rocksample(1),
+    "maze": lambda: grid("+.#g/..#./#.../...."), "trap": lambda: grid("+..x/.#../...g", "1/3"),
+    "open3": lambda: grid("+../.../..g", "1/2"),
+}
+
+
+class TestRowMemo:
+    """parse_pomdp reads each distinct row text once per table and shares
+    the tuple; it must build the model the line-by-line reader builds."""
+
+    def assert_same_model(self, text):
+        p, ref = parse_pomdp(text), reference_parse(text)
+        assert p == ref and hash(p) == hash(ref)
+        assert ([[p.succ(s, a) for a in range(p.n_actions)] for s in range(p.n_states)],
+                [p.obs.support(s) for s in range(p.n_states)],
+                [p.obs.fully_defined(s) for s in range(p.n_states)]) == tables(ref)
+        return p
+
+    def test_random_models_match_the_reference(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            self.assert_same_model(print_pomdp(random_pomdp(rng, 6, 3, 3)))
+
+    @pytest.mark.parametrize("name", BENCH_MODELS)
+    def test_bench_models_match_the_reference(self, name):
+        p = self.assert_same_model(print_pomdp(BENCH_MODELS[name]()))
+        rows = [row for rows in p.delta for row in rows]
+        assert len({id(row) for row in rows}) == len(set(rows))  # one object per distinct row
+
+    def test_equal_texts_share_one_tuple(self):
+        p = parse_pomdp(CHAIN)  # delta s1 and delta g both read "g 1"
+        assert p.delta[1][0] is p.delta[2][0]
+        q = parse_pomdp(CHAIN.replace("obs s0 -> z0 1/2, bot 1/2",
+                                      "obs s0 -> z0 1\nobs s1 -> z0 1"))
+        assert q.obs.rows[0] is q.obs.rows[1]
+
+    @pytest.mark.parametrize("row, message", [
+        ("g 1/2", "s1/step: distribution does not sum to 1 (line 8)"),
+        ("nope 1", "nope: unknown state (line 8)"),
+        ("g 1, g 1", "s1/step: duplicate state g (line 8)"),
+        ("g one", "line 8, col 1: bad weight 'one'"),
+    ])
+    def test_repeated_defect_raises_at_its_first_line(self, row, message):
+        text = CHAIN.replace("delta s1 step -> g 1", f"delta s1 step -> {row}")
+        text = text.replace("delta g step -> g 1", f"delta g step -> {row}")
+        for read in parse_pomdp, reference_parse:
+            with pytest.raises((ModelSemanticError, ModelSyntaxError)) as exc:
+                read(text)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("line", [
+        "delta: x", "obs: y", "states: a -> b", "update m0 z:c a -> m1", "delta s0 -> s1 1",
+        "obs s0 s1 -> z0 1", "update m0 z a -> m1", "action m0 ->", "delta s0 step->s1 1",
+    ])
+    @pytest.mark.parametrize("headers, arities", [
+        (_HEADERS, {"delta": 2, "obs": 1}),
+        (("observations", "new"), {"action": 1, "update": 3, "obs": 1}),
+    ], ids=["model", "result"])
+    def test_crafted_lines_read_as_before(self, line, headers, arities):
+        text = f"# crafted\n{line}\n"
+
+        def outcome(read):
+            try:
+                return read(text, headers, arities)
+            except ModelSyntaxError as e:
+                return str(e)
+        assert outcome(sections) == outcome(reference_sections)
 
 
 class TestRoundTrip:

@@ -252,6 +252,40 @@ obs s1 -> z0 1/3, bot 2/3
         with pytest.raises(EncoderFault):
             decode_policy(self._blank(vm), vm)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_equal_supports_share_one_row(self, strict):
+        # s0 and g have the same support and the same (undefined) given row
+        p, vm = self._vm()
+        a = self._blank(vm)
+        for s in range(3):
+            a[vm.var_o(s, 0)] = True
+        comp = decode_completion(a, vm, p, strict=strict)
+        assert comp.rows[0] is comp.rows[2] and comp.rows[0] == ((0, Fraction(1)),)
+
+    def test_weight_fault_names_the_first_state_of_its_row(self):
+        # s1 and s2 share one given row; a fresh-only support drops its z0
+        # mass, so the strict row sums to 2/3, checked once for both states
+        p = parse_pomdp("""
+states: s0 s1 s2 g
+actions: a
+observations: z0
+initial: s0
+goal: g
+delta s0 a -> s1 1
+delta s1 a -> s2 1
+delta s2 a -> g 1
+delta g a -> g 1
+obs s1 -> z0 1/3, bot 2/3
+obs s2 -> z0 1/3, bot 2/3
+""")
+        vm = VarMap(p, 1, 1, 1)
+        a = [False] * (vm.nvars + 1)
+        for s, z in enumerate((0, 1, 1, 0)):
+            a[vm.var_o(s, z)] = True
+        assert decode_completion(a, vm, p).rows[1] == ((1, Fraction(1)),)
+        with pytest.raises(EncoderFault, match=r"^decoded weights at state s1 do not sum to 1$"):
+            decode_completion(a, vm, p, strict=True)
+
 
 class TestStrictMode:
     def test_permissive_realizable_strict_not(self):
@@ -306,6 +340,38 @@ class TestResultDocuments:
                  if not l.startswith("action m0")]
         with pytest.raises(ResultParseError):
             parse_result("\n".join(lines), fig1)
+
+
+    def test_escape8_rows_read_back_shared(self):
+        # 514 obs lines over a few row texts: each text is read once and its
+        # tuple shared, as decoding shares one tuple per support
+        p = gen_escape(8)
+        out = synthesize(p, 2, 2)
+        text = format_result(out)
+        texts = [l.partition("->")[2] for l in text.splitlines() if l.startswith("obs ")]
+        assert len(texts) == 514 and len(set(texts)) < 10
+        doc = parse_result(text, p)
+        assert doc.completion == out.completion
+        assert len({id(r) for r in doc.completion.rows}) == len(set(texts))
+        assert len({id(r) for r in out.completion.rows}) == len(set(out.completion.rows))
+        assert check_almost_sure(build_product(p, doc.completion, doc.policy)).ok
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("\nnew: 2\n", "\nnew: 7\n", "header 'new' is 7, "),
+        ("\nnew: 2\n", "\nnew: -1\n", "header 'new' is -1, "),
+        ("\nnew: 2\n", "\nnew: 1\n", "header 'new' is 1, "),
+        ("\nnew: 2\n", "\n", "header 'new' is 0, "),
+        ("observations: @0 @1\n", "observations: @1 @0\n", "header 'new' is 2, "),
+        ("observations: @0 @1\n", "observations: @0 @1 @0\n",
+         "header 'observations' repeats the name '@0'"),
+    ], ids=["new-7", "new-negative", "new-short", "new-missing", "fresh-out-of-order",
+            "repeated-name"])
+    def test_alphabet_headers_agree(self, fig1, old, new, message):
+        text = format_result(synthesize(fig1, 2, 2))
+        assert old in text
+        with pytest.raises(ResultParseError) as exc:
+            parse_result(text.replace(old, new), fig1)
+        assert str(exc.value).startswith(message)
 
 
 class TestSolverCounters:
