@@ -14,9 +14,9 @@ sensor-variable mode).  Every auxiliary is implied in one direction only
 (Plaisted & Greenbaum 1986): those that bound P, with an edge literal per
 product edge (m,a,s',m') shared by all layers (encode_path_predicate), and
 the value-precedence and lexicographic chains of symmetry breaking
-(encode_symmetry).  One rule sets every state's O row in every mode
-(encode_observation_fn); deterministic mode adds a pairwise at-most-one over
-the row's allowed symbols.  The formula at (mu, nu) also answers every
+(encode_symmetry).  One rule sets every observed state's O row in every
+mode (encode_observation_fn); deterministic mode adds a pairwise at-most-one
+over the row's allowed symbols.  The formula at (mu, nu) also answers every
 smaller cell of a grid, under assumptions that set its own update and
 emission literals false (VarMap.assumptions).
 
@@ -32,6 +32,13 @@ state a winning policy can visit.  C and P range over V only: a state
 outside V gets no variable and no clause.  An action with a successor
 outside V is forbidden at every reached pair by one clause -C(s,m) | -A(m,a)
 (encode_reach_closure), and P unrolls the other actions only.
+
+O, the deterministic at-most-one and the value-precedence chain cover the
+observed set L only (row_fills): V, the states a side constraint names, and
+the states whose row no fixed fill can complete at every cell.  Every other
+row is left to synth.decode_completion, which gives it a fixed fill that
+satisfies all of its clauses; no clause outside its own row names it, since
+the closure, P and the edge literals name only states of V.
 """
 
 from __future__ import annotations
@@ -109,12 +116,15 @@ class VarMap:
     Semantic ids occupy 1..n_semantic in block order A, M, O, C, P;
     auxiliaries are handed out past that.  The C and P blocks cover only the
     states of region (mdp_prepass), in ascending order; var_c and var_p of a
-    state outside it raise TypeError.  region None means every state, and k
-    None means no P block.  edges maps (m,a,s',m') to the edge literals
-    edge_literal has defined so far; it starts empty.
+    state outside it raise TypeError.  The O block covers only the observed
+    set L, the states without a fill in fills (row_fills), in ascending
+    order; var_o of a state outside L raises TypeError.  region None means
+    every state, fills None (or empty) an L of every state, and k None no P
+    block.  edges maps (m,a,s',m') to the edge literals edge_literal has
+    defined so far; it starts empty.
     """
 
-    def __init__(self, p, mu, nu, k, region=None):
+    def __init__(self, p, mu, nu, k, region=None, fills=None):
         if mu < 1:
             raise ValueError(f"mu must be >= 1, got {mu}")
         if nu < 0:
@@ -135,11 +145,16 @@ class VarMap:
         self._pos = [None] * self.ns  # a state's index in _covered
         for i, s in enumerate(self._covered):
             self._pos[s] = i
-        ns, na, mu_, nzp, nv = self.ns, self.na, mu, self.nzp, len(self._covered)
+        self.fills = fills or {}
+        self.observed = tuple(s for s in range(self.ns) if s not in self.fills)  # L
+        self._opos = [None] * self.ns  # a state's index in observed
+        for i, s in enumerate(self.observed):
+            self._opos[s] = i
+        na, mu_, nzp, nv = self.na, mu, self.nzp, len(self._covered)
         self._off_a = 0
         self._off_m = self._off_a + mu_ * na
         self._off_o = self._off_m + mu_ * nzp * na * mu_
-        self._off_c = self._off_o + ns * nzp
+        self._off_c = self._off_o + len(self.observed) * nzp
         self._off_p = self._off_c + nv * mu_
         self.n_semantic = self._off_p + (0 if k is None else nv * mu_ * (k + 1))
         if self.n_semantic >= 2**31:
@@ -150,8 +165,8 @@ class VarMap:
     def assumptions(self, mu, nu):
         """Literals that restrict this formula to the cell (mu, nu): every
         update M(m',z,a,m) into a memory element m >= mu and every emission
-        O(s,@t) of a fresh symbol t >= nu is false.  The top cell (self.mu,
-        self.nu) has none.
+        O(s,@t) of a fresh symbol t >= nu by an observed state s is false.
+        The top cell (self.mu, self.nu) has none.
 
         Under them the formula is satisfiable iff the formula encoded at
         (mu, nu) is:
@@ -174,7 +189,7 @@ class VarMap:
         zs, ms, acts = range(self.nzp), range(self.mu), range(self.na)
         return ([-self.var_m(m, z, a, m2) for m2 in range(mu, self.mu)
                  for m in ms for z in zs for a in acts]
-                + [-self.var_o(s, n_obs + t) for t in range(nu, self.nu) for s in range(self.ns)])
+                + [-self.var_o(s, n_obs + t) for t in range(nu, self.nu) for s in self.observed])
 
     # semantic ids are 1-based
     def var_a(self, m, a):
@@ -184,7 +199,7 @@ class VarMap:
         return 1 + self._off_m + ((m * self.nzp + z) * self.na + a) * self.mu + m2
 
     def var_o(self, s, z):
-        return 1 + self._off_o + s * self.nzp + z
+        return 1 + self._off_o + self._opos[s] * self.nzp + z
 
     def var_c(self, s, m):
         return 1 + self._off_c + self._pos[s] * self.mu + m
@@ -222,7 +237,7 @@ class VarMap:
             return f"M(m{m},{self.znames[z]},{self.action_names[a]},m{m2})"
         if i < self._off_c:
             s, z = divmod(i - self._off_o, self.nzp)
-            return f"O({self.state_names[s]},{self.znames[z]})"
+            return f"O({self.state_names[self.observed[s]]},{self.znames[z]})"
         if i < self._off_p:
             s, m = divmod(i - self._off_c, self.mu)
             return f"C({self.state_names[self._covered[s]]},m{m})"
@@ -389,6 +404,55 @@ def mdp_prepass(p):
     return frozenset(region)
 
 
+def _sensor_base(sc, ns):
+    """Each state's base symbols in sensor mode (sensor_model), () per state
+    otherwise."""
+    if sc.sensor_values is None:
+        return [()] * ns
+    if sc.sensor_base is None:
+        raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
+    return sc.sensor_base
+
+
+def row_fills(p, sc, region):
+    """The fixed rows of the states outside the observed set L, as a dict
+    from each such state to its fill, a sorted tuple of symbols; () stands
+    for the lowest symbol that the decoded rows of L emit.
+
+    L is region V, every state a same, diff or implies constraint names, and
+    every state whose row no fixed fill satisfies at every cell: a strict-mode
+    blank row, which allows only fresh symbols, and a deterministic row whose
+    given (or, in sensor mode, base) symbols are two or more.  Each keeps its
+    clauses and so its verdict.  The fill of any other row satisfies every
+    clause of encode_observation_fn at every cell of the grid:
+
+    - a row that gives symbols keeps its given support (a fully defined row
+      allows nothing else, and strict mode spreads the bot mass over it);
+    - in sensor mode a state takes (z, first value) for each base symbol z;
+    - a blank row, and the sensor-mode goal without a base symbol, take the
+      lowest symbol L emits.  A cell's assumptions hold on L, so that symbol
+      is allowed there, and by value precedence a fresh one is @0: a fill
+      never adds a fresh symbol.
+    """
+    named = {s for pair in sc.same + sc.diff for s in pair} | {s for s, _, _ in sc.implies}
+    base = _sensor_base(sc, p.n_states)
+    nvals = len(sc.sensor_values or ())
+    fills = {}
+    for s in range(p.n_states):
+        if s in region or s in named:
+            continue
+        if base[s]:
+            fill = tuple(z * nvals for z in sorted(base[s]))
+        else:
+            fill = tuple(sorted(p.obs.support(s)))
+            if not fill and sc.strict:
+                continue
+        if sc.deterministic and len(fill) > 1:
+            continue
+        fills[s] = fill
+    return fills
+
+
 def encode_action_selection(vm, out=None):
     """Every memory element chooses at least one action: mu clauses."""
     out = out if out is not None else Cnf()
@@ -416,7 +480,8 @@ def at_most_one(lits, out):
 
 
 def encode_observation_fn(p, vm, sc, out=None):
-    """Per-state clauses pinning the completed observation function.
+    """Per-state clauses pinning the completed observation function, over
+    the observed states (VarMap.observed).
 
     One rule for every mode.  A state's given symbols, its support in the
     model, are true units, and every symbol it does not allow is a false
@@ -435,10 +500,8 @@ def encode_observation_fn(p, vm, sc, out=None):
     nzp = vm.nzp
     everything = range(nzp)
     fresh = tuple(range(nzp - vm.nu, nzp))
-    base = sc.sensor_base if sc.sensor_values is not None else [()] * vm.ns
-    if base is None:
-        raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
-    for i in range(vm.ns):
+    base = _sensor_base(sc, vm.ns)
+    for i in vm.observed:
         given = p.obs.support(i)
         if base[i]:
             nvals = len(sc.sensor_values)
@@ -651,21 +714,45 @@ def encode_symmetry(p, vm, out=None):
     symbols and memory elements m1.., so satisfiability is unchanged.
 
     Fresh observation symbols are interchangeable, so @t may first be used
-    only at a state strictly after the first use of @t-1 (value precedence):
-    -O(0,@t) and O(i,@t) -> used[t-1][i-1].  Memory elements other than m0
-    are interchangeable, so the action rows of m1.. are lexicographically
+    only at an observed state strictly after the first use of @t-1 (value
+    precedence over L = l_0 < l_1 < ..., VarMap.observed): -O(l_0,@t) and
+    O(l_i,@t) -> used[t-1][i-1].  Memory elements other than m0 are
+    interchangeable, so the action rows of m1.. are lexicographically
     nonincreasing, A(m,.) >= A(m+1,.) with true above false.
+
+    The formula is equisatisfiable with the full-row one, whose O rows,
+    at-most-one and chain cover every state (VarMap without fills):
+
+    - A model of this formula, with each row outside L set to its fill
+      (row_fills), satisfies the full-row formula.  Each fill satisfies its
+      own row's clauses at the cell, and no closure, P, edge literal or side
+      constraint names a state outside L.  A fill's only possible fresh
+      symbol is @0, the lowest one L emits, so each @t with t >= 1 is first
+      used at the state where it is first used in L, and @0 no later: the
+      chain over every state holds.
+    - A full-row model, with its fresh symbols renamed by first use within L
+      (the unused ones last), satisfies this formula.  Renaming fresh
+      symbols, M columns with them, maps models of every other family to
+      models, and the renamed rows of L use the fresh symbols in order.
+      That order is strict unless a state of L is the first in L to use two
+      fresh symbols, which singleton rows (deterministic mode) never do.
+      With set-valued rows a full-row model can first use two symbols at
+      two states outside L and both next at one state of L; strict
+      precedence over L excludes that.  It is the chain's gap over all
+      states, where one state can also be the first to use two symbols,
+      and it rests on the same evidence: the tests compare this formula
+      with the full-row one and with brute_force_decide in set-valued mode.
 
     Each auxiliary is defined in one direction only, and each direction is
     sound for the same reason: the literal occurs in one polarity outside
     its own definition, so only the implied direction can matter.
 
-    - used[t][i] -> used[t][i-1] | O(i,@t), with base used[t][0] -> O(0,@t).
-      By induction on i, a true used[t][i] has @t at some state <= i, so
-      O(i,@t+1) -> used[t][i-1] still puts the first use of @t before that
-      of @t+1.  Setting used to its exact meaning satisfies the chain, so no
-      ordered completion is lost.  The last state's literal would occur in
-      no precedence clause and is not made.
+    - used[t][i] -> used[t][i-1] | O(l_i,@t), with base used[t][0] ->
+      O(l_0,@t).  By induction on i, a true used[t][i] has @t at some state
+      l_0..l_i, so O(l_i,@t+1) -> used[t][i-1] still puts the first use of
+      @t before that of @t+1.  Setting used to its exact meaning satisfies
+      the chain, so no ordered completion is lost.  The last state's literal
+      would occur in no precedence clause and is not made.
     - g, one per action a < |A|-1 of each pair of rows m, m+1, is a prefix
       literal: g_prev -> (x | -y), (g_prev & -x) -> g and (g_prev & y) -> g,
       with x = A(m,a), y = A(m+1,a) and no g_prev at a = 0.  Given the
@@ -675,20 +762,20 @@ def encode_symmetry(p, vm, out=None):
       every clause of two ordered rows.
     """
     out = out if out is not None else Cnf()
-    ns, mu, na = vm.ns, vm.mu, vm.na
-    fresh = range(vm.nzp - vm.nu, vm.nzp)
-    used = []  # used[t][i] -> some state <= i produces fresh symbol t
+    mu, na, states = vm.mu, vm.na, vm.observed
+    fresh = range(vm.nzp - vm.nu, vm.nzp) if states else ()
+    used = []  # used[t][i] -> some state l_0..l_i produces fresh symbol t
     for z in fresh[:-1]:
         chain = []
-        for i in range(ns - 1):
+        for s in states[:-1]:
             u = vm.fresh_aux()
-            out.add([-u, vm.var_o(i, z)] + chain[-1:])
+            out.add([-u, vm.var_o(s, z)] + chain[-1:])
             chain.append(u)
         used.append(chain)
     for t, z in enumerate(fresh[1:]):
-        out.add((-vm.var_o(0, z),))
-        for i in range(1, ns):
-            out.add((-vm.var_o(i, z), used[t][i - 1]))
+        out.add((-vm.var_o(states[0], z),))
+        for i in range(1, len(states)):
+            out.add((-vm.var_o(states[i], z), used[t][i - 1]))
     for m in range(1, mu - 1):
         guard = []  # [-g_prev], empty at the first action
         for a in range(na):
@@ -708,7 +795,8 @@ def encode(p, mu, nu, k, sc=None, region=None):
     Expects a model with an absorbing goal (parse_pomdp guarantees this; for
     programmatic models apply model.reduce_targets first).  In sensor mode
     pass the transformed model from sensor_model() and nu = 0.  region is
-    mdp_prepass(p), computed here when not given: C and P range over it.
+    mdp_prepass(p), computed here when not given: C and P range over it, and
+    O over the observed set of row_fills.
     k None encodes no P and no edge literal (edge_literal defines those on
     demand).  The same formula answers every cell (mu', nu') <= (mu, nu)
     under VarMap.assumptions(mu', nu').
@@ -718,7 +806,8 @@ def encode(p, mu, nu, k, sc=None, region=None):
         raise ValueError("goal must be absorbing; apply reduce_targets first")
     if sc.sensor_values is not None and nu != 0:
         raise ValueError("sensor mode replaces the fresh symbols; nu must be 0")
-    vm = VarMap(p, mu, nu, k, mdp_prepass(p) if region is None else region)
+    region = mdp_prepass(p) if region is None else region
+    vm = VarMap(p, mu, nu, k, region, row_fills(p, sc, region))
     out = Cnf()
     encode_action_selection(vm, out)
     encode_memory_update(vm, out)

@@ -42,7 +42,7 @@ from . import sat
 from .encode import SideConstraints, edge_literal, encode, mdp_prepass, sensor_model
 from .model import (Completion, ModelError, ModelSemanticError, Policy, Pomdp, lookup,
                     row_reader, sections)
-from .verify import VerifyCertificate, build_product, check_almost_sure
+from .verify import VerifyCertificate, build_product, check_almost_sure, contract_breaches
 
 
 class EncoderFault(RuntimeError):
@@ -98,10 +98,11 @@ class Unknown:
 def _fresh_used(assignment, vm):
     """How many fresh symbols the assignment uses.  Value precedence
     (encode.encode_symmetry) makes them @0, @1, ... with strictly increasing
-    first states of use; any other order is an EncoderFault."""
+    first observed states of use; any other order is an EncoderFault.  The
+    fills of the other rows add no fresh symbol (encode.row_fills)."""
     n_obs = vm.nzp - vm.nu
     used = 0
-    for s in range(vm.ns):
+    for s in vm.observed:
         new = [z - n_obs for z in range(n_obs + used, vm.nzp) if assignment[vm.var_o(s, z)]]
         if new:
             if new != [used]:
@@ -114,13 +115,27 @@ def _fresh_used(assignment, vm):
 def decode_completion(assignment, vm, p, strict=False):
     """Read the completed observation function off a satisfying assignment.
 
-    Support of state s is {z : O(s,z) true}.  Weights are uniform over the
-    support, except in strict mode where pre-assigned weights are kept and
-    only the bot mass is spread over the chosen fresh symbols (over the whole
-    support if the solver picked none).  Symmetry breaking numbers the used
+    Support of an observed state s (vm.observed) is {z : O(s,z) true}.
+    Every other state takes its fill (vm.fills, encode.row_fills): its given
+    or sensor-base support, or, for a blank row, the lowest symbol that the
+    rows of the observed states emit.  Weights are uniform over the support,
+    except in strict mode where pre-assigned weights are kept and only the
+    bot mass is spread over the chosen fresh symbols (over the whole support
+    if the row has none, as every strict-mode fill).  Symmetry breaking numbers the used
     fresh symbols @0, @1, ... by first state of use, so the completion keeps
     those and partitions are comparable across runs; an assignment that
     breaks that order is an EncoderFault.
+
+    The fills are checked, not solved: no clause outside its own row names
+    a state outside the observed set, and its fill satisfies that row's
+    clauses at the cell.  So the solver's model extended by the fills is a
+    model of the full-row formula, whose O rows cover every state (the
+    equisatisfiability argument is in encode.encode_symmetry), and a fill
+    adds no fresh symbol: the lowest symbol the observed rows emit is a
+    declared one or @0, so numbering by first use holds over all states.
+    The fills lie outside the region V, which no product pair reaches, so
+    they never change a verdict; Prepared.search still checks each decoded
+    pair against the request's contract (verify.contract_breaches).
 
     A row depends only on its support (and in strict mode on the state's
     given row), so the states that share those share one row tuple, built
@@ -128,11 +143,17 @@ def decode_completion(assignment, vm, p, strict=False):
     """
     n_obs = vm.nzp - vm.nu
     n_new = _fresh_used(assignment, vm)
-    rows, memo = [], {}
-    for s in range(vm.ns):
-        supp = tuple(z for z in range(vm.nzp) if assignment[vm.var_o(s, z)])
+    supps = [None] * vm.ns
+    for s in vm.observed:
+        supp = supps[s] = tuple(z for z in range(vm.nzp) if assignment[vm.var_o(s, z)])
         if not supp:
             raise EncoderFault(f"state {p.states[s]} decoded with empty observation support")
+    if vm.fills:
+        low = (min(supps[s][0] for s in vm.observed),)  # L holds V, which holds the initial state
+        for s, fill in vm.fills.items():
+            supps[s] = fill or low
+    rows, memo = [], {}
+    for s, supp in enumerate(supps):
         key = (supp, id(p.obs.rows[s])) if strict else supp  # p keeps its rows alive
         row = memo.get(key)
         if row is None:
@@ -279,6 +300,8 @@ class Prepared:
         """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
         rounds of solve(); returns the last SolveResult and, when SAT, the
         checked (completion, policy, certificate) decoded with the cell's mu.
+        Every decoded pair must keep the request's contract
+        (verify.contract_breaches), else it is an EncoderFault.
         A losing pair's trap cuts, and the edge literals they newly define,
         go into cnf and engine, the embedded Solver of solve(), and exclude
         its model, so the rounds end; a round whose clauses the model (new
@@ -291,8 +314,9 @@ class Prepared:
                 return res, None
             comp = decode_completion(res.assignment, vm, p, strict=self.constraints.strict)
             pol = decode_policy(res.assignment, vm, mu)
-            if comp.n_new > nu:
-                raise EncoderFault(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
+            breaches = contract_breaches(p, comp, pol, mu, nu, self.constraints)
+            if breaches:
+                raise EncoderFault("decoded pair breaks its contract: " + "; ".join(breaches))
             g = build_product(p, comp, pol)
             cert = check_almost_sure(g)
             if cert.ok:
@@ -548,12 +572,25 @@ def parse_result(text, p):
     once per distinct row text through model.row_reader).  The completed
     alphabet is consistent with itself: no name in 'observations' repeats,
     and 'new' (0 when absent) counts its trailing fresh names @0 .. @{new-1},
-    the only names that start with '@'.  Any defect raises ResultParseError.
+    the only names that start with '@'.  The names before them are the
+    model's observations, or the sensor alphabet sensor_model writes over
+    them (z:c for each z in order, over one value list), so a document
+    cannot rename the model's symbols.  Any defect raises ResultParseError.
     """
     try:
         return _read_result(text, p)
     except ModelError as e:
         raise ResultParseError(str(e)) from None
+
+
+def _base_alphabet(base, observations):
+    """True iff base is observations, or the alphabet sensor_model writes
+    over them: z:c for each z in order, over one list of values c."""
+    if base == observations:
+        return True
+    n = len(base) // len(observations) if observations else 0
+    vals = [name[len(observations[0]) + 1:] for name in base[:n]]  # z0:c -> c
+    return n > 0 and base == tuple(f"{z}:{c}" for z in observations for c in vals)
 
 
 def _read_result(text, p):
@@ -593,6 +630,16 @@ def _read_result(text, p):
     if len(zidx) != len(names):
         dup = next(z for i, z in enumerate(names) if zidx[z] != i)
         raise ResultParseError(f"header 'observations' repeats the name {dup!r}")
+    n_new = header_int("new") if "new" in heads else 0
+    n_obs = len(names) - n_new
+    if not (0 <= n_new <= len(names)
+            and names[n_obs:] == tuple(f"@{i}" for i in range(n_new))
+            and not any(z.startswith("@") for z in names[:n_obs])):
+        raise ResultParseError(f"header 'new' is {n_new}, but 'observations' does not end in "
+                               f"exactly that many fresh names @0, @1, ...")
+    if not _base_alphabet(names[:n_obs], p.observations):
+        raise ResultParseError("header 'observations' does not start with the model's "
+                               "observations, nor with a sensor alphabet over them")
     n_mem = header_int("memory")
     if n_mem < 1:
         raise ResultParseError(f"header 'memory' must be at least 1, got {n_mem}")
@@ -642,12 +689,5 @@ def _read_result(text, p):
         rows[s] = read_obs(rest, sname, ln)
     if any(r is None for r in rows):
         raise ResultParseError("missing obs line for some state")
-    n_new = header_int("new") if "new" in heads else 0
-    n_obs = len(names) - n_new
-    if not (0 <= n_new <= len(names)
-            and names[n_obs:] == tuple(f"@{i}" for i in range(n_new))
-            and not any(z.startswith("@") for z in names[:n_obs])):
-        raise ResultParseError(f"header 'new' is {n_new}, but 'observations' does not end in "
-                               f"exactly that many fresh names @0, @1, ...")
     completion = Completion(n_new=n_new, rows=tuple(rows))
     return ResultDoc(verdict, mu, nu, k, "", names, completion, policy, stats)

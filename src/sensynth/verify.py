@@ -8,8 +8,10 @@ goal path from a reached pair is itself reached, so the subgraph gives the
 same distances as the whole product.  The certificate carries the reached
 pairs and their goal distances (bounded by |S|*|M|).
 
-Also here: a seeded Monte Carlo simulator over the exact model weights and a
-brute-force synthesis oracle used by the tests to cross-examine the encoder.
+Also here: the check of a pair against its request's row contract
+(contract_breaches), which synthesis runs on every decoded pair, and a
+seeded Monte Carlo simulator over the exact model weights and a brute-force
+synthesis oracle used by the tests to cross-examine the encoder.
 """
 
 from __future__ import annotations
@@ -95,6 +97,73 @@ def check_almost_sure(g):
         dist={v: dist[v] for v in reachable if v in dist},
         witness=witness,
     )
+
+
+def contract_breaches(p, comp, pol, mu, nu, sc):
+    """How the pair (comp, pol) breaks the contract of its request, one
+    message each; empty when it holds.
+
+    p is the model that was encoded (in sensor mode sensor_model's rewrite)
+    and sc its side constraints with the mode flags merged in.  The check
+    reads only those, never the formula, so it vouches for rows the solver
+    did not decide (encode.row_fills) as well as for those it did:
+
+    - the completion uses at most nu fresh symbols and the policy at most mu
+      memory elements;
+    - every row contains its given support, and a fully defined row keeps
+      it exactly;
+    - in strict mode a row adds no declared symbol, and a row that adds a
+      fresh symbol keeps the given weights (one that adds none spreads its
+      undefined mass over the given support);
+    - in deterministic mode every row has exactly one symbol;
+    - in sensor mode each row pairs exactly its base symbols (the goal
+      without one takes any pair);
+    - every same pair has equal supports, every diff pair disjoint ones, and
+      every implies (s, z, z') holds at s.
+
+    Rows repeat, so each distinct (given row, completed row, base) is checked
+    once, and a breach names the first state with it.
+    """
+    out = []
+    if comp.n_new > nu:
+        out.append(f"completion uses {comp.n_new} fresh symbols, budget was {nu}")
+    if pol.n_mem > mu:
+        out.append(f"policy uses {pol.n_mem} memory elements, budget was {mu}")
+    base = sc.sensor_base if sc.sensor_values is not None else None
+    nvals = len(sc.sensor_values or ())
+    seen = set()
+    for s in range(p.n_states):
+        key = (id(p.obs.rows[s]), id(comp.rows[s]), base[s] if base else ())
+        if key in seen:
+            continue
+        seen.add(key)
+        name, given, supp = p.states[s], set(p.obs.support(s)), set(comp.support(s))
+        if not given <= supp:
+            out.append(f"state {name}: completed row drops given symbols")
+        if p.obs.fully_defined(s) and supp != given:
+            out.append(f"state {name}: fully defined row changed")
+        if sc.strict:
+            if any(z < p.n_obs and z not in given for z in supp):
+                out.append(f"state {name}: strict row adds a declared symbol")
+            weight = dict(comp.rows[s])
+            if (p.obs.fully_defined(s) or any(z >= p.n_obs for z in supp)) and any(
+                    weight.get(z) != w for z, w in p.obs.rows[s] if z in given):
+                out.append(f"state {name}: strict row changes a given weight")
+        if sc.deterministic and len(supp) != 1:
+            out.append(f"state {name}: deterministic row has {len(supp)} symbols")
+        if base and base[s] and {z // nvals for z in supp} != set(base[s]):
+            out.append(f"state {name}: sensor row does not pair exactly its base symbols")
+    for kind, pairs, holds in (("same", sc.same, set.__eq__),
+                               ("diff", sc.diff, set.isdisjoint)):
+        for i, j in pairs:
+            if not holds(set(comp.support(i)), set(comp.support(j))):
+                out.append(f"{kind} {p.states[i]} {p.states[j]} does not hold")
+    for i, z, z2 in sc.implies:
+        supp = comp.support(i)
+        if z in supp and z2 not in supp:
+            out.append(f"implies {p.states[i]} {p.observations[z]} {p.observations[z2]} "
+                       f"does not hold")
+    return out
 
 
 def format_certificate(cert, p, pol):

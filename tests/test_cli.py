@@ -12,6 +12,7 @@ from sensynth.bench import (GridSpec, gen_det_hallway, gen_fig1, gen_hallway,
                             gen_rocksample)
 from sensynth.model import parse_pomdp, print_pomdp
 from sensynth.synth import EncoderFault
+from test_acceptance import SPLIT
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
 
@@ -142,6 +143,24 @@ class TestVerifyCommand:
         assert cli.main(["verify", fig1_file, res]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: header '") and len(err.splitlines()) == 1
+
+    def test_base_names_swapped(self, tmp_path, capsys):
+        # swapping z0 and z1 keeps the product (the update columns swap too)
+        # but reads the fully defined rows as the other symbol
+        model = tmp_path / "split.pomdp"
+        model.write_text(SPLIT)
+        res = str(tmp_path / "doc.result")
+        assert cli.main(["synth", str(model), "--mu", "3", "--nu", "1", "--strict",
+                         "--result", res, "--quiet"]) == 0
+        doc = (tmp_path / "doc.result").read_text()
+        assert "\nobservations: z0 z1 @0\n" in doc
+        assert cli.main(["verify", str(model), res, "--quiet"]) == 0
+        (tmp_path / "doc.result").write_text(doc.replace("observations: z0 z1 @0",
+                                                         "observations: z1 z0 @0"))
+        capsys.readouterr()
+        assert cli.main(["verify", str(model), res]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: header 'observations' does not start with the model's")
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     def test_closed_stdout_is_not_an_error(self, tmp_path, fig1_file, monkeypatch, unbuffered):
@@ -341,12 +360,12 @@ class TestExportDimacs:
         cnf = (tmp_path / "fig1.cnf").read_text()
         assert cnf.startswith("p cnf ")
         mapping = (tmp_path / "fig1.cnf.map").read_text().splitlines()
-        # 3 A + 3 M + 5 O + 4 C and no P: C covers the region,
-        # which leaves out the sink 'lose'
-        assert len(mapping) == 15
+        # 3 A + 3 M + 4 O + 4 C and no P: C and O cover the region, which
+        # leaves out the sink 'lose' (its row is a fill, not a variable)
+        assert len(mapping) == 14
         assert mapping[0] == "1 A(m0,move-left)"
         assert not any(" P(" in line for line in mapping)
-        assert not any("lose" in line for line in mapping if " C(" in line)
+        assert not any("lose" in line for line in mapping)
         assert "-> fig1.cnf" in capsys.readouterr().out
 
     def test_out_override_and_map_names(self, fig1_file, tmp_path):
@@ -354,10 +373,10 @@ class TestExportDimacs:
         cli.main(["export-dimacs", fig1_file, "--mu", "2", "--nu", "1",
                   "--out", out, "--quiet"])
         mapping = (tmp_path / "phi.cnf.map").read_text().splitlines()
-        from sensynth.encode import VarMap, mdp_prepass
+        from sensynth.encode import SideConstraints, VarMap, mdp_prepass, row_fills
         p = gen_fig1()
         region = mdp_prepass(p)
-        vm = VarMap(p, 2, 1, None, region)  # no P
+        vm = VarMap(p, 2, 1, None, region, row_fills(p, SideConstraints(), region))  # no P
         assert len(mapping) == vm.n_semantic
         for line in mapping:
             v, name = line.split(" ", 1)
@@ -365,6 +384,7 @@ class TestExportDimacs:
         names = {line.split(" ", 1)[1] for line in mapping}
         for s in range(p.n_states):
             assert (f"C({p.states[s]},m1)" in names) == (s in region)
+            assert (f"O({p.states[s]},@0)" in names) == (s in region)
         assert not any(name.startswith("P(") for name in names)
 
     def test_refutation_exports_the_cuts(self, fig1_file, tmp_path, monkeypatch):

@@ -644,25 +644,30 @@ class TestMdpPrepass:
         assert kinds == {"empty", "some", "all"}
 
     def test_encode_fixes_closure_outside_win(self, fig1):
-        # 'lose' is outside the region: it has no C or P variable, no closure
-        # clause names it, and each action that may enter it is forbidden at
-        # every reached pair by one clause -C | -A per memory element
+        # 'lose' is outside the region: it has no C, P or O variable (its
+        # row is a fill), no closure clause names its row, and each action
+        # that may enter it is forbidden at every reached pair by one clause
+        # -C | -A per memory element
         mu = 2
         _, vm = encode(fig1, mu, 1, 6)
         lose = fig1.states.index("lose")
         assert lose not in vm.region and vm.region == mdp_prepass(fig1)
+        assert vm.observed == tuple(sorted(vm.region)) and vm.fills == {lose: ()}
         names = [vm.var_name(v) for v in range(1, vm.n_semantic + 1)]
-        assert not any("lose" in n for n in names if n[0] in "CP")
+        assert not any("lose" in n for n in names)
         assert len([n for n in names if n[0] == "C"]) == mu * len(vm.region)
-        closure = list(encode_reach_closure(fig1, VarMap(fig1, mu, 1, 6, vm.region)))
-        lose_o = {vm.var_o(lose, z) for z in range(vm.nzp)}
+        with pytest.raises(TypeError):
+            vm.var_o(lose, 0)
+        full = VarMap(fig1, mu, 1, 6, vm.region)  # O over every state
+        closure = list(encode_reach_closure(fig1, full))
+        lose_o = {full.var_o(lose, z) for z in range(full.nzp)}
         assert not any(lose_o & set(map(abs, c)) for c in closure)
         unsafe = [(i, a) for i in sorted(vm.region) for a in range(vm.na)
                   if not vm.region.issuperset(fig1.succ(i, a))]
         assert unsafe
         for i, a in unsafe:
             for m in range(mu):
-                forbid = [-vm.var_c(i, m), -vm.var_a(m, a)]
+                forbid = [-full.var_c(i, m), -full.var_a(m, a)]
                 assert closure.count(forbid) == 1
                 assert not any(len(c) > 2 and set(forbid) <= set(c) for c in closure)
 
@@ -827,7 +832,7 @@ class TestSelectorFamily:
                 fresh = [int(n[n.index(",@") + 2:-1]) for n in names if n.startswith("O(")]
                 assert len(into) + len(fresh) == len(names)
                 assert sorted(into) == [m for m in range(mu, 3) for _ in range(n_upd)]
-                assert sorted(fresh) == [t for t in range(nu, 2) for _ in range(vm.ns)]
+                assert sorted(fresh) == [t for t in range(nu, 2) for _ in vm.observed]
 
     @staticmethod
     def _cells_match(p, sc, mus, nus):

@@ -287,6 +287,25 @@ obs s2 -> z0 1/3, bot 2/3
             decode_completion(a, vm, p, strict=True)
 
 
+    def test_contract_breach_is_a_fault(self, monkeypatch):
+        # a decoded row that drops its given symbol never reaches the product
+        # check: the search's contract check faults first
+        p = parse_pomdp(SPLIT)
+        dead = p.states.index("dead")
+        decode = synth.decode_completion
+
+        def drop_given(assignment, vm, p, strict=False):
+            comp = decode(assignment, vm, p, strict)
+            rows = list(comp.rows)
+            rows[dead] = ((1, Fraction(1)),)
+            return replace(comp, rows=tuple(rows))
+
+        monkeypatch.setattr(synth, "decode_completion", drop_given)
+        with pytest.raises(EncoderFault, match="^decoded pair breaks its contract: "
+                                               "state dead: completed row drops given symbols"):
+            synthesize(p, 3, 1)
+
+
 class TestStrictMode:
     def test_permissive_realizable_strict_not(self):
         p = parse_pomdp(SPLIT)
@@ -372,6 +391,31 @@ class TestResultDocuments:
         with pytest.raises(ResultParseError) as exc:
             parse_result(text.replace(old, new), fig1)
         assert str(exc.value).startswith(message)
+
+
+    def test_base_names_are_the_models(self):
+        # swapping z0 and z1 renames the policy's columns consistently, so
+        # the product is unchanged, but the rows would read the model's z0
+        # as z1: the document must name the model's observations
+        p = parse_pomdp(SPLIT)
+        text = format_result(synthesize(p, 3, 1, strict=True))
+        assert "observations: z0 z1 @0\n" in text
+        for names in ("z1 z0 @0", "z0 z2 @0", "z0 @0", "z0 z1 z1:a @0"):
+            with pytest.raises(ResultParseError, match="^header 'observations' does not start"):
+                parse_result(text.replace("observations: z0 z1 @0", "observations: " + names), p)
+
+    def test_sensor_alphabet_reads_back(self):
+        p = parse_pomdp(TestSensorMode.SENSE)
+        out = synthesize(p, 3, 0, constraints=parse_constraints("sensor C lo hi", p))
+        text = format_result(out)
+        assert "observations: z0:lo z0:hi z1:lo z1:hi\n" in text
+        doc = parse_result(text, p)
+        assert doc.completion == out.completion
+        assert build_product(p, doc.completion, doc.policy).adj == \
+            build_product(p, out.completion, out.policy).adj
+        for names in ("z0:hi z0:lo z1:lo z1:hi", "z0:lo z0:hi z1:lo z1:lo2", "z1:lo z1:hi z0:lo z0:hi"):
+            with pytest.raises(ResultParseError, match="^header 'observations' does not start"):
+                parse_result(text.replace("z0:lo z0:hi z1:lo z1:hi", names, 1), p)
 
 
 class TestSolverCounters:

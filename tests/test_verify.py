@@ -7,8 +7,9 @@ import pytest
 
 from conftest import random_pomdp
 from sensynth.model import BOT, Completion, PartialObsFn, Policy, Pomdp, parse_pomdp
+from sensynth.encode import SideConstraints, sensor_model
 from sensynth.verify import (BruteForceGuardError, VerifyCertificate, brute_force_decide,
-                             build_product, check_almost_sure,
+                             build_product, check_almost_sure, contract_breaches,
                              format_certificate, simulate)
 
 
@@ -262,3 +263,111 @@ class TestBruteForce:
                 assert not (prev and not now)
                 prev = now
             assert brute_force_decide(p, 2, 0) <= brute_force_decide(p, 2, 1)
+
+
+# s0 gives z0 and half its mass undefined, s1 is blank, g fully defined
+CONTRACT = """
+states: s0 s1 g
+actions: a
+observations: z0 z1
+initial: s0
+goal: g
+delta s0 a -> s1 1
+delta s1 a -> g 1
+delta g a -> g 1
+obs s0 -> z0 1/2, bot 1/2
+obs g -> z0 1/4, z1 3/4
+"""
+
+
+class TestContract:
+    """contract_breaches on hand-made pairs: one clean pair per mode, and one
+    breach of each kind."""
+
+    P = parse_pomdp(CONTRACT)
+    POL = Policy(n_mem=1, act=((0,),), update=(((0,),) * 3,))
+    H, Q, T = Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)
+
+    def comp(self, *rows, n_new=1):
+        return Completion(n_new=n_new, rows=tuple(rows))
+
+    def breaches(self, comp, sc=SideConstraints(), mu=1, nu=1, pol=None):
+        return contract_breaches(self.P, comp, pol or self.POL, mu, nu, sc)
+
+    def test_clean_pairs(self):
+        H, Q, T = self.H, self.Q, self.T
+        g = ((0, Q), (1, T))
+        assert self.breaches(self.comp(((0, H), (2, H)), ((1, 1),), g)) == []
+        # strict: the bot mass goes to the fresh symbol, or is spread over z0
+        strict = SideConstraints(strict=True)
+        assert self.breaches(self.comp(((0, H), (2, H)), ((2, 1),), g), strict) == []
+        assert self.breaches(self.comp(((0, 1),), ((2, 1),), g, n_new=1), strict) == []
+        # permissive decoding makes a fully defined row uniform: same support
+        assert self.breaches(self.comp(((0, 1),), ((0, 1),), ((0, H), (1, H)))) == []
+
+    @pytest.mark.parametrize("rows, sc, mu, nu, message", [
+        ((((1, 1),), ((1, 1),), ((0, Fraction(1, 4)), (1, Fraction(3, 4)))), SideConstraints(),
+         1, 1, "state s0: completed row drops given symbols"),
+        ((((0, 1),), ((1, 1),), ((0, 1),)), SideConstraints(),
+         1, 1, ["state g: completed row drops given symbols", "state g: fully defined row changed"]),
+        ((((0, 1),), ((1, 1),), ((0, Fraction(1, 4)), (1, Fraction(1, 2)), (2, Fraction(1, 4)))),
+         SideConstraints(), 1, 1, "state g: fully defined row changed"),
+        ((((0, Fraction(1, 2)), (1, Fraction(1, 2))), ((2, 1),),
+          ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+         SideConstraints(strict=True), 1, 1, "state s0: strict row adds a declared symbol"),
+        ((((0, Fraction(1, 4)), (2, Fraction(3, 4))), ((2, 1),),
+          ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+         SideConstraints(strict=True), 1, 1, "state s0: strict row changes a given weight"),
+        ((((0, 1),), ((2, 1),), ((0, Fraction(1, 2)), (1, Fraction(1, 2)))),
+         SideConstraints(strict=True), 1, 1, "state g: strict row changes a given weight"),
+        ((((0, Fraction(1, 2)), (2, Fraction(1, 2))), ((2, 1),),
+          ((0, Fraction(1, 4)), (1, Fraction(3, 4)))), SideConstraints(deterministic=True), 1, 1,
+         ["state s0: deterministic row has 2 symbols", "state g: deterministic row has 2 symbols"]),
+        ((((0, 1),), ((1, 1),), ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+         SideConstraints(same=((0, 1),)), 1, 1, "same s0 s1 does not hold"),
+        ((((0, 1),), ((0, 1),), ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+         SideConstraints(diff=((0, 1),)), 1, 1, "diff s0 s1 does not hold"),
+        ((((0, 1),), ((1, 1),), ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+         SideConstraints(implies=((0, 0, 1),)), 1, 1, "implies s0 z0 z1 does not hold"),
+        ((((0, Fraction(1, 2)), (2, Fraction(1, 2))), ((2, 1),),
+          ((0, Fraction(1, 4)), (1, Fraction(3, 4)))), SideConstraints(),
+         1, 0, "completion uses 1 fresh symbols, budget was 0"),
+    ], ids=["drops-given", "drops-fully-defined", "fully-defined-grows", "strict-declared",
+            "strict-weight", "strict-fully-defined-weight", "deterministic", "same", "diff",
+            "implies", "fresh-budget"])
+    def test_each_breach(self, rows, sc, mu, nu, message):
+        want = message if isinstance(message, list) else [message]
+        assert self.breaches(self.comp(*rows), sc, mu, nu) == want
+
+    def test_memory_budget(self):
+        g = ((0, self.Q), (1, self.T))
+        pol = Policy(n_mem=2, act=((0,), (0,)), update=(((0,),) * 3,) * 2)
+        assert self.breaches(self.comp(((0, 1),), ((0, 1),), g), pol=pol) == [
+            "policy uses 2 memory elements, budget was 1"]
+
+    def test_sensor_rows_pair_exactly_their_base_symbols(self):
+        # s0 pairs z0, s1 z1, and the goal, which has no base symbol, any
+        p = parse_pomdp(CONTRACT.replace("obs g -> z0 1/4, z1 3/4", "obs s1 -> z1 1"))
+        p2, sc = sensor_model(p, SideConstraints(sensor_name="C", sensor_values=("lo", "hi")))
+        pol = Policy(n_mem=1, act=((0,),), update=(((0,),) * 4,))
+
+        def check(*rows):
+            return contract_breaches(p2, Completion(0, tuple(rows)), pol, 1, 0, sc)
+
+        # z0:lo z0:hi z1:lo z1:hi are 0 1 2 3
+        assert check(((1, 1),), ((2, 1),), ((0, self.H), (3, self.H))) == []
+        assert check(((2, 1),), ((2, 1),), ((0, 1),)) == [
+            "state s0: sensor row does not pair exactly its base symbols"]
+        assert check(((0, 1),), ((2, self.H), (0, self.H)), ((0, 1),)) == [
+            "state s1: sensor row does not pair exactly its base symbols"]
+
+    def test_shared_rows_checked_once_naming_the_first_state(self):
+        row = ((1, 1),)
+        p = parse_pomdp(CONTRACT.replace("obs s0 -> z0 1/2, bot 1/2", "obs s0 -> z0 1\n"
+                                         "obs s1 -> z0 1"))
+        got = contract_breaches(p, self.comp(row, row, ((0, 1),)), self.POL, 1, 1,
+                                SideConstraints())
+        assert got == ["state s0: completed row drops given symbols",
+                       "state s0: fully defined row changed",
+                       "state g: completed row drops given symbols",
+                       "state g: fully defined row changed"]
