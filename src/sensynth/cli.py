@@ -238,7 +238,7 @@ def _add_common(sp, solver_flags=True):
     sp.add_argument("--deterministic", action="store_true",
                     help="require a deterministic completion")
     sp.add_argument("--strict", action="store_true",
-                    help="forbid dropping given observation mass")
+                    help="let a row add only fresh observations")
     sp.add_argument("--constraints", metavar="FILE", help="side constraint file")
     if solver_flags:
         sp.add_argument("--solver", default=os.environ.get("SENSYNTH_SOLVER"),

@@ -14,11 +14,13 @@ sensor-variable mode).  Every auxiliary is implied in one direction only
 (Plaisted & Greenbaum 1986): those that bound P, with an edge literal per
 product edge (m,a,s',m') shared by all layers (encode_path_predicate), and
 the value-precedence and lexicographic chains of symmetry breaking
-(encode_symmetry).  One rule sets every observed state's O row in every
-mode (encode_observation_fn); deterministic mode adds a pairwise at-most-one
-over the row's allowed symbols.  The formula at (mu, nu) also answers every
-smaller cell of a grid, under assumptions that set its own update and
-emission literals false (VarMap.assumptions).
+(encode_symmetry).  One rule, row_rule, says which symbols each row gives,
+allows and must meet, in every mode; the modes differ only in what a row
+allows.  It sets every observed state's O row (encode_observation_fn), with
+a pairwise at-most-one over the allowed symbols in deterministic mode, and
+the fixed fill of every other row (row_fills).  The formula at (mu, nu)
+also answers every smaller cell of a grid, under assumptions that set its
+own update and emission literals false (VarMap.assumptions).
 
 synth always encodes with k None: no P and no edge literal, and it defines
 an edge literal (edge_literal) the first time a trap cut names its product
@@ -35,8 +37,8 @@ outside V is forbidden at every reached pair by one clause -C(s,m) | -A(m,a)
 
 O, the deterministic at-most-one and the value-precedence chain cover the
 observed set L only (row_fills): V, the states a side constraint names, and
-the states whose row no fixed fill can complete at every cell.  Every other
-row is left to synth.decode_completion, which gives it a fixed fill that
+the states whose rule has no fixed fill for every cell.  Every other row is
+left to synth.decode_completion, which gives it its fill, a row that
 satisfies all of its clauses; no clause outside its own row names it, since
 the closure, P and the edge literals name only states of V.
 """
@@ -47,7 +49,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import BOT, ModelSemanticError, PartialObsFn, Pomdp, lookup, statements
+from .model import (_NAME_RE, BOT, ModelSemanticError, PartialObsFn, Pomdp, lookup,
+                    statements)
 
 
 class Cnf:
@@ -290,6 +293,9 @@ def parse_constraints(text, p):
         elif kind == "sensor" and len(toks) >= 3:
             if sensor_values is not None:
                 raise ModelSemanticError(toks[1], f"second sensor line (line {ln})")
+            bad = next((t for t in toks[1:] if not _NAME_RE.match(t)), None)
+            if bad is not None:  # a result document could not name the pairs
+                raise ModelSemanticError(bad, f"bad sensor name or value (line {ln})")
             if len(set(toks[2:])) != len(toks[2:]):
                 raise ModelSemanticError(toks[1], f"duplicate sensor value (line {ln})")
             sensor_name, sensor_values = toks[1], tuple(toks[2:])
@@ -404,52 +410,68 @@ def mdp_prepass(p):
     return frozenset(region)
 
 
-def _sensor_base(sc, ns):
-    """Each state's base symbols in sensor mode (sensor_model), () per state
-    otherwise."""
-    if sc.sensor_values is None:
-        return [()] * ns
-    if sc.sensor_base is None:
-        raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
-    return sc.sensor_base
+def row_rule(p, sc, s, n_obs, nu):
+    """The completion rule of state s's row over Z' = n_obs declared symbols
+    and nu fresh ones, as (given, allowed, groups): a completed row holds
+    every given symbol, only allowed symbols, and at least one symbol of each
+    group.  given is the row's support in the model.
+
+    Sensor mode allows the pairs (z, c) of the state's base symbols z, with
+    one group per z (a state that produced z produces some (z, c)).
+    Otherwise a row with no undefined mass allows its given symbols, strict
+    mode (the literal completion definition) the given and the fresh ones,
+    and permissive mode all of Z'; a row that gives no symbol gets one group
+    over its allowed symbols.  So does the goal in sensor mode, which needs
+    no base symbol (sensor_model).  The modes differ only in allowed.
+    """
+    given = p.obs.support(s)
+    if sc.sensor_values is not None:
+        if sc.sensor_base is None:
+            raise ValueError("sensor mode needs base supports; build the model via sensor_model()")
+        if sc.sensor_base[s]:
+            nvals = len(sc.sensor_values)
+            groups = [range(z * nvals, z * nvals + nvals) for z in sorted(sc.sensor_base[s])]
+            return given, [z for grp in groups for z in grp], groups
+    allowed = (given if p.obs.fully_defined(s) else given + tuple(range(n_obs, n_obs + nu))
+               if sc.strict else range(n_obs + nu))
+    return given, allowed, [] if given else [allowed]
 
 
 def row_fills(p, sc, region):
     """The fixed rows of the states outside the observed set L, as a dict
-    from each such state to its fill, a sorted tuple of symbols; () stands
-    for the lowest symbol that the decoded rows of L emit.
+    from each such state to its fill, a sorted tuple of symbols.
+
+    A fill comes from the row's rule (row_rule): the given symbols, or for a
+    row that gives none the first symbol of each group, so a blank row takes
+    symbol 0.  The rule is read at the fewest symbols that any cell with a
+    formula switches on: the declared ones, or @0 alone when the model
+    declares none (a cell with no symbol at all needs no formula).  A larger
+    cell allows a superset, and each of its groups holds the same first
+    symbol, so the fill satisfies the row's clauses at every cell of the
+    grid.  In deterministic mode a fill has one symbol.
 
     L is region V, every state a same, diff or implies constraint names, and
-    every state whose row no fixed fill satisfies at every cell: a strict-mode
-    blank row, which allows only fresh symbols, and a deterministic row whose
-    given (or, in sensor mode, base) symbols are two or more.  Each keeps its
-    clauses and so its verdict.  The fill of any other row satisfies every
-    clause of encode_observation_fn at every cell of the grid:
-
-    - a row that gives symbols keeps its given support (a fully defined row
-      allows nothing else, and strict mode spreads the bot mass over it);
-    - in sensor mode a state takes (z, first value) for each base symbol z;
-    - a blank row, and the sensor-mode goal without a base symbol, take the
-      lowest symbol L emits.  A cell's assumptions hold on L, so that symbol
-      is allowed there, and by value precedence a fresh one is @0: a fill
-      never adds a fresh symbol.
+    every state whose rule has no such fill: a strict-mode blank row over a
+    declared alphabet, which allows only fresh symbols, and a deterministic
+    row whose given (or, in sensor mode, base) symbols are two or more.
+    Each keeps its clauses and so its verdict.  The rule reads only the
+    state's row and base symbols, so each distinct pair of them is worked
+    out once.
     """
     named = {s for pair in sc.same + sc.diff for s in pair} | {s for s, _, _ in sc.implies}
-    base = _sensor_base(sc, p.n_states)
-    nvals = len(sc.sensor_values or ())
-    fills = {}
+    n_obs, base = p.n_obs, sc.sensor_base or ()
+    fills, memo = {}, {}
     for s in range(p.n_states):
         if s in region or s in named:
             continue
-        if base[s]:
-            fill = tuple(z * nvals for z in sorted(base[s]))
-        else:
-            fill = tuple(sorted(p.obs.support(s)))
-            if not fill and sc.strict:
-                continue
-        if sc.deterministic and len(fill) > 1:
-            continue
-        fills[s] = fill
+        key = (id(p.obs.rows[s]), base and base[s])  # p keeps its rows alive
+        if key not in memo:
+            given, _, groups = row_rule(p, sc, s, n_obs, 0 if n_obs else 1)
+            fill = (tuple(sorted(given)) if given else
+                    tuple(grp[0] for grp in groups) if all(groups) else ())  # () from an empty group
+            memo[key] = fill if fill and not (sc.deterministic and len(fill) > 1) else None
+        if memo[key] is not None:
+            fills[s] = memo[key]
     return fills
 
 
@@ -481,42 +503,22 @@ def at_most_one(lits, out):
 
 def encode_observation_fn(p, vm, sc, out=None):
     """Per-state clauses pinning the completed observation function, over
-    the observed states (VarMap.observed).
-
-    One rule for every mode.  A state's given symbols, its support in the
-    model, are true units, and every symbol it does not allow is a false
-    unit.  Sensor mode allows the pairs (z, c) of the state's base symbols
-    z, with one at-least-one group per z (a state that produced z produces
-    some (z, c)).  Otherwise a row with no bot mass allows its given
-    symbols, strict mode (the literal completion definition) the given and
-    the fresh ones, and permissive mode all of Z'; a row that gives no
-    symbol gets one group over its allowed symbols.  So does the goal in
-    sensor mode, which needs no base symbol (sensor_model).  An empty group
-    admits no completion and is the empty clause.  Deterministic mode adds
-    at_most_one over the allowed symbols; the units or groups are the
-    at-least-one half.
+    the observed states (VarMap.observed), from each row's rule (row_rule):
+    a true unit per given symbol, a clause per group, and a false unit per
+    symbol the row does not allow.  An empty group admits no completion and
+    is the empty clause.  Deterministic mode adds at_most_one over the
+    allowed symbols; the units or groups are the at-least-one half.
     """
     out = out if out is not None else Cnf()
-    nzp = vm.nzp
-    everything = range(nzp)
-    fresh = tuple(range(nzp - vm.nu, nzp))
-    base = _sensor_base(sc, vm.ns)
+    nzp, n_obs = vm.nzp, vm.nzp - vm.nu
     for i in vm.observed:
-        given = p.obs.support(i)
-        if base[i]:
-            nvals = len(sc.sensor_values)
-            groups = [range(z * nvals, z * nvals + nvals) for z in sorted(base[i])]
-            allowed = [z for grp in groups for z in grp]
-        else:  # a row that forbids nothing shares everything: no per-state set
-            allowed = (given if p.obs.fully_defined(i) else given + fresh if sc.strict
-                       else everything)
-            groups = [] if given else [allowed]
+        given, allowed, groups = row_rule(p, sc, i, n_obs, vm.nu)
         for grp in groups:
             out.add([vm.var_o(i, z) for z in grp])
         for z in given:
             out.add((vm.var_o(i, z),))
-        if allowed is not everything:
-            for z in sorted(set(everything).difference(allowed)):
+        if len(allowed) < nzp:  # a row that forbids nothing needs no per-state set
+            for z in sorted(set(range(nzp)).difference(allowed)):
                 out.add((-vm.var_o(i, z),))
         if sc.deterministic:
             at_most_one([vm.var_o(i, z) for z in allowed], out)
@@ -727,9 +729,9 @@ def encode_symmetry(p, vm, out=None):
       (row_fills), satisfies the full-row formula.  Each fill satisfies its
       own row's clauses at the cell, and no closure, P, edge literal or side
       constraint names a state outside L.  A fill's only possible fresh
-      symbol is @0, the lowest one L emits, so each @t with t >= 1 is first
-      used at the state where it is first used in L, and @0 no later: the
-      chain over every state holds.
+      symbol is @0, which precedence never forbids, so each @t with t >= 1
+      is first used at the state where it is first used in L, and @0 no
+      later than in L: the chain over every state holds.
     - A full-row model, with its fresh symbols renamed by first use within L
       (the unused ones last), satisfies this formula.  Renaming fresh
       symbols, M columns with them, maps models of every other family to

@@ -9,7 +9,7 @@ once: a document reads its rows through one memo per name table (row_reader),
 read_row checks each distinct tuple of weight tokens once, and the support
 tables of a model, completion or observation function have one entry per
 distinct row object (_per_row).  Exact rationals are still used by row
-validation, strict-mode weights (synth.decode_completion), verify.simulate
+validation, completed weights (synth.decode_completion), verify.simulate
 and printing.
 """
 
@@ -80,7 +80,7 @@ class PartialObsFn:
                          self.rows))
 
     @cached_property
-    def _bot_mass(self):  # exact sums, only strict-mode decoding reads them
+    def _bot_mass(self):  # exact sums, only decoding reads them
         return tuple(map(_per_row(lambda row: sum((w for z, w in row if z == BOT),
                                                   Fraction(0))), self.rows))
 

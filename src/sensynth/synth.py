@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import sat
 from .encode import SideConstraints, edge_literal, encode, mdp_prepass, sensor_model
@@ -99,7 +98,7 @@ def _fresh_used(assignment, vm):
     """How many fresh symbols the assignment uses.  Value precedence
     (encode.encode_symmetry) makes them @0, @1, ... with strictly increasing
     first observed states of use; any other order is an EncoderFault.  The
-    fills of the other rows add no fresh symbol (encode.row_fills)."""
+    fills of the other rows add none that L does not use (encode.row_fills)."""
     n_obs = vm.nzp - vm.nu
     used = 0
     for s in vm.observed:
@@ -112,64 +111,55 @@ def _fresh_used(assignment, vm):
     return used
 
 
-def decode_completion(assignment, vm, p, strict=False):
+def decode_completion(assignment, vm, p):
     """Read the completed observation function off a satisfying assignment.
 
-    Support of an observed state s (vm.observed) is {z : O(s,z) true}.
-    Every other state takes its fill (vm.fills, encode.row_fills): its given
-    or sensor-base support, or, for a blank row, the lowest symbol that the
-    rows of the observed states emit.  Weights are uniform over the support,
-    except in strict mode where pre-assigned weights are kept and only the
-    bot mass is spread over the chosen fresh symbols (over the whole support
-    if the row has none, as every strict-mode fill).  Symmetry breaking numbers the used
+    Support of an observed state s (vm.observed) is {z : O(s,z) true}; every
+    other state takes its fill (vm.fills, encode.row_fills).  One weight
+    rule holds in every mode: a row keeps the model's given weights and
+    spreads its undefined mass evenly over the symbols it adds, or over its
+    given symbols when it adds none.  Symmetry breaking numbers the used
     fresh symbols @0, @1, ... by first state of use, so the completion keeps
     those and partitions are comparable across runs; an assignment that
     breaks that order is an EncoderFault.
 
     The fills are checked, not solved: no clause outside its own row names
     a state outside the observed set, and its fill satisfies that row's
-    clauses at the cell.  So the solver's model extended by the fills is a
-    model of the full-row formula, whose O rows cover every state (the
-    equisatisfiability argument is in encode.encode_symmetry), and a fill
-    adds no fresh symbol: the lowest symbol the observed rows emit is a
-    declared one or @0, so numbering by first use holds over all states.
-    The fills lie outside the region V, which no product pair reaches, so
-    they never change a verdict; Prepared.search still checks each decoded
-    pair against the request's contract (verify.contract_breaches).
+    clauses at every cell.  So the solver's model extended by the fills is
+    a model of the full-row formula, whose O rows cover every state (the
+    equisatisfiability argument is in encode.encode_symmetry).  A fill's
+    only possible fresh symbol is @0, when the model declares none, and then
+    the first observed state emits it too, so numbering by first use holds
+    over all states.  The fills lie outside the region V, which no product
+    pair reaches, so they never change a verdict; Prepared.search still
+    checks each decoded pair against the request's contract
+    (verify.contract_breaches).
 
-    A row depends only on its support (and in strict mode on the state's
-    given row), so the states that share those share one row tuple, built
+    A row depends only on its support and, if it gives symbols, the state's
+    given row, so the states that share those share one row tuple, built
     and checked to sum to 1 once; a fault names the first of them.
     """
-    n_obs = vm.nzp - vm.nu
     n_new = _fresh_used(assignment, vm)
     supps = [None] * vm.ns
     for s in vm.observed:
         supp = supps[s] = tuple(z for z in range(vm.nzp) if assignment[vm.var_o(s, z)])
         if not supp:
             raise EncoderFault(f"state {p.states[s]} decoded with empty observation support")
-    if vm.fills:
-        low = (min(supps[s][0] for s in vm.observed),)  # L holds V, which holds the initial state
-        for s, fill in vm.fills.items():
-            supps[s] = fill or low
+    for s, fill in vm.fills.items():
+        supps[s] = fill
     rows, memo = [], {}
     for s, supp in enumerate(supps):
-        key = (supp, id(p.obs.rows[s])) if strict else supp  # p keeps its rows alive
+        given = p.obs.support(s)
+        key = (supp, given and id(p.obs.rows[s]))  # p keeps its rows alive
         row = memo.get(key)
         if row is None:
-            if strict:
-                old_w = {z: w for z, w in p.obs.rows[s] if z >= 0}
-                bot = p.obs.bot_mass(s)
-                fresh = [z for z in supp if z >= n_obs]
-                if fresh:
-                    share = bot / len(fresh)
-                    row = tuple((z, old_w[z] if z < n_obs else share) for z in supp)
-                else:
-                    share = bot / len(supp)
-                    row = tuple((z, old_w.get(z, Fraction(0)) + share) for z in supp)
+            w = dict(p.obs.rows[s])
+            added = [z for z in supp if z not in given]
+            share = p.obs.bot_mass(s) / len(added or supp)
+            if added:
+                row = tuple((z, w[z] if z in given else share) for z in supp)
             else:
-                u = Fraction(1, len(supp))
-                row = tuple((z, u) for z in supp)
+                row = tuple((z, w[z] + share) for z in supp)
             if sum(w for _, w in row) != 1:
                 raise EncoderFault(f"decoded weights at state {p.states[s]} do not sum to 1")
             memo[key] = row
@@ -312,7 +302,7 @@ class Prepared:
             res = solve()
             if res.status != sat.SAT:
                 return res, None
-            comp = decode_completion(res.assignment, vm, p, strict=self.constraints.strict)
+            comp = decode_completion(res.assignment, vm, p)
             pol = decode_policy(res.assignment, vm, mu)
             breaches = contract_breaches(p, comp, pol, mu, nu, self.constraints)
             if breaches:
@@ -643,6 +633,9 @@ def _read_result(text, p):
     n_mem = header_int("memory")
     if n_mem < 1:
         raise ResultParseError(f"header 'memory' must be at least 1, got {n_mem}")
+    if n_mem > len(lines["action"]):  # checked before any table is sized by it
+        raise ResultParseError(f"header 'memory' is {n_mem}, but the document has "
+                               f"{len(lines['action'])} action lines")
     aidx = {a: i for i, a in enumerate(p.actions)}
     sidx = {s: i for i, s in enumerate(p.states)}
     midx = {f"m{m}": m for m in range(n_mem)}

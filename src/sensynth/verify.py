@@ -112,9 +112,10 @@ def contract_breaches(p, comp, pol, mu, nu, sc):
       memory elements;
     - every row contains its given support, and a fully defined row keeps
       it exactly;
-    - in strict mode a row adds no declared symbol, and a row that adds a
-      fresh symbol keeps the given weights (one that adds none spreads its
-      undefined mass over the given support);
+    - a fully defined row, or a row that adds a symbol, keeps each given
+      weight (one that adds none spreads its undefined mass over the given
+      support);
+    - in strict mode a row adds no declared symbol;
     - in deterministic mode every row has exactly one symbol;
     - in sensor mode each row pairs exactly its base symbols (the goal
       without one takes any pair);
@@ -138,17 +139,17 @@ def contract_breaches(p, comp, pol, mu, nu, sc):
             continue
         seen.add(key)
         name, given, supp = p.states[s], set(p.obs.support(s)), set(comp.support(s))
+        defined = p.obs.fully_defined(s)
         if not given <= supp:
             out.append(f"state {name}: completed row drops given symbols")
-        if p.obs.fully_defined(s) and supp != given:
+        if defined and supp != given:
             out.append(f"state {name}: fully defined row changed")
-        if sc.strict:
-            if any(z < p.n_obs and z not in given for z in supp):
-                out.append(f"state {name}: strict row adds a declared symbol")
+        elif given and given <= supp and (defined or supp != given):  # it keeps or adds
             weight = dict(comp.rows[s])
-            if (p.obs.fully_defined(s) or any(z >= p.n_obs for z in supp)) and any(
-                    weight.get(z) != w for z, w in p.obs.rows[s] if z in given):
-                out.append(f"state {name}: strict row changes a given weight")
+            if any(weight[z] != w for z, w in p.obs.rows[s] if z in given):
+                out.append(f"state {name}: row changes a given weight")
+        if sc.strict and any(z < p.n_obs and z not in given for z in supp):
+            out.append(f"state {name}: strict row adds a declared symbol")
         if sc.deterministic and len(supp) != 1:
             out.append(f"state {name}: deterministic row has {len(supp)} symbols")
         if base and base[s] and {z // nvals for z in supp} != set(base[s]):

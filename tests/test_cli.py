@@ -116,9 +116,11 @@ class TestVerifyCommand:
         ("\nnu: 1\n", "\nnu: 1\ncolour: blue\n"),
         ("\nmemory: 3\n", "\nmemory: 0\n"),
         ("\nupdate m0 ", "\n# update m0 "),
+        ("\nmemory: 3\n", "\nmemory: 1000000000\n"),
     ], ids=["no-memory", "mu-not-integer", "stats-malformed", "weight-not-a-number",
             "weight-over-zero", "weight-negative", "row-sums-to-half", "repeated-action",
-            "repeated-header", "unknown-header", "memory-zero", "played-update-missing"])
+            "repeated-header", "unknown-header", "memory-zero", "played-update-missing",
+            "memory-beyond-action-lines"])
     def test_malformed_document(self, tmp_path, fig1_file, capsys, old, new):
         res = self._result(tmp_path, fig1_file)
         doc = (tmp_path / "doc.result").read_text()
@@ -244,6 +246,15 @@ class TestRuntimeErrors:
         con = tmp_path / "con.txt"
         con.write_text("same cell0 nowhere\n")
         assert cli.main(["synth", fig1_file, "--constraints", str(con)]) == 3
+
+    def test_sensor_value_not_a_name(self, tmp_path, capsys):
+        # 'a,b' would pair into z:a,b, which a result document cannot name
+        model = tmp_path / "twogoal.pomdp"
+        model.write_text(print_pomdp(gen_hallway(GridSpec.from_ascii("#+#+#\n#.#.#\n#.#.#\ng.x.g"))))
+        con = tmp_path / "con.txt"
+        con.write_text("sensor C a,b c\n")
+        assert cli.main(["synth", str(model), "--mu", "2", "--constraints", str(con)]) == 3
+        assert "a,b: bad sensor name or value (line 1)" in capsys.readouterr().err
 
     def test_broken_external_solver(self, fig1_file):
         assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1",

@@ -15,7 +15,7 @@ from sensynth.encode import (Cnf, SideConstraints, VarMap, at_most_one, encode,
                              encode_observation_fn, encode_path_predicate,
                              encode_reach_closure, encode_side_constraints, encode_symmetry,
                              mdp_prepass, parse_constraints, sensor_model)
-from sensynth.model import BOT, PartialObsFn, Pomdp, parse_pomdp
+from sensynth.model import BOT, ModelSemanticError, PartialObsFn, Pomdp, parse_pomdp
 from sensynth.synth import prepare, solve_grid
 from test_acceptance import SPLIT
 
@@ -652,7 +652,7 @@ class TestMdpPrepass:
         _, vm = encode(fig1, mu, 1, 6)
         lose = fig1.states.index("lose")
         assert lose not in vm.region and vm.region == mdp_prepass(fig1)
-        assert vm.observed == tuple(sorted(vm.region)) and vm.fills == {lose: ()}
+        assert vm.observed == tuple(sorted(vm.region)) and vm.fills == {lose: (0,)}
         names = [vm.var_name(v) for v in range(1, vm.n_semantic + 1)]
         assert not any("lose" in n for n in names)
         assert len([n for n in names if n[0] == "C"]) == mu * len(vm.region)
@@ -723,6 +723,16 @@ class TestSideConstraintFamily:
             parse_constraints("same s0 nope", p)
         with pytest.raises(Exception):
             parse_constraints("implies s1 z0 z0", p)
+
+    def test_sensor_names_follow_the_name_rule(self):
+        # the pairs z:c become observation names of the result document, so
+        # the sensor and its values must be names of the model format
+        p = parse_pomdp(PARTIAL)
+        for line in ("sensor C a,b c", "sensor C= on off", "sensor C on o:ff"):
+            with pytest.raises(ModelSemanticError, match=r"bad sensor name or value \(line 2\)$"):
+                parse_constraints("# a sensor\n" + line + "\n", p)
+        sc = parse_constraints("sensor C.1 on-1 off_2+", p)
+        assert (sc.sensor_name, sc.sensor_values) == ("C.1", ("on-1", "off_2+"))
 
     def test_sensor_mode_counts(self):
         # |Z|=2 base, 2 sensor values, state with base support {z0}:

@@ -13,10 +13,12 @@ from sensynth.encode import (Cnf, SideConstraints, VarMap, encode, encode_action
                              encode_memory_update, encode_observation_fn,
                              encode_path_predicate, encode_reach_closure,
                              encode_side_constraints, encode_symmetry, mdp_prepass,
-                             sensor_model)
+                             row_fills, row_rule, sensor_model)
 from sensynth.model import parse_pomdp
 from sensynth.synth import format_result, parse_result, prepare, synthesize
-from sensynth.verify import BruteForceGuardError, brute_force_decide, contract_breaches
+from sensynth.verify import (BruteForceGuardError, brute_force_decide, build_product,
+                             check_almost_sure, contract_breaches)
+from test_acceptance import SPLIT
 
 
 def full_row_formula(p, mu, nu, k, sc):
@@ -174,16 +176,33 @@ class TestFills:
         assert len(mdp_prepass(p)) == 31 and vm.nzp == 2
         assert sum(n.startswith("O(") for n in names) == 31 * vm.nzp
 
-    def test_blank_row_takes_the_lowest_observed_symbol(self):
+    def test_blank_row_takes_symbol_0(self):
+        # fig1 declares no observation, so symbol 0 is @0, which every cell
+        # with a formula switches on; SINK's blank sink takes z0
         p = gen_fig1()
         lose = p.states.index("lose")
         for mu, nu, deterministic in ((2, 2, False), (3, 1, False), (3, 1, True)):
             out = synthesize(p, mu, nu, deterministic=deterministic)
-            low = min(out.completion.support(s)[0] for s in mdp_prepass(p))
-            assert out.completion.rows[lose] == ((low, Fraction(1)),)
+            assert out.completion.rows[lose] == ((0, Fraction(1)),)
+        p = parse_pomdp(SINK)
+        for deterministic in (False, True):
+            out = synthesize(p, 1, 1, deterministic=deterministic)
+            assert out.completion.rows[p.states.index("sink")] == ((0, Fraction(1)),)
+
+    def test_strict_blank_row_without_declared_symbols(self):
+        # fig1's strict blank rows allow only fresh symbols, and @0 is on at
+        # every cell with a formula: lose leaves L and takes @0
+        p = gen_fig1()
+        lose = p.states.index("lose")
+        vm = prepare(p, 3, 1, strict=True).encode(3, 1)[1]
+        assert p.n_obs == 0 and vm.fills == {lose: (0,)} and lose not in vm.observed
+        assert synthesize(p, 2, 1, strict=True).verdict == "Unrealizable"
+        out = synthesize(p, 3, 1, strict=True)
+        assert out.verdict == "Realizable" and out.completion.rows[lose] == ((0, Fraction(1)),)
 
     def test_given_row_keeps_its_support(self):
-        # outside V the sink keeps z1; strict mode spreads its bot mass over it
+        # outside V the sink keeps z1 and, in every mode, spreads its bot
+        # mass over it
         p = parse_pomdp(SINK + "obs sink -> z1 1/3, bot 2/3\n")
         sink = p.states.index("sink")
         for strict in (False, True):
@@ -199,3 +218,57 @@ class TestFills:
         assert out.completion.support(sink) == (0, 2)
         p2, sc2 = sensor_model(p, sc)
         assert contract_breaches(p2, out.completion, out.policy, 1, 0, sc2) == []
+
+
+class TestRowRule:
+    def test_random_fills_follow_the_rule(self):
+        # every fill holds its given symbols, lies inside allowed and meets
+        # every group of its row's rule at each cell with a formula, has one
+        # symbol in deterministic mode, and uses only declared symbols, or
+        # @0 when the model declares none
+        rng = random.Random(24)
+        filled = blank = undeclared = 0
+        for _ in range(60):
+            p = random_pomdp(rng, max_states=6, max_actions=2, max_obs=2)
+            for sc, nus in modes(rng, p):
+                prep = prepare(p, 1, nus[-1], constraints=sc)
+                p_enc, sc_enc = prep.model, prep.constraints
+                fills = row_fills(p_enc, sc_enc, prep.region)
+                for s, fill in fills.items():
+                    assert fill == tuple(sorted(set(fill))) and fill, (p, sc, s)
+                    if sc_enc.deterministic:
+                        assert len(fill) == 1, (p, sc, s)
+                    if p_enc.n_obs:
+                        assert max(fill) < p_enc.n_obs, (p, sc, s)
+                    else:
+                        assert fill == (0,), (p, sc, s)
+                        undeclared += 1
+                    for nu in nus:
+                        if not prep.needs_formula(nu):
+                            continue
+                        given, allowed, groups = row_rule(p_enc, sc_enc, s, p_enc.n_obs, nu)
+                        assert set(given) <= set(fill) <= set(allowed), (p, sc, s, nu)
+                        assert all(set(grp) & set(fill) for grp in groups), (p, sc, s, nu)
+                    filled += 1
+                    blank += not p_enc.obs.support(s)
+        assert filled >= 300 and blank >= 100 and undeclared >= 20
+
+    def test_fully_defined_row_keeps_its_weights(self):
+        # dead lies outside V; its document row is the model's, in every mode
+        p = parse_pomdp(SPLIT.replace("obs dead -> z0 1", "obs dead -> z0 1/4, z1 3/4"))
+        for strict in (False, True):
+            out = synthesize(p, 3, 1, strict=strict)
+            text = format_result(out)
+            assert "\nobs dead -> z0 1/4, z1 3/4\n" in text
+            doc = parse_result(text, p)
+            assert check_almost_sure(build_product(p, doc.completion, doc.policy)).ok
+            assert contract_breaches(p, doc.completion, doc.policy, 3, 1,
+                                     SideConstraints(strict=strict)) == []
+
+    def test_strict_row_that_adds_nothing(self):
+        # s1 gives z1 1/2 and bot 1/2; with no fresh symbol it adds none and
+        # spreads its undefined mass over z1
+        p = parse_pomdp(SPLIT + "obs s2 -> z0 1\n")
+        out = synthesize(p, 3, 0, strict=True)
+        assert out.verdict == "Realizable"
+        assert "\nobs s1 -> z1 1\n" in format_result(out)

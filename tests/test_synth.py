@@ -181,14 +181,15 @@ obs s1 -> z0 1/3, bot 2/3
         return [False] * (vm.nvars + 1)
 
     def test_permissive_uniform_weights(self):
+        # a blank row spreads its mass evenly over the symbols it takes
         p, vm = self._vm()
         a = self._blank(vm)
         for s in range(3):
             a[vm.var_o(s, 0)] = True
-        a[vm.var_o(1, 1)] = True  # s1 additionally takes the first fresh symbol
+        a[vm.var_o(0, 1)] = True  # s0 additionally takes the first fresh symbol
         comp = decode_completion(a, vm, p)
-        assert comp.rows[1] == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
-        assert comp.rows[0] == ((0, Fraction(1)),)
+        assert comp.rows[0] == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+        assert comp.rows[2] == ((0, Fraction(1)),)
         assert comp.n_new == 1
 
     def test_strict_weights_preserved(self):
@@ -197,8 +198,9 @@ obs s1 -> z0 1/3, bot 2/3
         for s in range(3):
             a[vm.var_o(s, 0)] = True
         a[vm.var_o(1, 1)] = True
-        comp = decode_completion(a, vm, p, strict=True)
-        # given z0 mass 1/3 stays, the 2/3 undefined mass moves to the fresh
+        comp = decode_completion(a, vm, p)
+        # in every mode the given z0 mass 1/3 stays, and the 2/3 undefined
+        # mass moves to the added symbol
         assert comp.rows[1] == ((0, Fraction(1, 3)), (1, Fraction(2, 3)))
 
     def test_strict_no_fresh_spreads_over_support(self):
@@ -206,7 +208,7 @@ obs s1 -> z0 1/3, bot 2/3
         a = self._blank(vm)
         for s in range(3):
             a[vm.var_o(s, 0)] = True
-        comp = decode_completion(a, vm, p, strict=True)
+        comp = decode_completion(a, vm, p)  # a row that adds nothing, in every mode
         assert comp.rows[1] == ((0, Fraction(1)),)
 
     def test_fresh_out_of_first_use_order_faults(self):
@@ -218,7 +220,8 @@ obs s1 -> z0 1/3, bot 2/3
         for z in range(3):
             a[vm.var_m(0, z, 0, 0)] = True
         a[vm.var_o(0, 2)] = True   # s0 uses the *second* fresh slot
-        a[vm.var_o(1, 1)] = True   # s1 uses the first
+        a[vm.var_o(1, 0)] = True   # s1 keeps its given z0
+        a[vm.var_o(1, 1)] = True   # and uses the first
         a[vm.var_o(2, 1)] = True
         for decode in (lambda: decode_completion(a, vm, p), lambda: decode_policy(a, vm)):
             with pytest.raises(EncoderFault, match="first uses fresh symbols"):
@@ -252,19 +255,21 @@ obs s1 -> z0 1/3, bot 2/3
         with pytest.raises(EncoderFault):
             decode_policy(self._blank(vm), vm)
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_equal_supports_share_one_row(self, strict):
-        # s0 and g have the same support and the same (undefined) given row
-        p, vm = self._vm()
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_equal_supports_share_one_row(self, filled):
+        # s0 and g have the same support and the same (undefined) given row,
+        # whether g's row is decoded or its fill (symbol 0)
+        p, _ = self._vm()
+        vm = VarMap(p, 1, 2, 1, fills={2: (0,)} if filled else None)
         a = self._blank(vm)
-        for s in range(3):
+        for s in vm.observed:
             a[vm.var_o(s, 0)] = True
-        comp = decode_completion(a, vm, p, strict=strict)
+        comp = decode_completion(a, vm, p)
         assert comp.rows[0] is comp.rows[2] and comp.rows[0] == ((0, Fraction(1)),)
 
     def test_weight_fault_names_the_first_state_of_its_row(self):
         # s1 and s2 share one given row; a fresh-only support drops its z0
-        # mass, so the strict row sums to 2/3, checked once for both states
+        # mass, so the row sums to 2/3, checked once for both states
         p = parse_pomdp("""
 states: s0 s1 s2 g
 actions: a
@@ -282,9 +287,8 @@ obs s2 -> z0 1/3, bot 2/3
         a = [False] * (vm.nvars + 1)
         for s, z in enumerate((0, 1, 1, 0)):
             a[vm.var_o(s, z)] = True
-        assert decode_completion(a, vm, p).rows[1] == ((1, Fraction(1)),)
         with pytest.raises(EncoderFault, match=r"^decoded weights at state s1 do not sum to 1$"):
-            decode_completion(a, vm, p, strict=True)
+            decode_completion(a, vm, p)
 
 
     def test_contract_breach_is_a_fault(self, monkeypatch):
@@ -294,8 +298,8 @@ obs s2 -> z0 1/3, bot 2/3
         dead = p.states.index("dead")
         decode = synth.decode_completion
 
-        def drop_given(assignment, vm, p, strict=False):
-            comp = decode(assignment, vm, p, strict)
+        def drop_given(assignment, vm, p):
+            comp = decode(assignment, vm, p)
             rows = list(comp.rows)
             rows[dead] = ((1, Fraction(1)),)
             return replace(comp, rows=tuple(rows))
@@ -374,6 +378,15 @@ class TestResultDocuments:
         assert len({id(r) for r in doc.completion.rows}) == len(set(texts))
         assert len({id(r) for r in out.completion.rows}) == len(set(out.completion.rows))
         assert check_almost_sure(build_product(p, doc.completion, doc.policy)).ok
+
+    def test_memory_header_bounded_by_action_lines(self, fig1):
+        # the memory tables are sized by the header, so a huge one must fail
+        # before any of them is built
+        text = format_result(synthesize(fig1, 2, 2))
+        assert "\nmemory: 2\n" in text
+        with pytest.raises(ResultParseError, match="^header 'memory' is 1000000000, but the "
+                                                   "document has 2 action lines$"):
+            parse_result(text.replace("\nmemory: 2\n", "\nmemory: 1000000000\n"), fig1)
 
     @pytest.mark.parametrize("old, new, message", [
         ("\nnew: 2\n", "\nnew: 7\n", "header 'new' is 7, "),

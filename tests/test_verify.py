@@ -298,12 +298,13 @@ class TestContract:
         H, Q, T = self.H, self.Q, self.T
         g = ((0, Q), (1, T))
         assert self.breaches(self.comp(((0, H), (2, H)), ((1, 1),), g)) == []
-        # strict: the bot mass goes to the fresh symbol, or is spread over z0
-        strict = SideConstraints(strict=True)
-        assert self.breaches(self.comp(((0, H), (2, H)), ((2, 1),), g), strict) == []
-        assert self.breaches(self.comp(((0, 1),), ((2, 1),), g, n_new=1), strict) == []
-        # permissive decoding makes a fully defined row uniform: same support
-        assert self.breaches(self.comp(((0, 1),), ((0, 1),), ((0, H), (1, H)))) == []
+        # in every mode the bot mass goes to the added symbols, or is spread
+        # over z0 when the row adds none
+        for sc in (SideConstraints(), SideConstraints(strict=True)):
+            assert self.breaches(self.comp(((0, H), (2, H)), ((2, 1),), g), sc) == []
+            assert self.breaches(self.comp(((0, 1),), ((2, 1),), g, n_new=1), sc) == []
+        # a row that adds nothing may put any weight on its given symbols
+        assert self.breaches(self.comp(((0, 1),), ((0, 1),), g)) == []
 
     @pytest.mark.parametrize("rows, sc, mu, nu, message", [
         ((((1, 1),), ((1, 1),), ((0, Fraction(1, 4)), (1, Fraction(3, 4)))), SideConstraints(),
@@ -317,9 +318,14 @@ class TestContract:
          SideConstraints(strict=True), 1, 1, "state s0: strict row adds a declared symbol"),
         ((((0, Fraction(1, 4)), (2, Fraction(3, 4))), ((2, 1),),
           ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
-         SideConstraints(strict=True), 1, 1, "state s0: strict row changes a given weight"),
+         SideConstraints(strict=True), 1, 1, "state s0: row changes a given weight"),
+        ((((0, Fraction(1, 4)), (1, Fraction(3, 4))), ((2, 1),),
+          ((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+         SideConstraints(), 1, 1, "state s0: row changes a given weight"),
         ((((0, 1),), ((2, 1),), ((0, Fraction(1, 2)), (1, Fraction(1, 2)))),
-         SideConstraints(strict=True), 1, 1, "state g: strict row changes a given weight"),
+         SideConstraints(strict=True), 1, 1, "state g: row changes a given weight"),
+        ((((0, 1),), ((2, 1),), ((0, Fraction(1, 2)), (1, Fraction(1, 2)))),
+         SideConstraints(), 1, 1, "state g: row changes a given weight"),
         ((((0, Fraction(1, 2)), (2, Fraction(1, 2))), ((2, 1),),
           ((0, Fraction(1, 4)), (1, Fraction(3, 4)))), SideConstraints(deterministic=True), 1, 1,
          ["state s0: deterministic row has 2 symbols", "state g: deterministic row has 2 symbols"]),
@@ -333,7 +339,8 @@ class TestContract:
           ((0, Fraction(1, 4)), (1, Fraction(3, 4)))), SideConstraints(),
          1, 0, "completion uses 1 fresh symbols, budget was 0"),
     ], ids=["drops-given", "drops-fully-defined", "fully-defined-grows", "strict-declared",
-            "strict-weight", "strict-fully-defined-weight", "deterministic", "same", "diff",
+            "strict-weight", "weight", "strict-fully-defined-weight", "fully-defined-weight",
+            "deterministic", "same", "diff",
             "implies", "fresh-budget"])
     def test_each_breach(self, rows, sc, mu, nu, message):
         want = message if isinstance(message, list) else [message]
