@@ -178,15 +178,17 @@ class TestFills:
 
     def test_blank_row_takes_symbol_0(self):
         # fig1 declares no observation, so symbol 0 is @0, which every cell
-        # with a formula switches on; SINK's blank sink takes z0
+        # with a formula switches on; SINK's blank sink takes z0 even where
+        # the observed rows use only z1
         p = gen_fig1()
         lose = p.states.index("lose")
         for mu, nu, deterministic in ((2, 2, False), (3, 1, False), (3, 1, True)):
             out = synthesize(p, mu, nu, deterministic=deterministic)
             assert out.completion.rows[lose] == ((0, Fraction(1)),)
-        p = parse_pomdp(SINK)
+        p = parse_pomdp(SINK.replace("-> z0 1", "-> z1 1"))
         for deterministic in (False, True):
             out = synthesize(p, 1, 1, deterministic=deterministic)
+            assert {out.completion.support(s) for s in mdp_prepass(p)} == {(1,)}
             assert out.completion.rows[p.states.index("sink")] == ((0, Fraction(1)),)
 
     def test_strict_blank_row_without_declared_symbols(self):
