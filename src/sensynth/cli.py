@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import bench
 from .encode import parse_constraints
 from .model import ModelError, parse_pomdp, print_pomdp
-from .sat import Budget, ExternalSolverError, Solver, solve, write_dimacs
+from .sat import Budget, ExternalSolverError, Solver, write_dimacs
 from .synth import (EncoderFault, ResultParseError, format_frontier_csv,
                     format_result, parse_result, prepare, sweep, synthesize)
 from .verify import build_product, check_almost_sure, format_certificate
@@ -218,8 +218,7 @@ def cmd_export_dimacs(ns):
                   "region or the completed alphabet is empty, so the instance is Unrealizable")
         return EXIT_UNREALIZABLE
     cnf, vm = prep.encode(ns.mu, ns.nu)
-    engine = Solver(cnf)  # add the trap cuts that settle the question
-    prep.search(cnf, vm, ns.mu, ns.nu, lambda: solve(cnf, solver=engine), engine)
+    prep.search(cnf, vm, ns.mu, ns.nu, Solver(cnf))  # add the trap cuts that settle it
     out = ns.out or os.path.splitext(os.path.basename(ns.input))[0] + ".cnf"
     write_dimacs(cnf, out)
     with open(out + ".map", "w", encoding="utf-8") as fh:

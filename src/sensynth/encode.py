@@ -46,7 +46,7 @@ the closure, P and the edge literals name only states of V.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .model import (_NAME_RE, BOT, ModelSemanticError, PartialObsFn, Pomdp, lookup,
@@ -332,6 +332,12 @@ def sensor_model(p, sc):
             # goal's row cannot change a verdict, so it may take any pair
             raise ModelSemanticError(
                 p.states[s], "sensor mode needs a base observation in every state but the goal")
+    if sc.implies:
+        raise ModelSemanticError(
+            sc.sensor_name, "dependency constraints reference the original alphabet; not available in sensor mode")
+    if sc.strict:
+        raise ModelSemanticError(
+            sc.sensor_name, "strict completion is meaningless in sensor mode (all states are reset to undefined)")
     bot_row = ((BOT, Fraction(1)),)
     p2 = Pomdp(
         states=p.states,
@@ -342,23 +348,7 @@ def sensor_model(p, sc):
         delta=p.delta,
         obs=PartialObsFn(tuple(bot_row for _ in range(p.n_states))),
     )
-    sc2 = SideConstraints(
-        same=sc.same,
-        diff=sc.diff,
-        implies=(),
-        sensor_name=sc.sensor_name,
-        sensor_values=vals,
-        sensor_base=base,
-        deterministic=sc.deterministic,
-        strict=False,
-    )
-    if sc.implies:
-        raise ModelSemanticError(
-            sc.sensor_name, "dependency constraints reference the original alphabet; not available in sensor mode")
-    if sc.strict:
-        raise ModelSemanticError(
-            sc.sensor_name, "strict completion is meaningless in sensor mode (all states are reset to undefined)")
-    return p2, sc2
+    return p2, replace(sc, sensor_base=base)
 
 
 def mdp_prepass(p):

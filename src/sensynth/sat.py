@@ -14,9 +14,9 @@ only; a conflict at level 0 refutes the formula itself and every later call.
 Learnt clauses are implied by the formula alone, never by the assumptions,
 so they, the activities, the saved phases and the restart and reduce
 schedules carry from one call to the next.  Between calls add_clause adds
-permanent clauses, as the trap cuts of synth.solve_grid are, over old or new
-variables: the edge literals a cut is the first to name are new.  The
-external-solver driver passes assumptions as unit clauses instead.
+permanent clauses, as the trap cuts of synth.Prepared.search are, over old
+or new variables: the edge literals a cut is the first to name are new.
+The external-solver driver passes assumptions as unit clauses instead.
 
 It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
 literal arena, with learnt clauses appended to it.  A clause is named by the
@@ -652,14 +652,16 @@ def parse_external_result(text, returncode, nvars=0):
     return SolveResult(status=SAT, assignment=assignment)
 
 
-def solve_external(cnf, command, time_limit=None, assumptions=()):
+def solve_external(cnf, command, budget=None, assumptions=()):
     """Run an external DIMACS solver given as a command template.
 
     The template must contain `{input}`, e.g. `splr -q -r - {input}` or
     `minisat {input} /dev/stdout`.  The assumptions are added to the file as
-    unit clauses.  Verdict is read from stdout (the `s` line, or exit code 20
-    when there is none: parse_external_result); Sat models are self-checked
-    against the formula and the assumptions.
+    unit clauses.  The budget's seconds bound the run, which is killed and
+    answers BUDGET when they are up; its conflicts bound nothing.  Verdict
+    is read from stdout (the `s` line, or exit code 20 when there is none:
+    parse_external_result); Sat models are self-checked against the formula
+    and the assumptions.
     """
     if "{input}" not in command:
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
@@ -673,7 +675,7 @@ def solve_external(cnf, command, time_limit=None, assumptions=()):
                 cwd=td,
                 capture_output=True,
                 text=True,
-                timeout=time_limit,
+                timeout=budget.max_seconds if budget else None,
             )
         except FileNotFoundError as e:
             raise ExternalSolverError(f"external solver not found: {argv[0]}") from e

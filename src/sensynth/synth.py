@@ -19,10 +19,10 @@ k reaches the cell's completeness bound mu * max(1, |V - {goal}|), since a
 shortest path from a pair that a winning policy reaches visits only reached
 non-goal pairs, all in (V - {goal}) x memory; below it UNSAT is Unknown.
 
-synthesize and sweep are both solve_grid: one formula and one solver answer
-the (mu, nu) cells, each searched cell assuming the formula's own update and
-emission literals false (see solve_grid and encode.VarMap.assumptions).  A
-sweep searches only the cells of a walk along its staircase of verdicts and
+synthesize is the one-cell sweep: one formula and one solver answer the
+(mu, nu) cells, each searched cell assuming the formula's own update and
+emission literals false (see Prepared.search and encode.VarMap.assumptions).
+A sweep searches only the cells of a walk along its staircase of verdicts and
 infers the rest, soundly: a cell (mu, nu) of the shared formula assumes a
 superset of the literals that a cell (mu', nu') with mu' >= mu and
 nu' >= nu assumes.  So a model at (mu, nu) satisfies (mu', nu'), where its
@@ -35,7 +35,7 @@ below the bound (a smaller k) included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import sat
 from .encode import SideConstraints, edge_literal, encode, mdp_prepass, sensor_model
@@ -91,6 +91,7 @@ class Unknown:
     nu: int
     k: int
     stats: SynthStats
+    error: Exception = field(default=None, compare=False, repr=False)  # ExternalSolverError
     verdict = "Unknown"
 
 
@@ -137,7 +138,9 @@ def decode_completion(assignment, vm, p):
 
     A row depends only on its support and, if it gives symbols, the state's
     given row, so the states that share those share one row tuple, built
-    and checked to sum to 1 once; a fault names the first of them.
+    and checked to sum to 1 once; a fault names the first of them.  A
+    one-symbol row weighs 1 whatever the given row, so its support alone
+    keys it (verify.contract_breaches finds one that drops a given symbol).
     """
     n_new = _fresh_used(assignment, vm)
     supps = [None] * vm.ns
@@ -150,7 +153,7 @@ def decode_completion(assignment, vm, p):
     rows, memo = [], {}
     for s, supp in enumerate(supps):
         given = p.obs.support(s)
-        key = (supp, given and id(p.obs.rows[s]))  # p keeps its rows alive
+        key = supp if len(supp) == 1 else (supp, given and id(p.obs.rows[s]))  # p keeps rows
         row = memo.get(key)
         if row is None:
             w = dict(p.obs.rows[s])
@@ -267,7 +270,7 @@ def _prune(p, comp, pol, cert):
 
 @dataclass(frozen=True)
 class Prepared:
-    """What one request encodes, shared by solve_grid and export-dimacs."""
+    """What one request encodes, shared by sweep and export-dimacs."""
 
     model: Pomdp  # the model to encode (sensor mode rewrites the alphabet)
     constraints: SideConstraints  # with the deterministic/strict flags merged in
@@ -286,22 +289,49 @@ class Prepared:
         the tests."""
         return encode(self.model, mu, nu, None, self.constraints, region=self.region)
 
-    def search(self, cnf, vm, mu, nu, solve, engine=None):
+    def search(self, cnf, vm, mu, nu, solver, budget=None):
         """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
-        rounds of solve(); returns the last SolveResult and, when SAT, the
-        checked (completion, policy, certificate) decoded with the cell's mu.
+        rounds; returns the last round's status (sat.SAT, UNSAT or BUDGET),
+        the checked (completion, policy, certificate) decoded with the cell's
+        mu when SAT, else None, and the cell's SynthStats.
+
+        solver is a sat.Solver loaded with cnf, which carries what it learns
+        and every cut to its next call, or an external command template that
+        gets one DIMACS file per round (sat.solve_external).  Each round
+        assumes VarMap.assumptions(mu, nu) (updates into memory >= mu and
+        emissions of fresh symbols >= nu false; its docstring has the
+        soundness argument) and gets what budget leaves after the cell's
+        conflicts and seconds so far.  time_ms and the counters (None for an
+        external solver) sum over the rounds.  A failing external solver
+        raises its ExternalSolverError with the cell's stats in e.stats: the
+        rounds, the failed one counted, time_ms 0 and no counters.
+
         Every decoded pair must keep the request's contract
-        (verify.contract_breaches), else it is an EncoderFault.
-        A losing pair's trap cuts, and the edge literals they newly define,
-        go into cnf and engine, the embedded Solver of solve(), and exclude
-        its model, so the rounds end; a round whose clauses the model (new
-        variables false) satisfies is an EncoderFault.  cnf then declares
-        the grown variable count.  A winning pair is pruned (_prune)."""
-        p = self.model
+        (verify.contract_breaches), else it is an EncoderFault.  A losing
+        pair's trap cuts, and the edge literals they newly define, go into
+        cnf and an embedded solver and exclude its model, so the rounds end;
+        a round whose clauses the model (new variables false) satisfies is
+        an EncoderFault.  cnf then declares the grown variable count.  A
+        winning pair is pruned (_prune)."""
+        p, assumptions = self.model, vm.assumptions(mu, nu)
+        embedded = isinstance(solver, sat.Solver)
+        t_cell, runs, seconds, pair = time.perf_counter(), [], 0.0, None
         while True:
-            res = solve()
+            used = sum(r.conflicts or 0 for r in runs), time.perf_counter() - t_cell
+            rest = None if budget is None else sat.Budget(*(
+                None if limit is None else max(limit - u, 0)
+                for limit, u in zip((budget.max_conflicts, budget.max_seconds), used)))
+            t0 = time.perf_counter()
+            try:
+                res = (sat.solve(cnf, rest, assumptions, solver) if embedded
+                       else sat.solve_external(cnf, solver, rest, assumptions))
+            except sat.ExternalSolverError as e:
+                e.stats = SynthStats(cnf.nvars, len(cnf), rounds=len(runs) + 1)
+                raise
+            seconds += time.perf_counter() - t0
+            runs.append(res)
             if res.status != sat.SAT:
-                return res, None
+                break
             comp = decode_completion(res.assignment, vm, p)
             pol = decode_policy(res.assignment, vm, mu)
             breaches = contract_breaches(p, comp, pol, mu, nu, self.constraints)
@@ -310,16 +340,21 @@ class Prepared:
             g = build_product(p, comp, pol)
             cert = check_almost_sure(g)
             if cert.ok:
-                return res, (comp, *_prune(p, comp, pol, cert))
+                pair = (comp, *_prune(p, comp, pol, cert))
+                break
             clauses, model = trap_cuts(p, vm, g, cert), res.assignment
             if all(any((l > 0) == (abs(l) < len(model) and model[abs(l)]) for l in c)
                    for c in clauses):
                 raise EncoderFault("the trap cuts of a losing pair do not exclude its model")
             for clause in clauses:
                 cnf.add(clause)
-                if engine is not None:
-                    engine.add_clause(clause)
+                if embedded:
+                    solver.add_clause(clause)
             cnf.finalize(vm.nvars)
+        counters = (sum(getattr(r, f) or 0 for r in runs) if embedded else None
+                    for f in ("conflicts", "decisions", "propagations"))
+        return res.status, pair, SynthStats(cnf.nvars, len(cnf), int(round(seconds * 1000)),
+                                            *counters, rounds=len(runs))
 
 
 def _completeness_bound(region, goal, mu):
@@ -344,146 +379,98 @@ def prepare(p, mu, nu, deterministic=False, strict=False, constraints=None):
     return Prepared(model=p, constraints=sc, region=mdp_prepass(p))
 
 
-def solve_grid(p, mus, nus, k=None, deterministic=False, strict=False,
+def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
                constraints=None, budget=None, solver=None):
-    """Decide every cell (mu, nu) of mus x nus; returns (outcomes, error):
-    the outcomes in ascending (mu, nu) order and the first ExternalSolverError
-    raised, or None.
+    """Decide realizability of (p, mu, nu) and return a checked outcome.
+
+    The one-cell sweep.  k defaults to the cell's completeness bound; a
+    smaller k is allowed and can only downgrade Unrealizable to Unknown.
+    solver is None for the embedded one or an external command template with
+    an {input} placeholder; a failing external solver raises its
+    ExternalSolverError.
+    """
+    (out,) = sweep(p, [mu], [nu], k, deterministic, strict, constraints, budget, solver)
+    if getattr(out, "error", None) is not None:
+        raise out.error
+    return out
+
+
+# (mu, nu) frontiers
+
+def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
+          constraints=None, budget=None, solver=None):
+    """Decide every cell (mu, nu) of mu_range x nu_range; returns the
+    outcomes in ascending (mu, nu) order.
 
     One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
     pre-pass depends on neither mu nor nu.  A cell whose nu fails
     Prepared.needs_formula is Unrealizable without a formula.  The other
     cells share one formula, Prepared.encode at (mu_hi, nu_hi); a one-cell
-    grid's formula is exactly the (mu, nu) formula.
-
-    A searched cell is Prepared.search under VarMap.assumptions(mu, nu),
-    which sets the formula's updates into memory elements >= mu and
-    emissions of fresh symbols >= nu false (its docstring has the soundness
-    argument).  With the embedded solver, one Solver answers every searched
-    cell, and what it learns and every cut carry to the next.  An external
-    solver gets one DIMACS file per round, the assumptions written as unit
-    clauses.  The budget holds per cell, over all its rounds.  UNSAT means
-    Unrealizable iff k >= mu * max(1, |V - {goal}|), the cell's completeness
-    bound, and Unknown otherwise; k (default the completeness bound of
-    mu_hi) has no other use, and every outcome reports it, a cell without a
-    formula included.
+    sweep's formula is exactly the (mu, nu) formula.  A searched cell is
+    Prepared.search with the cell's budget and, for the embedded solver, one
+    Solver for every cell.  UNSAT means Unrealizable iff
+    k >= mu * max(1, |V - {goal}|), the cell's completeness bound, and
+    Unknown otherwise; k (default the completeness bound of mu_hi) has no
+    other use, and every outcome reports it, a cell without a formula
+    included.
 
     The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
     Each is inferred from a decided cell that implies it (module docstring)
     or else searched, which walks the staircase: a Realizable cell sends the
     search to the next lower mu, an Unrealizable one to the next higher nu.
     An Unknown cell implies nothing; without one at most |mus| + |nus| - 1
-    cells are searched.  An inferred cell keeps its source's k, completion,
-    policy and certificate, with the shared formula's vars and clauses (cuts
-    so far included), time_ms 0, no solver counters and no rounds.
+    cells are searched.  Every outcome's vars and clauses are those of the
+    shared formula.  A searched cell has its own time_ms, solver counters
+    and rounds; an inferred one keeps its source's k, completion, policy
+    and certificate, with time_ms 0, no counters (an empty CSV conflicts
+    field) and no rounds.
 
-    A failing external solver makes its cell Unknown, with the error as the
-    reason; every other exception propagates.
+    A failing external solver makes its cell Unknown, naming the error and
+    keeping it as the outcome's error, and the sweep continues; every other
+    exception, such as an EncoderFault or the solver's non-model
+    AssertionError, is a fault and propagates.
     """
-    mus, nus = sorted(set(mus)), sorted(set(nus))
+    mus, nus = sorted(set(mu_range)), sorted(set(nu_range))
     if not mus or not nus:
-        return [], None
+        return []
     if mus[0] < 1 or nus[0] < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
     prep = prepare(p, mus[-1], nus[-1], deterministic, strict, constraints)
-    p_enc = prep.model
-    bounds = {mu: _completeness_bound(prep.region, p_enc.goal, mu) for mu in mus}
-    k_used = bounds[mus[-1]] if k is None else k
+    bounds = {mu: _completeness_bound(prep.region, prep.model.goal, mu) for mu in mus}
+    k = bounds[mus[-1]] if k is None else k
     live = [nu for nu in nus if prep.needs_formula(nu)]
     # cells without a formula; their nu lies below every live one, so they imply none
-    done = {(mu, nu): Unrealizable(k=k_used, mu=mu, nu=nu, stats=SynthStats())
+    done = {(mu, nu): Unrealizable(k=k, mu=mu, nu=nu, stats=SynthStats())
             for mu in mus for nu in nus if nu not in live}
-    embedded = solver in (None, "", "embedded")
     if live:
         cnf, vm = prep.encode(mus[-1], nus[-1])
-        engine = sat.Solver(cnf) if embedded else None
-    error = None
-
-    def search(mu, nu):
-        nonlocal error
-        bound = bounds[mu]
-        assumptions = vm.assumptions(mu, nu)
-        t_cell = time.perf_counter()
-        rounds = []  # each round's SolveResult and seconds
-
-        def solve():
-            used = sum(r.conflicts or 0 for r, _ in rounds), time.perf_counter() - t_cell
-            rest = None if budget is None else sat.Budget(*(
-                None if limit is None else max(limit - u, 0)
-                for limit, u in zip((budget.max_conflicts, budget.max_seconds), used)))
-            t0 = time.perf_counter()
-            if embedded:
-                res = sat.solve(cnf, rest, assumptions, solver=engine)
-            else:
-                res = sat.solve_external(cnf, solver, assumptions=assumptions,
-                                         time_limit=rest.max_seconds if rest else None)
-            rounds.append((res, time.perf_counter() - t0))
-            return res
-
-        try:
-            res, pair = prep.search(cnf, vm, mu, nu, solve, engine)
-        except sat.ExternalSolverError as e:
-            error = error or e
-            return Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu, k=k_used,
-                           stats=SynthStats(cnf.nvars, len(cnf), rounds=len(rounds) + 1))
-        counters = (sum(getattr(r, f) or 0 for r, _ in rounds) if embedded else None
-                    for f in ("conflicts", "decisions", "propagations"))
-        stats = SynthStats(cnf.nvars, len(cnf), int(round(sum(t for _, t in rounds) * 1000)),
-                           *counters, rounds=len(rounds))
-        if res.status == sat.BUDGET:
-            return Unknown(reason="budget exhausted", mu=mu, nu=nu, k=k_used, stats=stats)
-        if res.status == sat.UNSAT and k_used >= bound:
-            return Unrealizable(k=k_used, mu=mu, nu=nu, stats=stats)
-        if res.status == sat.UNSAT:
-            return Unknown(reason=f"unsatisfiable at k={k_used}, below the bound {bound}",
-                           mu=mu, nu=nu, k=k_used, stats=stats)
-        comp, pol, cert = pair
-        return Realizable(completion=comp, policy=pol, certificate=cert,
-                          mu=mu, nu=nu, k=k_used, stats=stats, model=p_enc)
-
+        if solver in (None, "", "embedded"):
+            solver = sat.Solver(cnf)
     for nu in live:  # the staircase walk from (mu_hi, nu_lo), inferring what it implies
         for mu in reversed(mus):
             src = next((o for o in done.values()
                         if o.verdict == "Realizable" and o.mu <= mu and o.nu <= nu
                         or o.verdict == "Unrealizable" and o.mu >= mu and o.nu >= nu), None)
-            done[mu, nu] = search(mu, nu) if src is None else \
-                replace(src, mu=mu, nu=nu, stats=SynthStats(cnf.nvars, len(cnf)))
-    return [done[mu, nu] for mu in mus for nu in nus], error
-
-
-def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
-               constraints=None, budget=None, solver=None):
-    """Decide realizability of (p, mu, nu) and return a checked outcome.
-
-    The one-cell case of solve_grid.  k defaults to the cell's completeness
-    bound; a smaller k is allowed and can only downgrade Unrealizable to
-    Unknown.  solver is None for the embedded one or an external command
-    template with an {input} placeholder; a failing external solver raises
-    its ExternalSolverError.
-    """
-    (out,), error = solve_grid(p, [mu], [nu], k, deterministic, strict, constraints,
-                               budget, solver)
-    if error is not None:
-        raise error
-    return out
-
-
-# (mu, nu) frontiers
-
-def sweep(p, mu_range, nu_range, **opts):
-    """Outcomes of every (mu, nu), ascending, from one solve_grid call: one
-    formula and, with the embedded solver, one solver for the whole sweep.
-
-    Every outcome's vars and clauses are those of the shared formula.  A
-    cell solve_grid searches has its own time_ms, solver counters and budget;
-    one it infers has time_ms 0 and no counters (an empty CSV conflicts
-    field).  A failing external solver makes its cell Unknown, naming the
-    error, and the sweep continues; every other exception, such as an
-    EncoderFault or the solver's non-model AssertionError, is a fault and
-    propagates."""
-    return solve_grid(p, mu_range, nu_range, **opts)[0]
+            if src is not None:
+                done[mu, nu] = replace(src, mu=mu, nu=nu, stats=SynthStats(cnf.nvars, len(cnf)))
+                continue
+            try:
+                status, pair, stats = prep.search(cnf, vm, mu, nu, solver, budget)
+            except sat.ExternalSolverError as e:
+                done[mu, nu] = Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
+                                       k=k, stats=e.stats, error=e)
+                continue
+            if status == sat.SAT:  # pair is (completion, policy, certificate)
+                done[mu, nu] = Realizable(*pair, mu=mu, nu=nu, k=k, stats=stats, model=prep.model)
+            elif status == sat.UNSAT and k >= bounds[mu]:
+                done[mu, nu] = Unrealizable(k=k, mu=mu, nu=nu, stats=stats)
+            else:
+                reason = ("budget exhausted" if status == sat.BUDGET
+                          else f"unsatisfiable at k={k}, below the bound {bounds[mu]}")
+                done[mu, nu] = Unknown(reason=reason, mu=mu, nu=nu, k=k, stats=stats)
+    return [done[mu, nu] for mu in mus for nu in nus]
 
 
 def format_frontier_csv(rows):

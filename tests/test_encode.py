@@ -16,7 +16,7 @@ from sensynth.encode import (Cnf, SideConstraints, VarMap, at_most_one, encode,
                              encode_reach_closure, encode_side_constraints, encode_symmetry,
                              mdp_prepass, parse_constraints, sensor_model)
 from sensynth.model import BOT, ModelSemanticError, PartialObsFn, Pomdp, parse_pomdp
-from sensynth.synth import prepare, solve_grid
+from sensynth.synth import prepare, synthesize
 from test_acceptance import SPLIT
 
 FIG1_VARIANT = """
@@ -823,10 +823,9 @@ class TestSelectorFamily:
         prep = prepare(fig1, 3, 1)
         plain, vm = prep.encode(3, 1)
         assert vm.k is None and vm.assumptions(vm.mu, vm.nu) == []
-        engine = sat.Solver(plain)
         n_base = len(plain)
-        prep.search(plain, vm, 3, 1, lambda: sat.solve(plain, solver=engine), engine)
-        (out,), _ = solve_grid(fig1, [3], [1])
+        prep.search(plain, vm, 3, 1, sat.Solver(plain))
+        out = synthesize(fig1, 3, 1)
         assert (out.stats.vars, out.stats.clauses) == (plain.nvars, len(plain))
         assert len(plain) > n_base
 

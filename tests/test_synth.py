@@ -1,5 +1,6 @@
 """Synthesis pipeline: decode, verdict logic, documents, sweeps."""
 
+import os
 import random
 import re
 import sys
@@ -267,6 +268,31 @@ obs s1 -> z0 1/3, bot 2/3
         comp = decode_completion(a, vm, p)
         assert comp.rows[0] is comp.rows[2] and comp.rows[0] == ((0, Fraction(1)),)
 
+    def test_one_symbol_rows_share_across_given_rows(self):
+        # distinct given rows (two partial, one blank) that complete to the
+        # same one symbol all weigh it 1, so they share one row
+        p = parse_pomdp("""
+states: s0 s1 s2 g
+actions: a
+observations: z0 z1
+initial: s0
+goal: g
+delta s0 a -> s1 1
+delta s1 a -> s2 1
+delta s2 a -> g 1
+delta g a -> g 1
+obs s0 -> z1 1
+obs s1 -> z0 1/3, bot 2/3
+obs s2 -> z0 1/2, bot 1/2
+""")
+        vm = VarMap(p, 1, 0, 1)
+        a = [False] * (vm.nvars + 1)
+        for s, z in enumerate((1, 0, 0, 0)):
+            a[vm.var_o(s, z)] = True
+        comp = decode_completion(a, vm, p)
+        assert comp.rows[1] is comp.rows[2] is comp.rows[3]
+        assert comp.rows == (((1, Fraction(1)),),) + (((0, Fraction(1)),),) * 3
+
     def test_weight_fault_names_the_first_state_of_its_row(self):
         # s1 and s2 share one given row; a fresh-only support drops its z0
         # mass, so the row sums to 2/3, checked once for both states
@@ -433,23 +459,18 @@ class TestResultDocuments:
 
 class TestSolverCounters:
     def test_match_the_solver(self, fig1):
-        # the formula solve_grid builds at the bound, searched in rounds of
-        # trap cuts; the counters are summed over the rounds
+        # the formula sweep builds at the bound, searched in rounds of trap
+        # cuts by one fresh solver: the counters sum its per-call counts, so
+        # they are its totals
         out = synthesize(fig1, 3, 1)
         prep = prepare(fig1, 3, 1)
         cnf, vm = prep.encode(3, 1)
-        engine, runs = sat.Solver(cnf), []
-
-        def solve():
-            runs.append(sat.solve(cnf, solver=engine))
-            return runs[-1]
-
-        prep.search(cnf, vm, 3, 1, solve, engine)
-        st = out.stats
-        assert st.rounds == len(runs) > 1
+        solver = sat.Solver(cnf)
+        status, _, st = prep.search(cnf, vm, 3, 1, solver)
+        assert status == sat.SAT and replace(st, time_ms=0) == replace(out.stats, time_ms=0)
+        assert st.rounds > 1
         assert (st.conflicts, st.decisions, st.propagations) == \
-            tuple(sum(getattr(r, f) for r in runs) for f in ("conflicts", "decisions",
-                                                             "propagations"))
+            (solver.n_conflicts, solver.n_decisions, solver.n_props)
         assert st.decisions > 0 and st.propagations > 0
 
     def test_result_document_round_trip(self, fig1):
@@ -498,13 +519,39 @@ class TestSweep:
             sweep(fig1, range(2, 4), range(1, 3))
 
     def test_external_solver_failure_is_unknown(self, fig1, monkeypatch):
-        def broken(*args, **kwargs):
+        # the solver answers (3, 1)'s first round, whose pair loses, and fails
+        # every later run: (3, 1) fails in its second round, (2, 1) in its first
+        sizes = []
+
+        def broken(cnf, *args, **kwargs):
+            sizes.append((cnf.nvars, len(cnf)))
+            if len(sizes) == 1:
+                return sat.solve(cnf)
             raise ExternalSolverError("solver exited with status 139")
         monkeypatch.setattr(sat, "solve_external", broken)
         rows = sweep(fig1, range(2, 4), [1], solver="external-solver {input}")
         assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
         assert all(r.reason == "external solver failed: solver exited with status 139"
                    for r in rows)
+        # the shared formula with the first round's cuts, the rounds run, the
+        # failed one included, no time and no counters
+        assert len(sizes) == 3 and sizes[1][1] > sizes[0][1] and sizes[2] == sizes[1]
+        assert [r.stats for r in rows] == [synth.SynthStats(*sizes[2], rounds=1),
+                                           synth.SynthStats(*sizes[1], rounds=2)]
+
+    def test_external_time_limit(self, fig1, tmp_path):
+        # --max-seconds bounds each external run: the solver is killed when the
+        # cell's time is up, and the cell is Unknown
+        pid = tmp_path / "pid"
+        stub = tmp_path / "stub.py"
+        stub.write_text(f"import os, time\nopen({str(pid)!r}, 'w').write(str(os.getpid()))\n"
+                        "time.sleep(30)\n")
+        (row,) = sweep(fig1, [3], [1], budget=Budget(max_seconds=0.5),
+                       solver=f"{sys.executable} {stub} {{input}}")
+        assert (row.verdict, row.reason, row.stats.rounds) == ("Unknown", "budget exhausted", 1)
+        assert 400 <= row.stats.time_ms < 10000
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(int(pid.read_text()), 0)
 
     def test_monotone_rows(self):
         rng = random.Random(23)
