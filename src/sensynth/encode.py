@@ -60,9 +60,9 @@ class Cnf:
     multi-million-clause encodings affordable.  Construction rejects
     tautological clauses and drops duplicate literals, so every clause in the
     arena is non-tautological and free of repeated literals; the empty
-    clause is allowed and makes the formula unsatisfiable.  sat.Solver loads
-    the arena as it is and relies on that invariant; whole clauses may
-    repeat.
+    clause is allowed and makes the formula unsatisfiable.  It is the one
+    clause store: sat.Solver loads the arena as it is, then what is added
+    later, and relies on that invariant; whole clauses may repeat.
     """
 
     def __init__(self):

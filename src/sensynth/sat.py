@@ -13,17 +13,17 @@ decision level each.  An assumption found false answers UNSAT for that call
 only; a conflict at level 0 refutes the formula itself and every later call.
 Learnt clauses are implied by the formula alone, never by the assumptions,
 so they, the activities, the saved phases and the restart and reduce
-schedules carry from one call to the next.  Between calls add_clause adds
-permanent clauses, as the trap cuts of synth.Prepared.search are, over old
-or new variables: the edge literals a cut is the first to name are new.
+schedules carry from one call to the next.  The Cnf is the one clause
+store: each call first loads the clauses added to it since, as the trap
+cuts of synth.Prepared.search are, over old or new variables.
 The external-solver driver passes assumptions as unit clauses instead.
 
-It runs on the encoder's own layout: one copy of the Cnf's zero-terminated
-literal arena, with learnt clauses appended to it.  A clause is named by the
-offset of its first literal in that arena, and each literal's watch list is a
-flat int list of (clause offset, blocker literal) pairs (see Solver).  Load
-relies on the Cnf invariant that no clause is tautological or repeats a
-literal, so it copies the arena once and re-checks nothing.
+It runs on the encoder's own layout: a copy of the Cnf's zero-terminated
+literal arena, to which learnt clauses and later Cnf clauses are appended
+as they come.  A clause is named by the offset of its first literal in that
+arena, and each literal's watch list is a flat int list of (clause offset,
+blocker literal) pairs (see Solver).  Load relies on the Cnf invariant that
+no clause is tautological or repeats a literal, and re-checks nothing.
 
 `python -m sensynth.sat FILE` runs the embedded solver on a DIMACS file and
 answers with SAT-competition `s`/`v` lines and exit codes (see main).
@@ -93,18 +93,19 @@ def _luby(i):
 
 
 class Solver:
-    """Incremental CDCL search over a fixed clause set (see solve()).
+    """Incremental CDCL search over the clauses of a Cnf (see solve()).
 
     Storage follows MiniSat (Een & Sorensson, SAT 2003):
 
     - `lits` is one flat list of literals in which every clause is followed
-      by a 0.  It starts as a copy of the Cnf arena, and learnt clauses are
-      appended to it.  A clause is named by the offset of its first literal,
-      and that offset is the clause reference everywhere: in `reasonv`, as
-      the conflict `_propagate` returns, in `learnts` and in `lbd`.  The
-      arena is never compacted: a dropped learnt clause leaves its literals
-      behind as dead space.  Propagation reorders the literals inside a
-      clause so that its first two are the watched ones.
+      by a 0.  It starts as a copy of the Cnf arena; learnt clauses, and the
+      clauses the Cnf gains between calls, are appended to it.  A clause is
+      named by the offset of its first literal, and that offset is the
+      clause reference everywhere: in `reasonv`, as the conflict
+      `_propagate` returns, in `learnts` and in `lbd`.  The arena is never
+      compacted: a dropped learnt clause leaves its literals behind as dead
+      space.  Propagation reorders the literals inside a clause so that its
+      first two are the watched ones.
     - `watches[lit]` is a flat int list of (clause offset, blocker) pairs,
       one pair per clause that watches `lit`.  The blocker is some other
       literal of the clause; while it is true the clause is satisfied and
@@ -115,31 +116,29 @@ class Solver:
       terminator's, is never assigned, which ends every scan of a clause
       tail for free.
 
-    Load trusts the invariant that Cnf.add enforces: no clause is
-    tautological and none repeats a literal.  It neither de-duplicates nor
-    re-checks a clause; unit clauses are assigned at once, and an empty
-    clause sets `ok` False.
+    `loaded` is how much of the Cnf arena `lits` holds; _load copies the
+    rest.  It trusts Cnf.add's invariant (no clause is tautological or
+    repeats a literal) and re-checks nothing.
     """
 
     def __init__(self, cnf):
-        if cnf.max_var > cnf.nvars:
-            raise ValueError(f"Cnf uses variable {cnf.max_var} but declares {cnf.nvars} "
-                             "variables; call finalize() before solving")
-        self.nvars = n = cnf.nvars
+        self.cnf = cnf
+        self.loaded = 0  # the length of cnf's arena that is loaded
+        self.nvars = 0
         self.ok = True
-        self.lits = lits = cnf.literal_array().tolist()
-        self.watches = watches = [[] for _ in range(2 * n + 1)]
-        self.vals = bytearray(2 * n + 1)
-        self.levelv = [0] * (n + 1)
-        self.reasonv = [-1] * (n + 1)
+        self.lits = []
+        self.watches = [[]]
+        self.vals = bytearray(1)
+        self.levelv = [0]
+        self.reasonv = [-1]
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.phase = bytearray(n + 1)
-        self.activity = [0.0] * (n + 1)
+        self.phase = bytearray(1)
+        self.activity = [0.0]
         self.var_inc = 1.0
-        self.heap = [(0.0, v) for v in range(1, n + 1)]  # already a heap
-        self.seen = bytearray(n + 1)
+        self.heap = []
+        self.seen = bytearray(1)
         self.learnts = []
         self.lbd = {}
         self.n_conflicts = 0
@@ -151,9 +150,37 @@ class Solver:
         self.n_reductions = 0
         self.conflicts_at_restart = 0
         self.restart_budget = _luby(1) * RESTART_UNIT
-        find = lits.index
-        size = len(lits)
-        start = 0
+        self._load()
+
+    def _load(self):
+        """At level 0, grow to cnf.nvars and load cnf's new clauses: watch each,
+        assign a unit, set `ok` False at an empty clause or a false unit.
+        qhead goes to 0, so the next propagation moves watches off false ones."""
+        cnf = self.cnf
+        if cnf.max_var > cnf.nvars:
+            raise ValueError(f"Cnf uses variable {cnf.max_var} but declares {cnf.nvars} "
+                             "variables; call finalize() before solving")
+        n, top = self.nvars, cnf.nvars
+        if top > n:  # a negative literal -v sits at slot 2n+1-v: open 2d slots after n
+            d = top - n
+            self.vals[n + 1:n + 1] = bytes(2 * d)
+            self.watches[n + 1:n + 1] = [[] for _ in range(2 * d)]
+            self.levelv += [0] * d
+            self.reasonv += [-1] * d
+            self.phase += bytes(d)
+            self.activity += [0.0] * d
+            self.seen += bytes(d)
+            self.heap += [(0.0, v) for v in range(n + 1, top + 1)]  # still a heap: v > n
+            self.nvars = top
+        arena = cnf.literal_array()
+        if self.loaded == len(arena) or not self.ok:
+            return
+        lits, watches = self.lits, self.watches
+        start = len(lits)
+        lits += arena[self.loaded:]
+        self.loaded = len(arena)
+        self.qhead = 0
+        find, size = lits.index, len(lits)
         while start < size:
             end = find(0, start)
             a = lits[start]
@@ -187,35 +214,6 @@ class Solver:
         self.learnts.append(ci)
         self.lbd[ci] = lbd
         return ci
-
-    def add_clause(self, clause):
-        """Add a permanent clause (Cnf invariant) between solve() calls.  At
-        level 0 a literal past nvars first grows the solver by the variables
-        up to it; a satisfied clause is skipped and false literals dropped;
-        the empty clause sets `ok` False, a unit is propagated, and a longer
-        clause is a learnt one of LBD 0, which _reduce_db never drops."""
-        self._backtrack(0)
-        n, top = self.nvars, max(map(abs, clause), default=0)
-        if top > n:  # a negative literal -v sits at slot 2n+1-v: open 2d slots after n
-            d = top - n
-            self.vals[n + 1:n + 1] = bytes(2 * d)
-            self.watches[n + 1:n + 1] = [[] for _ in range(2 * d)]
-            self.levelv += [0] * d
-            self.reasonv += [-1] * d
-            self.phase += bytes(d)
-            self.activity += [0.0] * d
-            self.seen += bytes(d)
-            for v in range(n + 1, top + 1):
-                heappush(self.heap, (0.0, v))
-            self.nvars = top
-        vals = self.vals
-        rest = [l for l in clause if vals[l] != 2]
-        if not self.ok or any(vals[l] == 1 for l in rest):
-            return
-        if len(rest) > 1:
-            self._learn(rest, 0)
-        elif not rest or not self._enqueue(rest[0], -1) or self._propagate() != -1:
-            self.ok = False
 
     def _enqueue(self, lit, reason):
         vals = self.vals
@@ -419,8 +417,8 @@ class Solver:
     def _decide(self):
         """The unassigned variable at the top of the heap; only called while
         some variable is unassigned.  The heap always holds an entry for every
-        unassigned variable: the constructor pushes every variable,
-        _backtrack re-pushes each one it unassigns and _rebuild_heap keeps all
+        unassigned variable: _load pushes every new variable, _backtrack
+        re-pushes each one it unassigns and _rebuild_heap keeps all
         unassigned ones; entries of assigned variables are dropped here."""
         vals = self.vals
         heap = self.heap
@@ -462,7 +460,8 @@ class Solver:
         return [False] + [vals[v] == 1 for v in range(1, self.nvars + 1)]
 
     def solve(self, budget=None, assumptions=()):
-        """Decide the formula with every literal of assumptions true.
+        """Load what the Cnf gained (_load), then decide it with every literal
+        of assumptions true; one that names no variable is a ValueError.
 
         UNSAT means no model extends the assumptions; once `ok` is False the
         formula itself is refuted.  The budget's conflicts and seconds count
@@ -472,7 +471,11 @@ class Solver:
         c0 = self.n_conflicts
         limit_c = budget.max_conflicts if budget else None
         limit_t = budget.max_seconds if budget else None
+        self._backtrack(0)
+        self._load()
         n = self.nvars
+        if bad := [l for l in assumptions if not 0 < abs(l) <= n]:
+            raise ValueError(f"assumption {bad[0]} names no variable in 1..{n}")
 
         def result(status, assignment=None):
             now = (self.n_conflicts, self.n_decisions, self.n_props, self.n_restarts)
@@ -483,7 +486,6 @@ class Solver:
 
         if not self.ok:
             return result(UNSAT)
-        self._backtrack(0)
         if len(self.heap) > 4 * n + 16:  # each earlier model re-pushed every variable
             self._rebuild_heap()
         if self._propagate() != -1:
@@ -665,6 +667,8 @@ def solve_external(cnf, command, budget=None, assumptions=()):
     """
     if "{input}" not in command:
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
+    if bad := [l for l in assumptions if not 0 < abs(l) <= cnf.nvars]:
+        raise ValueError(f"assumption {bad[0]} names no variable in 1..{cnf.nvars}")
     with tempfile.TemporaryDirectory(prefix="sensynth-cnf-") as td:
         path = Path(td) / "problem.cnf"
         write_dimacs(cnf, path, units=assumptions)
@@ -683,11 +687,9 @@ def solve_external(cnf, command, budget=None, assumptions=()):
             return SolveResult(status=BUDGET)
         out = proc.stdout + "\n" + proc.stderr
         res = parse_external_result(out, proc.returncode, nvars=cnf.nvars)
-    if res.status == SAT:
-        if len(res.assignment) < cnf.nvars + 1:
-            res.assignment.extend([False] * (cnf.nvars + 1 - len(res.assignment)))
-        if not (evaluate(cnf, res.assignment) and holds(res.assignment, assumptions)):
-            raise ExternalSolverError("external model fails the formula self-check")
+    if res.status == SAT and not (evaluate(cnf, res.assignment)
+                                  and holds(res.assignment, assumptions)):
+        raise ExternalSolverError("external model fails the formula self-check")
     return res
 
 

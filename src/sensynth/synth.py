@@ -295,13 +295,13 @@ class Prepared:
         the checked (completion, policy, certificate) decoded with the cell's
         mu when SAT, else None, and the cell's SynthStats.
 
-        solver is a sat.Solver loaded with cnf, which carries what it learns
-        and every cut to its next call, or an external command template that
-        gets one DIMACS file per round (sat.solve_external).  Each round
-        assumes VarMap.assumptions(mu, nu) (updates into memory >= mu and
-        emissions of fresh symbols >= nu false; its docstring has the
-        soundness argument) and gets what budget leaves after the cell's
-        conflicts and seconds so far.  time_ms and the counters (None for an
+        solver is a sat.Solver built on cnf, which carries what it learns to
+        its next call and loads what cnf gained at each call, or an external
+        command template that gets one DIMACS file per round
+        (sat.solve_external).  Each round assumes VarMap.assumptions(mu, nu)
+        (updates into memory >= mu and emissions of fresh symbols >= nu
+        false; its docstring has the soundness argument) and gets what
+        budget leaves after the cell's conflicts and seconds so far.  time_ms and the counters (None for an
         external solver) sum over the rounds.  A failing external solver
         raises its ExternalSolverError with the cell's stats in e.stats: the
         rounds, the failed one counted, time_ms 0 and no counters.
@@ -309,9 +309,9 @@ class Prepared:
         Every decoded pair must keep the request's contract
         (verify.contract_breaches), else it is an EncoderFault.  A losing
         pair's trap cuts, and the edge literals they newly define, go into
-        cnf and an embedded solver and exclude its model, so the rounds end;
-        a round whose clauses the model (new variables false) satisfies is
-        an EncoderFault.  cnf then declares the grown variable count.  A
+        cnf once and exclude its model, so the rounds end; a round whose
+        clauses the model (new variables false) satisfies is an
+        EncoderFault.  cnf then declares the grown variable count.  A
         winning pair is pruned (_prune)."""
         p, assumptions = self.model, vm.assumptions(mu, nu)
         embedded = isinstance(solver, sat.Solver)
@@ -348,8 +348,6 @@ class Prepared:
                 raise EncoderFault("the trap cuts of a losing pair do not exclude its model")
             for clause in clauses:
                 cnf.add(clause)
-                if embedded:
-                    solver.add_clause(clause)
             cnf.finalize(vm.nvars)
         counters = (sum(getattr(r, f) or 0 for r in runs) if embedded else None
                     for f in ("conflicts", "decisions", "propagations"))

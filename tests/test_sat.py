@@ -13,10 +13,12 @@ import sensynth
 
 from conftest import external_solver
 from sensynth import sat
+from sensynth.bench import gen_det_hallway
 from sensynth.encode import Cnf, encode
 from sensynth.sat import (BUDGET, SAT, UNSAT, Budget, ExternalSolverError,
                           evaluate, parse_dimacs, parse_external_result, solve,
                           solve_external, write_dimacs)
+from sensynth.synth import prepare
 
 
 def cnf_of(clauses, nvars):
@@ -110,17 +112,29 @@ def encode_php(pigeons, holes):
     return out.finalize(pigeons * holes)
 
 
+def clause_offsets(lits, size):
+    """(start, end) of each zero-terminated clause in lits[:size]."""
+    out, start = [], 0
+    while start < size:
+        end = lits.index(0, start)
+        out.append((start, end))
+        start = end + 1
+    return out
+
+
 def live_clauses(solver, cnf):
     """Offsets of the clauses of length >= 2 the solver holds: every loaded
-    one, then the learnt ones it kept."""
-    lits = solver.lits
-    out = []
-    start = 0
-    while start < len(cnf.literal_array()):
-        end = lits.index(0, start)
-        if end - start >= 2:
-            out.append(start)
-        start = end + 1
+    one, then the learnt ones it kept.  The loaded clauses are the Cnf's up
+    to the solver's watermark, in the Cnf's order, with learnt clauses (kept
+    or dropped) between them; each is matched by its set of literals, since
+    propagation reorders them."""
+    arena = cnf.literal_array()[:solver.loaded].tolist()
+    want = [set(arena[a:b]) for a, b in clause_offsets(arena, len(arena)) if b - a >= 2]
+    lits, learnts, out = solver.lits, set(solver.learnts), []
+    for a, b in clause_offsets(lits, len(lits)):
+        if a not in learnts and len(out) < len(want) and set(lits[a:b]) == want[len(out)]:
+            out.append(a)
+    assert len(out) == len(want)
     return out + list(solver.learnts)
 
 
@@ -174,6 +188,28 @@ class TestArena:
         got = assert_watch_invariant(solver, cnf)
         assert not {ci for _, ci in got} & dropped
         assert solver.solve().status == UNSAT
+
+    def test_watch_invariant_after_search(self):
+        prep = prepare(gen_det_hallway(), 2, 2)
+        cnf, vm = prep.encode(2, 2)
+        solver = sat.Solver(cnf)
+        base = len(cnf.literal_array())
+        status, _, stats = prep.search(cnf, vm, 2, 2, solver)
+        cuts = len(cnf.literal_array()) - base
+        assert status == UNSAT and stats.rounds == 10 and cuts > 0
+        assert solver.loaded == base + cuts and solver.nvars == cnf.nvars
+        assert min(solver.learnts) < len(solver.lits) - cuts  # cuts follow learnt clauses
+        assert not solver.ok  # the cell is the formula's top one: no assumptions
+        assert_watch_invariant(solver, cnf)
+
+    def test_rejects_cnf_grown_past_nvars(self):
+        cnf = cnf_of([(1, 2), (-2, 3)], 3)
+        solver = sat.Solver(cnf)
+        assert solver.solve().status == SAT
+        cnf.add([-1, 4])
+        with pytest.raises(ValueError, match="variable 4 .* declares 3"):
+            solver.solve()
+        assert solve(cnf.finalize(4), solver=solver).status == SAT
 
     def test_caller_arena_unchanged(self):
         for cnf in (encode_php(5, 4), encode_php(4, 4)):
@@ -287,6 +323,23 @@ class TestAssumptions:
         with pytest.raises(AssertionError, match="non-model"):
             solve(cnf, assumptions=[-2], solver=Liar())
 
+    @pytest.mark.parametrize("assumed", [[-3], [3], [5], [1, 0]])
+    def test_assumption_past_the_variables(self, assumed):
+        # -3 would read literal 2's slot of vals and refute {1 | 2, -2}
+        cnf = cnf_of([(1, 2), (-2,)], 2)
+        solver = sat.Solver(cnf)
+        with pytest.raises(ValueError, match="names no variable in 1..2"):
+            solve(cnf, assumptions=assumed, solver=solver)
+        assert solve(cnf, assumptions=[1], solver=solver).status == SAT
+
+    @pytest.mark.parametrize("assumed", [[-3], [3], [1, 0]])
+    def test_external_assumption_past_the_variables(self, assumed, tmp_path):
+        stub = tmp_path / "stub.sh"  # never runs: no units past the header
+        stub.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
+        stub.chmod(0o755)
+        with pytest.raises(ValueError, match="names no variable in 1..2"):
+            solve_external(cnf_of([(1, 2), (-2,)], 2), f"{stub} {{input}}", assumptions=assumed)
+
     def test_external_assumptions_as_units(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PYTHONPATH", SRC)
         cnf = cnf_of([(1, 2), (-1, 3)], 3)
@@ -298,31 +351,46 @@ class TestAssumptions:
 
 
 class TestAddClause:
-    """Permanent clauses added between solve() calls (Solver.add_clause)."""
+    """Clauses added to the Cnf between solve() calls: the next call loads
+    them into the solver that was built on it."""
 
-    def test_satisfied_clause_is_skipped(self):
-        solver = sat.Solver(cnf_of([(1,), (-1, 2, 3)], 3))
-        size = len(solver.lits)
-        solver.add_clause([-2, 1])
-        assert len(solver.lits) == size and solver.ok
+    def test_satisfied_clause(self):
+        cnf = cnf_of([(1,), (-1, 2, 3)], 3)
+        solver = sat.Solver(cnf)
+        cnf.add([-2, 1])  # 1 holds at level 0
+        res = solve(cnf, solver=solver)
+        assert res.status == SAT and res.assignment[1] and solver.ok
+        assert solver.loaded == len(cnf.literal_array())
+        assert_watch_invariant(solver, cnf)
 
-    def test_false_literals_dropped_and_unit_propagated(self):
-        solver = sat.Solver(cnf_of([(-1,), (-2, 3)], 3))
-        solver.add_clause([1, 2])  # 1 is false at level 0: the unit 2, then 3
-        assert solver.ok and not solver.trail_lim
-        assert solver.vals[2] == solver.vals[3] == 1
+    def test_false_literal_leaves_a_unit(self):
+        cnf = cnf_of([(-1,), (-2, 3)], 3)
+        solver = sat.Solver(cnf)
+        assert solve(cnf, solver=solver).status == SAT  # -1 is propagated
+        cnf.add([1, 2])  # 1 is false at level 0: the unit 2, then 3
+        res = solve(cnf, solver=solver)
+        assert res.status == SAT and solver.ok
+        assert res.assignment[2] and res.assignment[3]
+        assert solver.levelv[2] == solver.levelv[3] == 0  # implied, not decided
+        assert solver.reasonv[2] >= 0 and solver.reasonv[3] >= 0
 
     def test_empty_clause_refutes(self):
-        solver = sat.Solver(cnf_of([(1,), (2, 3)], 3))
-        assert solver.solve().status == SAT
-        solver.add_clause([-1])
-        assert not solver.ok
+        cnf = cnf_of([(1,), (2, 3)], 3)
+        solver = sat.Solver(cnf)
+        assert solve(cnf, solver=solver).status == SAT
+        cnf.add([])
+        assert solve(cnf, solver=solver).status == UNSAT and not solver.ok
         assert solver.solve().status == UNSAT
 
     def test_unit_conflict_refutes(self):
-        solver = sat.Solver(cnf_of([(-1, 2), (-1, -2)], 2))
-        solver.add_clause([1])
-        assert not solver.ok and solver.solve().status == UNSAT
+        for clauses, unit in (([(1,), (2, 3)], -1),  # the unit is false at level 0
+                              ([(-1, 2), (-1, -2)], 1)):  # its propagation conflicts
+            cnf = cnf_of(clauses, 3)
+            solver = sat.Solver(cnf)
+            assert solve(cnf, solver=solver).status == SAT
+            cnf.add([unit])
+            assert solve(cnf, solver=solver).status == UNSAT and not solver.ok
+            assert solver.solve().status == UNSAT
 
     def test_clauses_survive_later_calls(self):
         rng = random.Random(37)
@@ -341,26 +409,29 @@ class TestAddClause:
                                   for l in rng.sample(range(1, nvars + 1), rng.randint(1, 3)))
                     cnf.add(added)
                     clauses.append(added)
-                    solver.add_clause(added)
                 assumed = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
                 res = solve(cnf, assumptions=assumed, solver=solver)  # self-checks the model
                 assert (res.status == SAT) == \
                     brute_sat(clauses + [(l,) for l in assumed], nvars)
+                if solver.ok:
+                    assert_watch_invariant(solver, cnf)
 
     def test_new_variables_grow_the_solver(self):
-        loaded = cnf_of([(-1,), (1, 2, 3), (-2, -3)], 3)
-        solver = sat.Solver(loaded)
+        cnf = cnf_of([(-1,), (1, 2, 3), (-2, -3)], 3)
+        solver = sat.Solver(cnf)
         assert solver.vals[-1] == 1  # slot 6 of 7
-        solver.add_clause([2, 5])  # 4 and 5 are new: 4 slots open after slot 3
+        cnf.add([2, 5])
+        cnf.finalize(5)
+        solver._load()  # 4 and 5 are new: 4 slots open after slot 3
         assert solver.nvars == 5 and solver.ok
         assert solver.vals[-1] == 1 and solver.vals[1] == 2  # -1 now at slot 10
         assert not any(solver.vals[l] for l in (2, 3, 4, 5, -2, -3, -4, -5))
-        assert_watch_invariant(solver, loaded)
-        solver.add_clause([-5])  # 2 by the new clause, then -3 by an old one
-        assert solver.vals[2] == solver.vals[-3] == solver.vals[-5] == 1
-        res = solver.solve()
+        assert_watch_invariant(solver, cnf)
+        cnf.add([-5])  # 2 by the new clause, then -3 by an old one
+        res = solve(cnf, solver=solver)
         assert res.status == SAT and res.assignment[2] and not res.assignment[5]
         assert len(res.assignment) == 6
+        assert solver.levelv[2] == solver.levelv[3] == solver.levelv[5] == 0
 
     def test_clauses_over_new_variables(self):
         rng = random.Random(41)
@@ -373,8 +444,8 @@ class TestAddClause:
         for _ in range(40):
             nvars = rng.randint(2, 4)
             clauses = [clause(nvars, 0) for _ in range(rng.randint(1, 2 * nvars))]
-            cnf, loaded = cnf_of(clauses, nvars), cnf_of(clauses, nvars)
-            solver = sat.Solver(loaded)
+            cnf = cnf_of(clauses, nvars)
+            solver = sat.Solver(cnf)
             for _ in range(3):
                 assert solve(cnf, solver=solver).status == \
                     (SAT if brute_sat(clauses, nvars) else UNSAT)
@@ -384,15 +455,14 @@ class TestAddClause:
                     added = clause(nvars, new)
                     nvars += new
                     cnf.add(added)
+                    cnf.finalize(nvars)
                     clauses.append(added)
-                    solver.add_clause(added)
-                    if new:
-                        assert solver.nvars == nvars
-                        # what level 0 held before the growth still holds
-                        assert all(solver.vals[l] == w for l, w in level0.items() if w)
+                    solver._load()
+                    assert solver.nvars == nvars
+                    # what level 0 held before the growth still holds
+                    assert all(solver.vals[l] == w for l, w in level0.items() if w)
                     if solver.ok:
-                        assert_watch_invariant(solver, loaded)
-                cnf.finalize(nvars)
+                        assert_watch_invariant(solver, cnf)
                 assumed = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
                 res = solve(cnf, assumptions=assumed, solver=solver)  # self-checks the model
                 assert (res.status == SAT) == \
