@@ -112,10 +112,10 @@ def encode_php(pigeons, holes):
     return out.finalize(pigeons * holes)
 
 
-def clause_offsets(lits, size):
-    """(start, end) of each zero-terminated clause in lits[:size]."""
+def clause_offsets(lits):
+    """(start, end) of each zero-terminated clause in lits."""
     out, start = [], 0
-    while start < size:
+    while start < len(lits):
         end = lits.index(0, start)
         out.append((start, end))
         start = end + 1
@@ -129,9 +129,9 @@ def live_clauses(solver, cnf):
     or dropped) between them; each is matched by its set of literals, since
     propagation reorders them."""
     arena = cnf.literal_array()[:solver.loaded].tolist()
-    want = [set(arena[a:b]) for a, b in clause_offsets(arena, len(arena)) if b - a >= 2]
+    want = [set(arena[a:b]) for a, b in clause_offsets(arena) if b - a >= 2]
     lits, learnts, out = solver.lits, set(solver.learnts), []
-    for a, b in clause_offsets(lits, len(lits)):
+    for a, b in clause_offsets(lits):
         if a not in learnts and len(out) < len(want) and set(lits[a:b]) == want[len(out)]:
             out.append(a)
     assert len(out) == len(want)
