@@ -68,6 +68,8 @@ class GridSpec:
     def from_ascii(cls, art, p_fail=Fraction(0), oriented=False, heading="N"):
         """Rows top to bottom; '#' wall, '.' free, '+' start, 'g' goal, 'x' trap."""
         rows = art.strip("\n").splitlines()
+        if not rows:
+            raise ValueError("the grid layout is empty")
         height = len(rows)
         width = max(len(r) for r in rows)
         walls, traps, starts, goals = set(), set(), [], []

@@ -218,7 +218,7 @@ def cmd_export_dimacs(ns):
                   "region or the completed alphabet is empty, so the instance is Unrealizable")
         return EXIT_UNREALIZABLE
     cnf, vm = prep.encode(ns.mu, ns.nu)
-    prep.search(cnf, vm, ns.mu, ns.nu, Solver(cnf))  # add the trap cuts that settle it
+    prep.search(cnf, vm, Solver(cnf))  # add the trap cuts that settle it
     out = ns.out or os.path.splitext(os.path.basename(ns.input))[0] + ".cnf"
     write_dimacs(cnf, out)
     with open(out + ".map", "w", encoding="utf-8") as fh:

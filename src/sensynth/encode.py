@@ -18,9 +18,8 @@ the value-precedence and lexicographic chains of symmetry breaking
 allows and must meet, in every mode; the modes differ only in what a row
 allows.  It sets every observed state's O row (encode_observation_fn), with
 a pairwise at-most-one over the allowed symbols in deterministic mode, and
-the fixed fill of every other row (row_fills).  The formula at (mu, nu)
-also answers every smaller cell of a grid, under assumptions that set its
-own update and emission literals false (VarMap.assumptions).
+the fixed fill of every other row (row_fills).  Each (mu, nu) cell that is
+searched has its own formula.
 
 synth always encodes with k None: no P and no edge literal, and it defines
 an edge literal (edge_literal) the first time a trap cut names its product
@@ -164,35 +163,6 @@ class VarMap:
             raise OverflowError(f"variable count {self.n_semantic} overflows the 31-bit literal space")
         self._next_aux = self.n_semantic + 1
         self.edges = {}
-
-    def assumptions(self, mu, nu):
-        """Literals that restrict this formula to the cell (mu, nu): every
-        update M(m',z,a,m) into a memory element m >= mu and every emission
-        O(s,@t) of a fresh symbol t >= nu by an observed state s is false.
-        The top cell (self.mu, self.nu) has none.
-
-        Under them the formula is satisfiable iff the formula encoded at
-        (mu, nu) is:
-
-        - No update enters a switched-off element, so it is never reached
-          from m0: its C and P variables can be false, and its A and M rows
-          constrain nothing that matters.  encode_memory_update then makes
-          every update pick an element below mu, which decode_policy reads.
-        - The switched-off elements are the highest indices, so the
-          lexicographic symmetry chain (encode_symmetry) stays satisfiable:
-          their action rows copy the last switched-on row.
-        - A fresh symbol that is never emitted only adds update columns that
-          never fire, and value precedence only restricts the use of higher
-          symbols, which are unused.
-        """
-        if not (1 <= mu <= self.mu and 0 <= nu <= self.nu):
-            # m0 is never switched off, and a larger cell is another formula
-            raise ValueError(f"cell ({mu}, {nu}) lies outside (1..{self.mu}, 0..{self.nu})")
-        n_obs = self.nzp - self.nu
-        zs, ms, acts = range(self.nzp), range(self.mu), range(self.na)
-        return ([-self.var_m(m, z, a, m2) for m2 in range(mu, self.mu)
-                 for m in ms for z in zs for a in acts]
-                + [-self.var_o(s, n_obs + t) for t in range(nu, self.nu) for s in self.observed])
 
     # semantic ids are 1-based
     def var_a(self, m, a):
@@ -433,12 +403,12 @@ def row_fills(p, sc, region):
 
     A fill comes from the row's rule (row_rule): the given symbols, or for a
     row that gives none the first symbol of each group, so a blank row takes
-    symbol 0.  The rule is read at the fewest symbols that any cell with a
-    formula switches on: the declared ones, or @0 alone when the model
-    declares none (a cell with no symbol at all needs no formula).  A larger
-    cell allows a superset, and each of its groups holds the same first
-    symbol, so the fill satisfies the row's clauses at every cell of the
-    grid.  In deterministic mode a fill has one symbol.
+    symbol 0.  The rule is read at the fewest symbols that any formula has:
+    the declared ones, or @0 alone when the model declares none (a cell with
+    no symbol at all needs no formula).  A formula with more symbols allows
+    a superset, and each of its groups holds the same first symbol, so the
+    fill satisfies the row's clauses at every cell.  In deterministic mode a
+    fill has one symbol.
 
     L is region V, every state a same, diff or implies constraint names, and
     every state whose rule has no such fill: a strict-mode blank row over a
@@ -790,8 +760,7 @@ def encode(p, mu, nu, k, sc=None, region=None):
     mdp_prepass(p), computed here when not given: C and P range over it, and
     O over the observed set of row_fills.
     k None encodes no P and no edge literal (edge_literal defines those on
-    demand).  The same formula answers every cell (mu', nu') <= (mu, nu)
-    under VarMap.assumptions(mu', nu').
+    demand).
     """
     sc = sc if sc is not None else SideConstraints()
     if not p.absorbing(p.goal):

@@ -6,17 +6,13 @@ literal propagation, activity-based branching with decay, phase saving, Luby
 restarts, and learned-clause deletion.  Every satisfiable answer is
 re-checked against the original formula before it is returned.
 
-One Solver answers any number of solve() calls, each under its own list of
-assumption literals (MiniSat style; Een & Sorensson, SAT 2003).  A call
-backtracks to level 0 and takes the assumptions as its first decisions, one
-decision level each.  An assumption found false answers UNSAT for that call
-only; a conflict at level 0 refutes the formula itself and every later call.
-Learnt clauses are implied by the formula alone, never by the assumptions,
-so they, the activities, the saved phases and the restart and reduce
-schedules carry from one call to the next.  The Cnf is the one clause
-store: each call first loads the clauses added to it since, as the trap
-cuts of synth.Prepared.search are, over old or new variables.
-The external-solver driver passes assumptions as unit clauses instead.
+One Solver answers any number of solve() calls on its Cnf.  Each call
+backtracks to level 0 and first loads the clauses the Cnf gained since the
+last, as the trap cuts of synth.Prepared.search are, over old or new
+variables; the Cnf is the one clause store.  Learnt clauses, the
+activities, the saved phases and the restart and reduce schedules carry
+from one call to the next, and a conflict at level 0 refutes the formula
+for every later call.
 
 It runs on the encoder's own layout: a copy of the Cnf's zero-terminated
 literal arena, to which learnt clauses and later Cnf clauses are appended
@@ -459,13 +455,10 @@ class Solver:
         vals = self.vals
         return [False] + [vals[v] == 1 for v in range(1, self.nvars + 1)]
 
-    def solve(self, budget=None, assumptions=()):
-        """Load what the Cnf gained (_load), then decide it with every literal
-        of assumptions true; one that names no variable is a ValueError.
-
-        UNSAT means no model extends the assumptions; once `ok` is False the
-        formula itself is refuted.  The budget's conflicts and seconds count
-        from the start of this call.
+    def solve(self, budget=None):
+        """Load what the Cnf gained (_load), then decide it.  UNSAT sets `ok`
+        False, so every later call answers UNSAT.  The budget's conflicts and
+        seconds count from the start of this call.
         """
         t0 = time.monotonic()
         c0 = self.n_conflicts
@@ -474,8 +467,6 @@ class Solver:
         self._backtrack(0)
         self._load()
         n = self.nvars
-        if bad := [l for l in assumptions if not 0 < abs(l) <= n]:
-            raise ValueError(f"assumption {bad[0]} names no variable in 1..{n}")
 
         def result(status, assignment=None):
             now = (self.n_conflicts, self.n_decisions, self.n_props, self.n_restarts)
@@ -492,7 +483,6 @@ class Solver:
             self.ok = False
             return result(UNSAT)
 
-        vals = self.vals
         trail_lim = self.trail_lim
         while True:
             confl = self._propagate()
@@ -526,15 +516,6 @@ class Solver:
                     self.restart_budget = _luby(self.n_restarts + 1) * RESTART_UNIT
                     self._backtrack(0)
                     continue
-                level = len(trail_lim)
-                if level < len(assumptions):
-                    lit = assumptions[level]
-                    if vals[lit] == 2:
-                        return result(UNSAT)
-                    trail_lim.append(len(self.trail))  # an empty level if lit already holds
-                    if not vals[lit]:
-                        self._enqueue(lit, -1)
-                    continue
                 if len(self.trail) == n:
                     return result(SAT, self._model())
                 v = self._decide()
@@ -543,32 +524,24 @@ class Solver:
                 self._enqueue(v if self.phase[v] else -v, -1)
 
 
-def holds(assignment, lits):
-    """True iff the assignment makes every literal of lits true."""
-    return all(assignment[l] if l > 0 else not assignment[-l] for l in lits)
-
-
-def solve(cnf, budget=None, assumptions=(), solver=None):
-    """Decide cnf under assumptions; Sat answers are self-checked against the
-    formula and the assumptions.
+def solve(cnf, budget=None, solver=None):
+    """Decide cnf; Sat answers are self-checked against the formula.
 
     solver is a Solver already loaded with cnf, to keep what it learnt across
     calls; by default a fresh one is built for this call.
     """
-    res = (solver if solver is not None else Solver(cnf)).solve(budget, assumptions)
-    if res.status == SAT and not (evaluate(cnf, res.assignment)
-                                  and holds(res.assignment, assumptions)):
+    res = (solver if solver is not None else Solver(cnf)).solve(budget)
+    if res.status == SAT and not evaluate(cnf, res.assignment):
         raise AssertionError("solver returned a non-model; this is a solver bug")
     return res
 
 
 # DIMACS and external solvers
 
-def write_dimacs(cnf, path, units=()):
-    """Stream DIMACS to a file without building the whole text in memory;
-    units are extra one-literal clauses written after the formula."""
+def write_dimacs(cnf, path):
+    """Stream DIMACS to a file without building the whole text in memory."""
     with open(path, "w") as fh:
-        fh.write(f"p cnf {cnf.nvars} {len(cnf) + len(units)}\n")
+        fh.write(f"p cnf {cnf.nvars} {len(cnf)}\n")
         cur = []
         for l in cnf.literal_array():
             if l == 0:
@@ -577,8 +550,6 @@ def write_dimacs(cnf, path, units=()):
                 cur = []
             else:
                 cur.append(str(l))
-        for l in units:
-            fh.write(f"{l} 0\n")
 
 
 def parse_dimacs(text):
@@ -654,24 +625,21 @@ def parse_external_result(text, returncode, nvars=0):
     return SolveResult(status=SAT, assignment=assignment)
 
 
-def solve_external(cnf, command, budget=None, assumptions=()):
+def solve_external(cnf, command, budget=None):
     """Run an external DIMACS solver given as a command template.
 
     The template must contain `{input}`, e.g. `splr -q -r - {input}` or
-    `minisat {input} /dev/stdout`.  The assumptions are added to the file as
-    unit clauses.  The budget's seconds bound the run, which is killed and
-    answers BUDGET when they are up; its conflicts bound nothing.  Verdict
-    is read from stdout (the `s` line, or exit code 20 when there is none:
-    parse_external_result); Sat models are self-checked against the formula
-    and the assumptions.
+    `minisat {input} /dev/stdout`.  The budget's seconds bound the run,
+    which is killed and answers BUDGET when they are up; its conflicts bound
+    nothing.  Verdict is read from stdout (the `s` line, or exit code 20
+    when there is none: parse_external_result); Sat models are self-checked
+    against the formula.
     """
     if "{input}" not in command:
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
-    if bad := [l for l in assumptions if not 0 < abs(l) <= cnf.nvars]:
-        raise ValueError(f"assumption {bad[0]} names no variable in 1..{cnf.nvars}")
     with tempfile.TemporaryDirectory(prefix="sensynth-cnf-") as td:
         path = Path(td) / "problem.cnf"
-        write_dimacs(cnf, path, units=assumptions)
+        write_dimacs(cnf, path)
         argv = shlex.split(command.replace("{input}", str(path)))
         try:
             proc = subprocess.run(
@@ -687,8 +655,7 @@ def solve_external(cnf, command, budget=None, assumptions=()):
             return SolveResult(status=BUDGET)
         out = proc.stdout + "\n" + proc.stderr
         res = parse_external_result(out, proc.returncode, nvars=cnf.nvars)
-    if res.status == SAT and not (evaluate(cnf, res.assignment)
-                                  and holds(res.assignment, assumptions)):
+    if res.status == SAT and not evaluate(cnf, res.assignment):
         raise ExternalSolverError("external model fails the formula self-check")
     return res
 

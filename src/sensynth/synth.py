@@ -19,17 +19,18 @@ k reaches the cell's completeness bound mu * max(1, |V - {goal}|), since a
 shortest path from a pair that a winning policy reaches visits only reached
 non-goal pairs, all in (V - {goal}) x memory; below it UNSAT is Unknown.
 
-synthesize is the one-cell sweep: one formula and one solver answer the
-(mu, nu) cells, each searched cell assuming the formula's own update and
-emission literals false (see Prepared.search and encode.VarMap.assumptions).
-A sweep searches only the cells of a walk along its staircase of verdicts and
-infers the rest, soundly: a cell (mu, nu) of the shared formula assumes a
-superset of the literals that a cell (mu', nu') with mu' >= mu and
-nu' >= nu assumes.  So a model at (mu, nu) satisfies (mu', nu'), where its
-checked pair (memory <= mu, new <= nu) is a witness; and UNSAT at
-(mu', nu') with k at the bound of mu' stays UNSAT at (mu, nu), where k
-reaches the smaller bound of mu.  An Unknown cell implies nothing, UNSAT
-below the bound (a smaller k) included.
+synthesize is the one-cell sweep.  A sweep searches the cells of a walk
+along its staircase of verdicts, each on its own formula, and infers the
+rest from the monotonicity of the problem itself.  A checked pair with at
+most mu memory elements and at most nu fresh symbols is a witness at every
+cell (mu', nu') with mu' >= mu and nu' >= nu: a policy is also one over
+more memory elements that it never enters, a completion that adds at most
+nu fresh symbols adds at most nu', and no other part of the contract
+depends on mu or nu.  So Realizable at (mu, nu) is Realizable at every
+larger cell.  Conversely, a cell (mu', nu') refuted with k at the bound of
+mu' has no witness, so no smaller cell (mu, nu) has one either, and there
+k reaches the smaller bound of mu: it is Unrealizable.  An Unknown cell
+implies nothing, UNSAT below the bound (a smaller k) included.
 """
 
 from __future__ import annotations
@@ -170,15 +171,14 @@ def decode_completion(assignment, vm, p):
     return Completion(n_new=n_new, rows=tuple(rows))
 
 
-def decode_policy(assignment, vm, mu=None):
+def decode_policy(assignment, vm):
     """Read the policy supports off a satisfying assignment.
 
     sigma_n(m) = {a : A(m,a)}, sigma_u(m,z,a) = {m' : M(m,z,a,m')}, over the
-    memory elements m, m' < mu (default vm.mu; a grid formula's cell reads
-    only the elements it switched on).  Columns of unused fresh symbols are
+    memory elements m, m' < vm.mu.  Columns of unused fresh symbols are
     dropped, as in the completion.
     """
-    mu = vm.mu if mu is None else mu
+    mu = vm.mu
     act = []
     for m in range(mu):
         row = tuple(a for a in range(vm.na) if assignment[vm.var_a(m, a)])
@@ -237,9 +237,9 @@ def trap_cuts(p, vm, g, cert):
     in T leaves T towards the goal by an edge from some (s, m) in T under a
     safe action a (the closure forbids the others) to some (s', m') outside
     T, m' over all memory of the formula: so -C(b) | OR e(m,a,s',m') over
-    those edges (encode.edge_literal) holds in every cell.  g's model makes
-    C(b) true and every such e false, since a true e is an edge of g, and a
-    newly defined e is false in its extension too."""
+    those edges (encode.edge_literal) holds at every winning pair.  g's
+    model makes C(b) true and every such e false, since a true e is an edge
+    of g, and a newly defined e is false in its extension too."""
     defs, cuts = [], []
     for trap in _bottom_sccs(g.adj, set(cert.reachable).difference(cert.dist)):
         pairs = sorted(g.pair(v) for v in trap)
@@ -289,22 +289,21 @@ class Prepared:
         the tests."""
         return encode(self.model, mu, nu, None, self.constraints, region=self.region)
 
-    def search(self, cnf, vm, mu, nu, solver, budget=None):
-        """Decide the cell (mu, nu) of the formula (cnf, vm) from encode() in
-        rounds; returns the last round's status (sat.SAT, UNSAT or BUDGET),
-        the checked (completion, policy, certificate) decoded with the cell's
-        mu when SAT, else None, and the cell's SynthStats.
+    def search(self, cnf, vm, solver, budget=None):
+        """Decide the cell (vm.mu, vm.nu) of the formula (cnf, vm) from
+        encode() in rounds; returns the last round's status (sat.SAT, UNSAT
+        or BUDGET), the checked (completion, policy, certificate) when SAT,
+        else None, and the cell's SynthStats.
 
         solver is a sat.Solver built on cnf, which carries what it learns to
         its next call and loads what cnf gained at each call, or an external
         command template that gets one DIMACS file per round
-        (sat.solve_external).  Each round assumes VarMap.assumptions(mu, nu)
-        (updates into memory >= mu and emissions of fresh symbols >= nu
-        false; its docstring has the soundness argument) and gets what
-        budget leaves after the cell's conflicts and seconds so far.  time_ms and the counters (None for an
-        external solver) sum over the rounds.  A failing external solver
-        raises its ExternalSolverError with the cell's stats in e.stats: the
-        rounds, the failed one counted, time_ms 0 and no counters.
+        (sat.solve_external).  Each round gets what budget leaves after the
+        cell's conflicts and seconds so far.  time_ms and the counters (None
+        for an external solver) sum over the rounds.  A failing external
+        solver raises its ExternalSolverError with the cell's stats in
+        e.stats: the rounds, the failed one counted, time_ms 0 and no
+        counters.
 
         Every decoded pair must keep the request's contract
         (verify.contract_breaches), else it is an EncoderFault.  A losing
@@ -313,7 +312,7 @@ class Prepared:
         clauses the model (new variables false) satisfies is an
         EncoderFault.  cnf then declares the grown variable count.  A
         winning pair is pruned (_prune)."""
-        p, assumptions = self.model, vm.assumptions(mu, nu)
+        p = self.model
         embedded = isinstance(solver, sat.Solver)
         t_cell, runs, seconds, pair = time.perf_counter(), [], 0.0, None
         while True:
@@ -323,8 +322,8 @@ class Prepared:
                 for limit, u in zip((budget.max_conflicts, budget.max_seconds), used)))
             t0 = time.perf_counter()
             try:
-                res = (sat.solve(cnf, rest, assumptions, solver) if embedded
-                       else sat.solve_external(cnf, solver, rest, assumptions))
+                res = (sat.solve(cnf, rest, solver) if embedded
+                       else sat.solve_external(cnf, solver, rest))
             except sat.ExternalSolverError as e:
                 e.stats = SynthStats(cnf.nvars, len(cnf), rounds=len(runs) + 1)
                 raise
@@ -333,8 +332,8 @@ class Prepared:
             if res.status != sat.SAT:
                 break
             comp = decode_completion(res.assignment, vm, p)
-            pol = decode_policy(res.assignment, vm, mu)
-            breaches = contract_breaches(p, comp, pol, mu, nu, self.constraints)
+            pol = decode_policy(res.assignment, vm)
+            breaches = contract_breaches(p, comp, pol, vm.mu, vm.nu, self.constraints)
             if breaches:
                 raise EncoderFault("decoded pair breaks its contract: " + "; ".join(breaches))
             g = build_product(p, comp, pol)
@@ -402,11 +401,11 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
 
     One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
     pre-pass depends on neither mu nor nu.  A cell whose nu fails
-    Prepared.needs_formula is Unrealizable without a formula.  The other
-    cells share one formula, Prepared.encode at (mu_hi, nu_hi); a one-cell
-    sweep's formula is exactly the (mu, nu) formula.  A searched cell is
-    Prepared.search with the cell's budget and, for the embedded solver, one
-    Solver for every cell.  UNSAT means Unrealizable iff
+    Prepared.needs_formula is Unrealizable without a formula.  A searched
+    cell is Prepared.search on its own formula, Prepared.encode(mu, nu),
+    with the cell's budget and, for the embedded solver, a Solver of its
+    own, so a one-cell sweep builds the (mu, nu) formula and nothing more.
+    UNSAT means Unrealizable iff
     k >= mu * max(1, |V - {goal}|), the cell's completeness bound, and
     Unknown otherwise; k (default the completeness bound of mu_hi) has no
     other use, and every outcome reports it, a cell without a formula
@@ -417,11 +416,12 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
     or else searched, which walks the staircase: a Realizable cell sends the
     search to the next lower mu, an Unrealizable one to the next higher nu.
     An Unknown cell implies nothing; without one at most |mus| + |nus| - 1
-    cells are searched.  Every outcome's vars and clauses are those of the
-    shared formula.  A searched cell has its own time_ms, solver counters
-    and rounds; an inferred one keeps its source's k, completion, policy
-    and certificate, with time_ms 0, no counters (an empty CSV conflicts
-    field) and no rounds.
+    cells are searched.  A searched cell, a failed external one included,
+    reports its own formula's vars and clauses, trap cuts included, and its
+    own time_ms, solver counters and rounds.  An inferred cell keeps its
+    source's k, completion, policy and certificate with SynthStats(): no
+    formula, time_ms 0, no counters (an empty CSV conflicts field) and no
+    rounds.
 
     A failing external solver makes its cell Unknown, naming the error and
     keeping it as the outcome's error, and the sweep continues; every other
@@ -442,20 +442,19 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
     # cells without a formula; their nu lies below every live one, so they imply none
     done = {(mu, nu): Unrealizable(k=k, mu=mu, nu=nu, stats=SynthStats())
             for mu in mus for nu in nus if nu not in live}
-    if live:
-        cnf, vm = prep.encode(mus[-1], nus[-1])
-        if solver in (None, "", "embedded"):
-            solver = sat.Solver(cnf)
+    embedded = solver in (None, "", "embedded")
     for nu in live:  # the staircase walk from (mu_hi, nu_lo), inferring what it implies
         for mu in reversed(mus):
             src = next((o for o in done.values()
                         if o.verdict == "Realizable" and o.mu <= mu and o.nu <= nu
                         or o.verdict == "Unrealizable" and o.mu >= mu and o.nu >= nu), None)
             if src is not None:
-                done[mu, nu] = replace(src, mu=mu, nu=nu, stats=SynthStats(cnf.nvars, len(cnf)))
+                done[mu, nu] = replace(src, mu=mu, nu=nu, stats=SynthStats())
                 continue
+            cnf, vm = prep.encode(mu, nu)
             try:
-                status, pair, stats = prep.search(cnf, vm, mu, nu, solver, budget)
+                status, pair, stats = prep.search(cnf, vm, sat.Solver(cnf) if embedded else solver,
+                                                  budget)
             except sat.ExternalSolverError as e:
                 done[mu, nu] = Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
                                        k=k, stats=e.stats, error=e)

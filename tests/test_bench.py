@@ -34,6 +34,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="unknown grid character"):
             GridSpec.from_ascii("g?+")
 
+    @pytest.mark.parametrize("art", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_empty_layout(self, art):
+        with pytest.raises(ValueError, match="^the grid layout is empty$"):
+            GridSpec.from_ascii(art)
+
     @pytest.mark.parametrize("kw", [
         dict(width=0, height=1, starts=((0, 0),), goals=((0, 0),)),
         dict(width=2, height=1, starts=(), goals=((0, 0),)),

@@ -217,6 +217,12 @@ class TestUsageErrors:
     def test_hallway_needs_layout(self):
         assert cli.main(["gen", "hallway"]) == 4
 
+    def test_empty_hallway_layout(self, tmp_path, capsys):
+        layout = tmp_path / "empty.txt"
+        layout.write_text("")
+        assert cli.main(["gen", "hallway", "--layout", str(layout)]) == 4
+        assert capsys.readouterr().err == "usage error: the grid layout is empty\n"
+
     def test_bad_generator_size(self):
         assert cli.main(["gen", "escape", "--n", "1"]) == 4
 

@@ -16,7 +16,6 @@ from sensynth.encode import (Cnf, SideConstraints, VarMap, at_most_one, encode,
                              encode_reach_closure, encode_side_constraints, encode_symmetry,
                              mdp_prepass, parse_constraints, sensor_model)
 from sensynth.model import BOT, ModelSemanticError, PartialObsFn, Pomdp, parse_pomdp
-from sensynth.synth import prepare, synthesize
 from test_acceptance import SPLIT
 
 FIG1_VARIANT = """
@@ -118,12 +117,19 @@ class TestActionAndMemoryFamilies:
         assert list(out) == [[vm.var_m(0, 0, 0, 0)]]
 
 
+def pinned(cnf, units):
+    """A copy of cnf with a unit clause for each literal of units."""
+    out = Cnf()
+    for c in itertools.chain(cnf, ([l] for l in units)):
+        out.add(c)
+    return out.finalize(cnf.nvars)
+
+
 def projections(cnf, lits):
     """Every valuation of lits, each with whether it extends to a model of cnf."""
-    solver = sat.Solver(cnf)
     for bits in itertools.product((False, True), repeat=len(lits)):
-        assumed = [l if b else -l for l, b in zip(lits, bits)]
-        yield bits, sat.solve(cnf, assumptions=assumed, solver=solver).status == sat.SAT
+        units = [l if b else -l for l, b in zip(lits, bits)]
+        yield bits, sat.solve(pinned(cnf, units)).status == sat.SAT
 
 
 class TestAtMostOne:
@@ -239,13 +245,7 @@ def choices_match_formula(p, mu, nu, k, sc):
              + [vm.var_o(i, z) for i in range(vm.ns) for z in range(vm.nzp)])
     for bits in itertools.product((False, True), repeat=len(vars_)):
         choice = dict(zip(vars_, bits))
-        pinned = Cnf()
-        for c in cnf:
-            pinned.add(c)
-        for v, b in choice.items():
-            pinned.add((v if b else -v,))
-        pinned.finalize(cnf.nvars)
-        got = sat.solve(pinned).status == sat.SAT
+        got = sat.solve(pinned(cnf, [v if b else -v for v, b in choice.items()])).status == sat.SAT
         assert got == semantic_ok(p, vm, sc, choice), (choice, got)
 
 
@@ -571,14 +571,13 @@ class TestPathPredicate:
             region = mdp_prepass(p)
             vm = VarMap(p, mu, nu, k, region)
             cnf = encode_path_predicate(p, vm).finalize(vm.nvars)
-            engine = sat.Solver(cnf)
             for _ in range(4):
                 val = [False] + [rng.random() < 0.5 for _ in range(vm.nvars)]
                 steps = self.product_steps(p, vm, val)
                 n_amo = vm.var_o(0, 0) + vm.ns * vm.nzp  # the A, M, O blocks
                 fixed = [v if val[v] else -v for v in range(1, n_amo)]
                 for s, m, j in itertools.product(sorted(region), range(mu), range(k + 1)):
-                    res = sat.solve(cnf, assumptions=fixed + [vm.var_p(s, m, j)], solver=engine)
+                    res = sat.solve(pinned(cnf, fixed + [vm.var_p(s, m, j)]))
                     assert (res.status == sat.SAT) == (steps.get((s, m), k + 1) <= j), (p, mu, nu, s, m, j)
                     checked += 1
         assert checked
@@ -811,73 +810,3 @@ class TestEncodeWhole:
             a = sat.solve(encode(p, mu, nu, k)[0]).status
             b = sat.solve(symmetry_free(p, VarMap(p, mu, nu, k, mdp_prepass(p)))).status
             assert a == b
-
-
-class TestSelectorFamily:
-    """A (mu, nu) cell of a grid formula is the formula's own update and
-    emission literals assumed false (VarMap.assumptions)."""
-
-    def test_one_cell_formula_unchanged(self, fig1):
-        # the formula has no P, and the cell's search adds the trap cuts of
-        # its rounds to it
-        prep = prepare(fig1, 3, 1)
-        plain, vm = prep.encode(3, 1)
-        assert vm.k is None and vm.assumptions(vm.mu, vm.nu) == []
-        n_base = len(plain)
-        prep.search(plain, vm, 3, 1, sat.Solver(plain))
-        out = synthesize(fig1, 3, 1)
-        assert (out.stats.vars, out.stats.clauses) == (plain.nvars, len(plain))
-        assert len(plain) > n_base
-
-    def test_layout_and_assumptions(self, fig1):
-        _, vm = encode(fig1, 3, 2, 9)
-        n_upd = vm.mu * vm.nzp * vm.na  # updates into one memory element
-        for mu in (1, 2, 3):
-            for nu in (0, 1, 2):
-                lits = vm.assumptions(mu, nu)
-                assert all(l < 0 for l in lits) and len(set(lits)) == len(lits)
-                names = [vm.var_name(-l) for l in lits]
-                into = [int(n[n.rindex(",m") + 2:-1]) for n in names if n.startswith("M(")]
-                fresh = [int(n[n.index(",@") + 2:-1]) for n in names if n.startswith("O(")]
-                assert len(into) + len(fresh) == len(names)
-                assert sorted(into) == [m for m in range(mu, 3) for _ in range(n_upd)]
-                assert sorted(fresh) == [t for t in range(nu, 2) for _ in vm.observed]
-
-    @staticmethod
-    def _cells_match(p, sc, mus, nus):
-        k = mus[-1] * p.n_states
-        grid, vm = encode(p, mus[-1], nus[-1], k, sc=sc)
-        solver = sat.Solver(grid)
-        for mu in mus:
-            for nu in nus:
-                if p.n_obs + nu == 0:
-                    continue
-                got = sat.solve(grid, assumptions=vm.assumptions(mu, nu), solver=solver).status
-                want = sat.solve(encode(p, mu, nu, k, sc=sc)[0]).status
-                assert got == want, (p, sc, mu, nu)
-
-    def test_each_cell_equisatisfiable_with_its_own_formula(self):
-        rng = random.Random(19)
-        for _ in range(8):
-            p = random_pomdp(rng)
-            a, b = rng.sample(range(p.n_states), 2)
-            modes = [SideConstraints(), SideConstraints(deterministic=True),
-                     SideConstraints(strict=True), SideConstraints(same=((a, b),)),
-                     SideConstraints(diff=((a, b),))]
-            if p.n_obs >= 2:
-                modes.append(SideConstraints(implies=((a, 0, 1),)))
-            for sc in modes:
-                self._cells_match(p, sc, (1, 2, 3), (0, 1, 2))
-        sensors = 0
-        while sensors < 4:  # sensor mode: the mu axis at nu = 0
-            p = random_pomdp(rng)
-            if all(p.obs.support(s) for s in range(p.n_states)):
-                sensor = SideConstraints(sensor_name="C", sensor_values=("lo", "hi"))
-                self._cells_match(*sensor_model(p, sensor), (1, 2, 3), (0,))
-                sensors += 1
-
-    def test_element_zero_stays_on(self, fig1):
-        vm = VarMap(fig1, 2, 1, 3)
-        for mu, nu in ((0, 1), (3, 1), (1, -1), (1, 2)):
-            with pytest.raises(ValueError):
-                vm.assumptions(mu, nu)

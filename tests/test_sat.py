@@ -47,6 +47,20 @@ class TestSolve:
     def test_empty_formula(self):
         assert solve(cnf_of([], 0)).status == SAT
 
+    def test_self_check_rejects_a_non_model(self):
+        cnf = cnf_of([(1, 2), (-2,)], 2)
+
+        class Liar:
+            def __init__(self, assignment):
+                self.assignment = assignment
+
+            def solve(self, budget=None):
+                return sat.SolveResult(status=SAT, assignment=self.assignment)
+
+        assert solve(cnf, solver=Liar([False, True, False])).status == SAT
+        with pytest.raises(AssertionError, match="non-model"):
+            solve(cnf, solver=Liar([False, True, True]))
+
     def test_random_3cnf_vs_enumeration(self):
         rng = random.Random(5)
         for round_ in range(120):
@@ -194,12 +208,12 @@ class TestArena:
         cnf, vm = prep.encode(2, 2)
         solver = sat.Solver(cnf)
         base = len(cnf.literal_array())
-        status, _, stats = prep.search(cnf, vm, 2, 2, solver)
+        status, _, stats = prep.search(cnf, vm, solver)
         cuts = len(cnf.literal_array()) - base
         assert status == UNSAT and stats.rounds == 10 and cuts > 0
         assert solver.loaded == base + cuts and solver.nvars == cnf.nvars
         assert min(solver.learnts) < len(solver.lits) - cuts  # cuts follow learnt clauses
-        assert not solver.ok  # the cell is the formula's top one: no assumptions
+        assert not solver.ok  # the last round refuted the formula
         assert_watch_invariant(solver, cnf)
 
     def test_rejects_cnf_grown_past_nvars(self):
@@ -248,7 +262,8 @@ class TestBudget:
 
 
 class TestAssumptions:
-    """One Solver answering repeated solve(assumptions=...) calls."""
+    """One Solver answering repeated solve() calls while its Cnf gains
+    clauses between them, units included, as a cell's trap-cut rounds do."""
 
     def test_random_cnfs_vs_enumeration(self):
         rng = random.Random(31)
@@ -256,42 +271,33 @@ class TestAssumptions:
         for _ in range(60):
             nvars = rng.randint(2, 9)
             clauses = []
-            for _ in range(rng.randint(1, 4 * nvars)):
+            for _ in range(rng.randint(1, 2 * nvars)):
                 lits = rng.sample(range(1, nvars + 1), rng.randint(1, min(4, nvars)))
                 clauses.append(tuple(l if rng.random() < 0.5 else -l for l in lits))
             cnf = cnf_of(clauses, nvars)
             solver = sat.Solver(cnf)
-            loaded = solver.ok  # load stops watching at a conflict among the units
             for _ in range(8):
-                assumed = [v if rng.random() < 0.5 else -v
-                           for v in rng.sample(range(1, nvars + 1), rng.randint(0, nvars))]
-                res = solve(cnf, assumptions=assumed, solver=solver)
-                want = brute_sat(clauses + [(l,) for l in assumed], nvars)
-                assert (res.status == SAT) == want, (clauses, assumed)
-                if res.status == SAT:
-                    assert all(res.assignment[abs(l)] == (l > 0) for l in assumed)
+                res = solve(cnf, solver=solver)  # self-checks the model
+                assert (res.status == SAT) == brute_sat(clauses, nvars), clauses
                 statuses[res.status] += 1
-            if loaded:
-                assert_watch_invariant(solver, cnf)
+                if solver.ok:
+                    assert_watch_invariant(solver, cnf)
+                lits = rng.sample(range(1, nvars + 1), rng.randint(1, 2))
+                clauses.append(tuple(l if rng.random() < 0.5 else -l for l in lits))
+                cnf.add(clauses[-1])
         assert statuses[SAT] > 50 and statuses[UNSAT] > 50
 
-    def test_assumption_conflict_is_not_permanent(self):
-        cnf = cnf_of([(1, 2), (-1, 3), (-2, 3)], 3)
-        solver = sat.Solver(cnf)
-        assert solver.solve(assumptions=[-3]).status == UNSAT
-        assert solver.solve(assumptions=[-1, -2]).status == UNSAT
-        assert solver.ok
-        res = solver.solve(assumptions=[-1])
-        assert res.status == SAT and res.assignment[2] and res.assignment[3]
-
     def test_root_unsat_is_permanent(self):
-        cnf = encode_php(4, 3)
+        cnf = encode_php(4, 4)
         solver = sat.Solver(cnf)
-        assert solver.solve(assumptions=[1]).status == UNSAT
+        assert solver.solve().status == SAT
+        for p in range(4):  # hole 3 closes: four pigeons in three holes
+            cnf.add([-(p * 4 + 4)])
         assert solver.solve().status == UNSAT
         assert not solver.ok
-        for assumed in ([], [1], [-1, -2], [2, 5]):
-            res = solver.solve(assumptions=assumed)
+        for clause in ([1], [-1, -2], [2, 5]):
+            cnf.add(clause)
+            res = solver.solve()
             assert res.status == UNSAT and res.conflicts == 0
 
     def test_max_conflicts_counts_per_call(self):
@@ -303,51 +309,16 @@ class TestAssumptions:
         assert solver.n_conflicts == 10
 
     def test_counters_cover_one_call(self):
-        cnf = encode_php(5, 4)
+        cnf = encode_php(5, 5)
         solver = sat.Solver(cnf)
-        a = solver.solve(assumptions=[1])
-        b = solver.solve(assumptions=[2])
+        a = solver.solve()
+        for p in range(5):  # hole 4 closes: five pigeons in four holes
+            cnf.add([-(p * 5 + 5)])
+        b = solver.solve()
+        assert (a.status, b.status) == (SAT, UNSAT) and b.conflicts > 0
         assert (a.conflicts + b.conflicts, a.decisions + b.decisions,
                 a.propagations + b.propagations) == \
             (solver.n_conflicts, solver.n_decisions, solver.n_props)
-
-    def test_self_check_covers_assumptions(self):
-        cnf = cnf_of([(1, 2)], 2)
-
-        class Liar:
-            def solve(self, budget=None, assumptions=()):
-                return sat.SolveResult(status=SAT, assignment=[False, True, True])
-
-        assert solve(cnf, solver=Liar()).status == SAT
-        assert solve(cnf, assumptions=[2], solver=Liar()).status == SAT
-        with pytest.raises(AssertionError, match="non-model"):
-            solve(cnf, assumptions=[-2], solver=Liar())
-
-    @pytest.mark.parametrize("assumed", [[-3], [3], [5], [1, 0]])
-    def test_assumption_past_the_variables(self, assumed):
-        # -3 would read literal 2's slot of vals and refute {1 | 2, -2}
-        cnf = cnf_of([(1, 2), (-2,)], 2)
-        solver = sat.Solver(cnf)
-        with pytest.raises(ValueError, match="names no variable in 1..2"):
-            solve(cnf, assumptions=assumed, solver=solver)
-        assert solve(cnf, assumptions=[1], solver=solver).status == SAT
-
-    @pytest.mark.parametrize("assumed", [[-3], [3], [1, 0]])
-    def test_external_assumption_past_the_variables(self, assumed, tmp_path):
-        stub = tmp_path / "stub.sh"  # never runs: no units past the header
-        stub.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
-        stub.chmod(0o755)
-        with pytest.raises(ValueError, match="names no variable in 1..2"):
-            solve_external(cnf_of([(1, 2), (-2,)], 2), f"{stub} {{input}}", assumptions=assumed)
-
-    def test_external_assumptions_as_units(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PYTHONPATH", SRC)
-        cnf = cnf_of([(1, 2), (-1, 3)], 3)
-        write_dimacs(cnf, tmp_path / "f.cnf", units=(-3, 2))
-        assert (tmp_path / "f.cnf").read_text() == "p cnf 3 4\n1 2 0\n-1 3 0\n-3 0\n2 0\n"
-        res = solve_external(cnf, FRONT_END, assumptions=[-3])
-        assert res.status == SAT and not res.assignment[3] and res.assignment[2]
-        assert solve_external(cnf, FRONT_END, assumptions=[-3, -2]).status == UNSAT
 
 
 class TestAddClause:
@@ -409,10 +380,10 @@ class TestAddClause:
                                   for l in rng.sample(range(1, nvars + 1), rng.randint(1, 3)))
                     cnf.add(added)
                     clauses.append(added)
-                assumed = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
-                res = solve(cnf, assumptions=assumed, solver=solver)  # self-checks the model
+                units = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
+                res = solve(cnf_of(clauses + [(l,) for l in units], nvars))
                 assert (res.status == SAT) == \
-                    brute_sat(clauses + [(l,) for l in assumed], nvars)
+                    brute_sat(clauses + [(l,) for l in units], nvars)
                 if solver.ok:
                     assert_watch_invariant(solver, cnf)
 
@@ -463,10 +434,8 @@ class TestAddClause:
                     assert all(solver.vals[l] == w for l, w in level0.items() if w)
                     if solver.ok:
                         assert_watch_invariant(solver, cnf)
-                assumed = [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), 2)]
-                res = solve(cnf, assumptions=assumed, solver=solver)  # self-checks the model
-                assert (res.status == SAT) == \
-                    brute_sat(clauses + [(l,) for l in assumed], nvars)
+                res = solve(cnf, solver=solver)  # self-checks the model
+                assert (res.status == SAT) == brute_sat(clauses, nvars)
                 assert res.status != SAT or len(res.assignment) == nvars + 1
 
 

@@ -466,7 +466,7 @@ class TestSolverCounters:
         prep = prepare(fig1, 3, 1)
         cnf, vm = prep.encode(3, 1)
         solver = sat.Solver(cnf)
-        status, _, st = prep.search(cnf, vm, 3, 1, solver)
+        status, _, st = prep.search(cnf, vm, solver)
         assert status == sat.SAT and replace(st, time_ms=0) == replace(out.stats, time_ms=0)
         assert st.rounds > 1
         assert (st.conflicts, st.decisions, st.propagations) == \
@@ -521,7 +521,7 @@ class TestSweep:
     def test_external_solver_failure_is_unknown(self, fig1, monkeypatch):
         # the solver answers (3, 1)'s first round, whose pair loses, and fails
         # every later run: (3, 1) fails in its second round, (2, 1) in its first
-        sizes = []
+        sizes, own = [], {mu: prepare(fig1, mu, 1).encode(mu, 1)[0] for mu in (2, 3)}
 
         def broken(cnf, *args, **kwargs):
             sizes.append((cnf.nvars, len(cnf)))
@@ -533,9 +533,10 @@ class TestSweep:
         assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
         assert all(r.reason == "external solver failed: solver exited with status 139"
                    for r in rows)
-        # the shared formula with the first round's cuts, the rounds run, the
-        # failed one included, no time and no counters
-        assert len(sizes) == 3 and sizes[1][1] > sizes[0][1] and sizes[2] == sizes[1]
+        # each cell's own formula with the cuts of its rounds, the rounds run,
+        # the failed one included, no time and no counters
+        assert sizes[0] == (own[3].nvars, len(own[3])) and sizes[1][1] > sizes[0][1]
+        assert sizes[2:] == [(own[2].nvars, len(own[2]))]
         assert [r.stats for r in rows] == [synth.SynthStats(*sizes[2], rounds=1),
                                            synth.SynthStats(*sizes[1], rounds=2)]
 
@@ -565,8 +566,9 @@ class TestSweep:
 
 
 class TestGrid:
-    """sweep answers every cell from one formula and one solver; its verdicts
-    must be those of one synthesize call per cell."""
+    """sweep searches the cells of its staircase walk, each on its own
+    formula, and infers the rest; its verdicts must be those of one
+    synthesize call per cell."""
 
     @staticmethod
     def per_cell(p, mus, nus, **opts):
@@ -675,15 +677,24 @@ class TestGrid:
         assert [synthesize(p, 2, nu, constraints=sc).verdict for nu in range(3)] == want
         assert [r.verdict for r in sweep(p, [2], range(3), constraints=sc)] == want
 
-    def test_shared_formula(self, fig1):
-        rows = [r for r in sweep(fig1, range(1, 4), range(0, 3)) if r.stats.vars]
-        assert len(rows) == 6  # nu = 0 leaves fig1 no alphabet: no formula
-        # the shared formula's, with the trap cuts and the edge literals they
-        # define added before the row
-        base = prepare(fig1, 3, 2).encode(3, 2)[0]
-        assert all(r.stats.vars >= base.nvars and r.stats.clauses >= len(base) for r in rows)
-        searched = [r for r in rows if r.stats.conflicts is not None]
-        assert searched and all(r.stats.decisions is not None for r in searched)
+    @pytest.mark.parametrize("model, mus, nus", [
+        ("fig1", range(1, 4), range(0, 3)),
+        ("det_hallway", range(1, 5), range(0, 4)),
+    ], ids=["fig1", "det_hallway"])
+    def test_searched_cell_is_its_own_formula(self, request, model, mus, nus):
+        # a searched row is exactly synthesize of its cell: the same formula,
+        # cuts and search; an inferred row, or one without a formula, has none
+        p = request.getfixturevalue(model)
+        counts = lambda st: replace(st, time_ms=0)
+        searched = 0
+        for r in sweep(p, mus, nus):
+            if r.stats.conflicts is None:
+                assert r.stats == synth.SynthStats(), (r.mu, r.nu)
+                continue
+            out = synthesize(p, r.mu, r.nu)
+            assert (r.verdict, counts(r.stats)) == (out.verdict, counts(out.stats)), (r.mu, r.nu)
+            searched += 1
+        assert searched >= 3
 
     def test_walk_searches_the_staircase(self, fig1):
         # (3,1) R -> (2,1) U -> (2,2) R -> (1,2) U; nu = 0 needs no formula
@@ -692,11 +703,11 @@ class TestGrid:
         assert sorted(searched) == [(1, 2), (2, 1), (2, 2), (3, 1)]
         assert {(r.mu, r.nu) for r in rows if r.verdict == "Realizable"} == \
             {(2, 2), (3, 1), (3, 2)}
-        inferred = [r for r in rows if r.stats.vars and r.stats.conflicts is None]
+        inferred = [r for r in rows if r.nu and r.stats.conflicts is None]
         assert sorted((r.mu, r.nu, r.verdict) for r in inferred) == \
             [(1, 1, "Unrealizable"), (3, 2, "Realizable")]
         for r in inferred:
-            assert r.stats.time_ms == 0 and r.stats.decisions is None
+            assert r.stats == synth.SynthStats()
             assert r.k == 9  # the call's k, 3 * |V - {goal}|, as a search reports
             if r.verdict == "Realizable":
                 assert r.policy.n_mem <= r.mu and r.completion.n_new <= r.nu
@@ -836,15 +847,15 @@ class TestTrapCuts:
         assert max(rounds) > 1  # some cell needed cuts
 
     def test_cuts_hold_in_every_cell(self, fig1):
-        # a cut found at mu = 2 on the mu = 3 formula names the edges into
-        # every memory element of the formula, so it also holds at mu = 3
-        prep = prepare(fig1, 3, 1)
-        cnf, vm = prep.encode(3, 1)
-        res = sat.solve(cnf, assumptions=vm.assumptions(2, 1))
+        # each cut of fig1's Unrealizable (2, 1) names the edges that leave
+        # its trap into every memory element of the formula
+        prep = prepare(fig1, 2, 1)
+        cnf, vm = prep.encode(2, 1)
+        res = sat.solve(cnf)
         comp = decode_completion(res.assignment, vm, prep.model)
-        g = build_product(prep.model, comp, decode_policy(res.assignment, vm, 2))
+        g = build_product(prep.model, comp, decode_policy(res.assignment, vm))
         cert = check_almost_sure(g)
-        pair = {vm.var_c(s, m): (s, m) for s in vm.region for m in range(3)}
+        pair = {vm.var_c(s, m): (s, m) for s in vm.region for m in range(2)}
         clauses = synth.trap_cuts(prep.model, vm, g, cert)
         key = {e: k for k, e in vm.edges.items()}
         traps = {}
@@ -857,9 +868,8 @@ class TestTrapCuts:
             assert all(w in ids for v in ids for w in g.adj[v])  # g never leaves the trap
             want = {(m, a, s2, m2) for s, m in inside for a in range(vm.na)
                     if vm.region.issuperset(fig1.succ(s, a)) for s2 in fig1.succ(s, a)
-                    for m2 in range(3) if (s2, m2) not in inside}
+                    for m2 in range(2) if (s2, m2) not in inside}
             assert {key[e] for e in leave} == want
-            assert 2 in {m2 for *_, m2 in want}
 
     def test_edges_defined_on_demand(self, fig1, monkeypatch):
         # the formula defines no edge literal; each one a cut
@@ -945,11 +955,11 @@ class TestTrapCuts:
         stub = tmp_path / "stub.py"
         stub.write_text('print("s SATISFIABLE")\nprint("v 1 x 0")\n')
         rows = sweep(fig1, range(2, 4), [1], solver=f"{sys.executable} {stub} {{input}}")
-        cnf, _ = prepare(fig1, 3, 1).encode(3, 1)
         assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
         assert all("non-integer token" in r.reason for r in rows)
-        assert {(r.stats.vars, r.stats.clauses, r.stats.rounds) for r in rows} == \
-            {(cnf.nvars, len(cnf), 1)}
+        for r in rows:  # each cell's own formula
+            cnf, _ = prepare(fig1, r.mu, 1).encode(r.mu, 1)
+            assert (r.stats.vars, r.stats.clauses, r.stats.rounds) == (cnf.nvars, len(cnf), 1)
 
 
 class TestSensorMode:
