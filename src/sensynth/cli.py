@@ -34,6 +34,11 @@ _VERDICT_EXIT = {"Realizable": EXIT_REALIZABLE, "Unrealizable": EXIT_UNREALIZABL
                  "Unknown": EXIT_UNKNOWN}
 
 
+# the longest timeout a subprocess wait can hold, 2**31 - 1 ms; the external
+# solver runs under --max-seconds
+MAX_SECONDS = (2 ** 31 - 1) / 1000
+
+
 class UsageError(Exception):
     pass
 
@@ -48,6 +53,8 @@ def budget(ns):
     for flag, value in (("--max-conflicts", ns.max_conflicts), ("--max-seconds", ns.max_seconds)):
         if value is not None and not value >= 0:  # NaN fails too
             raise UsageError(f"{flag} must be >= 0")
+    if ns.max_seconds is not None and ns.max_seconds > MAX_SECONDS:  # inf too
+        raise UsageError(f"--max-seconds must be at most {MAX_SECONDS}")
     if ns.max_conflicts is None and ns.max_seconds is None:
         return None
     return Budget(max_conflicts=ns.max_conflicts, max_seconds=ns.max_seconds)

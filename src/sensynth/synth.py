@@ -10,10 +10,15 @@ actions whose successors all lie in the MDP's almost-sure winning region W;
 it is empty when the initial state lies outside W, and then every cell is
 Unrealizable without any formula.  The formula has neither the path
 predicate P nor edge literals.  A model whose pair loses the product check
-adds trap cuts that every winning pair satisfies, with the edge literals
-they are the first to name (trap_cuts; SAT modulo graph reachability,
-Bayless, Bayless, Hoos & Hu, AAAI 2015), so the rounds are a complete
-search and UNSAT is a refutation.  The path bound k of synthesize and sweep
+adds cuts, with the edge literals they are the first to name (trap_cuts;
+SAT modulo graph reachability, Bayless, Bayless, Hoos & Hu, AAAI 2015).
+Each cut rests on one argument: a winning pair that reaches a set of pairs
+without a goal pair must leave it along its goal path, under a safe
+action, so some edge leaving the set is taken.  Every winning pair
+satisfies the cuts of the losing pair's traps, which exclude its model,
+and of their projections onto their states, which rule out every memory
+variant of the same dead end.  So the rounds are a complete search and
+UNSAT is a refutation.  The path bound k of synthesize and sweep
 shapes no formula; it only labels a refutation.  UNSAT is Unrealizable when
 k reaches the cell's completeness bound mu * max(1, |V - {goal}|), since a
 shortest path from a pair that a winning policy reaches visits only reached
@@ -231,25 +236,49 @@ def _bottom_sccs(adj, nodes):
 def trap_cuts(p, vm, g, cert):
     """Clauses, in a fixed order, that the losing pair behind product graph
     g violates and every winning pair satisfies: the definitions of the edge
-    literals they are the first to name, then the cuts.  The reached pairs
-    with no goal path are closed under successors, so each bottom strongly
-    connected component T of them is a trap.  A winning pair that reaches b
-    in T leaves T towards the goal by an edge from some (s, m) in T under a
-    safe action a (the closure forbids the others) to some (s', m') outside
-    T, m' over all memory of the formula: so -C(b) | OR e(m,a,s',m') over
-    those edges (encode.edge_literal) holds at every winning pair.  g's
-    model makes C(b) true and every such e false, since a true e is an edge
-    of g, and a newly defined e is false in its extension too."""
-    defs, cuts = [], []
-    for trap in _bottom_sccs(g.adj, set(cert.reachable).difference(cert.dist)):
-        pairs = sorted(g.pair(v) for v in trap)
+    literals they are the first to name, then the cuts of each trap, then
+    the cuts of each trap's projection.
+
+    A cut holds for any set U of pairs without a goal pair.  A winning pair
+    that reaches b in U has a goal path from b, which leaves U by an edge
+    from some (s, m) in U under an action a of its support to some (s', m')
+    outside U.  Every action a winning pair takes at a reached pair is safe,
+    succ(s, a) within the region V (the closure clauses forbid the others),
+    so -C(b) | OR e(m,a,s',m') over the edges leaving U under safe actions
+    (encode.edge_literal), m' over all memory of the formula, holds at every
+    winning pair.
+
+    The reached pairs of g with no goal path are closed under successors,
+    so each bottom strongly connected component T of them is a goal-free
+    trap.  g's model makes C(b) true for b in T and every e leaving T
+    false, since a true e is an edge of g and a newly defined e is false in
+    its extension too: T's cuts exclude the model.  The projection of T,
+    U = states(T) x {0..mu-1}, is goal-free as well, and its cuts rule out
+    every memory variant of the same dead end at once.  A projection equal
+    to T (always at mu = 1) or to an earlier trap's adds nothing and is
+    skipped.  The model may satisfy a projected cut, since an edge literal
+    defined in an earlier round can be true at a pair of U that g does not
+    reach."""
+    defs = []
+
+    def cuts(pairs):
         inside = set(pairs)
         leave = sorted({edge_literal(vm, (m, a, s2, m2), defs.append)
                         for s, m in pairs for a in range(vm.na)
                         if vm.region.issuperset(p.succ(s, a)) for s2 in p.succ(s, a)
                         for m2 in range(vm.mu) if (s2, m2) not in inside})
-        cuts += [[-vm.var_c(s, m)] + leave for s, m in pairs]
-    return defs + cuts
+        return [[-vm.var_c(s, m)] + leave for s, m in pairs]
+
+    traps = [sorted(g.pair(v) for v in trap)
+             for trap in _bottom_sccs(g.adj, set(cert.reachable).difference(cert.dist))]
+    found = [c for pairs in traps for c in cuts(pairs)]
+    seen = set()
+    for pairs in traps:
+        states = tuple(sorted({s for s, _ in pairs}))
+        if len(states) * vm.mu > len(pairs) and states not in seen:
+            seen.add(states)
+            found += cuts([(s, m) for s in states for m in range(vm.mu)])
+    return defs + found
 
 
 def _prune(p, comp, pol, cert):

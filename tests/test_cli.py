@@ -202,6 +202,11 @@ class TestUsageErrors:
         pytest.param("sweep", "--mu-range", "0..1", "--mu-range", id="--mu-range-0..1"),
         pytest.param("sweep", "--nu-range", "-1..0", "--nu-range", id="--nu-range--1..0"),
         pytest.param("sweep", "--max-seconds", "-1", "--max-seconds", id="sweep---max-seconds--1"),
+        # an external solver's run cannot wait longer than 2**31 - 1 ms
+        pytest.param("synth", "--max-seconds", "inf", "--max-seconds",
+                     id="synth---max-seconds-inf"),
+        pytest.param("sweep", "--max-seconds", "1e7", "--max-seconds",
+                     id="sweep---max-seconds-1e7"),
         pytest.param("synth", "--max-conflicts", "-3", "--max-conflicts",
                      id="synth---max-conflicts--3"),
         # export-dimacs runs no search, so it has no budget flags

@@ -210,7 +210,7 @@ class TestArena:
         base = len(cnf.literal_array())
         status, _, stats = prep.search(cnf, vm, solver)
         cuts = len(cnf.literal_array()) - base
-        assert status == UNSAT and stats.rounds == 10 and cuts > 0
+        assert status == UNSAT and stats.rounds == 6 and cuts > 0
         assert solver.loaded == base + cuts and solver.nvars == cnf.nvars
         assert min(solver.learnts) < len(solver.lits) - cuts  # cuts follow learnt clauses
         assert not solver.ok  # the last round refuted the formula

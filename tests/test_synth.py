@@ -848,7 +848,8 @@ class TestTrapCuts:
 
     def test_cuts_hold_in_every_cell(self, fig1):
         # each cut of fig1's Unrealizable (2, 1) names the edges that leave
-        # its trap into every memory element of the formula
+        # its goal-free pair set into every memory element of the formula:
+        # first the traps of g, then their projections onto their states
         prep = prepare(fig1, 2, 1)
         cnf, vm = prep.encode(2, 1)
         res = sat.solve(cnf)
@@ -858,18 +859,41 @@ class TestTrapCuts:
         pair = {vm.var_c(s, m): (s, m) for s in vm.region for m in range(2)}
         clauses = synth.trap_cuts(prep.model, vm, g, cert)
         key = {e: k for k, e in vm.edges.items()}
-        traps = {}
+        groups = []  # (leave, pair set) of each run of cuts, in order
         for cut in (c for c in clauses if -c[0] in pair):  # the definitions come first
-            traps.setdefault(tuple(cut[1:]), set()).add(pair[-cut[0]])
-        assert traps and not cert.ok
-        for leave, inside in traps.items():
-            ids = {v for v in g.adj if g.pair(v) in inside}
-            assert len(ids) == len(inside)
-            assert all(w in ids for v in ids for w in g.adj[v])  # g never leaves the trap
+            if not groups or groups[-1][0] != cut[1:]:
+                groups.append((cut[1:], set()))
+            groups[-1][1].add(pair[-cut[0]])
+        assert groups and not cert.ok
+        traps, projections = [], []
+        for leave, inside in groups:
+            assert all(s != prep.model.goal for s, _ in inside)
             want = {(m, a, s2, m2) for s, m in inside for a in range(vm.na)
                     if vm.region.issuperset(fig1.succ(s, a)) for s2 in fig1.succ(s, a)
                     for m2 in range(2) if (s2, m2) not in inside}
             assert {key[e] for e in leave} == want
+            ids = {v for v in g.adj if g.pair(v) in inside}
+            if not projections and len(ids) == len(inside) \
+                    and all(w in ids for v in ids for w in g.adj[v]):  # g never leaves it
+                assert ids <= set(cert.reachable) - set(cert.dist)
+                traps.append(inside)
+                continue
+            states = {s for s, _ in inside}  # a projection: states x {0, 1}
+            assert inside == {(s, m) for s in states for m in range(2)}
+            assert any({s for s, _ in t} == states and t < inside for t in traps)
+            assert states not in projections
+            projections.append(states)
+        assert traps and projections
+
+    def test_projections_rule_out_memory_variants(self, det_hallway):
+        # one projected cut covers every memory variant of a dead end, so the
+        # refutation needs far fewer rounds than cuts over the traps alone
+        # (99); at mu = 1 every projection equals its trap and adds nothing
+        out = synthesize(det_hallway, 3, 2)
+        assert out.verdict == "Unrealizable" and out.stats.rounds <= 30
+        out = synthesize(gen_escape(3), 1, 2)
+        assert out.verdict == "Unrealizable"
+        assert (out.stats.vars, out.stats.clauses) == (63, 141)
 
     def test_edges_defined_on_demand(self, fig1, monkeypatch):
         # the formula defines no edge literal; each one a cut
