@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 Realizable, 1 Unrealizable, 2 Unknown, 3 runtime error
-(I/O, parse, invalid model, internal fault), 4 usage error, 141 (128 +
-SIGPIPE) when the reader closes stdout early.  Human-readable reports go to
+(I/O, parse, invalid model, a formula past the 31-bit literal space,
+internal fault), 4 usage error, 141 (128 + SIGPIPE) when the reader closes
+stdout early.  Human-readable reports go to
 stdout; machine-readable documents (result, CSV, DIMACS, models) go to the
 given output files so golden tests stay stable.
 """
@@ -153,10 +154,10 @@ def cmd_verify(ns):
 
 
 def _parse_range(text, flag, least):
-    lo, _, hi = text.partition("..")
+    lo, sep, hi = text.partition("..")
     try:
         lo = int(lo)
-        hi = int(hi) if hi else lo
+        hi = int(hi) if sep else lo
     except ValueError:
         raise UsageError(f"bad range {text!r}, expected N or N..M")
     if hi < lo:
@@ -318,7 +319,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ModelError, ResultParseError, ExternalSolverError, OSError) as e:
+    except (ModelError, ResultParseError, ExternalSolverError, OSError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except (EncoderFault, AssertionError) as e:

@@ -3,16 +3,18 @@ external solver binaries.
 
 The embedded solver is a conflict-driven clause learner with two-watched-
 literal propagation, activity-based branching with decay, phase saving, Luby
-restarts, and learned-clause deletion.  Every satisfiable answer is
+restarts and learnt-literal minimization.  It keeps every clause it learns:
+the searches the synthesizer runs end after a few hundred conflicts, well
+before a deletion policy would pay for itself.  Every satisfiable answer is
 re-checked against the original formula before it is returned.
 
 One Solver answers any number of solve() calls on its Cnf.  Each call
 backtracks to level 0 and first loads the clauses the Cnf gained since the
 last, as the trap cuts of synth.Prepared.search are, over old or new
 variables; the Cnf is the one clause store.  Learnt clauses, the
-activities, the saved phases and the restart and reduce schedules carry
-from one call to the next, and a conflict at level 0 refutes the formula
-for every later call.
+activities, the saved phases and the restart schedule carry from one call
+to the next, and a conflict at level 0 refutes the formula for every later
+call.
 
 It runs on the encoder's own layout: a copy of the Cnf's zero-terminated
 literal arena, to which learnt clauses and later Cnf clauses are appended
@@ -98,10 +100,10 @@ class Solver:
       clauses the Cnf gains between calls, are appended to it.  A clause is
       named by the offset of its first literal, and that offset is the
       clause reference everywhere: in `reasonv`, as the conflict
-      `_propagate` returns, in `learnts` and in `lbd`.  The arena is never
-      compacted: a dropped learnt clause leaves its literals behind as dead
-      space.  Propagation reorders the literals inside a clause so that its
-      first two are the watched ones.
+      `_propagate` returns, and in `learnts`, the offsets of the learnt
+      clauses in the order they were learnt.  No clause is ever removed.
+      Propagation reorders the literals inside a clause so that its first
+      two are the watched ones.
     - `watches[lit]` is a flat int list of (clause offset, blocker) pairs,
       one pair per clause that watches `lit`.  The blocker is some other
       literal of the clause; while it is true the clause is satisfied and
@@ -136,14 +138,11 @@ class Solver:
         self.heap = []
         self.seen = bytearray(1)
         self.learnts = []
-        self.lbd = {}
         self.n_conflicts = 0
         self.n_decisions = 0
         self.n_props = 0
         self.n_restarts = 0
         self.reported = (0, 0, 0, 0)  # the counters when the last call answered
-        self.next_reduce = 4000
-        self.n_reductions = 0
         self.conflicts_at_restart = 0
         self.restart_budget = _luby(1) * RESTART_UNIT
         self._load()
@@ -194,7 +193,7 @@ class Solver:
                 wl.append(a)
             start = end + 1
 
-    def _learn(self, clause, lbd):
+    def _learn(self, clause):
         """Append a learnt clause of length >= 2 to the arena and watch it."""
         lits = self.lits
         ci = len(lits)
@@ -208,7 +207,6 @@ class Solver:
         wl.append(ci)
         wl.append(a)
         self.learnts.append(ci)
-        self.lbd[ci] = lbd
         return ci
 
     def _enqueue(self, lit, reason):
@@ -380,8 +378,7 @@ class Solver:
                     mi, mv = t, lv
             keep[1], keep[mi] = keep[mi], keep[1]
             blevel = mv
-        lbd = len({levelv[q if q > 0 else -q] for q in keep})
-        return keep, blevel, lbd
+        return keep, blevel
 
     def _backtrack(self, level):
         trail_lim = self.trail_lim
@@ -422,34 +419,6 @@ class Solver:
             _, v = heappop(heap)
             if vals[v] == 0:
                 return v
-
-    def _locked(self, ci):
-        lit = self.lits[ci]
-        v = lit if lit > 0 else -lit
-        return self.vals[lit] == 1 and self.reasonv[v] == ci
-
-    def _reduce_db(self):
-        lits = self.lits
-        lbd = self.lbd
-        end = lits.index
-        cand = [ci for ci in self.learnts if lbd[ci] > 2 and not self._locked(ci)]
-        cand.sort(key=lambda ci: (-lbd[ci], ci - end(0, ci)))
-        drop = sorted(cand[: len(cand) // 2])
-        if not drop:
-            return
-        watches = self.watches
-        for ci in drop:
-            for lit in (lits[ci], lits[ci + 1]):
-                wl = watches[lit]
-                t = wl.index(ci)
-                while t & 1:  # a blocker literal can equal the offset
-                    t = wl.index(ci, t + 1)
-                wl[t] = wl[-2]
-                wl[t + 1] = wl[-1]
-                del wl[-2:]
-            del lbd[ci]
-        dropped = set(drop)
-        self.learnts = [ci for ci in self.learnts if ci not in dropped]
 
     def _model(self):
         vals = self.vals
@@ -492,21 +461,17 @@ class Solver:
                 if not trail_lim:
                     self.ok = False
                     return result(UNSAT)
-                keep, blevel, lbd = self._analyze(confl)
+                keep, blevel = self._analyze(confl)
                 self._backtrack(blevel)
                 if len(keep) == 1:
                     self._enqueue(keep[0], -1)  # unassigned after the backtrack to level 0
                 else:
-                    self._enqueue(keep[0], self._learn(keep, lbd))
+                    self._enqueue(keep[0], self._learn(keep))
                 self.var_inc /= 0.95
                 if limit_c is not None and self.n_conflicts - c0 >= limit_c:
                     return result(BUDGET)
                 if limit_t is not None and time.monotonic() - t0 > limit_t:
                     return result(BUDGET)
-                if self.n_conflicts >= self.next_reduce:
-                    self._reduce_db()
-                    self.n_reductions += 1
-                    self.next_reduce += 2000 + 500 * self.n_reductions
                 if len(self.heap) > 4 * n + 16:
                     self._rebuild_heap()
             else:

@@ -195,8 +195,10 @@ class TestUsageErrors:
     def test_empty_sweep_range(self, fig1_file):
         assert cli.main(["sweep", fig1_file, "--mu-range", "3..1"]) == 4
 
-    def test_garbage_range(self, fig1_file):
-        assert cli.main(["sweep", fig1_file, "--mu-range", "x..y"]) == 4
+    @pytest.mark.parametrize("text", ["x..y", "2..", "..3"])
+    def test_garbage_range(self, fig1_file, text):
+        assert cli.main(["sweep", fig1_file, "--mu-range", text]) == 4
+        assert cli.main(["sweep", fig1_file, "--nu-range", text]) == 4
 
     @pytest.mark.parametrize("cmd, flag, value, message", [
         pytest.param("sweep", "--mu-range", "0..1", "--mu-range", id="--mu-range-0..1"),
@@ -266,6 +268,17 @@ class TestRuntimeErrors:
         con.write_text("sensor C a,b c\n")
         assert cli.main(["synth", str(model), "--mu", "2", "--constraints", str(con)]) == 3
         assert "a,b: bad sensor name or value (line 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--mu", "30000", "--nu", "1"],
+        ["sweep", "--mu-range", "30000", "--nu", "1"],
+        ["export-dimacs", "--mu", "30000", "--nu", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_formula_past_the_literal_space(self, fig1_file, argv, capsys):
+        # fig1 at mu = 30000 needs 2 700 210 004 variables, past 2**31 - 1
+        assert cli.main([argv[0], fig1_file] + argv[1:]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: variable count 2700210004 overflows the 31-bit literal space\n"
 
     def test_broken_external_solver(self, fig1_file):
         assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1",

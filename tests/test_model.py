@@ -282,6 +282,16 @@ class TestRoundTrip:
         assert "z0 1/3, bot 2/3" in print_pomdp(p)
 
 
+def _delta_row(row):
+    """CHAIN with delta(s0, step) replaced by row."""
+    return lambda p: replace(p, delta=((row,),) + p.delta[1:])
+
+
+def _obs_row(row):
+    """CHAIN with obs(s0) replaced by row."""
+    return lambda p: replace(p, obs=PartialObsFn((row,) + p.obs.rows[1:]))
+
+
 class TestValidate:
     def test_clean(self):
         assert validate(parse_pomdp(CHAIN)) == []
@@ -302,6 +312,34 @@ class TestValidate:
                     initial=p.initial, goal=p.goal, delta=p.delta,
                     obs=PartialObsFn(tuple(rows)))
         assert any("obs" in v and "sum" in v for v in validate(bad))
+
+    @pytest.mark.parametrize("breaks, message", [
+        pytest.param(lambda p: replace(p, initial=3), "initial state index 3 out of range",
+                     id="initial"),
+        pytest.param(lambda p: replace(p, goal=-1), "goal state index -1 out of range", id="goal"),
+        pytest.param(lambda p: replace(p, delta=p.delta[:2]),
+                     "delta not total: wrong number of state rows", id="delta-states"),
+        pytest.param(lambda p: replace(p, delta=((),) + p.delta[1:]),
+                     "delta not total: state s0 missing action rows", id="delta-actions"),
+        pytest.param(_delta_row(()), "delta(s0,step): empty support", id="delta-empty"),
+        pytest.param(_delta_row(((1, Fraction(-1, 2)), (2, Fraction(3, 2)))),
+                     "delta(s0,step): negative weight", id="delta-negative"),
+        pytest.param(_delta_row(((3, Fraction(1)),)), "delta(s0,step): successor out of range",
+                     id="delta-successor"),
+        pytest.param(_delta_row(((1, Fraction(1, 2)),)), "delta(s0,step): weights do not sum to 1",
+                     id="delta-sum"),
+        pytest.param(lambda p: replace(p, obs=PartialObsFn(p.obs.rows[:2])),
+                     "obs not total over states", id="obs-states"),
+        pytest.param(_obs_row(()), "obs(s0): empty support", id="obs-empty"),
+        pytest.param(_obs_row(((0, Fraction(-1, 2)), (BOT, Fraction(3, 2)))),
+                     "obs(s0): negative weight", id="obs-negative"),
+        pytest.param(_obs_row(((1, Fraction(1)),)), "obs(s0): observation index out of range",
+                     id="obs-index"),
+        pytest.param(_obs_row(((0, Fraction(1, 3)),)), "obs(s0): weights do not sum to 1",
+                     id="obs-sum"),
+    ])
+    def test_each_violation_named(self, breaks, message):
+        assert validate(breaks(parse_pomdp(CHAIN))) == [message]
 
 
 class TestReduceTargets:

@@ -138,10 +138,10 @@ def clause_offsets(lits):
 
 def live_clauses(solver, cnf):
     """Offsets of the clauses of length >= 2 the solver holds: every loaded
-    one, then the learnt ones it kept.  The loaded clauses are the Cnf's up
-    to the solver's watermark, in the Cnf's order, with learnt clauses (kept
-    or dropped) between them; each is matched by its set of literals, since
-    propagation reorders them."""
+    one, then every learnt one.  The loaded clauses are the Cnf's up to the
+    solver's watermark, in the Cnf's order, with learnt clauses between
+    them; each is matched by its set of literals, since propagation
+    reorders them."""
     arena = cnf.literal_array()[:solver.loaded].tolist()
     want = [set(arena[a:b]) for a, b in clause_offsets(arena) if b - a >= 2]
     lits, learnts, out = solver.lits, set(solver.learnts), []
@@ -190,18 +190,25 @@ class TestArena:
             solver.solve()
             assert_watch_invariant(solver, cnf)
 
-    def test_watch_invariant_after_reduce_db(self):
+    def test_watch_invariant_after_budget(self):
         cnf = encode_php(7, 6)
         solver = sat.Solver(cnf)
         assert solver.solve(Budget(max_conflicts=300)).status == BUDGET
-        assert sum(solver.lbd[ci] > 2 for ci in solver.learnts) >= 2
-        before = list(solver.learnts)
-        solver._reduce_db()
-        dropped = set(before) - set(solver.learnts)
-        assert dropped and all(solver.lbd.get(ci) is None for ci in dropped)
-        got = assert_watch_invariant(solver, cnf)
-        assert not {ci for _, ci in got} & dropped
+        assert_watch_invariant(solver, cnf)
+        # the arena holds the Cnf's clauses, then each learnt clause in turn
+        starts = [a for a, _ in clause_offsets(solver.lits)]
+        assert solver.learnts and solver.learnts == starts[len(cnf):]
         assert solver.solve().status == UNSAT
+
+    def test_activity_rescale(self):
+        cnf = encode_php(7, 6)
+        solver = sat.Solver(cnf)
+        solver.var_inc = 0.99e100  # the second bump of any variable passes 1e100
+        assert solver.solve().status == solve(cnf).status == UNSAT
+        assert 0 < solver.var_inc < 1e100  # var_inc only grows until a rescale
+        assert all(0 <= a < 1e100 for a in solver.activity)
+        queued = {v for _, v in solver.heap}
+        assert all(v in queued for v in range(1, solver.nvars + 1) if solver.vals[v] == 0)
 
     def test_watch_invariant_after_search(self):
         prep = prepare(gen_det_hallway(), 2, 2)
