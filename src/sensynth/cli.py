@@ -129,7 +129,7 @@ def cmd_synth(ns):
         _write(ns.result, doc)
     if not ns.quiet:
         st = out.stats
-        print(f"verdict: {out.verdict} (mu={out.mu} nu={out.nu} k={out.k})")
+        print(f"verdict: {out.verdict} (mu={out.mu} nu={out.nu})")
         print(f"stats: vars={st.vars} clauses={st.clauses} time_ms={st.time_ms}")
         if out.verdict == "Unknown":
             print(f"reason: {out.reason}")

@@ -593,19 +593,26 @@ def parse_external_result(text, returncode, nvars=0):
 def solve_external(cnf, command, budget=None):
     """Run an external DIMACS solver given as a command template.
 
-    The template must contain `{input}`, e.g. `splr -q -r - {input}` or
-    `minisat {input} /dev/stdout`.  The budget's seconds bound the run,
+    The template is split like a shell command line (shlex.split), then
+    `{input}` in any of its arguments is replaced by the CNF path, so the
+    path stays within one argument whatever it contains; e.g. `splr -q -r -
+    {input}` or `minisat {input} /dev/stdout`.  The budget's seconds bound the run,
     which is killed and answers BUDGET when they are up; its conflicts bound
     nothing.  Verdict is read from stdout (the `s` line, or exit code 20
     when there is none: parse_external_result); Sat models are self-checked
-    against the formula.
+    against the formula.  A template that cannot be split or lacks `{input}`,
+    and a solver that cannot be started, raise ExternalSolverError.
     """
-    if "{input}" not in command:
+    try:
+        template = shlex.split(command)
+    except ValueError as e:
+        raise ExternalSolverError(f"command template {command!r} cannot be split: {e}") from None
+    if not any("{input}" in arg for arg in template):
         raise ExternalSolverError(f"command template {command!r} lacks the {{input}} placeholder")
     with tempfile.TemporaryDirectory(prefix="sensynth-cnf-") as td:
         path = Path(td) / "problem.cnf"
         write_dimacs(cnf, path)
-        argv = shlex.split(command.replace("{input}", str(path)))
+        argv = [arg.replace("{input}", str(path)) for arg in template]
         try:
             proc = subprocess.run(
                 argv,
@@ -614,8 +621,8 @@ def solve_external(cnf, command, budget=None):
                 text=True,
                 timeout=budget.max_seconds if budget else None,
             )
-        except FileNotFoundError as e:
-            raise ExternalSolverError(f"external solver not found: {argv[0]}") from e
+        except OSError as e:
+            raise ExternalSolverError(f"external solver {argv[0]!r} cannot run: {e}") from e
         except subprocess.TimeoutExpired:
             return SolveResult(status=BUDGET)
         out = proc.stdout + "\n" + proc.stderr

@@ -18,11 +18,7 @@ action, so some edge leaving the set is taken.  Every winning pair
 satisfies the cuts of the losing pair's traps, which exclude its model,
 and of their projections onto their states, which rule out every memory
 variant of the same dead end.  So the rounds are a complete search and
-UNSAT is a refutation.  The path bound k of synthesize and sweep
-shapes no formula; it only labels a refutation.  UNSAT is Unrealizable when
-k reaches the cell's completeness bound mu * max(1, |V - {goal}|), since a
-shortest path from a pair that a winning policy reaches visits only reached
-non-goal pairs, all in (V - {goal}) x memory; below it UNSAT is Unknown.
+UNSAT is a refutation: the cell is Unrealizable.
 
 synthesize is the one-cell sweep.  A sweep searches the cells of a walk
 along its staircase of verdicts, each on its own formula, and infers the
@@ -32,10 +28,9 @@ cell (mu', nu') with mu' >= mu and nu' >= nu: a policy is also one over
 more memory elements that it never enters, a completion that adds at most
 nu fresh symbols adds at most nu', and no other part of the contract
 depends on mu or nu.  So Realizable at (mu, nu) is Realizable at every
-larger cell.  Conversely, a cell (mu', nu') refuted with k at the bound of
-mu' has no witness, so no smaller cell (mu, nu) has one either, and there
-k reaches the smaller bound of mu: it is Unrealizable.  An Unknown cell
-implies nothing, UNSAT below the bound (a smaller k) included.
+larger cell.  Conversely, a refuted cell (mu', nu') has no witness, so no
+smaller cell (mu, nu) has one either: it is Unrealizable.  An Unknown cell
+implies nothing.
 """
 
 from __future__ import annotations
@@ -75,18 +70,18 @@ class Realizable:
     certificate: VerifyCertificate
     mu: int
     nu: int
-    k: int
     stats: SynthStats
     model: Pomdp  # the model actually encoded (sensor mode rewrites the alphabet)
+    k: int = None  # set only by perfbench/spans.py's traced replay
     verdict = "Realizable"
 
 
 @dataclass(frozen=True)
 class Unrealizable:
-    k: int  # the call's path bound; a searched refutation's reaches the cell's bound
     mu: int
     nu: int
     stats: SynthStats
+    k: int = None  # set only by perfbench/spans.py's traced replay
     verdict = "Unrealizable"
 
 
@@ -95,9 +90,9 @@ class Unknown:
     reason: str
     mu: int
     nu: int
-    k: int
     stats: SynthStats
     error: Exception = field(default=None, compare=False, repr=False)  # ExternalSolverError
+    k: int = None  # set only by perfbench/spans.py's traced replay
     verdict = "Unknown"
 
 
@@ -383,13 +378,6 @@ class Prepared:
                                             *counters, rounds=len(runs))
 
 
-def _completeness_bound(region, goal, mu):
-    """mu * max(1, |region - {goal}|), region the pre-pass region V: at this
-    path bound UNSAT is Unrealizable, since every pair a winning policy
-    reaches has its state in V."""
-    return mu * max(1, len(region - {goal}))
-
-
 def prepare(p, mu, nu, deterministic=False, strict=False, constraints=None):
     """Check a request and compute what it encodes: the merged constraints,
     the sensor-mode model rewrite and the MDP pre-pass region."""
@@ -409,13 +397,12 @@ def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
                constraints=None, budget=None, solver=None):
     """Decide realizability of (p, mu, nu) and return a checked outcome.
 
-    The one-cell sweep.  k defaults to the cell's completeness bound; a
-    smaller k is allowed and can only downgrade Unrealizable to Unknown.
-    solver is None for the embedded one or an external command template with
-    an {input} placeholder; a failing external solver raises its
-    ExternalSolverError.
+    The one-cell sweep.  solver is None for the embedded one or an external
+    command template with an {input} placeholder; a failing external solver
+    raises its ExternalSolverError.
     """
-    (out,) = sweep(p, [mu], [nu], k, deterministic, strict, constraints, budget, solver)
+    # k is ignored: it stays while perfbench/workloads.py passes k=
+    (out,) = sweep(p, [mu], [nu], deterministic, strict, constraints, budget, solver)
     if getattr(out, "error", None) is not None:
         raise out.error
     return out
@@ -423,7 +410,7 @@ def synthesize(p, mu, nu, k=None, deterministic=False, strict=False,
 
 # (mu, nu) frontiers
 
-def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
+def sweep(p, mu_range, nu_range, deterministic=False, strict=False,
           constraints=None, budget=None, solver=None):
     """Decide every cell (mu, nu) of mu_range x nu_range; returns the
     outcomes in ascending (mu, nu) order.
@@ -434,11 +421,7 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
     cell is Prepared.search on its own formula, Prepared.encode(mu, nu),
     with the cell's budget and, for the embedded solver, a Solver of its
     own, so a one-cell sweep builds the (mu, nu) formula and nothing more.
-    UNSAT means Unrealizable iff
-    k >= mu * max(1, |V - {goal}|), the cell's completeness bound, and
-    Unknown otherwise; k (default the completeness bound of mu_hi) has no
-    other use, and every outcome reports it, a cell without a formula
-    included.
+    UNSAT is Unrealizable (module docstring).
 
     The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
     Each is inferred from a decided cell that implies it (module docstring)
@@ -448,7 +431,7 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
     cells are searched.  A searched cell, a failed external one included,
     reports its own formula's vars and clauses, trap cuts included, and its
     own time_ms, solver counters and rounds.  An inferred cell keeps its
-    source's k, completion, policy and certificate with SynthStats(): no
+    source's completion, policy and certificate with SynthStats(): no
     formula, time_ms 0, no counters (an empty CSV conflicts field) and no
     rounds.
 
@@ -462,14 +445,10 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
         return []
     if mus[0] < 1 or nus[0] < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1")
     prep = prepare(p, mus[-1], nus[-1], deterministic, strict, constraints)
-    bounds = {mu: _completeness_bound(prep.region, prep.model.goal, mu) for mu in mus}
-    k = bounds[mus[-1]] if k is None else k
     live = [nu for nu in nus if prep.needs_formula(nu)]
     # cells without a formula; their nu lies below every live one, so they imply none
-    done = {(mu, nu): Unrealizable(k=k, mu=mu, nu=nu, stats=SynthStats())
+    done = {(mu, nu): Unrealizable(mu=mu, nu=nu, stats=SynthStats())
             for mu in mus for nu in nus if nu not in live}
     embedded = solver in (None, "", "embedded")
     for nu in live:  # the staircase walk from (mu_hi, nu_lo), inferring what it implies
@@ -486,16 +465,14 @@ def sweep(p, mu_range, nu_range, k=None, deterministic=False, strict=False,
                                                   budget)
             except sat.ExternalSolverError as e:
                 done[mu, nu] = Unknown(reason=f"external solver failed: {e}", mu=mu, nu=nu,
-                                       k=k, stats=e.stats, error=e)
+                                       stats=e.stats, error=e)
                 continue
             if status == sat.SAT:  # pair is (completion, policy, certificate)
-                done[mu, nu] = Realizable(*pair, mu=mu, nu=nu, k=k, stats=stats, model=prep.model)
-            elif status == sat.UNSAT and k >= bounds[mu]:
-                done[mu, nu] = Unrealizable(k=k, mu=mu, nu=nu, stats=stats)
+                done[mu, nu] = Realizable(*pair, mu=mu, nu=nu, stats=stats, model=prep.model)
+            elif status == sat.UNSAT:
+                done[mu, nu] = Unrealizable(mu=mu, nu=nu, stats=stats)
             else:
-                reason = ("budget exhausted" if status == sat.BUDGET
-                          else f"unsatisfiable at k={k}, below the bound {bounds[mu]}")
-                done[mu, nu] = Unknown(reason=reason, mu=mu, nu=nu, k=k, stats=stats)
+                done[mu, nu] = Unknown(reason="budget exhausted", mu=mu, nu=nu, stats=stats)
     return [done[mu, nu] for mu in mus for nu in nus]
 
 
@@ -520,7 +497,6 @@ def format_result(out):
     lines = [f"verdict: {out.verdict}", f"mu: {out.mu}", f"nu: {out.nu}"]
     if out.verdict == "Unknown":
         lines.append(f"reason: {out.reason}")
-    lines.append(f"k: {out.k}")
     if out.verdict == "Realizable":
         p, comp, pol = out.model, out.completion, out.policy
         names = [comp.symbol_name(p, z) for z in range(p.n_obs + comp.n_new)]
@@ -550,7 +526,6 @@ class ResultDoc:
     verdict: str
     mu: int
     nu: int
-    k: int
     reason: str
     observations: tuple
     completion: Completion
@@ -578,7 +553,8 @@ def parse_result(text, p):
     the only names that start with '@'.  The names before them are the
     model's observations, or the sensor alphabet sensor_model writes over
     them (z:c for each z in order, over one value list), so a document
-    cannot rename the model's symbols.  Any defect raises ResultParseError.
+    cannot rename the model's symbols.  A 'k' header, which older documents
+    carry, is accepted and ignored.  Any defect raises ResultParseError.
     """
     try:
         return _read_result(text, p)
@@ -612,7 +588,7 @@ def _read_result(text, p):
             raise ResultParseError(f"header {key!r} is not an integer: {val!r}") from None
 
     verdict = header("verdict")
-    mu, nu, k = header_int("mu"), header_int("nu"), header_int("k")
+    mu, nu = header_int("mu"), header_int("nu")
     stats = SynthStats()
     if "stats" in heads:
         try:
@@ -626,7 +602,7 @@ def _read_result(text, p):
             raise ResultParseError(f"malformed stats line {header('stats')!r}") from None
     if verdict != "Realizable":
         reason = header("reason") if "reason" in heads else ""
-        return ResultDoc(verdict, mu, nu, k, reason, (), None, None, stats)
+        return ResultDoc(verdict, mu, nu, reason, (), None, None, stats)
 
     names = tuple(header("observations").split())
     zidx = {z: i for i, z in enumerate(names)}
@@ -646,7 +622,9 @@ def _read_result(text, p):
     n_mem = header_int("memory")
     if n_mem < 1:
         raise ResultParseError(f"header 'memory' must be at least 1, got {n_mem}")
-    if n_mem > len(lines["action"]):  # checked before any table is sized by it
+    # checked before any table is sized by it; with no action line repeated
+    # or naming m{n_mem} or above, every memory element then has one
+    if n_mem > len(lines["action"]):
         raise ResultParseError(f"header 'memory' is {n_mem}, but the document has "
                                f"{len(lines['action'])} action lines")
     aidx = {a: i for i, a in enumerate(p.actions)}
@@ -661,8 +639,6 @@ def _read_result(text, p):
         act[m] = tuple(lookup(aidx, t, "action", ln) for t in rest.split())
         if not act[m]:
             raise ResultParseError(f"line {ln}: empty action support")
-    if any(a is None for a in act):
-        raise ResultParseError("missing action line for some memory element")
 
     upd = [[[None] * p.n_actions for _ in names] for _ in range(n_mem)]
     for ln, (mname, zname, aname), rest in lines["update"]:
@@ -696,4 +672,4 @@ def _read_result(text, p):
     if any(r is None for r in rows):
         raise ResultParseError("missing obs line for some state")
     completion = Completion(n_new=n_new, rows=tuple(rows))
-    return ResultDoc(verdict, mu, nu, k, "", names, completion, policy, stats)
+    return ResultDoc(verdict, mu, nu, "", names, completion, policy, stats)

@@ -41,7 +41,7 @@ class TestSynthExitCodes:
     def test_report_lines(self, fig1_file, capsys):
         cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1"])
         out = capsys.readouterr().out
-        assert "verdict: Realizable (mu=3 nu=1 k=9)" in out
+        assert out.startswith("verdict: Realizable (mu=3 nu=1)\n")  # no path bound
         assert "stats: vars=" in out
         assert "action m0" in out  # document printed when no --result
 
@@ -309,6 +309,13 @@ class TestRuntimeErrors:
                          "--solver", solver]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["Unknown"] * 6
+
+    def test_solver_template_that_cannot_be_split(self, fig1_file, capsys):
+        # a runtime error (exit 3), not a traceback's exit 1, which reads as Unrealizable
+        assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1",
+                         "--solver", "'x {input}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: command template") and "cannot be split" in err
 
     def test_env_solver_picked_up(self, fig1_file, monkeypatch):
         monkeypatch.setenv("SENSYNTH_SOLVER", "/nonexistent/solver {input}")

@@ -723,6 +723,20 @@ class TestSideConstraintFamily:
         with pytest.raises(Exception):
             parse_constraints("implies s1 z0 z0", p)
 
+    @pytest.mark.parametrize("text, message", [
+        ("same s0 s0", "s0: same pair needs two distinct states (line 1)"),
+        ("diff g g", "g: diff pair needs two distinct states (line 1)"),
+        ("sensor C on off\nsensor D a b", "D: second sensor line (line 2)"),
+        ("sensor C on off on", "C: duplicate sensor value (line 1)"),
+        ("unknown s0 s1", "constraints: unrecognized line 1: 'unknown s0 s1'"),
+    ], ids=["same-one-state", "diff-one-state", "second-sensor", "repeated-value",
+            "unrecognized"])
+    def test_parse_constraints_rejects(self, text, message):
+        p = parse_pomdp(PARTIAL.replace("observations: z0", "observations: z0 z1"))
+        with pytest.raises(ModelSemanticError) as exc:
+            parse_constraints(text, p)
+        assert str(exc.value) == message
+
     def test_sensor_names_follow_the_name_rule(self):
         # the pairs z:c become observation names of the result document, so
         # the sensor and its values must be names of the model format

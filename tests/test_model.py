@@ -9,8 +9,8 @@ import pytest
 from conftest import random_pomdp
 from sensynth.bench import (GridSpec, gen_det_hallway, gen_escape, gen_fig1, gen_hallway,
                             gen_rocksample)
-from sensynth.model import (_HEADER_RE, _HEADERS, BOT, ModelSemanticError, ModelSyntaxError,
-                            PartialObsFn, Pomdp, parse_pomdp, print_pomdp,
+from sensynth.model import (_HEADER_RE, _HEADERS, BOT, ModelError, ModelSemanticError,
+                            ModelSyntaxError, PartialObsFn, Pomdp, parse_pomdp, print_pomdp,
                             read_row, reduce_targets, sections, validate)
 
 CHAIN = """
@@ -72,6 +72,24 @@ class TestParse:
     def test_rejects(self, mangle, err):
         with pytest.raises(err):
             parse_pomdp(mangle(CHAIN))
+
+    @pytest.mark.parametrize("old, new, err, message", [
+        ("states: s0 s1 g", "states:", ModelSyntaxError, "line 2, col 1: empty 'states' section"),
+        ("states: s0 s1 g", "states: s0 s1 g s1", ModelSemanticError,
+         "s1: duplicate state name"),
+        ("initial: s0", "initial: s0 s1", ModelSyntaxError,
+         "line 5, col 1: initial: wants exactly one state"),
+        ("goal: g", "goal:", ModelSyntaxError, "line 6, col 1: empty 'goal' section"),
+        ("goal: g", "targets: s1 s1", ModelSemanticError, "targets: duplicate target state"),
+        ("obs s0 -> z0 1/2, bot 1/2", "obs s0 -> z0 1/2, bot 1/2\nobs s0 -> z0 1",
+         ModelSemanticError, "s0: duplicate obs line (line 11)"),
+    ], ids=["empty-states", "repeated-state", "two-initial", "empty-goal", "repeated-target",
+            "repeated-obs"])
+    def test_rejects_with_message(self, old, new, err, message):
+        assert old in CHAIN
+        with pytest.raises(ModelError) as exc:
+            parse_pomdp(CHAIN.replace(old, new))
+        assert (type(exc.value), str(exc.value)) == (err, message)
 
     @pytest.mark.parametrize("tok, message", [
         ("abc", "line 9, col 1: bad weight 'abc'"),

@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -609,6 +610,27 @@ class TestExternalDriver:
     def test_failing_command(self):
         with pytest.raises(ExternalSolverError):
             solve_external(cnf_of([(1,)], 1), "/nonexistent/solver {input}")
+
+    def test_space_in_temp_dir(self, tmp_path, monkeypatch):
+        # the CNF path is substituted after the template is split, so a space
+        # in it stays inside the one argument
+        spaced = tmp_path / "a b"
+        spaced.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        assert solve_external(encode_php(3, 2), FRONT_END).status == UNSAT
+        assert solve_external(cnf_of([(1,)], 1), FRONT_END).status == SAT
+
+    def test_unbalanced_quote(self):
+        with pytest.raises(ExternalSolverError, match="cannot be split: No closing quotation"):
+            solve_external(cnf_of([(1,)], 1), "'x {input}")
+
+    def test_solver_not_executable(self, tmp_path):
+        stub = tmp_path / "notexec.sh"
+        stub.write_text("#!/bin/sh\necho 's SATISFIABLE'\necho 'v 1 0'\n")
+        stub.chmod(0o644)
+        with pytest.raises(ExternalSolverError, match="cannot run: .*Permission denied"):
+            solve_external(cnf_of([(1,)], 1), f"{stub} {{input}}")
 
     def test_splr_agrees_if_present(self):
         cmd = external_solver()

@@ -50,7 +50,7 @@ class TestSynthesizeFig1:
         assert synthesize(fig1, 2, 2).verdict == "Realizable"
         out = synthesize(fig1, 2, 1)
         assert out.verdict == "Unrealizable"
-        assert out.k == 6  # mu * |V - {goal}|: the region V leaves out `lose`
+        assert out.k is None  # an outcome carries no path bound
 
     def test_realizable_payload(self, fig1):
         out = synthesize(fig1, 3, 1)
@@ -73,10 +73,18 @@ class TestSynthesizeFig1:
         assert all(prod.pair(v)[0] != lose for v in cert.reachable)
         assert {prod.pair(v)[1] for v in cert.reachable} == {0, 1, 2}
 
-    def test_below_bound_unknown(self, fig1):
-        out = synthesize(fig1, 2, 1, k=2)
-        assert out.verdict == "Unknown"
-        assert "below the bound" in out.reason
+    def test_unsat_is_unrealizable_at_every_k(self, fig1):
+        # the rounds are complete, so a k passed to synthesize is ignored
+        for k in (1, 2, 6, 99):
+            out = synthesize(fig1, 2, 1, k=k)
+            assert (out.verdict, out.k) == ("Unrealizable", None), k
+
+    def test_sweep_takes_no_k(self, fig1):
+        with pytest.raises(TypeError):
+            sweep(fig1, [2], [1], k=6)
+        # the fourth positional slot is the deterministic flag
+        assert [r.verdict for r in sweep(fig1, [2, 3], [1], True)] == \
+            [r.verdict for r in sweep(fig1, [2, 3], [1], deterministic=True)]
 
     def test_budget_unknown(self, det_hallway):
         out = synthesize(det_hallway, 3, 2, budget=Budget(max_conflicts=2))
@@ -111,18 +119,7 @@ class TestPrepass:
         corners = {f"r{x}_{y}" for x in (0, 2) for y in (0, 2)}
         assert {p.states[s].rsplit("_", 1)[0] for s in region - {p.goal}} <= corners
         assert len(region) < p.n_states // 2
-        assert synthesize(p, 1, 2).k == 1 * len(region - {p.goal})
-
-    def test_cell_without_formula_reports_the_call_k(self, fig1):
-        # fig1 declares no observations, so nu = 0 needs no formula; the cell
-        # reports the path bound of the call, as a searched one does
-        out = synthesize(fig1, 2, 0, k=99)
-        assert (out.verdict, out.stats.vars, out.k) == ("Unrealizable", 0, 99)
-
-    def test_sweep_rows_report_the_top_bound(self, fig1):
-        rows = sweep(fig1, range(1, 4), range(0, 3))
-        assert {r.k for r in rows} == {9}  # 3 * |V - {goal}|, the bound of mu = 3
-        assert any(r.stats.vars == 0 for r in rows)  # nu = 0 has no formula
+        assert synthesize(p, 1, 2).verdict == "Unrealizable"
 
     def test_oracle_agreement_where_region_is_smaller(self):
         # models with winning states that no safe path from the initial state
@@ -377,6 +374,37 @@ class TestResultDocuments:
         doc = parse_result(text, fig1)
         assert doc.verdict == "Unrealizable" and doc.completion is None
 
+    def test_k_header_is_accepted_and_ignored(self, fig1):
+        # documents carry no path bound; an older one's k: line still verifies
+        for out in (synthesize(fig1, 2, 2), synthesize(fig1, 2, 1)):
+            text = format_result(out)
+            assert "\nk:" not in text
+            doc = parse_result(text, fig1)
+            assert (doc.verdict, doc.mu, doc.nu) == (out.verdict, out.mu, out.nu)
+            head, rest = text.split("\n", 1)
+            assert parse_result(f"{head}\nk: 6\n{rest}", fig1) == doc
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("action m0 -> move-right\n", "action m0 ->\n", "line 7: empty action support"),
+        ("action m1 -> grab-treasure\n", "",
+         "header 'memory' is 2, but the document has 1 action lines"),
+        ("update m0 @1 move-right -> m0\n",
+         "update m0 @1 move-right -> m0\nupdate m0 @1 move-right -> m1\n",
+         "line 11: repeated update line for m0 @1 move-right"),
+        ("update m0 @1 move-right -> m0\n", "update m0 @1 move-right ->\n",
+         "line 10: empty memory support"),
+        ("obs cell1 -> @1 1\n", "obs cell1 -> @1 1\nobs cell1 -> @0 1\n",
+         "line 15: repeated obs line for cell1"),
+        ("obs cell1 -> @1 1\n", "", "missing obs line for some state"),
+    ], ids=["empty-action-support", "missing-action-line", "repeated-update-line",
+            "empty-memory-support", "repeated-obs-line", "missing-obs-line"])
+    def test_parse_rejects(self, fig1, old, new, message):
+        text = format_result(synthesize(fig1, 2, 2))
+        assert old in text
+        with pytest.raises(ResultParseError) as exc:
+            parse_result(text.replace(old, new), fig1)
+        assert str(exc.value) == message
+
     def test_parse_rejects_unknown_action(self, fig1):
         out = synthesize(fig1, 3, 1)
         text = format_result(out).replace("move-right", "warp")
@@ -578,51 +606,16 @@ class TestGrid:
         ({}, {"Realizable", "Unrealizable"}),
         ({"deterministic": True}, {"Realizable", "Unrealizable"}),
         ({"strict": True}, {"Realizable", "Unrealizable"}),
-        # below the completeness bound UNSAT is Unknown, which implies nothing
-        ({"k": 2}, {"Realizable", "Unrealizable", "Unknown"}),
-    ], ids=["default", "deterministic", "strict", "k=2"])
+    ], ids=["default", "deterministic", "strict"])
     def test_random_models_match_per_cell(self, fig1, mode, verdicts):
         rng = random.Random(47)
         seen = set()
-        # fig1's (2, 1) is Unrealizable by a formula, so Unknown at k=2
         for p in [random_pomdp(rng, max_states=5) for _ in range(10)] + [fig1]:
             rows = sweep(p, range(1, 4), range(0, 3), **mode)
             got = {(r.mu, r.nu): r.verdict for r in rows}
             assert got == self.per_cell(p, range(1, 4), range(0, 3), **mode), p
             seen |= set(got.values())
         assert seen == verdicts
-
-    @pytest.mark.parametrize("mode", [{}, {"deterministic": True}, {"strict": True}],
-                             ids=["default", "deterministic", "strict"])
-    def test_k_only_labels_refutations(self, fig1, mode):
-        # every k searches the same formula: its verdict is the default-k one,
-        # except that Unrealizable is Unknown exactly below the cell's bound.
-        # Random models are seldom refuted by a formula; fig1 is, at (1, 1) and (2, 1)
-        rng = random.Random(71)
-        mus, nus = range(1, 3), range(0, 3)
-        below = {"Realizable": 0, "Unknown": 0}
-        for p in [random_pomdp(rng) for _ in range(8)] + [fig1]:
-            full = {(mu, nu): synthesize(p, mu, nu, **mode) for mu in mus for nu in nus}
-            for k in range(1, p.n_states * mus[-1] + 1):
-                got = {}
-                for (mu, nu), want in full.items():
-                    prep = prepare(p, mu, nu, **mode)
-                    out = got[mu, nu] = synthesize(p, mu, nu, k=k, **mode)
-                    lowered = want.verdict == "Unrealizable" and prep.needs_formula(nu) \
-                        and k < want.k  # the default k is the cell's bound
-                    assert out.verdict == ("Unknown" if lowered else want.verdict), \
-                        (p, mu, nu, k)
-                    if out.verdict == "Realizable":
-                        assert out.policy.n_mem <= mu and out.completion.n_new <= nu
-                        assert out.certificate.ok
-                        assert check_almost_sure(build_product(out.model, out.completion,
-                                                               out.policy)).ok
-                    if k < want.k and out.verdict in below:
-                        below[out.verdict] += 1
-                rows = sweep(p, mus, nus, k=k, **mode)
-                assert {(r.mu, r.nu): r.verdict for r in rows} == \
-                    {cell: out.verdict for cell, out in got.items()}, (p, k)
-        assert all(below.values()), below
 
     @pytest.mark.parametrize("kind", ["same", "implies"])
     def test_same_and_implies_match_per_cell(self, kind):
@@ -708,19 +701,9 @@ class TestGrid:
             [(1, 1, "Unrealizable"), (3, 2, "Realizable")]
         for r in inferred:
             assert r.stats == synth.SynthStats()
-            assert r.k == 9  # the call's k, 3 * |V - {goal}|, as a search reports
             if r.verdict == "Realizable":
                 assert r.policy.n_mem <= r.mu and r.completion.n_new <= r.nu
                 assert check_almost_sure(build_product(r.model, r.completion, r.policy)).ok
-
-    def test_k_below_bound_infers_nothing(self, fig1):
-        # k = 3 is the bound of mu = 1 only: (2, 1) is UNSAT below its bound 6,
-        # an Unknown that refutes nothing below it
-        rows = sweep(fig1, range(1, 4), range(1, 3), k=3)
-        got = {(r.mu, r.nu): r.verdict for r in rows}
-        assert got == self.per_cell(fig1, range(1, 4), range(1, 3), k=3)
-        assert got[2, 1] == "Unknown" and got[1, 1] == "Unrealizable"
-        assert rows[0].stats.conflicts is not None  # (1, 1) was searched
 
     def test_unknown_implies_nothing(self, monkeypatch):
         # SPLIT without observations is Realizable iff mu >= 2 and nu = 2.  The
@@ -1037,3 +1020,17 @@ class TestExternalSolverPath:
         out = synthesize(fig1, 2, 1, solver=cmd)
         assert out.verdict == "Unrealizable"
         assert out.stats.conflicts is None  # not reported by the driver
+
+    def test_solver_that_cannot_start(self, fig1, tmp_path):
+        # a solver file without the execute bit is a failed external run:
+        # Unknown rows in a sweep, an ExternalSolverError from synthesize
+        stub = tmp_path / "notexec.sh"
+        stub.write_text("#!/bin/sh\necho 's UNSATISFIABLE'\n")
+        stub.chmod(0o644)
+        solver = f"{stub} {{input}}"
+        rows = sweep(fig1, range(1, 3), [1], solver=solver)
+        assert [r.verdict for r in rows] == ["Unknown", "Unknown"]
+        assert all("cannot run" in r.reason and "Permission denied" in r.reason for r in rows)
+        assert all(isinstance(r.error, ExternalSolverError) for r in rows)
+        with pytest.raises(ExternalSolverError, match="cannot run"):
+            synthesize(fig1, 2, 1, solver=solver)
