@@ -122,8 +122,9 @@ class VarMap:
     set L, the states without a fill in fills (row_fills), in ascending
     order; var_o of a state outside L raises TypeError.  region None means
     every state, fills None (or empty) an L of every state, and k None no P
-    block.  edges maps (m,a,s',m') to the edge literals edge_literal has
-    defined so far; it starts empty.
+    block.  safe maps each region state to its safe actions, ascending: those
+    whose successors all lie in the region.  edges maps (m,a,s',m') to the
+    edge literals edge_literal has defined so far; it starts empty.
     """
 
     def __init__(self, p, mu, nu, k, region=None, fills=None):
@@ -147,6 +148,8 @@ class VarMap:
         self._pos = [None] * self.ns  # a state's index in _covered
         for i, s in enumerate(self._covered):
             self._pos[s] = i
+        self.safe = {s: tuple(a for a in range(self.na) if self.region.issuperset(p.succ(s, a)))
+                     for s in self._covered}
         self.fills = fills or {}
         self.observed = tuple(s for s in range(self.ns) if s not in self.fills)  # L
         self._opos = [None] * self.ns  # a state's index in observed
@@ -495,12 +498,12 @@ def encode_reach_closure(p, vm, out=None):
 
     Only the states of vm.region V have C variables (mdp_prepass).  No
     clause starts from a state outside it.  An action a at a state i in V is
-    safe when its successors all lie in V; an unsafe one gets no propagation
-    clause, only -C(i,m) | -A(m,a) for each memory element m: it is never
-    enabled at a reached pair.  Sound because a winning policy enables at
-    each pair it reaches only actions whose successors all lie in W, and a
-    state of V reaches only states of V through those.  An initial state
-    outside V leaves no anchor, and the family is the empty clause.
+    safe when its successors all lie in V (vm.safe); an unsafe one gets no
+    propagation clause, only -C(i,m) | -A(m,a) for each memory element m:
+    it is never enabled at a reached pair.  Sound because a winning policy
+    enables at each pair it reaches only actions whose successors all lie in
+    W, and a state of V reaches only states of V through those.  An initial
+    state outside V leaves no anchor, and the family is the empty clause.
     """
     out = out if out is not None else Cnf()
     mu, nzp, region = vm.mu, vm.nzp, vm.region
@@ -508,15 +511,14 @@ def encode_reach_closure(p, vm, out=None):
         out.add(())
         return out
     out.add((vm.var_c(p.initial, 0),))
-    for i in sorted(region):
+    for i, safe in vm.safe.items():
         for a in range(vm.na):
             av = [vm.var_a(m, a) for m in range(mu)]
-            succ = p.succ(i, a)
-            if not region.issuperset(succ):
+            if a not in safe:
                 for m in range(mu):
                     out.add((-vm.var_c(i, m), -av[m]))
                 continue
-            for j in succ:
+            for j in p.succ(i, a):
                 for z in range(nzp):
                     ov = vm.var_o(j, z)
                     for m in range(mu):
@@ -540,19 +542,20 @@ def encode_path_predicate(p, vm, out=None):
 
     through auxiliaries t -> e & P(i',m',j-1) and u -> A & OR t, one per
     distinct conjunct and shared by every P that uses it (Plaisted &
-    Greenbaum, J. Symbolic Computation 2(3), 1986).  The edge literal e names
-    no layer and no source, so each product edge defines it once, by
-    x -> O & M per symbol and e -> OR x (e -> O & M when |Z'| = 1): an edge
-    costs 2|Z'| + 1 + 2k clauses, not 3|Z'|k.  P and every auxiliary occur
+    Greenbaum, J. Symbolic Computation 2(3), 1986).  The edge literal e
+    (edge_literal, which also gives e -> A, implied here through u) names
+    no layer and no source, so each product edge defines it once: an edge
+    costs 2|Z'| + 2 + 2k clauses, not 3|Z'|k.  P and every auxiliary occur
     only positively elsewhere (C -> P(k)), so a true P(i,m,j) still implies
     a product path of at most j steps, exact values satisfy every clause,
     and the formula is equisatisfiable with the two-way definition at every
     k.  Sharing is sound since an auxiliary implies only its own conjunct.
 
-    Only the states of vm.region have P variables, and only safe actions,
-    those whose successors all lie in the region, are unrolled: the closure
-    forbids every other action at every reached pair (encode_reach_closure),
-    and a product path from a reached pair runs through reached pairs.
+    Only the states of vm.region have P variables, and only safe actions
+    (vm.safe), those whose successors all lie in the region, are unrolled:
+    the closure forbids every other action at every reached pair
+    (encode_reach_closure), and a product path from a reached pair runs
+    through reached pairs.
     """
     out = out if out is not None else Cnf()
     mu, nzp, k, g, region = vm.mu, vm.nzp, vm.k, p.goal, vm.region
@@ -570,8 +573,7 @@ def encode_path_predicate(p, vm, out=None):
         for m in range(mu):
             out.add((-vm.var_c(i, m), vm.var_p(i, m, k)))
 
-    cons, edges = {}, {}
-
+    cons = {}
     for i in states:
         if i == g:
             continue
@@ -586,15 +588,13 @@ def encode_path_predicate(p, vm, out=None):
                     else:
                         inner = []
                         # no symbol: no edge; an unsafe action is not unrolled
-                        for i2 in succ if nzp and region.issuperset(succ) else ():
+                        for i2 in succ if nzp and a in vm.safe[i] else ():
                             for m2 in range(mu):
                                 tkey = (m, a, i2, m2, j)
                                 t = cons.get(tkey)
                                 if t is None:
                                     t = cons[tkey] = vm.fresh_aux()
-                                    if (m, a, i2, m2) not in edges:
-                                        edges[m, a, i2, m2] = _edge_literal(vm, out.add, m, a, i2, m2)
-                                    out.add((-t, edges[m, a, i2, m2]))
+                                    out.add((-t, edge_literal(vm, (m, a, i2, m2), out.add)))
                                     out.add((-t, vm.var_p(i2, m2, j - 1)))
                                 inner.append(t)
                         u = None
@@ -609,29 +609,23 @@ def encode_path_predicate(p, vm, out=None):
     return out
 
 
-def _edge_literal(vm, add, m, a, i2, m2):
-    """A fresh e with e -> OR_z (O(i2,z) & M(m,z,a,m2)), by x -> O & M per
-    symbol and e -> OR x, or e -> O & M directly when |Z'| = 1; each clause
-    goes to add."""
-    e = vm.fresh_aux()
-    xs = [e] if vm.nzp == 1 else [vm.fresh_aux() for _ in range(vm.nzp)]
-    for z, x in enumerate(xs):
-        add((-x, vm.var_o(i2, z)))
-        add((-x, vm.var_m(m, z, a, m2)))
-    if vm.nzp != 1:
-        add([-e] + xs)
-    return e
-
-
 def edge_literal(vm, key, add):
     """vm.edges[key], key = (m,a,s',m'), defined on first use as a fresh
-    e -> A(m,a) & OR_z (O(s',z) & M(m,z,a,m')), its clauses going to add.
-    A true e is the edge (s,m) -> (s',m') at every s with s' in succ(s,a).
-    Only trap cuts (synth) use e, positively, so e constrains nothing."""
+    e -> A(m,a) & OR_z (O(s',z) & M(m,z,a,m')), its clauses going to add:
+    x -> O & M per symbol, e -> OR x and e -> A, or e -> O & M and e -> A
+    directly when |Z'| = 1.  A true e is the edge (s,m) -> (s',m') at every
+    s with s' in succ(s,a).  The trap cuts (synth) and P use e positively
+    only, so e constrains nothing."""
     e = vm.edges.get(key)
     if e is None:
         m, a, s2, m2 = key
-        e = vm.edges[key] = _edge_literal(vm, add, m, a, s2, m2)
+        e = vm.edges[key] = vm.fresh_aux()
+        xs = [e] if vm.nzp == 1 else [vm.fresh_aux() for _ in range(vm.nzp)]
+        for z, x in enumerate(xs):
+            add((-x, vm.var_o(s2, z)))
+            add((-x, vm.var_m(m, z, a, m2)))
+        if vm.nzp != 1:
+            add([-e] + xs)
         add((-e, vm.var_a(m, a)))
     return e
 

@@ -12,9 +12,9 @@ One Solver answers any number of solve() calls on its Cnf.  Each call
 backtracks to level 0 and first loads the clauses the Cnf gained since the
 last, as the trap cuts of synth.Prepared.search are, over old or new
 variables; the Cnf is the one clause store.  Learnt clauses, the
-activities, the saved phases and the restart schedule carry from one call
-to the next, and a conflict at level 0 refutes the formula for every later
-call.
+activities, the saved phases, the restart schedule and the counters, which
+each SolveResult reports as totals, carry from one call to the next, and a
+conflict at level 0 refutes the formula for every later call.
 
 It runs on the encoder's own layout: a copy of the Cnf's zero-terminated
 literal arena, to which learnt clauses and later Cnf clauses are appended
@@ -58,10 +58,13 @@ class Budget:
 
 @dataclass
 class SolveResult:
+    """A call's answer, with the Solver's counter totals over all its calls
+    so far, loads included, or None when an external solver answered."""
+
     status: str
     assignment: list = None  # index 0 unused; total over 1..nvars when sat
-    conflicts: int = None  # the counters cover one Solver.solve() call, load included
-    decisions: int = None  # in the first; None when an external solver answered
+    conflicts: int = None
+    decisions: int = None
     propagations: int = None
     restarts: int = None
 
@@ -142,7 +145,6 @@ class Solver:
         self.n_decisions = 0
         self.n_props = 0
         self.n_restarts = 0
-        self.reported = (0, 0, 0, 0)  # the counters when the last call answered
         self.conflicts_at_restart = 0
         self.restart_budget = _luby(1) * RESTART_UNIT
         self._load()
@@ -300,12 +302,10 @@ class Solver:
             self.activity = [x * 1e-100 for x in self.activity]
             self.var_inc *= 1e-100
             self._rebuild_heap()
-        else:
-            heappush(self.heap, (-a, v))
 
     def _rebuild_heap(self):
         """The branching heap with one entry per unassigned variable: the
-        stale entries that backtracking and bumping leave behind are gone."""
+        stale entries that backtracking leaves behind are gone."""
         act, vals = self.activity, self.vals
         self.heap = [(-act[v], v) for v in range(1, self.nvars + 1) if vals[v] == 0]
         heapify(self.heap)
@@ -408,11 +408,12 @@ class Solver:
         self.qhead = bound
 
     def _decide(self):
-        """The unassigned variable at the top of the heap; only called while
-        some variable is unassigned.  The heap always holds an entry for every
-        unassigned variable: _load pushes every new variable, _backtrack
-        re-pushes each one it unassigns and _rebuild_heap keeps all
-        unassigned ones; entries of assigned variables are dropped here."""
+        """The unassigned variable of highest activity; only called while
+        some variable is unassigned.  Every unassigned variable has a heap
+        entry at its current activity: _load and _backtrack push one for each
+        variable they add or unassign, _rebuild_heap for all, and _bump raises
+        only assigned ones (of a conflict and its reasons).  Every other entry
+        ranks below its variable's and is dropped here."""
         vals = self.vals
         heap = self.heap
         while True:
@@ -427,7 +428,10 @@ class Solver:
     def solve(self, budget=None):
         """Load what the Cnf gained (_load), then decide it.  UNSAT sets `ok`
         False, so every later call answers UNSAT.  The budget's conflicts and
-        seconds count from the start of this call.
+        seconds count from the start of this call, which counts no conflict
+        past it: at 0 the first conflict ends the call unanalysed.  It lies
+        above level 0, which sees one only at the first propagation (UNSAT
+        whatever the budget) or after a learnt unit.
         """
         t0 = time.monotonic()
         c0 = self.n_conflicts
@@ -438,11 +442,8 @@ class Solver:
         n = self.nvars
 
         def result(status, assignment=None):
-            now = (self.n_conflicts, self.n_decisions, self.n_props, self.n_restarts)
-            c, d, p, r = (x - y for x, y in zip(now, self.reported))
-            self.reported = now
-            return SolveResult(status=status, assignment=assignment, conflicts=c,
-                               decisions=d, propagations=p, restarts=r)
+            return SolveResult(status, assignment, self.n_conflicts, self.n_decisions,
+                               self.n_props, self.n_restarts)
 
         if not self.ok:
             return result(UNSAT)
@@ -456,6 +457,8 @@ class Solver:
         while True:
             confl = self._propagate()
             if confl != -1:
+                if limit_c == 0:  # a conflict above level 0 (see the docstring)
+                    return result(BUDGET)
                 self.n_conflicts += 1
                 self.conflicts_at_restart += 1
                 if not trail_lim:

@@ -56,11 +56,11 @@ class EncoderFault(RuntimeError):
 class SynthStats:
     vars: int = 0
     clauses: int = 0
-    time_ms: int = 0
-    conflicts: int = None  # the solver counters are None when an external solver ran
+    time_ms: int = 0  # the cell's wall time (Prepared.search)
+    conflicts: int = None  # the solver's totals; None when an external solver ran
     decisions: int = None
     propagations: int = None
-    rounds: int = 0  # solve calls for the cell; time_ms and the counters sum over them
+    rounds: int = 0  # solve calls for the cell
 
 
 @dataclass(frozen=True)
@@ -237,11 +237,11 @@ def trap_cuts(p, vm, g, cert):
     A cut holds for any set U of pairs without a goal pair.  A winning pair
     that reaches b in U has a goal path from b, which leaves U by an edge
     from some (s, m) in U under an action a of its support to some (s', m')
-    outside U.  Every action a winning pair takes at a reached pair is safe,
-    succ(s, a) within the region V (the closure clauses forbid the others),
-    so -C(b) | OR e(m,a,s',m') over the edges leaving U under safe actions
-    (encode.edge_literal), m' over all memory of the formula, holds at every
-    winning pair.
+    outside U.  Every action a winning pair takes at a reached pair is safe
+    (vm.safe), succ(s, a) within the region V (the closure clauses forbid
+    the others), so -C(b) | OR e(m,a,s',m') over the edges leaving U under
+    safe actions (encode.edge_literal), m' over all memory of the formula,
+    holds at every winning pair.
 
     The reached pairs of g with no goal path are closed under successors,
     so each bottom strongly connected component T of them is a goal-free
@@ -259,8 +259,7 @@ def trap_cuts(p, vm, g, cert):
     def cuts(pairs):
         inside = set(pairs)
         leave = sorted({edge_literal(vm, (m, a, s2, m2), defs.append)
-                        for s, m in pairs for a in range(vm.na)
-                        if vm.region.issuperset(p.succ(s, a)) for s2 in p.succ(s, a)
+                        for s, m in pairs for a in vm.safe[s] for s2 in p.succ(s, a)
                         for m2 in range(vm.mu) if (s2, m2) not in inside})
         return [[-vm.var_c(s, m)] + leave for s, m in pairs]
 
@@ -319,15 +318,15 @@ class Prepared:
         or BUDGET), the checked (completion, policy, certificate) when SAT,
         else None, and the cell's SynthStats.
 
-        solver is a sat.Solver built on cnf, which carries what it learns to
-        its next call and loads what cnf gained at each call, or an external
-        command template that gets one DIMACS file per round
+        solver is a sat.Solver built on cnf for this cell, which carries what
+        it learns to its next call and loads what cnf gained at each call, or
+        an external command template that gets one DIMACS file per round
         (sat.solve_external).  Each round gets what budget leaves after the
-        cell's conflicts and seconds so far.  time_ms and the counters (None
-        for an external solver) sum over the rounds.  A failing external
-        solver raises its ExternalSolverError with the cell's stats in
-        e.stats: the rounds, the failed one counted, time_ms 0 and no
-        counters.
+        cell's conflicts and time so far; time_ms is the cell's wall time on
+        that clock, and the counters are the last round's, the solver's
+        totals (None for an external solver).  A failing external solver
+        raises its ExternalSolverError with the cell's stats in e.stats: the
+        rounds, the failed one counted, time_ms 0 and no counters.
 
         Every decoded pair must keep the request's contract
         (verify.contract_breaches), else it is an EncoderFault.  A losing
@@ -337,22 +336,19 @@ class Prepared:
         EncoderFault.  cnf then declares the grown variable count.  A
         winning pair is pruned (_prune)."""
         p = self.model
-        embedded = isinstance(solver, sat.Solver)
-        t_cell, runs, seconds, pair = time.perf_counter(), [], 0.0, None
+        t_cell, rounds, pair = time.perf_counter(), 0, None
         while True:
-            used = sum(r.conflicts or 0 for r in runs), time.perf_counter() - t_cell
+            used = (res.conflicts or 0) if rounds else 0, time.perf_counter() - t_cell
             rest = None if budget is None else sat.Budget(*(
                 None if limit is None else max(limit - u, 0)
                 for limit, u in zip((budget.max_conflicts, budget.max_seconds), used)))
-            t0 = time.perf_counter()
+            rounds += 1
             try:
-                res = (sat.solve(cnf, rest, solver) if embedded
+                res = (sat.solve(cnf, rest, solver) if isinstance(solver, sat.Solver)
                        else sat.solve_external(cnf, solver, rest))
             except sat.ExternalSolverError as e:
-                e.stats = SynthStats(cnf.nvars, len(cnf), rounds=len(runs) + 1)
+                e.stats = SynthStats(cnf.nvars, len(cnf), rounds=rounds)
                 raise
-            seconds += time.perf_counter() - t0
-            runs.append(res)
             if res.status != sat.SAT:
                 break
             comp = decode_completion(res.assignment, vm, p)
@@ -372,10 +368,9 @@ class Prepared:
             for clause in clauses:
                 cnf.add(clause)
             cnf.finalize(vm.nvars)
-        counters = (sum(getattr(r, f) or 0 for r in runs) if embedded else None
-                    for f in ("conflicts", "decisions", "propagations"))
-        return res.status, pair, SynthStats(cnf.nvars, len(cnf), int(round(seconds * 1000)),
-                                            *counters, rounds=len(runs))
+        time_ms = int(round((time.perf_counter() - t_cell) * 1000))
+        return res.status, pair, SynthStats(cnf.nvars, len(cnf), time_ms, res.conflicts,
+                                            res.decisions, res.propagations, rounds)
 
 
 def prepare(p, mu, nu, deterministic=False, strict=False, constraints=None):
@@ -416,24 +411,23 @@ def sweep(p, mu_range, nu_range, deterministic=False, strict=False,
     outcomes in ascending (mu, nu) order.
 
     One prepare() at the top cell (mu_hi, nu_hi) serves every cell, since the
-    pre-pass depends on neither mu nor nu.  A cell whose nu fails
-    Prepared.needs_formula is Unrealizable without a formula.  A searched
-    cell is Prepared.search on its own formula, Prepared.encode(mu, nu),
-    with the cell's budget and, for the embedded solver, a Solver of its
-    own, so a one-cell sweep builds the (mu, nu) formula and nothing more.
-    UNSAT is Unrealizable (module docstring).
+    pre-pass depends on neither mu nor nu.
 
     The cells are visited nu ascending, mu descending from (mu_hi, nu_lo).
     Each is inferred from a decided cell that implies it (module docstring)
-    or else searched, which walks the staircase: a Realizable cell sends the
-    search to the next lower mu, an Unrealizable one to the next higher nu.
+    or else decided, which walks the staircase: a Realizable cell sends the
+    walk to the next lower mu, an Unrealizable one to the next higher nu.
+    A cell whose nu fails Prepared.needs_formula is Unrealizable without a
+    formula; any other is Prepared.search on its own formula,
+    Prepared.encode(mu, nu), with the cell's budget and, for the embedded
+    solver, a Solver of its own, so a one-cell sweep builds the (mu, nu)
+    formula and nothing more.  UNSAT is Unrealizable (module docstring).
     An Unknown cell implies nothing; without one at most |mus| + |nus| - 1
-    cells are searched.  A searched cell, a failed external one included,
+    cells are decided.  A searched cell, a failed external one included,
     reports its own formula's vars and clauses, trap cuts included, and its
-    own time_ms, solver counters and rounds.  An inferred cell keeps its
-    source's completion, policy and certificate with SynthStats(): no
-    formula, time_ms 0, no counters (an empty CSV conflicts field) and no
-    rounds.
+    own time_ms, solver counters and rounds.  Every other cell, an inferred
+    one keeping its source's completion, policy and certificate, has
+    SynthStats(): time_ms 0, no counters (an empty CSV conflicts field).
 
     A failing external solver makes its cell Unknown, naming the error and
     keeping it as the outcome's error, and the sweep continues; every other
@@ -446,18 +440,17 @@ def sweep(p, mu_range, nu_range, deterministic=False, strict=False,
     if mus[0] < 1 or nus[0] < 0:
         raise ValueError("mu must be >= 1 and nu >= 0")
     prep = prepare(p, mus[-1], nus[-1], deterministic, strict, constraints)
-    live = [nu for nu in nus if prep.needs_formula(nu)]
-    # cells without a formula; their nu lies below every live one, so they imply none
-    done = {(mu, nu): Unrealizable(mu=mu, nu=nu, stats=SynthStats())
-            for mu in mus for nu in nus if nu not in live}
-    embedded = solver in (None, "", "embedded")
-    for nu in live:  # the staircase walk from (mu_hi, nu_lo), inferring what it implies
+    done, embedded = {}, solver in (None, "", "embedded")
+    for nu in nus:  # the staircase walk from (mu_hi, nu_lo), inferring what it implies
         for mu in reversed(mus):
             src = next((o for o in done.values()
                         if o.verdict == "Realizable" and o.mu <= mu and o.nu <= nu
                         or o.verdict == "Unrealizable" and o.mu >= mu and o.nu >= nu), None)
             if src is not None:
                 done[mu, nu] = replace(src, mu=mu, nu=nu, stats=SynthStats())
+                continue
+            if not prep.needs_formula(nu):
+                done[mu, nu] = Unrealizable(mu=mu, nu=nu, stats=SynthStats())
                 continue
             cnf, vm = prep.encode(mu, nu)
             try:

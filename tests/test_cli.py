@@ -11,7 +11,7 @@ from sensynth import cli, sat
 from sensynth.bench import (GridSpec, gen_det_hallway, gen_fig1, gen_hallway,
                             gen_rocksample)
 from sensynth.model import parse_pomdp, print_pomdp
-from sensynth.synth import EncoderFault
+from sensynth.synth import EncoderFault, parse_result
 from test_acceptance import SPLIT
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -44,6 +44,20 @@ class TestSynthExitCodes:
         assert out.startswith("verdict: Realizable (mu=3 nu=1)\n")  # no path bound
         assert "stats: vars=" in out
         assert "action m0" in out  # document printed when no --result
+
+    def test_unknown(self, hallway_file, tmp_path, capsys):
+        # a conflict budget that runs out: exit 2, a report and a document
+        # that say why, and nothing for verify to check (exit 3)
+        res = tmp_path / "dh.result"
+        assert cli.main(["synth", hallway_file, "--mu", "3", "--nu", "2",
+                         "--max-conflicts", "1", "--result", str(res)]) == 2
+        assert "\nreason: budget exhausted\n" in capsys.readouterr().out
+        text = res.read_text()
+        assert text.startswith("verdict: Unknown\n") and "\nreason: budget exhausted\n" in text
+        doc = parse_result(text, gen_det_hallway())
+        assert (doc.verdict, doc.reason, doc.stats.conflicts) == ("Unknown", "budget exhausted", 1)
+        assert cli.main(["verify", hallway_file, str(res)]) == 3
+        assert "nothing to verify" in capsys.readouterr().err
 
     def test_quiet(self, fig1_file, capsys):
         assert cli.main(["synth", fig1_file, "--mu", "3", "--nu", "1",

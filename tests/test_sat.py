@@ -211,6 +211,16 @@ class TestArena:
         queued = {v for _, v in solver.heap}
         assert all(v in queued for v in range(1, solver.nvars + 1) if solver.vals[v] == 0)
 
+    def test_heap_holds_every_unassigned_variable(self):
+        # _bump pushes nothing; _backtrack re-pushes each variable it frees
+        solver = sat.Solver(encode_php(7, 6))
+        assert solver.solve(Budget(max_conflicts=50)).status == BUDGET
+        for level in (len(solver.trail_lim) // 2, 0):
+            solver._backtrack(level)
+            queued = set(solver.heap)
+            free = [v for v in range(1, solver.nvars + 1) if solver.vals[v] == 0]
+            assert free and all((-solver.activity[v], v) in queued for v in free)
+
     def test_watch_invariant_after_search(self):
         prep = prepare(gen_det_hallway(), 2, 2)
         cnf, vm = prep.encode(2, 2)
@@ -268,6 +278,21 @@ class TestBudget:
         res = solve(cnf_of([(1, 2)], 2), budget=Budget(max_conflicts=1))
         assert res.status == SAT
 
+    def test_zero_conflict_budget(self):
+        # the first conflict stops the call, counted by no one
+        res = solve(encode_php(7, 6), budget=Budget(max_conflicts=0))
+        assert (res.status, res.conflicts) == (BUDGET, 0) and res.decisions > 0
+        # without a conflict there is nothing to stop, and one at level 0 refutes
+        assert solve(cnf_of([(1, 2)], 2), budget=Budget(max_conflicts=0)).status == SAT
+        res = solve(cnf_of([(1, 2), (-1,), (-2,)], 2), budget=Budget(max_conflicts=0))
+        assert (res.status, res.conflicts) == (UNSAT, 0)
+        # a unit learnt in one call brings its conflict at level 0 to the next
+        cnf = cnf_of([(1, 2), (1, -2), (-1, 3), (-1, -3)], 3)
+        solver = sat.Solver(cnf)
+        assert solver.solve(Budget(max_conflicts=1)).status == BUDGET
+        res = solver.solve(Budget(max_conflicts=0))
+        assert (res.status, res.conflicts) == (UNSAT, 1)
+
 
 class TestAssumptions:
     """One Solver answering repeated solve() calls while its Cnf gains
@@ -301,32 +326,34 @@ class TestAssumptions:
         assert solver.solve().status == SAT
         for p in range(4):  # hole 3 closes: four pigeons in three holes
             cnf.add([-(p * 4 + 4)])
-        assert solver.solve().status == UNSAT
+        refuted = solver.solve()
+        assert refuted.status == UNSAT
         assert not solver.ok
         for clause in ([1], [-1, -2], [2, 5]):
             cnf.add(clause)
             res = solver.solve()
-            assert res.status == UNSAT and res.conflicts == 0
+            # no search: the totals stay where the refutation left them
+            assert res.status == UNSAT and res.conflicts == refuted.conflicts
 
     def test_max_conflicts_counts_per_call(self):
         solver = sat.Solver(encode_php(7, 6))
         first = solver.solve(Budget(max_conflicts=5))
         second = solver.solve(Budget(max_conflicts=5))
         assert first.status == second.status == BUDGET
-        assert first.conflicts == second.conflicts == 5
+        assert (first.conflicts, second.conflicts) == (5, 10)  # the totals
         assert solver.n_conflicts == 10
 
-    def test_counters_cover_one_call(self):
+    def test_counters_are_running_totals(self):
         cnf = encode_php(5, 5)
         solver = sat.Solver(cnf)
         a = solver.solve()
         for p in range(5):  # hole 4 closes: five pigeons in four holes
             cnf.add([-(p * 5 + 5)])
         b = solver.solve()
-        assert (a.status, b.status) == (SAT, UNSAT) and b.conflicts > 0
-        assert (a.conflicts + b.conflicts, a.decisions + b.decisions,
-                a.propagations + b.propagations) == \
-            (solver.n_conflicts, solver.n_decisions, solver.n_props)
+        assert (a.status, b.status) == (SAT, UNSAT) and b.conflicts > a.conflicts
+        assert a.decisions > 0 and b.propagations > a.propagations
+        assert (b.conflicts, b.decisions, b.propagations, b.restarts) == \
+            (solver.n_conflicts, solver.n_decisions, solver.n_props, solver.n_restarts)
 
 
 class TestAddClause:
